@@ -55,7 +55,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
-#include "core/Calibration.h"
 #include "core/CalibrationStore.h"
 #include "core/PromConfig.h"
 #include "data/Split.h"

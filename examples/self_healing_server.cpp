@@ -87,8 +87,7 @@ int main() {
   // controller that turns alarms into automatic calibration refreshes.
   // The attribution layer rides along as an observe-only sink: it never
   // changes a verdict or an alert edge, it only explains them.
-  serve::DriftAttributionConfig AttrCfg =
-      serve::DriftAttributionConfig::fromProm(Cfg);
+  serve::DriftAttributionConfig AttrCfg;
   AttrCfg.ReferenceWindow = 192; // Short windows: yearly streams are small.
   AttrCfg.CurrentWindow = 96;
   AttrCfg.MinCurrent = 24;

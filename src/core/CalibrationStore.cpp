@@ -1,15 +1,20 @@
-//===- core/CalibrationStore.cpp - Sharded calibration store ----------------===//
+//===- core/CalibrationStore.cpp - Columnar calibration store ---------------===//
 //
 // Part of the PROM reproduction. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/CalibrationStore.h"
+#include "support/Distance.h"
 #include "support/Kernels.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstring>
+#include <iterator>
+#include <numeric>
 
 using namespace prom;
 
@@ -19,46 +24,160 @@ namespace {
 /// threshold only gates parallelism, never the arithmetic.
 constexpr size_t MinEntriesForFanOut = 512;
 
+/// Entries the median-NN-distance measurement samples (the first
+/// MedianNNSample entries; bounded so finalize stays O(min(n,256)^2)).
+constexpr size_t MedianNNSample = 256;
+
 } // namespace
 
+//===----------------------------------------------------------------------===//
+// Columns and lifecycle
+//===----------------------------------------------------------------------===//
+
+void CalibrationStore::clear() {
+  Staged.clear();
+  Embeds.clear();
+  Labels.clear();
+  ScoreColumns.clear();
+  MaxLabel = -1;
+  MedianNNDist = 0.0;
+  Shards.clear();
+}
+
+size_t CalibrationStore::numExperts() const {
+  if (!ScoreColumns.empty())
+    return ScoreColumns.size();
+  return Staged.empty() ? 0 : Staged.front().Scores.size();
+}
+
+void CalibrationStore::foldStaged() {
+  if (Staged.empty())
+    return;
+  if (Labels.empty()) {
+    // First fold (or everything live was evicted): the staged entries
+    // define the shape.
+    Embeds.reset(0, Staged.front().Embed.size());
+    ScoreColumns.assign(Staged.front().Scores.size(), {});
+  }
+  size_t NumExp = ScoreColumns.size();
+  size_t N = Labels.size() + Staged.size();
+  // Exact reservations: the columns hold no growth slack, and a bounded
+  // refresh (evict, then append the same count) never reallocates.
+  Embeds.reserveRows(N);
+  Labels.reserve(N);
+  for (std::vector<double> &Column : ScoreColumns)
+    Column.reserve(N);
+  for (const CalibrationEntry &E : Staged) {
+    assert(E.Embed.size() == Embeds.dim() && "ragged calibration embeds");
+    assert(E.Scores.size() == NumExp && "ragged expert scores");
+    Embeds.appendRow(E.Embed.data());
+    Labels.push_back(E.Label);
+    MaxLabel = std::max(MaxLabel, E.Label);
+    for (size_t X = 0; X < NumExp; ++X)
+      ScoreColumns[X].push_back(E.Scores[X]);
+  }
+  std::vector<CalibrationEntry>().swap(Staged);
+}
+
+void CalibrationStore::dropOldest(size_t Count) {
+  assert(Count <= size() && "evicting more entries than exist");
+  size_t Live = std::min(Count, Labels.size());
+  if (Live > 0) {
+    Embeds.eraseFrontRows(Live);
+    Labels.erase(Labels.begin(), Labels.begin() + static_cast<long>(Live));
+    for (std::vector<double> &Column : ScoreColumns)
+      Column.erase(Column.begin(), Column.begin() + static_cast<long>(Live));
+    // Eviction can retire the largest label entirely; a fresh finalize
+    // would size its buckets to the surviving maximum.
+    MaxLabel = -1;
+    for (int Label : Labels)
+      MaxLabel = std::max(MaxLabel, Label);
+  }
+  Staged.erase(Staged.begin(),
+               Staged.begin() + static_cast<long>(Count - Live));
+}
+
+size_t CalibrationStore::evictionCount() const {
+  return MaxEntries != 0 && size() > MaxEntries ? size() - MaxEntries : 0;
+}
+
+void CalibrationStore::computeMedianNNDist() {
+  if (Labels.size() < 2) {
+    MedianNNDist = 1.0;
+    return;
+  }
+  // Median nearest-neighbour distance over a bounded subsample keeps this
+  // O(min(n,256)^2) even for large calibration sets.
+  size_t N = std::min<size_t>(Labels.size(), MedianNNSample);
+  std::vector<double> NNDist;
+  NNDist.reserve(N);
+  for (size_t I = 0; I < N; ++I) {
+    double Best = -1.0;
+    for (size_t J = 0; J < N; ++J) {
+      if (I == J)
+        continue;
+      double D = support::euclidean(Embeds.rowPtr(I), Embeds.rowPtr(J),
+                                    Embeds.dim());
+      if (Best < 0.0 || D < Best)
+        Best = D;
+    }
+    NNDist.push_back(Best);
+  }
+  std::sort(NNDist.begin(), NNDist.end());
+  MedianNNDist = std::max(NNDist[NNDist.size() / 2], 1e-9);
+}
+
 void CalibrationStore::finalize(size_t NumShards) {
+  foldStaged();
+  computeMedianNNDist();
   TargetShards = NumShards == 0 ? 1 : NumShards;
-  Flat.finalize();
-  buildShards(NumShards);
+  buildShards(TargetShards);
 }
 
 void CalibrationStore::reshard(size_t NumShards) {
-  // finalize() is what populates the flat indexes buildShards() reads;
-  // embedDim() stays 0 until it has run on a non-empty store.
-  assert((Flat.empty() || Flat.embedDim() > 0) && "reshard before finalize");
+  assert(Staged.empty() && "reshard before finalize");
   TargetShards = NumShards == 0 ? 1 : NumShards;
   buildShards(NumShards);
 }
 
 void CalibrationStore::appendEntries(std::vector<CalibrationEntry> NewEntries) {
-  assert((Flat.empty() || NewEntries.empty() ||
-          (NewEntries.front().Embed.size() == Flat.embedDim() &&
-           NewEntries.front().Scores.size() == Flat.numExperts())) &&
+  assert((Labels.empty() || NewEntries.empty() ||
+          (NewEntries.front().Embed.size() == embedDim() &&
+           NewEntries.front().Scores.size() == numExperts())) &&
          "appended entries must match the store shape");
-  for (CalibrationEntry &Entry : NewEntries)
-    Flat.add(std::move(Entry));
+  Staged.insert(Staged.end(), std::make_move_iterator(NewEntries.begin()),
+                std::make_move_iterator(NewEntries.end()));
 }
 
 void CalibrationStore::refinalize() {
-  size_t Evict =
-      MaxEntries != 0 && Flat.size() > MaxEntries ? Flat.size() - MaxEntries
-                                                  : 0;
-  size_t Staged = stagedEntries();
-  size_t OldIndexed = Flat.indexedCount();
+  size_t Live = Labels.size();
+  size_t Evict = evictionCount();
+  size_t NumStaged = Staged.size();
 
-  bool Incremental = Flat.refinalize(Evict);
-  if (!Incremental || Evict > 0) {
+  // Degenerate refresh: the eviction swallows the whole live prefix (a
+  // refresh batch larger than the store bound, or a store that was never
+  // finalized). Nothing is reusable — rebuild from scratch.
+  if (Live == 0 || (Evict > 0 && Evict >= Live)) {
+    refinalizeFull();
+    return;
+  }
+
+  dropOldest(Evict);
+  foldStaged();
+  // The distance-scale sample window is the first min(N, 256) entries:
+  // unchanged by a pure append onto a store that already held 256, so the
+  // recompute (and its O(256^2) distance scans) is skipped exactly when a
+  // from-scratch finalize would measure the same window.
+  if (Evict > 0 || Live < MedianNNSample)
+    computeMedianNNDist();
+
+  if (Evict > 0) {
     // Eviction re-blocks every surviving entry (block membership is
     // positional), so the per-shard indexes are stale wholesale.
     buildShards(TargetShards);
     return;
   }
-  if (Staged == 0)
+  if (NumStaged == 0)
     return;
   assert(!Shards.empty() && "finalized non-empty store without shards");
 
@@ -67,60 +186,51 @@ void CalibrationStore::refinalize() {
   // that shard drifts past twice the even share, rebalance to the
   // requested partition; any block-aligned contiguous layout yields
   // bit-identical verdicts, so the rebalance point is pure load-balancing.
-  size_t NumBlocks = Flat.numAccumBlocks();
+  size_t NumBlocks = numAccumBlocks();
   size_t Ideal = std::min(TargetShards, NumBlocks);
   size_t IdealBlocksPerShard = (NumBlocks + Ideal - 1) / Ideal;
-  size_t LastShardBlocks =
-      NumBlocks - Shards.back().Begin / CalibrationAccumBlock;
+  Shard &Last = Shards.back();
+  size_t LastShardBlocks = NumBlocks - Last.Begin / CalibrationAccumBlock;
   if (LastShardBlocks > 2 * IdealBlocksPerShard) {
     buildShards(TargetShards);
     return;
   }
-  extendLastShard(OldIndexed);
-  // The extension left the last shard's index covering only a prefix; the
-  // staleness policy decides whether the exact tail scan is still cheap
-  // enough or the index re-clusters now.
+  assert(Last.End == Live && "extending past staged entries");
+  Last.End = Labels.size();
+  mergeIntoSortedIndex(Last, Live);
+  // The extension left the last shard's cluster index covering only a
+  // prefix; the staleness policy decides whether the exact tail scan is
+  // still cheap enough or the index re-clusters now.
   updateShardIndexes(/*Force=*/false);
 }
 
 void CalibrationStore::refinalizeFull() {
-  size_t Evict =
-      MaxEntries != 0 && Flat.size() > MaxEntries ? Flat.size() - MaxEntries
-                                                  : 0;
-  Flat.dropOldest(Evict);
-  Flat.finalize();
-  buildShards(TargetShards);
+  dropOldest(evictionCount());
+  finalize(TargetShards);
 }
 
-void CalibrationStore::extendLastShard(size_t OldEnd) {
-  size_t NewEnd = Flat.size();
-  size_t NumExp = Flat.numExperts();
-  size_t LabelBuckets = static_cast<size_t>(Flat.maxLabel() + 1);
-
-  // The refresh may have introduced a new largest label; every shard's
-  // bucket array must cover it (empty buckets never change a count).
-  for (Shard &Sh : Shards)
-    for (size_t E = 0; E < NumExp; ++E)
-      Sh.SortedScores[E].resize(LabelBuckets);
-
-  Shard &Last = Shards.back();
-  assert(Last.End == OldEnd && "extending past staged entries");
-  // Per-expert sorted inserts are independent; the fan-out runs inline
-  // when nested under another pool region (a service worker triggering a
-  // synchronous refresh) — the nested-parallelFor contract. The insert
-  // itself is the same sort + in-place merge the flat index uses.
-  support::ThreadPool::global().parallelFor(
-      NumExp, [&](size_t Begin, size_t End) {
-        for (size_t E = Begin; E < End; ++E)
-          Flat.mergeScoresIntoIndex(E, OldEnd, NewEnd, Last.SortedScores[E]);
-      });
-  Last.End = NewEnd;
+size_t CalibrationStore::memoryBytes() const {
+  size_t Bytes = Embeds.memoryBytes() + Labels.capacity() * sizeof(int);
+  for (const std::vector<double> &Column : ScoreColumns)
+    Bytes += Column.capacity() * sizeof(double);
+  Bytes += Staged.capacity() * sizeof(CalibrationEntry);
+  for (const CalibrationEntry &E : Staged)
+    Bytes += (E.Embed.capacity() + E.Scores.capacity()) * sizeof(double);
+  for (const Shard &Sh : Shards)
+    Bytes += Sh.Sorted.capacity() * sizeof(double) +
+             Sh.LabelStart.capacity() * sizeof(size_t) +
+             Sh.Index.memoryBytes();
+  return Bytes;
 }
+
+//===----------------------------------------------------------------------===//
+// Shards and their derived indexes
+//===----------------------------------------------------------------------===//
 
 void CalibrationStore::buildShards(size_t NumShards) {
   Shards.clear();
-  size_t N = Flat.size();
-  size_t NumBlocks = Flat.numAccumBlocks();
+  size_t N = Labels.size();
+  size_t NumBlocks = numAccumBlocks();
   if (NumBlocks == 0)
     return;
   if (NumShards == 0)
@@ -129,9 +239,6 @@ void CalibrationStore::buildShards(size_t NumShards) {
   // straddle shards and the general-path merge stays K-invariant.
   NumShards = std::min(NumShards, NumBlocks);
   size_t BlocksPerShard = (NumBlocks + NumShards - 1) / NumShards;
-
-  size_t NumExp = Flat.numExperts();
-  size_t LabelBuckets = static_cast<size_t>(Flat.maxLabel() + 1);
   for (size_t S = 0; S < NumShards; ++S) {
     size_t FirstBlock = S * BlocksPerShard;
     if (FirstBlock >= NumBlocks)
@@ -148,25 +255,77 @@ void CalibrationStore::buildShards(size_t NumShards) {
   // which lane ran it. Runs inline when nested under an active region.
   support::ThreadPool::global().parallelFor(
       Shards.size(), [&](size_t Begin, size_t End) {
-        for (size_t S = Begin; S < End; ++S) {
-          Shard &Sh = Shards[S];
-          Sh.SortedScores.assign(
-              NumExp, std::vector<std::vector<double>>(LabelBuckets));
-          for (size_t E = 0; E < NumExp; ++E) {
-            const std::vector<double> &Column = Flat.scoreColumn(E);
-            for (size_t I = Sh.Begin; I < Sh.End; ++I)
-              if (Flat.label(I) >= 0)
-                Sh.SortedScores[E][static_cast<size_t>(Flat.label(I))]
-                    .push_back(Column[I]);
-            for (std::vector<double> &LabelScores : Sh.SortedScores[E])
-              std::sort(LabelScores.begin(), LabelScores.end());
+        for (size_t S = Begin; S < End; ++S)
+          buildSortedIndex(Shards[S]);
+      });
+  updateShardIndexes(/*Force=*/false);
+}
+
+void CalibrationStore::buildSortedIndex(Shard &Sh) const {
+  size_t Buckets = static_cast<size_t>(MaxLabel + 1);
+  Sh.LabelStart.assign(Buckets + 1, 0);
+  for (size_t I = Sh.Begin; I < Sh.End; ++I)
+    if (Labels[I] >= 0)
+      ++Sh.LabelStart[static_cast<size_t>(Labels[I]) + 1];
+  std::partial_sum(Sh.LabelStart.begin(), Sh.LabelStart.end(),
+                   Sh.LabelStart.begin());
+  size_t M = Sh.LabelStart.back();
+  Sh.Sorted.assign(ScoreColumns.size() * M, 0.0);
+  std::vector<size_t> Cursor;
+  for (size_t E = 0; E < ScoreColumns.size(); ++E) {
+    double *Out = Sh.Sorted.data() + E * M;
+    Cursor.assign(Sh.LabelStart.begin(), Sh.LabelStart.end() - 1);
+    for (size_t I = Sh.Begin; I < Sh.End; ++I)
+      if (Labels[I] >= 0)
+        Out[Cursor[static_cast<size_t>(Labels[I])]++] = ScoreColumns[E][I];
+    for (size_t L = 0; L < Buckets; ++L)
+      std::sort(Out + Sh.LabelStart[L], Out + Sh.LabelStart[L + 1]);
+  }
+}
+
+void CalibrationStore::mergeIntoSortedIndex(Shard &Sh, size_t From) const {
+  size_t Buckets = static_cast<size_t>(MaxLabel + 1);
+  // The refresh may have introduced new labels: their old runs are empty.
+  std::vector<size_t> OldStart = std::move(Sh.LabelStart);
+  size_t OldM = OldStart.back();
+  OldStart.resize(Buckets + 1, OldM);
+  std::vector<size_t> FreshStart(Buckets + 1, 0);
+  for (size_t I = From; I < Sh.End; ++I)
+    if (Labels[I] >= 0)
+      ++FreshStart[static_cast<size_t>(Labels[I]) + 1];
+  std::partial_sum(FreshStart.begin(), FreshStart.end(), FreshStart.begin());
+  Sh.LabelStart.resize(Buckets + 1);
+  for (size_t L = 0; L <= Buckets; ++L)
+    Sh.LabelStart[L] = OldStart[L] + FreshStart[L];
+
+  size_t M = Sh.LabelStart.back();
+  std::vector<double> Merged(ScoreColumns.size() * M);
+  // Per-expert merges write disjoint runs, so they fan out (inline when
+  // nested under another pool region, e.g. a synchronous refresh from a
+  // service worker).
+  support::ThreadPool::global().parallelFor(
+      ScoreColumns.size(), [&](size_t Begin, size_t End) {
+        std::vector<double> Fresh(FreshStart.back());
+        std::vector<size_t> Cursor;
+        for (size_t E = Begin; E < End; ++E) {
+          Cursor.assign(FreshStart.begin(), FreshStart.end() - 1);
+          for (size_t I = From; I < Sh.End; ++I)
+            if (Labels[I] >= 0)
+              Fresh[Cursor[static_cast<size_t>(Labels[I])]++] =
+                  ScoreColumns[E][I];
+          const double *Old = Sh.Sorted.data() + E * OldM;
+          double *Out = Merged.data() + E * M;
+          for (size_t L = 0; L < Buckets; ++L) {
+            std::sort(Fresh.begin() + static_cast<long>(FreshStart[L]),
+                      Fresh.begin() + static_cast<long>(FreshStart[L + 1]));
+            std::merge(Old + OldStart[L], Old + OldStart[L + 1],
+                       Fresh.begin() + static_cast<long>(FreshStart[L]),
+                       Fresh.begin() + static_cast<long>(FreshStart[L + 1]),
+                       Out + Sh.LabelStart[L]);
           }
         }
       });
-
-  // Every rebuilt partition invalidates the cluster indexes wholesale
-  // (shard boundaries moved, entry positions may have shifted).
-  updateShardIndexes(/*Force=*/true);
+  Sh.Sorted = std::move(Merged);
 }
 
 void CalibrationStore::setIndexPolicy(const ClusterIndexPolicy &Policy) {
@@ -176,52 +335,35 @@ void CalibrationStore::setIndexPolicy(const ClusterIndexPolicy &Policy) {
 
 size_t CalibrationStore::indexedShards() const {
   size_t Count = 0;
-  for (const support::ClusterIndex &Idx : ShardIndexes)
-    Count += Idx.valid() ? 1 : 0;
+  for (const Shard &Sh : Shards)
+    Count += Sh.Index.valid() ? 1 : 0;
   return Count;
-}
-
-size_t CalibrationStore::memoryBytes() const {
-  size_t Bytes = Flat.memoryBytes();
-  for (const Shard &S : Shards)
-    for (const auto &PerLabel : S.SortedScores)
-      for (const std::vector<double> &Scores : PerLabel)
-        Bytes += Scores.capacity() * sizeof(double);
-  for (const support::ClusterIndex &Idx : ShardIndexes)
-    Bytes += Idx.memoryBytes();
-  return Bytes;
 }
 
 size_t CalibrationStore::unindexedEntries() const {
   size_t Count = 0;
-  for (size_t S = 0; S < Shards.size(); ++S) {
-    size_t Covered =
-        S < ShardIndexes.size() && ShardIndexes[S].valid()
-            ? ShardIndexes[S].endRow() - ShardIndexes[S].beginRow()
-            : 0;
-    Count += (Shards[S].End - Shards[S].Begin) - Covered;
-  }
+  for (const Shard &Sh : Shards)
+    Count += (Sh.End - Sh.Begin) - (Sh.Index.valid() ? Sh.Index.coveredRows()
+                                                     : 0);
   return Count;
 }
 
 void CalibrationStore::updateShardIndexes(bool Force) {
-  ShardIndexes.resize(Shards.size());
   if (Force)
-    for (support::ClusterIndex &Idx : ShardIndexes)
-      Idx.clear();
+    for (Shard &Sh : Shards)
+      Sh.Index.clear();
   // Per-shard builds touch disjoint state and kMeansMatrix is thread-count
   // deterministic, so the fan-out cannot change any index bit (and runs
   // inline when nested under an active pool region).
   support::ThreadPool::global().parallelFor(
       Shards.size(), [&](size_t Begin, size_t End) {
         for (size_t S = Begin; S < End; ++S)
-          updateShardIndex(S);
+          updateShardIndex(Shards[S]);
       });
 }
 
-void CalibrationStore::updateShardIndex(size_t S) {
-  const Shard &Sh = Shards[S];
-  support::ClusterIndex &Idx = ShardIndexes[S];
+void CalibrationStore::updateShardIndex(Shard &Sh) {
+  support::ClusterIndex &Idx = Sh.Index;
   size_t Size = Sh.End - Sh.Begin;
   if (!IndexPolicy.Enabled || Size < IndexPolicy.MinEntries) {
     Idx.clear();
@@ -238,8 +380,219 @@ void CalibrationStore::updateShardIndex(size_t S) {
   }
   // Seed per shard position: deterministic across rebuilds and thread
   // counts, decorrelated between shards.
-  Idx.build(Flat.embedMatrix(), Sh.Begin, Sh.End, IndexPolicy.NumCentroids,
+  Idx.build(Embeds, Sh.Begin, Sh.End, IndexPolicy.NumCentroids,
             IndexPolicy.Seed ^ (0x9E3779B97F4A7C15ull * (Sh.Begin + 1)));
+}
+
+//===----------------------------------------------------------------------===//
+// Selection
+//===----------------------------------------------------------------------===//
+
+size_t prom::selectionKeepCount(size_t N, const PromConfig &Cfg) {
+  if (N < Cfg.SelectAllBelow)
+    return N;
+  size_t Keep =
+      static_cast<size_t>(Cfg.SelectFraction * static_cast<double>(N) + 0.5);
+  return std::max<size_t>(1, std::min(Keep, N));
+}
+
+/// Effective Eq. (1) temperature under \p Cfg.
+static double effectiveTau(const PromConfig &Cfg, double MedianNNDist) {
+  if (Cfg.AutoTau && MedianNNDist > 0.0)
+    return Cfg.TauScale * MedianNNDist;
+  return Cfg.Tau;
+}
+
+/// The Eq. (1) weight of a selected entry at distance \p Dist.
+///
+/// WeightedCount emphasizes *locally relevant* calibration evidence, so
+/// distances are measured relative to the nearest selected sample (the
+/// \p Offset) — a far-away test input must not wash out every weight at
+/// once (that would leave the smoothing term dominating and report p ~ 1
+/// exactly when the input is most novel). ScoreScaling keeps absolute
+/// distances: its novelty mechanism is the global shrink itself.
+static double distanceWeight(double Dist, double Offset, double Tau,
+                             int NormPower) {
+  double D = std::max(0.0, Dist - Offset);
+  double Norm = NormPower == 2 ? D * D : D;
+  double Exponent = Norm / Tau;
+  // std::exp(-x) rounds to +0.0 for every x above 746 (the subnormal range
+  // ends at ln 2^-1075 ~ 745.13). Returning the 0.0 directly is therefore
+  // bit-identical, and it keeps far-away calibration samples from paying
+  // the libm underflow slow path — and from injecting subnormal weights
+  // into the p-value sums, where every add would hit a microcode assist.
+  if (Exponent > 746.0)
+    return 0.0;
+  return std::exp(-Exponent);
+}
+
+CalibrationSelection
+CalibrationStore::select(const std::vector<double> &TestEmbed,
+                         const PromConfig &Cfg) const {
+  size_t N = Labels.size();
+  assert(N > 0 && "empty calibration set");
+
+  std::vector<double> Dist(N);
+  for (size_t I = 0; I < N; ++I)
+    Dist[I] = support::euclidean(Embeds.rowPtr(I), TestEmbed.data(),
+                                 Embeds.dim());
+
+  std::vector<size_t> Order(N);
+  std::iota(Order.begin(), Order.end(), size_t(0));
+  std::sort(Order.begin(), Order.end(), [&Dist](size_t A, size_t B) {
+    if (Dist[A] != Dist[B])
+      return Dist[A] < Dist[B];
+    return A < B;
+  });
+
+  size_t Keep = selectionKeepCount(N, Cfg);
+  Order.resize(Keep);
+
+  CalibrationSelection Sel;
+  Sel.Indices = Order;
+  Sel.Weights.resize(Keep, 1.0);
+  if (Cfg.WeightMode != CalibrationWeightMode::None) {
+    double Tau = effectiveTau(Cfg, MedianNNDist);
+    double Offset = Cfg.WeightMode == CalibrationWeightMode::WeightedCount
+                        ? Dist[Sel.Indices.front()]
+                        : 0.0;
+    for (size_t I = 0; I < Keep; ++I)
+      Sel.Weights[I] = distanceWeight(Dist[Sel.Indices[I]], Offset, Tau,
+                                      Cfg.WeightNormPower);
+  }
+  return Sel;
+}
+
+/// Moves the \p Keep smallest (key, id) pairs — under the same
+/// lexicographic order std::nth_element would use — into the first Keep
+/// slots of \p Keyed, in O(N) plus a sort of the pivot-bucket entries.
+///
+/// Non-negative IEEE doubles order identically to their raw bit patterns,
+/// so a histogram over range-adapted bit buckets finds the pivot bucket in
+/// one pass; only its members (usually a handful) need comparison sorting.
+/// Equal keys share a bucket and are resolved by ascending id there, which
+/// reproduces nth_element's (key, id) total order exactly.
+static void partitionSmallestKeys(AssessmentScratch &S, size_t Keep) {
+  std::vector<std::pair<double, uint32_t>> &Keyed = S.Keyed;
+  size_t N = Keyed.size();
+  auto KeyBits = [](double Key) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &Key, sizeof(Bits));
+    return Bits;
+  };
+
+  uint64_t MinBits = ~uint64_t(0), MaxBits = 0;
+  for (const auto &P : Keyed) {
+    uint64_t Bits = KeyBits(P.first);
+    MinBits = std::min(MinBits, Bits);
+    MaxBits = std::max(MaxBits, Bits);
+  }
+  // All keys equal: the selection is decided purely by the id tie-break.
+  // Keyed is NOT guaranteed to be in ascending id order (the pruned scan
+  // appends candidates list by list), so partition explicitly — with equal
+  // keys the pair order degenerates to ascending id, and nth_element over
+  // it moves exactly the Keep smallest ids into the front slots.
+  if (MinBits == MaxBits) {
+    std::nth_element(Keyed.begin(), Keyed.begin() + static_cast<long>(Keep),
+                     Keyed.end());
+    return;
+  }
+
+  constexpr size_t NumBuckets = 2048;
+  int Shift = 0;
+  while (((MaxBits - MinBits) >> Shift) >= NumBuckets)
+    ++Shift;
+  uint32_t Histogram[NumBuckets] = {0};
+  for (const auto &P : Keyed)
+    ++Histogram[(KeyBits(P.first) - MinBits) >> Shift];
+
+  // The pivot bucket is the one where the cumulative count crosses Keep.
+  size_t Cum = 0, Pivot = 0;
+  while (Cum + Histogram[Pivot] < Keep)
+    Cum += Histogram[Pivot++];
+
+  // Entries below the pivot bucket are selected outright; pivot-bucket
+  // members compete by (key, id); the rest are rejected.
+  S.Boundary.clear();
+  S.Tail.clear();
+  size_t Write = 0;
+  for (size_t I = 0; I < N; ++I) {
+    uint64_t Bucket = (KeyBits(Keyed[I].first) - MinBits) >> Shift;
+    if (Bucket < Pivot)
+      Keyed[Write++] = Keyed[I];
+    else if (Bucket == Pivot)
+      S.Boundary.push_back(Keyed[I]);
+    else
+      S.Tail.push_back(Keyed[I]);
+  }
+  std::sort(S.Boundary.begin(), S.Boundary.end());
+  for (const auto &P : S.Boundary)
+    Keyed[Write++] = P;
+  for (const auto &P : S.Tail)
+    Keyed[Write++] = P;
+  assert(Write == N && "bucket partition lost entries");
+}
+
+void CalibrationStore::computeDistanceKeys(const double *TestEmbed,
+                                           AssessmentScratch &S, size_t Begin,
+                                           size_t End) const {
+  // One batched kernel scan over the contiguous embedding block. The
+  // kernel is the same lane-folded l2Sq behind support::euclidean, so the
+  // deferred sqrt reproduces select()'s per-entry distance bit-for-bit.
+  // Dists/Keyed are sized by the caller: sharded stores fill disjoint
+  // slices of both from worker threads, so no resizing may happen here.
+  assert(S.Dists.size() == Labels.size() && "caller must size the scratch");
+  support::kernels::l2Sq1xN(TestEmbed, Embeds.rowPtr(Begin), End - Begin,
+                            Embeds.dim(), Embeds.stride(),
+                            S.Dists.data() + Begin);
+  for (size_t I = Begin; I < End; ++I)
+    S.Keyed[I] = {S.Dists[I], static_cast<uint32_t>(I)};
+}
+
+void CalibrationStore::finishSelection(const PromConfig &Cfg,
+                                       AssessmentScratch &S) const {
+  size_t N = Labels.size();
+  // Partition out the Keep nearest. std::pair's lexicographic < is the
+  // same (distance, index) total order as select()'s comparator, and
+  // ordering by squared distance is order-equivalent to ordering by
+  // distance — so the selected *set* is identical. No full sort: the
+  // engine consumes the selection as a set. The pruned path hands in a
+  // candidate list that provably contains the Keep global nearest, so
+  // partitioning it selects exactly the set the full-scan partition would.
+  S.Keep = selectionKeepCount(N, Cfg);
+  assert(S.Keyed.size() >= S.Keep &&
+         "pruned candidates cannot cover the selection");
+  S.SelectedAll = S.Keep == N;
+  if (S.Keyed.size() > S.Keep)
+    partitionSmallestKeys(S, S.Keep);
+  applySelectionWeights(Cfg, S);
+}
+
+void CalibrationStore::applySelectionWeights(const PromConfig &Cfg,
+                                             AssessmentScratch &S) const {
+  size_t N = Labels.size();
+  S.SelectedMask.assign(N, 0);
+  for (size_t Pos = 0; Pos < S.Keep; ++Pos)
+    S.SelectedMask[S.Keyed[Pos].second] = 1;
+
+  S.WeightByEntry.resize(N);
+  if (Cfg.WeightMode != CalibrationWeightMode::None) {
+    double Tau = effectiveTau(Cfg, MedianNNDist);
+    double Offset = 0.0;
+    if (Cfg.WeightMode == CalibrationWeightMode::WeightedCount) {
+      double MinSq = S.Keyed.front().first;
+      for (size_t Pos = 1; Pos < S.Keep; ++Pos)
+        MinSq = std::min(MinSq, S.Keyed[Pos].first);
+      Offset = std::sqrt(MinSq);
+    }
+    for (size_t Pos = 0; Pos < S.Keep; ++Pos)
+      S.WeightByEntry[S.Keyed[Pos].second] =
+          distanceWeight(std::sqrt(S.Keyed[Pos].first), Offset, Tau,
+                         Cfg.WeightNormPower);
+  } else {
+    for (size_t Pos = 0; Pos < S.Keep; ++Pos)
+      S.WeightByEntry[S.Keyed[Pos].second] = 1.0;
+  }
 }
 
 PrunedScanStats CalibrationStore::BatchPrunedScan::aggregated() const {
@@ -254,9 +607,9 @@ bool CalibrationStore::prunedRouting(const PromConfig &Cfg,
   // The pruned scan pays off only when the selection is a proper subset
   // (a full selection must touch every entry anyway) — and a small one:
   // pruning can never skip the kept rows themselves, so large selections
-  // are served faster by the exact flat scan (MaxSelectFraction bounds
-  // the routing). Losslessness makes this purely a routing choice.
-  size_t N = Flat.size();
+  // are served faster by the exact scan (MaxSelectFraction bounds the
+  // routing). Losslessness makes this purely a routing choice.
+  size_t N = Labels.size();
   if (!IndexPolicy.Enabled || indexedShards() == 0)
     return false;
   Keep = selectionKeepCount(N, Cfg);
@@ -275,12 +628,12 @@ void CalibrationStore::prepareBatchPrunedScan(const double *Queries,
   Scan.Blocks.clear();
   Scan.PerQuery.assign(NumQueries, PrunedScanStats());
   size_t Keep = 0;
-  if (Flat.empty() || NumQueries == 0 || !prunedRouting(Cfg, Keep))
+  if (Labels.empty() || NumQueries == 0 || !prunedRouting(Cfg, Keep))
     return;
   Scan.Active = true;
 
   for (size_t SI = 0; SI < Shards.size(); ++SI) {
-    const support::ClusterIndex &Idx = ShardIndexes[SI];
+    const support::ClusterIndex &Idx = Shards[SI].Index;
     if (!Idx.valid())
       continue;
     BatchPrunedScan::ShardBlock B;
@@ -294,7 +647,7 @@ void CalibrationStore::prepareBatchPrunedScan(const double *Queries,
   // bit-identical to centroidDistances(query Q), so neither the fan-out
   // nor the batching can change a selection bit.
   for (BatchPrunedScan::ShardBlock &B : Scan.Blocks) {
-    const support::ClusterIndex &Idx = ShardIndexes[B.Shard];
+    const support::ClusterIndex &Idx = Shards[B.Shard].Index;
     support::ThreadPool::global().parallelFor(
         NumQueries, [&](size_t Begin, size_t End) {
           if (Begin >= End)
@@ -311,8 +664,10 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
                                            AssessmentScratch &Scratch,
                                            BatchPrunedScan *Batch,
                                            size_t QueryIndex) const {
-  assert(!Flat.empty() && "empty calibration store");
-  size_t N = Flat.size();
+  assert(!Labels.empty() && "empty calibration store");
+  assert(Staged.empty() &&
+         "assessing a store with staged (unfinalized) entries");
+  size_t N = Labels.size();
   Scratch.Pruned = PrunedScanStats();
 
   size_t Keep = 0;
@@ -336,30 +691,29 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
     support::ThreadPool::global().parallelFor(
         Shards.size(), [&](size_t Begin, size_t End) {
           for (size_t S = Begin; S < End; ++S)
-            Flat.computeDistanceKeys(TestEmbed, Scratch, Shards[S].Begin,
-                                     Shards[S].End);
+            computeDistanceKeys(TestEmbed, Scratch, Shards[S].Begin,
+                                Shards[S].End);
         });
   } else {
-    Flat.computeDistanceKeys(TestEmbed, Scratch, 0, N);
+    computeDistanceKeys(TestEmbed, Scratch, 0, N);
   }
   // Partition + Eq. (1) weights on the merged keys: O(N) with small
   // constants next to the O(N x dim) scan above, and keeping it on one
   // thread preserves select()'s arithmetic verbatim.
-  Flat.finishSelection(Cfg, Scratch);
+  finishSelection(Cfg, Scratch);
 }
 
 void CalibrationStore::selectForAssessmentPruned(
     const double *TestEmbed, const PromConfig &Cfg, size_t Keep,
     AssessmentScratch &S, const BatchPrunedScan *Batch,
     size_t QueryIndex) const {
-  const support::FeatureMatrix &Embeds = Flat.embedMatrix();
   S.Pruned.Used = true;
-  S.Pruned.RowsTotal = Flat.size();
+  S.Pruned.RowsTotal = Labels.size();
   S.Keyed.clear();
 
   // Exact scan of one contiguous row range into the candidate list. Rows
-  // come straight out of the flat embedding block, so the kernel fold is
-  // the very one the unpruned path runs.
+  // come straight out of the embedding block, so the kernel fold is the
+  // very one the unpruned path runs.
   auto ScanRange = [&](size_t Begin, size_t End) {
     if (Begin >= End)
       return;
@@ -375,14 +729,8 @@ void CalibrationStore::selectForAssessmentPruned(
   // Phase 1 — mandatory exact rows: unindexed shards and the stale tails
   // appended after each index was built. Scanning them first also seeds
   // the pruning bound before any list is visited.
-  for (size_t SI = 0; SI < Shards.size(); ++SI) {
-    const Shard &Sh = Shards[SI];
-    const support::ClusterIndex &Idx = ShardIndexes[SI];
-    if (Idx.valid())
-      ScanRange(Idx.endRow(), Sh.End);
-    else
-      ScanRange(Sh.Begin, Sh.End);
-  }
+  for (const Shard &Sh : Shards)
+    ScanRange(Sh.Index.valid() ? Sh.Index.endRow() : Sh.Begin, Sh.End);
 
   // Phase 2 — rank every live index's lists globally by query-centroid
   // distance (the scan order only affects how fast the bound tightens,
@@ -393,9 +741,8 @@ void CalibrationStore::selectForAssessmentPruned(
   S.ListOrder.clear();
   if (Batch) {
     for (const BatchPrunedScan::ShardBlock &B : Batch->Blocks) {
-      assert(B.Shard < ShardIndexes.size() &&
-             ShardIndexes[B.Shard].valid() &&
-             B.NumLists == ShardIndexes[B.Shard].numLists() &&
+      assert(B.Shard < Shards.size() && Shards[B.Shard].Index.valid() &&
+             B.NumLists == Shards[B.Shard].Index.numLists() &&
              "stale batch scan: the store changed after prepare");
       const double *Row = B.DistSq.data() + QueryIndex * B.NumLists;
       for (size_t L = 0; L < B.NumLists; ++L)
@@ -405,7 +752,7 @@ void CalibrationStore::selectForAssessmentPruned(
   } else {
     S.CentroidDists.clear();
     for (size_t SI = 0; SI < Shards.size(); ++SI) {
-      const support::ClusterIndex &Idx = ShardIndexes[SI];
+      const support::ClusterIndex &Idx = Shards[SI].Index;
       if (!Idx.valid())
         continue;
       size_t Off = S.CentroidDists.size();
@@ -443,7 +790,7 @@ void CalibrationStore::selectForAssessmentPruned(
   for (const std::pair<double, uint64_t> &Ranked : S.ListOrder) {
     size_t SI = static_cast<size_t>(Ranked.second >> 32);
     size_t L = static_cast<size_t>(Ranked.second & 0xffffffffu);
-    const support::ClusterIndex &Idx = ShardIndexes[SI];
+    const support::ClusterIndex &Idx = Shards[SI].Index;
     size_t LB = Idx.listBegin(L), LE = Idx.listEnd(L);
     if (LB == LE)
       continue;
@@ -462,8 +809,204 @@ void CalibrationStore::selectForAssessmentPruned(
   }
 
   // Every entry is either a candidate or provably outside the selection,
-  // so the shared partition + weight steps land on the flat path's bits.
-  Flat.finishSelectionPruned(Cfg, S);
+  // so the shared partition + weight steps land on the exact path's bits.
+  assert(Keep < Labels.size() && "pruned selection requires a proper subset");
+  finishSelection(Cfg, S);
+}
+
+//===----------------------------------------------------------------------===//
+// Eq. (2) p-values
+//===----------------------------------------------------------------------===//
+
+/// Resolves the effective weight mode of one expert: the paper's literal
+/// score scaling breaks tie-heavy discrete scores (any w < 1 flips every
+/// exact tie against the test sample), so those experts fall back to
+/// weighted counting.
+static CalibrationWeightMode resolveMode(const PromConfig &Cfg,
+                                         bool DiscreteScores) {
+  if (Cfg.WeightMode == CalibrationWeightMode::ScoreScaling && DiscreteScores)
+    return CalibrationWeightMode::WeightedCount;
+  return Cfg.WeightMode;
+}
+
+/// Shared final step of Eq. (2): p-values from the accumulated counts.
+static void finishPValues(const double *GreaterEq, const double *Total,
+                          const double *Counts, size_t NumLabels,
+                          const PromConfig &Cfg, double *POut) {
+  for (size_t L = 0; L < NumLabels; ++L) {
+    if (Counts[L] <= 0.0) {
+      // No conformity evidence for this label among the selected samples.
+      POut[L] = 0.0;
+      continue;
+    }
+    if (Cfg.SmoothedPValues) {
+      // The pseudo-count is one *typical* observation (the mean weight),
+      // so the minimum p-value stays ~1/(n+1) regardless of how sharply
+      // the weights localize.
+      double MeanW = Total[L] / Counts[L];
+      POut[L] = (GreaterEq[L] + MeanW) / (Total[L] + MeanW);
+    } else {
+      POut[L] = Total[L] > 0.0 ? GreaterEq[L] / Total[L] : 0.0;
+    }
+  }
+}
+
+std::vector<double>
+CalibrationStore::pValues(const CalibrationSelection &Sel, size_t Expert,
+                          const std::vector<double> &TestScores,
+                          const PromConfig &Cfg, bool DiscreteScores) const {
+  assert(Expert < numExperts() && "expert index out of range");
+  size_t N = Labels.size();
+  size_t NumLabels = TestScores.size();
+  std::vector<double> GreaterEq(NumLabels, 0.0);
+  std::vector<double> Total(NumLabels, 0.0);
+  std::vector<double> Counts(NumLabels, 0.0);
+  std::vector<double> P(NumLabels, 0.0);
+
+  CalibrationWeightMode Mode = resolveMode(Cfg, DiscreteScores);
+  const std::vector<double> &Scores = ScoreColumns[Expert];
+
+  // Accumulation runs in ascending entry-index order inside each canonical
+  // block, and block partials fold in ascending block order — the scheme
+  // shared with pValuesAllExperts() — so the floating-point sums do not
+  // depend on how the selection was ordered or how the work was
+  // partitioned. Unweighted counts are exact integers in doubles, so this
+  // scan also reproduces the engine's sorted-index fast path.
+  std::vector<uint8_t> Mask(N, 0);
+  std::vector<double> WeightByEntry(N, 0.0);
+  for (size_t Pos = 0; Pos < Sel.Indices.size(); ++Pos) {
+    Mask[Sel.Indices[Pos]] = 1;
+    WeightByEntry[Sel.Indices[Pos]] = Sel.Weights[Pos];
+  }
+
+  std::vector<double> BlockGE(NumLabels), BlockTot(NumLabels),
+      BlockCnt(NumLabels);
+  for (size_t B0 = 0; B0 < N; B0 += CalibrationAccumBlock) {
+    size_t B1 = std::min(N, B0 + CalibrationAccumBlock);
+    std::fill(BlockGE.begin(), BlockGE.end(), 0.0);
+    std::fill(BlockTot.begin(), BlockTot.end(), 0.0);
+    std::fill(BlockCnt.begin(), BlockCnt.end(), 0.0);
+    for (size_t I = B0; I < B1; ++I) {
+      if (!Mask[I])
+        continue;
+      int Label = Labels[I];
+      if (Label < 0 || static_cast<size_t>(Label) >= NumLabels)
+        continue;
+      size_t L = static_cast<size_t>(Label);
+      BlockCnt[L] += 1.0;
+      double W = WeightByEntry[I];
+      switch (Mode) {
+      case CalibrationWeightMode::WeightedCount:
+        // Weighted conformal counting: each calibration sample contributes
+        // its Eq. (1) weight to both counts.
+        BlockTot[L] += W;
+        if (Scores[I] >= TestScores[L])
+          BlockGE[L] += W;
+        break;
+      case CalibrationWeightMode::ScoreScaling:
+        // The paper's literal adjustment a_i = w_i * a_i with unit counts.
+        BlockTot[L] += 1.0;
+        if (W * Scores[I] >= TestScores[L])
+          BlockGE[L] += 1.0;
+        break;
+      case CalibrationWeightMode::None:
+        BlockTot[L] += 1.0;
+        if (Scores[I] >= TestScores[L])
+          BlockGE[L] += 1.0;
+        break;
+      }
+    }
+    for (size_t L = 0; L < NumLabels; ++L) {
+      GreaterEq[L] += BlockGE[L];
+      Total[L] += BlockTot[L];
+      Counts[L] += BlockCnt[L];
+    }
+  }
+
+  finishPValues(GreaterEq.data(), Total.data(), Counts.data(), NumLabels,
+                Cfg, P.data());
+  return P;
+}
+
+void CalibrationStore::resolveExpertModes(const PromConfig &Cfg,
+                                          const uint8_t *DiscreteFlags,
+                                          AssessmentScratch &S) const {
+  size_t NumExp = numExperts();
+  bool AnyDiscrete = false;
+  if (DiscreteFlags)
+    for (size_t E = 0; E < NumExp; ++E)
+      AnyDiscrete |= DiscreteFlags[E] != 0;
+
+  S.Modes.resize(NumExp);
+  S.Columns.resize(NumExp);
+  S.UniformModes = true;
+  for (size_t E = 0; E < NumExp; ++E) {
+    S.Modes[E] = AnyDiscrete ? resolveMode(Cfg, DiscreteFlags[E] != 0)
+                             : Cfg.WeightMode;
+    S.UniformModes &= S.Modes[E] == S.Modes[0];
+    S.Columns[E] = ScoreColumns[E].data();
+  }
+}
+
+void CalibrationStore::accumulateGeneralBlock(const AssessmentScratch &S,
+                                              const double *TestScores,
+                                              size_t NumLabels, size_t Begin,
+                                              size_t End, double *GreaterEq,
+                                              double *Total,
+                                              double *Counts) const {
+  size_t NumExp = numExperts();
+  const CalibrationWeightMode *Modes = S.Modes.data();
+  const double *const *Columns = S.Columns.data();
+
+  auto ForEachSelected = [&](auto &&Body) {
+    for (size_t I = Begin; I < End; ++I) {
+      if (!S.SelectedMask[I])
+        continue;
+      int Label = Labels[I];
+      if (Label < 0 || static_cast<size_t>(Label) >= NumLabels)
+        continue;
+      size_t L = static_cast<size_t>(Label);
+      Counts[L] += 1.0;
+      Body(I, L);
+    }
+  };
+
+  if (S.UniformModes && Modes[0] == CalibrationWeightMode::WeightedCount) {
+    // The default configuration: branch-free weighted counting.
+    ForEachSelected([&](size_t I, size_t L) {
+      double W = S.WeightByEntry[I];
+      for (size_t E = 0; E < NumExp; ++E) {
+        size_t Cell = E * NumLabels + L;
+        Total[Cell] += W;
+        if (Columns[E][I] >= TestScores[Cell])
+          GreaterEq[Cell] += W;
+      }
+    });
+  } else {
+    ForEachSelected([&](size_t I, size_t L) {
+      double W = S.WeightByEntry[I];
+      for (size_t E = 0; E < NumExp; ++E) {
+        size_t Cell = E * NumLabels + L;
+        switch (Modes[E]) {
+        case CalibrationWeightMode::WeightedCount:
+          Total[Cell] += W;
+          if (Columns[E][I] >= TestScores[Cell])
+            GreaterEq[Cell] += W;
+          break;
+        case CalibrationWeightMode::ScoreScaling:
+          Total[Cell] += 1.0;
+          if (W * Columns[E][I] >= TestScores[Cell])
+            GreaterEq[Cell] += 1.0;
+          break;
+        case CalibrationWeightMode::None:
+          Total[Cell] += 1.0;
+          if (Columns[E][I] >= TestScores[Cell])
+            GreaterEq[Cell] += 1.0;
+          break;
+        }
+      }
+    });
+  }
 }
 
 void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
@@ -473,38 +1016,40 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
                                          const uint8_t *DiscreteFlags,
                                          double *PValsOut) const {
   assert(!Shards.empty() && "pValuesAllExperts before finalize");
-  size_t NumExp = Flat.numExperts();
+  size_t NumExp = numExperts();
   size_t Cells = NumExp * NumLabels;
   size_t K = Shards.size();
-  bool FanOut = K > 1 && Flat.size() >= MinEntriesForFanOut;
+  bool FanOut = K > 1 && Labels.size() >= MinEntriesForFanOut;
 
   S.GreaterEq.assign(Cells, 0.0);
   S.Total.assign(Cells, 0.0);
   S.Counts.assign(NumLabels, 0.0);
 
   if (Cfg.WeightMode == CalibrationWeightMode::None && S.SelectedAll) {
-    // Unweighted full selection: per-shard binary-search counts. Counting
+    // Unweighted full selection (the configuration of the naive-CP
+    // baselines): every (expert, label) count is a binary search over the
+    // shard's sorted runs, O(E * L * log N) instead of O(E * N). Counting
     // with unit weights is exact integer arithmetic in doubles, so the
-    // per-shard counts sum to the flat path's global counts bit-exactly.
+    // per-shard counts sum to the linear scan's counts bit-exactly.
     S.BlockGreaterEq.assign(K * Cells, 0.0);
     S.BlockCounts.assign(K * NumLabels, 0.0);
     auto CountShard = [&](size_t SI) {
       const Shard &Sh = Shards[SI];
       double *GE = S.BlockGreaterEq.data() + SI * Cells;
       double *Cnt = S.BlockCounts.data() + SI * NumLabels;
-      for (size_t L = 0; L < NumLabels; ++L) {
-        if (static_cast<int>(L) > Flat.maxLabel())
-          continue;
-        const std::vector<double> &AnyExpert = Sh.SortedScores.front()[L];
-        Cnt[L] = static_cast<double>(AnyExpert.size());
-        if (AnyExpert.empty())
+      size_t M = Sh.LabelStart.back();
+      // Labels past the shard's buckets have no entries in it.
+      size_t Covered = std::min(NumLabels, Sh.LabelStart.size() - 1);
+      for (size_t L = 0; L < Covered; ++L) {
+        size_t RunBegin = Sh.LabelStart[L], RunEnd = Sh.LabelStart[L + 1];
+        Cnt[L] = static_cast<double>(RunEnd - RunBegin);
+        if (RunBegin == RunEnd)
           continue;
         for (size_t E = 0; E < NumExp; ++E) {
-          const std::vector<double> &LabelScores = Sh.SortedScores[E][L];
+          const double *Run = Sh.Sorted.data() + E * M;
           GE[E * NumLabels + L] = static_cast<double>(
-              LabelScores.end() -
-              std::lower_bound(LabelScores.begin(), LabelScores.end(),
-                               TestScores[E * NumLabels + L]));
+              (Run + RunEnd) - std::lower_bound(Run + RunBegin, Run + RunEnd,
+                                                TestScores[E * NumLabels + L]));
         }
       }
     };
@@ -532,9 +1077,9 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
   } else {
     // General weighted path: every shard folds its own canonical blocks
     // into per-block partials; the merge walks the blocks in ascending
-    // order on this thread, reproducing the flat block fold exactly.
-    Flat.resolveExpertModes(Cfg, DiscreteFlags, S);
-    size_t NumBlocks = Flat.numAccumBlocks();
+    // order on this thread, reproducing the serial block fold exactly.
+    resolveExpertModes(Cfg, DiscreteFlags, S);
+    size_t NumBlocks = numAccumBlocks();
     S.BlockGreaterEq.assign(NumBlocks * Cells, 0.0);
     S.BlockTotal.assign(NumBlocks * Cells, 0.0);
     S.BlockCounts.assign(NumBlocks * NumLabels, 0.0);
@@ -544,11 +1089,10 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
       for (size_t B0 = Sh.Begin; B0 < Sh.End; B0 += CalibrationAccumBlock) {
         size_t Block = B0 / CalibrationAccumBlock;
         size_t B1 = std::min(Sh.End, B0 + CalibrationAccumBlock);
-        Flat.accumulateGeneralBlock(
-            S, TestScores, NumLabels, B0, B1,
-            S.BlockGreaterEq.data() + Block * Cells,
-            S.BlockTotal.data() + Block * Cells,
-            S.BlockCounts.data() + Block * NumLabels);
+        accumulateGeneralBlock(S, TestScores, NumLabels, B0, B1,
+                               S.BlockGreaterEq.data() + Block * Cells,
+                               S.BlockTotal.data() + Block * Cells,
+                               S.BlockCounts.data() + Block * NumLabels);
       }
     };
     if (FanOut)
@@ -575,7 +1119,13 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
   }
 
   for (size_t E = 0; E < NumExp; ++E)
-    Flat.finishPValues(S.GreaterEq.data() + E * NumLabels,
-                       S.Total.data() + E * NumLabels, S.Counts.data(),
-                       NumLabels, Cfg, PValsOut + E * NumLabels);
+    finishPValues(S.GreaterEq.data() + E * NumLabels,
+                  S.Total.data() + E * NumLabels, S.Counts.data(), NumLabels,
+                  Cfg, PValsOut + E * NumLabels);
+}
+
+double prom::confidenceFromSetSize(size_t Size, double C) {
+  assert(C > 0.0 && "Gaussian scale must be positive");
+  double D = static_cast<double>(Size) - 1.0;
+  return std::exp(-(D * D) / (2.0 * C * C));
 }

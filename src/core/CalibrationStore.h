@@ -1,17 +1,29 @@
-//===- core/CalibrationStore.h - Sharded calibration store -------*- C++ -*-===//
+//===- core/CalibrationStore.h - Columnar calibration store ------*- C++ -*-===//
 //
 // Part of the PROM reproduction. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shardable calibration store behind the PROM detectors.
+/// The calibration store behind the PROM detectors: offline calibration-set
+/// processing (paper Sec. 4.1.1), the adaptive per-test selection and
+/// weighting scheme (Sec. 5.1.2), and the class-conditional p-values of
+/// Eq. (2).
 ///
-/// A CalibrationStore owns the calibration entries (as a flat
-/// CalibrationScores, which remains the serial oracle) and partitions them
-/// into K contiguous, accumulation-block-aligned shards, each carrying its
-/// own per-(expert, label) sorted-score index. The engine-facing entry
-/// points mirror CalibrationScores exactly and fan the work out
+/// At design time PROM applies the trained model to every calibration
+/// sample and keeps its feature embedding plus one nonconformity score per
+/// committee expert. The store holds each of those values once, as
+/// columns: a contiguous embedding block, a label column, and one score
+/// column per expert. Entries handed to add() or appendEntries() wait in a
+/// staging buffer until finalize() or refinalize() moves them onto the
+/// columns.
+///
+/// Everything else is derived per shard. The entries are partitioned into
+/// K contiguous, accumulation-block-aligned shards. Each shard carries a
+/// per-(expert, label) sorted-score index, which serves the unweighted
+/// full-selection fast path (K = 1 is the unsharded case). A shard may also
+/// carry a lossless cluster index for the pruned distance scan, built only
+/// when the ClusterIndexPolicy enables it. The engine entry points fan out
 /// shard-parallel over support::ThreadPool:
 ///
 ///  * the squared-distance scan of selectForAssessment() fills disjoint
@@ -23,53 +35,163 @@
 ///    accumulation blocks (see CalibrationAccumBlock) into per-block
 ///    partials that are merged in ascending block order on one thread.
 ///
-/// All three merges reproduce the flat path's floating-point arithmetic
-/// bit for bit, so verdicts are identical for every shard count and every
-/// thread count — test-enforced like the batch/serial equivalence.
+/// All three merges reproduce the same floating-point arithmetic bit for
+/// bit, so verdicts are identical for every shard count and every thread
+/// count. select() and pValues() are the serial reference: a closest-first
+/// distance sort and one linear scan per expert over the same columns.
 ///
 /// The store also supports *online refresh*: appendEntries() stages
-/// freshly relabeled deployment samples, refinalize() folds them into the
-/// existing indexes (and evicts oldest-first beyond maxEntries()) without
-/// a from-scratch rebuild. Verdicts after append + refinalize are
-/// bit-identical to finalizing a new store on the surviving union of
-/// entries — the lifecycle the self-recalibrating server relies on
-/// (test-enforced by RefreshTest; see docs/ARCHITECTURE.md).
+/// freshly relabeled deployment samples, and refinalize() folds them into
+/// the columns and the derived state, evicting oldest-first beyond
+/// maxEntries(). Verdicts after append + refinalize are bit-identical to
+/// finalizing a new store on the surviving entries (test-enforced by
+/// RefreshTest; see docs/ARCHITECTURE.md).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PROM_CORE_CALIBRATIONSTORE_H
 #define PROM_CORE_CALIBRATIONSTORE_H
 
-#include "core/Calibration.h"
+#include "core/PromConfig.h"
 #include "support/ClusterIndex.h"
+#include "support/FeatureMatrix.h"
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace prom {
 
+/// Entries per canonical accumulation block of the Eq. (2) sums.
+///
+/// Every p-value path (the serial reference, the fused batch engine, and
+/// the per-shard folds) accumulates the weighted counts per fixed-size
+/// block of calibration entries — sequential in ascending entry order
+/// inside a block — and folds the block partials in ascending block order.
+/// Block boundaries depend only on the calibration set size, never on the
+/// shard count or thread count, so the floating-point result is
+/// bit-identical no matter how the work is partitioned; sets smaller than
+/// one block reduce to the plain sequential sum.
+constexpr size_t CalibrationAccumBlock = 256;
+
+/// One calibration sample as handed to the store. The store keeps only the
+/// values (in its columns) once finalize()/refinalize() has folded it in.
+struct CalibrationEntry {
+  std::vector<double> Embed; ///< Model feature embedding.
+  int Label = 0;             ///< True class (or cluster pseudo-label).
+  std::vector<double> Scores; ///< One nonconformity score per expert.
+};
+
+/// The subset of calibration samples chosen for one test input.
+struct CalibrationSelection {
+  std::vector<size_t> Indices;  ///< Entries, closest first.
+  std::vector<double> Weights;  ///< Eq. (1) weight per selected entry.
+};
+
+/// Counters of one cluster-pruned selection scan (see
+/// support/ClusterIndex.h for the losslessness contract).
+struct PrunedScanStats {
+  bool Used = false;       ///< The pruned path served the last selection.
+  size_t ListsTotal = 0;   ///< Inverted lists across all shard indexes.
+  size_t ListsScanned = 0; ///< Lists that survived the bound test.
+  size_t RowsTotal = 0;    ///< Entries the selection ranged over (all).
+  size_t RowsScanned = 0;  ///< Entries actually distance-scanned.
+
+  /// Merges another query's counters in (integer sums; Used ORs), so
+  /// batch aggregates fold deterministically in ascending query order.
+  PrunedScanStats &operator+=(const PrunedScanStats &O) {
+    Used = Used || O.Used;
+    ListsTotal += O.ListsTotal;
+    ListsScanned += O.ListsScanned;
+    RowsTotal += O.RowsTotal;
+    RowsScanned += O.RowsScanned;
+    return *this;
+  }
+};
+
+/// Reusable per-lane working state of the batched assessment engine: one
+/// instance per ThreadPool lane, recycled across the samples of a batch so
+/// the hot path performs no per-sample allocation.
+struct AssessmentScratch {
+  /// (squared distance, entry id) keys; after selection the first Keep
+  /// elements are the selected entries (unordered beyond the partition).
+  std::vector<std::pair<double, uint32_t>> Keyed;
+  /// Raw squared distances of the batched kernel scan, packed into Keyed
+  /// by computeDistanceKeys.
+  std::vector<double> Dists;
+  size_t Keep = 0;                   ///< Number of selected entries.
+  bool SelectedAll = false;          ///< Selection covers every entry.
+  std::vector<uint8_t> SelectedMask; ///< 1 for selected entries.
+  std::vector<double> WeightByEntry; ///< Eq. (1) weight, by entry id.
+  /// Per-(expert, label) weighted ">= test score" sums of the fused pass.
+  std::vector<double> GreaterEq;
+  /// Per-(expert, label) weighted totals of the fused pass.
+  std::vector<double> Total;
+  std::vector<double> Counts; ///< Per-label selected counts.
+  /// Bucket-select partition: members of the pivot bucket.
+  std::vector<std::pair<double, uint32_t>> Boundary;
+  /// Bucket-select partition: members past the pivot bucket.
+  std::vector<std::pair<double, uint32_t>> Tail;
+  /// Per-expert resolved weight modes of the fused pass.
+  std::vector<CalibrationWeightMode> Modes;
+  /// Per-expert score-column pointers of the fused pass.
+  std::vector<const double *> Columns;
+  bool UniformModes = true; ///< Every expert resolved to the same mode.
+  /// Block-partial GreaterEq of the canonical block fold: one stripe per
+  /// block (or per shard on the fast path), filled concurrently.
+  std::vector<double> BlockGreaterEq;
+  /// Block-partial Total, laid out like BlockGreaterEq.
+  std::vector<double> BlockTotal;
+  /// Block-partial Counts, one NumLabels stripe per block (or shard).
+  std::vector<double> BlockCounts;
+  /// Counters of the last cluster-pruned selection (Used == false whenever
+  /// the exact scan served it instead).
+  PrunedScanStats Pruned;
+  /// Pruned scan: (query-centroid distSq, (shard << 32) | list) ranking
+  /// pairs.
+  std::vector<std::pair<double, uint64_t>> ListOrder;
+  /// Pruned scan: concatenated query-centroid distances of every shard
+  /// index.
+  std::vector<double> CentroidDists;
+  /// Pruned scan: per-list kernel output staging area.
+  std::vector<double> RowScratch;
+};
+
+/// How many of \p N calibration entries the Sec. 5.1.2 policy selects
+/// (everything below Cfg.SelectAllBelow, else the SelectFraction rounded
+/// share, at least 1).
+size_t selectionKeepCount(size_t N, const PromConfig &Cfg);
+
+/// Gaussian confidence of a prediction-set size (Sec. 5.3):
+/// exp(-(Size-1)^2 / (2 c^2)). Size 1 gives 1.0; empty or ambiguous sets
+/// give lower confidence.
+double confidenceFromSetSize(size_t Size, double C);
+
 /// Policy governing the per-shard cluster indexes of the pruned distance
-/// scan (derived from the PromConfig::ClusterIndex* knobs; see
-/// support/ClusterIndex.h for the losslessness contract). The store-level
-/// default is *disabled*, so a bare CalibrationStore behaves exactly as
-/// before — detectors install the config-derived policy at calibrate /
-/// snapshot-load time.
+/// scan (see support/ClusterIndex.h for the losslessness contract). The
+/// store-level default is *disabled*; detectors install the
+/// config-derived policy at calibrate / snapshot-load time.
 struct ClusterIndexPolicy {
-  bool Enabled = false;        ///< Use the pruned scan at all.
+  bool Enabled = false;        ///< Build and use shard indexes at all.
   size_t NumCentroids = 0;     ///< Per-shard lists; 0 = ~sqrt(shard rows).
   size_t MinEntries = 8192;    ///< Smaller shards stay unindexed.
   double MaxStaleFraction = 0.25; ///< Unindexed-tail share forcing rebuild.
   /// Largest Keep/N the pruned scan serves; larger selections fall back to
-  /// the exact flat scan, which is faster there (the pruned path must
-  /// visit at least the kept rows anyway).
+  /// the exact scan, which is faster there (the pruned path must visit at
+  /// least the kept rows anyway).
   double MaxSelectFraction = 0.25;
   uint64_t Seed = 0x5851F42D4C957F2Dull; ///< Clustering seed base.
 
-  /// The policy the PromConfig knobs describe.
+  /// The policy the PromConfig knobs describe. Indexes are enabled only
+  /// when the config's own selection can route to them (SelectFraction <=
+  /// ClusterIndexMaxSelectFraction): at the default 50% selection an index
+  /// would be built and never read. The pruned scan is lossless, so this
+  /// decides cost, never a verdict.
   static ClusterIndexPolicy fromConfig(const PromConfig &Cfg) {
     ClusterIndexPolicy P;
-    P.Enabled = Cfg.ClusterIndex;
+    P.Enabled = Cfg.ClusterIndex &&
+                Cfg.SelectFraction <= Cfg.ClusterIndexMaxSelectFraction;
     P.NumCentroids = Cfg.ClusterIndexCentroids;
     P.MinEntries = Cfg.ClusterIndexMinEntries;
     P.MaxStaleFraction = Cfg.ClusterIndexMaxStale;
@@ -78,24 +200,21 @@ struct ClusterIndexPolicy {
   }
 };
 
-/// Sharded calibration store; see the file comment for the exactness
-/// contract.
+/// Columnar, shardable calibration store; see the file comment for the
+/// layout and the exactness contract.
 class CalibrationStore {
 public:
-  /// Drops every entry and shard.
-  void clear() {
-    Flat.clear();
-    Shards.clear();
-    ShardIndexes.clear();
-  }
-  /// Reserves room for \p N entries.
-  void reserve(size_t N) { Flat.reserve(N); }
-  /// Adds one calibration entry (before finalize()).
-  void add(CalibrationEntry Entry) { Flat.add(std::move(Entry)); }
+  /// Drops every entry, staged or live, and all derived state.
+  void clear();
+  /// Reserves staging room for \p N entries.
+  void reserve(size_t N) { Staged.reserve(N); }
+  /// Stages one calibration entry for the next finalize().
+  void add(CalibrationEntry Entry) { Staged.push_back(std::move(Entry)); }
 
-  /// Builds the flat indexes (CalibrationScores::finalize) and partitions
-  /// the entries into \p NumShards block-aligned shards. Sets with fewer
-  /// accumulation blocks than requested shards get one shard per block.
+  /// Moves every staged entry onto the columns, measures the distance
+  /// scale, and partitions the entries into \p NumShards block-aligned
+  /// shards with their derived indexes. Sets with fewer accumulation
+  /// blocks than requested shards get one shard per block.
   void finalize(size_t NumShards = 1);
 
   /// Re-partitions an already-finalized store into \p NumShards shards
@@ -118,17 +237,17 @@ public:
   /// The live-entry bound (0 = unbounded).
   size_t maxEntries() const { return MaxEntries; }
 
-  /// Entries staged by appendEntries() but not yet folded in.
-  size_t stagedEntries() const { return Flat.size() - Flat.indexedCount(); }
+  /// Entries staged by add()/appendEntries() but not yet folded in.
+  size_t stagedEntries() const { return Staged.size(); }
 
-  /// Folds the staged entries into the live indexes incrementally:
-  /// oldest-first eviction down to maxEntries(), appended embedding rows /
-  /// score columns, sort + merge inserts into the flat and per-shard
-  /// sorted-score indexes (the last shard absorbs the new accumulation
-  /// blocks; the partition rebalances when it drifts past 2x the even
-  /// share). Costs O(new + affected indexes) instead of the full
-  /// O(N log N + N x dim) rebuild — and none of the model forwards a
-  /// detector-level recalibration would redo.
+  /// Folds the staged entries into the store incrementally: oldest-first
+  /// eviction down to maxEntries(), appended embedding rows, labels and
+  /// score columns. Without eviction the new entries extend the last shard
+  /// (a sort + merge into its sorted index; the partition rebalances when
+  /// that shard drifts past 2x the even share). Eviction shifts every
+  /// entry's block, so it rebuilds the shard partition and its indexes.
+  /// Either way none of the model forwards a detector-level recalibration
+  /// would redo are needed.
   ///
   /// Verdicts afterwards are bit-identical to refinalizeFull() — and to a
   /// brand-new store finalized on the surviving entries — for every shard
@@ -148,24 +267,39 @@ public:
   /// count; snapshots persist this value so a restored small store still
   /// scales back out under online refresh.
   size_t targetShards() const { return TargetShards; }
-  size_t size() const { return Flat.size(); }        ///< Total entries.
-  bool empty() const { return Flat.empty(); }        ///< No entries yet.
+  /// Total entries, live and staged.
+  size_t size() const { return Labels.size() + Staged.size(); }
+  bool empty() const { return size() == 0; } ///< No entries yet.
   /// Experts scored per entry (0 when empty).
-  size_t numExperts() const { return Flat.numExperts(); }
+  size_t numExperts() const;
   /// Embedding dimensionality (0 before finalize()).
-  size_t embedDim() const { return Flat.embedDim(); }
-  /// Distance scale of the set (see CalibrationScores::medianNNDist()).
-  double medianNNDist() const { return Flat.medianNNDist(); }
-  /// Entry \p I (snapshot writer / reference-rebuild access).
-  const CalibrationEntry &entry(size_t I) const { return Flat.entry(I); }
+  size_t embedDim() const { return Embeds.dim(); }
+  /// Distance scale of the set: the median nearest-neighbour distance over
+  /// the first min(N, 256) entries (0 before finalize()). Required for
+  /// PromConfig::AutoTau.
+  double medianNNDist() const { return MedianNNDist; }
 
-  /// The flat (unsharded) scores: the serial oracle select()/pValues()
-  /// paths and the snapshot writer iterate through this.
-  const CalibrationScores &flat() const { return Flat; }
+  //===--------------------------------------------------------------------===//
+  // Columns (live entries, in insertion order)
+  //===--------------------------------------------------------------------===//
 
-  /// Estimated heap footprint of the store: the flat scores plus every
-  /// per-shard sorted index and cluster index. The fleet registry meters
-  /// a tenant's detector with this when enforcing its LRU memory budget.
+  /// The contiguous row-major embedding block the distance scans stream;
+  /// row I is entry I's embedding.
+  const support::FeatureMatrix &embedMatrix() const { return Embeds; }
+  /// Label of live entry \p I.
+  int label(size_t I) const { return Labels[I]; }
+  /// Largest live label (-1 when empty).
+  int maxLabel() const { return MaxLabel; }
+  /// Contiguous per-expert score column (one value per live entry).
+  const std::vector<double> &scoreColumn(size_t Expert) const {
+    return ScoreColumns[Expert];
+  }
+
+  /// Estimated heap footprint of the store: the columns, the staging
+  /// buffer, and every per-shard sorted and cluster index. The fleet
+  /// registry meters a tenant's detector with this when enforcing its LRU
+  /// memory budget, so it only needs to be proportional, not
+  /// allocator-exact.
   size_t memoryBytes() const;
 
   //===--------------------------------------------------------------------===//
@@ -174,7 +308,7 @@ public:
 
   /// Installs \p Policy and immediately rebuilds or drops the per-shard
   /// indexes to match. Indexes are *derived* state: snapshots never
-  /// persist them, loaders re-install the policy after finalize().
+  /// persist them, loaders re-install the policy before finalize().
   void setIndexPolicy(const ClusterIndexPolicy &Policy);
 
   /// The per-shard cluster-index policy currently in force.
@@ -233,12 +367,25 @@ public:
                               size_t QueryStride, const PromConfig &Cfg,
                               BatchPrunedScan &Scan) const;
 
-  /// Engine API; bit-identical to flat().selectForAssessment() for every
-  /// shard count. The distance scan fans out over the shards when the
-  /// store is sharded and the pool is not already saturated — or, once the
-  /// index policy enabled cluster indexes and a proper-subset selection is
-  /// in force, runs the lossless pruned scan instead (Scratch.Pruned
-  /// reports which path served the call and its pruning counters).
+  //===--------------------------------------------------------------------===//
+  // Batched assessment engine
+  //
+  // The engine entry points compute the same selection and Eq. (2)
+  // p-values as select()/pValues() — bit-identically — but without the
+  // closest-first ordering contract, which lets them replace the full
+  // distance sort with an O(N) partition, defer square roots to the
+  // selected subset, and score every expert in a single pass over the
+  // calibration entries.
+  //===--------------------------------------------------------------------===//
+
+  /// Selection for one test embedding (length embedDim()): fills
+  /// \p Scratch with the selected-entry mask and Eq. (1) weights; the set
+  /// and every weight equal select()'s, for every shard count. The
+  /// distance scan fans out over the shards when the store is sharded and
+  /// the pool is not already saturated — or, when the index policy built
+  /// cluster indexes and a small proper-subset selection is in force, runs
+  /// the lossless pruned scan instead (Scratch.Pruned reports which path
+  /// served the call and its pruning counters).
   ///
   /// \p Batch, when non-null and Active, must have been prepared by
   /// prepareBatchPrunedScan() on this store with the same config;
@@ -251,37 +398,131 @@ public:
                            BatchPrunedScan *Batch = nullptr,
                            size_t QueryIndex = 0) const;
 
-  /// Engine API; bit-identical to flat().pValuesAllExperts() for every
-  /// shard count.
+  /// Squared-distance keys of entries [Begin, End) against \p TestEmbed,
+  /// written into Scratch.Dists and Scratch.Keyed (which must already hold
+  /// one slot per live entry). Per-entry independent, so disjoint ranges
+  /// can be filled concurrently; the values are identical regardless of
+  /// the partitioning.
+  void computeDistanceKeys(const double *TestEmbed,
+                           AssessmentScratch &Scratch, size_t Begin,
+                           size_t End) const;
+
+  /// The partition + mask + Eq. (1) weight steps of selectForAssessment(),
+  /// run after Scratch.Keyed has been filled by computeDistanceKeys().
+  void finishSelection(const PromConfig &Cfg,
+                       AssessmentScratch &Scratch) const;
+
+  /// Class-conditional p-values of every expert in one fused pass.
+  ///
+  /// \param Scratch selection state from selectForAssessment().
+  /// \param TestScores numExperts() x NumLabels row-major score block.
+  /// \param NumLabels labels scored per expert.
+  /// \param Cfg weighting and smoothing knobs.
+  /// \param DiscreteFlags per-expert ClassificationScorer::isDiscrete()
+  ///        (may be null when no expert is discrete).
+  /// \param PValsOut numExperts() x NumLabels row-major output block.
+  ///
+  /// With unweighted counting (WeightMode::None) and a full selection, the
+  /// per-label counts come from binary searches over the per-shard sorted
+  /// indexes instead of the linear scan; counting with unit weights is
+  /// exact integer arithmetic in doubles, so the fast path is
+  /// bit-identical.
   void pValuesAllExperts(AssessmentScratch &Scratch, const double *TestScores,
                          size_t NumLabels, const PromConfig &Cfg,
                          const uint8_t *DiscreteFlags,
                          double *PValsOut) const;
 
+  //===--------------------------------------------------------------------===//
+  // Serial reference
+  //===--------------------------------------------------------------------===//
+
+  /// Adaptive subset selection for \p TestEmbed (Sec. 5.1.2): sorts the
+  /// entries by Euclidean distance, keeps the closest Cfg.SelectFraction
+  /// (all when the set is smaller than Cfg.SelectAllBelow), and attaches
+  /// Eq. (1) weights (1.0 when weighting is disabled).
+  CalibrationSelection select(const std::vector<double> &TestEmbed,
+                              const PromConfig &Cfg) const;
+
+  /// Class-conditional p-values (Eq. 2) for every label in [0, NumLabels).
+  ///
+  /// For label c: p_c = #{ i in Sel : y_i = c and w_i * a_i^(s) >=
+  /// TestScores[c] } / #{ i in Sel : y_i = c }, with +1 smoothing on both
+  /// counts when Cfg.SmoothedPValues. Labels with no selected calibration
+  /// sample get p = 0 (no conformity evidence). One linear scan over the
+  /// score column, folded block by block like the engine.
+  ///
+  /// \param Sel the selection from select().
+  /// \param Expert which nonconformity function's stored scores to use.
+  /// \param TestScores the test sample's nonconformity score per label.
+  /// \param Cfg weighting and smoothing knobs.
+  /// \param DiscreteScores true when the expert's scores are tie-heavy
+  ///        (e.g. TopK ranks); the ScoreScaling mode then falls back to
+  ///        weighted counting, since any multiplicative shrink flips every
+  ///        exact tie against the test sample.
+  std::vector<double> pValues(const CalibrationSelection &Sel, size_t Expert,
+                              const std::vector<double> &TestScores,
+                              const PromConfig &Cfg,
+                              bool DiscreteScores = false) const;
+
 private:
-  /// One contiguous, block-aligned slice of the entries.
+  /// One contiguous, block-aligned slice of the entries with its derived
+  /// indexes.
   struct Shard {
     size_t Begin = 0; ///< First entry (multiple of CalibrationAccumBlock).
     size_t End = 0;   ///< One past the last entry.
-    /// SortedScores[E][L] = ascending scores of the label-L entries in
-    /// [Begin, End); the per-shard analogue of the flat sorted index.
-    std::vector<std::vector<std::vector<double>>> SortedScores;
+    /// Per-expert sorted-score runs: with M = LabelStart.back() labeled
+    /// entries, expert E's ascending label-L scores occupy
+    /// Sorted[E * M + LabelStart[L], E * M + LabelStart[L + 1]).
+    std::vector<double> Sorted;
+    /// Prefix offsets of the label runs (one more than the label buckets
+    /// the index was built with).
+    std::vector<size_t> LabelStart;
+    /// Cluster index over [Begin, End); invalid (cleared) when the shard
+    /// is too small or the policy is disabled.
+    support::ClusterIndex Index;
   };
+
+  /// Moves every staged entry onto the end of the columns and empties the
+  /// staging buffer.
+  void foldStaged();
+
+  /// Drops the \p Count oldest entries: live ones first, then staged ones.
+  /// Derived state is left for the caller to rebuild.
+  void dropOldest(size_t Count);
+
+  /// Entries refinalize() must evict to honour maxEntries().
+  size_t evictionCount() const;
+
+  /// Number of canonical accumulation blocks covering the live entries.
+  size_t numAccumBlocks() const {
+    return (Labels.size() + CalibrationAccumBlock - 1) /
+           CalibrationAccumBlock;
+  }
+
+  /// The distance-scale measurement (median nearest-neighbour distance
+  /// over the first min(N, 256) entries), shared by finalize() and
+  /// refinalize() so both land on identical bits.
+  void computeMedianNNDist();
 
   void buildShards(size_t NumShards);
 
-  /// Extends the last shard over entries [\p OldEnd, size()) — the
-  /// block-aligned insert of the incremental refresh path.
-  void extendLastShard(size_t OldEnd);
+  /// Builds \p Sh's sorted-score index from the columns.
+  void buildSortedIndex(Shard &Sh) const;
+
+  /// Merges the scores of entries [\p From, Sh.End) into \p Sh's sorted
+  /// index, which covers [Sh.Begin, \p From): sort the new scores per
+  /// label, then merge each run. The result is exactly what
+  /// buildSortedIndex() produces on the extended shard.
+  void mergeIntoSortedIndex(Shard &Sh, size_t From) const;
 
   /// Reconciles every shard's cluster index with the policy and the
   /// current partition: builds missing indexes on shards past MinEntries,
   /// rebuilds indexes whose stale tail outgrew MaxStaleFraction, drops
-  /// the rest. \p Force clears first (partition changed wholesale).
+  /// the rest. \p Force clears first (policy changed).
   void updateShardIndexes(bool Force);
 
-  /// The decide-and-build step of updateShardIndexes() for shard \p S.
-  void updateShardIndex(size_t S);
+  /// The decide-and-build step of updateShardIndexes() for \p Sh.
+  void updateShardIndex(Shard &Sh);
 
   /// The shared routing predicate of the pruned scan: true when the policy
   /// is enabled, at least one shard is indexed, and the \p Cfg selection is
@@ -293,7 +534,7 @@ private:
 
   /// The cluster-pruned selection path: exact scan of every unindexed
   /// row, bound-pruned scan of the indexed lists, then the shared
-  /// partition + weight steps. Bit-identical to the flat path. \p Batch,
+  /// partition + weight steps. Bit-identical to the exact path. \p Batch,
   /// when non-null, supplies the precomputed centroid-distance rows of
   /// query \p QueryIndex (see selectForAssessment()).
   void selectForAssessmentPruned(const double *TestEmbed,
@@ -302,11 +543,40 @@ private:
                                  const BatchPrunedScan *Batch,
                                  size_t QueryIndex) const;
 
-  CalibrationScores Flat;
+  /// Shared tail of both selection paths: the selected-entry mask and
+  /// Eq. (1) weights from the first Scratch.Keep slots of Scratch.Keyed.
+  /// Every step is order-independent over those slots, so both paths land
+  /// on identical bits.
+  void applySelectionWeights(const PromConfig &Cfg,
+                             AssessmentScratch &Scratch) const;
+
+  /// Resolves every expert's effective weight mode and score column into
+  /// \p Scratch (Modes / Columns / UniformModes).
+  void resolveExpertModes(const PromConfig &Cfg, const uint8_t *DiscreteFlags,
+                          AssessmentScratch &Scratch) const;
+
+  /// Accumulates the general-path Eq. (2) partial sums of entries
+  /// [Begin, End) into the caller-zeroed \p GreaterEq / \p Total (both
+  /// numExperts() x NumLabels) and \p Counts (NumLabels) buffers, using the
+  /// selection mask/weights and resolved modes in \p Scratch. This is the
+  /// canonical per-block accumulation every engine p-value path folds.
+  void accumulateGeneralBlock(const AssessmentScratch &Scratch,
+                              const double *TestScores, size_t NumLabels,
+                              size_t Begin, size_t End, double *GreaterEq,
+                              double *Total, double *Counts) const;
+
+  /// Entries added but not yet folded into the columns.
+  std::vector<CalibrationEntry> Staged;
+
+  /// Live entries x dim embedding block (padded stride).
+  support::FeatureMatrix Embeds;
+  std::vector<int> Labels; ///< Live entry labels.
+  /// ScoreColumns[E][I] = expert E's score of live entry I.
+  std::vector<std::vector<double>> ScoreColumns;
+  int MaxLabel = -1;
+  double MedianNNDist = 0.0;
+
   std::vector<Shard> Shards;
-  /// ShardIndexes[S] accelerates Shards[S]; invalid (cleared) when the
-  /// shard is too small or the policy is disabled.
-  std::vector<support::ClusterIndex> ShardIndexes;
   /// Policy in force; see setIndexPolicy().
   ClusterIndexPolicy IndexPolicy;
   /// Shard count requested by the last finalize()/reshard(); refinalize()

@@ -249,13 +249,25 @@ std::vector<double> PromClassifier::pValues(const data::Sample &S,
                                             size_t Expert) const {
   std::shared_ptr<const CalibrationStore> Store = store();
   assert(Store && !Store->empty() && "assess before calibrate");
+  assert(Expert < Scorers.size() && "expert index out of range");
+  // The engine path (selection + fused all-expert p-values), so callers
+  // that want one expert's row per sample never pay the reference path's
+  // full distance sort.
   std::vector<double> Probs = softenedProbs(S);
-  CalibrationSelection Sel = Store->flat().select(Model.embed(S), Cfg);
-  std::vector<double> TestScores(Probs.size());
-  for (size_t C = 0; C < Probs.size(); ++C)
-    TestScores[C] = Scorers[Expert]->score(Probs, static_cast<int>(C));
-  return Store->flat().pValues(Sel, Expert, TestScores, Cfg,
-                               Scorers[Expert]->isDiscrete());
+  std::vector<double> Embed = Model.embed(S);
+  size_t NumLabels = Probs.size(), NumExp = Scorers.size();
+  std::vector<uint8_t> Discrete(NumExp);
+  std::vector<double> TestScores(NumExp * NumLabels), PVals(NumExp * NumLabels);
+  for (size_t E = 0; E < NumExp; ++E) {
+    Discrete[E] = Scorers[E]->isDiscrete() ? 1 : 0;
+    Scorers[E]->scoreAll(Probs, TestScores.data() + E * NumLabels);
+  }
+  AssessmentScratch Scratch;
+  Store->selectForAssessment(Embed.data(), Cfg, Scratch);
+  Store->pValuesAllExperts(Scratch, TestScores.data(), NumLabels, Cfg,
+                           Discrete.data(), PVals.data());
+  return std::vector<double>(PVals.begin() + Expert * NumLabels,
+                             PVals.begin() + (Expert + 1) * NumLabels);
 }
 
 ExpertOpinion PromClassifier::judge(const double *PVals, size_t NumLabels,
@@ -279,7 +291,7 @@ Verdict PromClassifier::assessSerial(const data::Sample &S) const {
   V.Probabilities = softenedProbs(S);
   V.Predicted = static_cast<int>(support::argmax(V.Probabilities));
 
-  CalibrationSelection Sel = Store->flat().select(Model.embed(S), Cfg);
+  CalibrationSelection Sel = Store->select(Model.embed(S), Cfg);
   size_t NumClasses = V.Probabilities.size();
   std::vector<double> TestScores(NumClasses);
   V.Experts.reserve(Scorers.size());
@@ -287,8 +299,8 @@ Verdict PromClassifier::assessSerial(const data::Sample &S) const {
     for (size_t C = 0; C < NumClasses; ++C)
       TestScores[C] =
           Scorers[E]->score(V.Probabilities, static_cast<int>(C));
-    std::vector<double> PVals = Store->flat().pValues(
-        Sel, E, TestScores, Cfg, Scorers[E]->isDiscrete());
+    std::vector<double> PVals =
+        Store->pValues(Sel, E, TestScores, Cfg, Scorers[E]->isDiscrete());
     V.Experts.push_back(judge(PVals.data(), PVals.size(), V.Predicted));
   }
   V.Drifted = committeeFlags(V.Experts, Cfg, V.VotesToFlag);
@@ -386,24 +398,28 @@ Verdict PromClassifier::assess(const data::Sample &S) const {
 //===----------------------------------------------------------------------===//
 // Snapshots
 //
-// Format version 2 (see support/Serialize.h for the envelope and
+// Format version 3 (see support/Serialize.h for the envelope and
 // docs/SNAPSHOT_FORMAT.md for the full layout): a version and kind tag,
-// the full PromConfig, detector-specific fitted state, the committee by
-// scorer name, and the calibration entries. finalize() rebuilds every
-// derived index deterministically from the entries, so a restored
-// detector's verdicts are bit-identical to the saving one's.
+// the persisted PromConfig fields, detector-specific fitted state, the
+// committee by scorer name, and the calibration entries. finalize()
+// rebuilds every derived index deterministically from the entries, so a
+// restored detector's verdicts are bit-identical to the saving one's.
 // loadSnapshot() stages everything locally and commits only after the
 // whole payload validated, so a failed load leaves the detector untouched.
+// Config knobs the snapshot does not persist (the cluster-index
+// deployment knobs) keep the loading detector's values.
 //
 // Version history: v2 appended PromConfig::MaxCalibEntries to the config
-// block (the online-refresh store bound). Loaders accept exactly the
-// current version — snapshots are restart artifacts, not archives; the
-// self-healing server simply writes a fresh generation after an upgrade.
+// block (the online-refresh store bound); v3 dropped the regressor's
+// second copy of the calibration embeddings (its k-NN lookups read the
+// store's embedding block). Loaders accept exactly the current version —
+// snapshots are restart artifacts, not archives; the self-healing server
+// simply writes a fresh generation after an upgrade.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-constexpr uint32_t SnapshotFormatVersion = 2;
+constexpr uint32_t SnapshotFormatVersion = 3;
 constexpr uint32_t SnapshotKindClassifier = 1;
 constexpr uint32_t SnapshotKindRegressor = 2;
 
@@ -457,11 +473,13 @@ bool readConfig(support::ByteReader &R, PromConfig &Cfg) {
 
 void writeEntries(support::ByteWriter &W, const CalibrationStore &Store) {
   W.writeU64(Store.size());
+  std::vector<double> Scores(Store.numExperts());
   for (size_t I = 0; I < Store.size(); ++I) {
-    const CalibrationEntry &E = Store.entry(I);
-    W.writeDoubleVec(E.Embed);
-    W.writeI32(E.Label);
-    W.writeDoubleVec(E.Scores);
+    W.writeDoubleVec(Store.embedMatrix().row(I));
+    W.writeI32(Store.label(I));
+    for (size_t E = 0; E < Scores.size(); ++E)
+      Scores[E] = Store.scoreColumn(E)[I];
+    W.writeDoubleVec(Scores);
   }
 }
 
@@ -550,7 +568,7 @@ bool PromClassifier::loadSnapshot(const std::string &Path,
       R.readU32() != SnapshotKindClassifier)
     return false;
 
-  PromConfig NewCfg;
+  PromConfig NewCfg = Cfg; // Unpersisted knobs keep their current values.
   if (!readConfig(R, NewCfg))
     return false;
   double NewTemperature = R.readF64();
@@ -691,9 +709,9 @@ PromRegressor::makeScoreInput(const double *Embed, double Prediction,
   RegressionScoreInput In;
   In.Prediction = Prediction;
   In.ResidualIqr = ResidualIqr;
-  knnStats(CalibEmbeds, CalibTargets, Embed, Cfg.KnnK, /*SelfIndex=*/-1,
-           &KnnIndex, KnnCentDists, In.ApproxTarget, In.KnnTargetSpread,
-           In.KnnMeanDistance);
+  knnStats(Calib.embedMatrix(), CalibTargets, Embed, Cfg.KnnK,
+           /*SelfIndex=*/-1, &KnnIndex, KnnCentDists, In.ApproxTarget,
+           In.KnnTargetSpread, In.KnnMeanDistance);
   return In;
 }
 
@@ -702,13 +720,12 @@ PromRegressor::makeScoreInput(const double *Embed, double Prediction,
 /// value irrelevant to verdicts — it only shapes the pruning).
 static constexpr uint64_t RegKnnIndexSeed = 0x8D2F4A6E1B97C35Dull;
 
-void PromRegressor::rebuildKnnIndex() {
+void PromRegressor::rebuildKnnIndex(const support::FeatureMatrix &Embeds) {
   KnnIndex.clear();
-  if (!Cfg.KnnClusterIndex ||
-      CalibEmbeds.rows() < Cfg.ClusterIndexMinEntries)
+  if (!Cfg.KnnClusterIndex || Embeds.rows() < Cfg.ClusterIndexMinEntries)
     return;
-  KnnIndex.build(CalibEmbeds, 0, CalibEmbeds.rows(),
-                 Cfg.ClusterIndexCentroids, RegKnnIndexSeed);
+  KnnIndex.build(Embeds, 0, Embeds.rows(), Cfg.ClusterIndexCentroids,
+                 RegKnnIndexSeed);
 }
 
 void PromRegressor::calibrate(const data::Dataset &CalibSet,
@@ -721,8 +738,11 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
   Matrix Embeds;
   Model.predictWithEmbedBatch(CalibSet, Predictions, Embeds);
 
-  // Row-vector copies for the (calibration-time) clustering; the flat
-  // CalibEmbeds block is what the deployment-time k-NN scans stream.
+  // Row-vector copies for the (calibration-time) clustering, and a
+  // transient block of the same rows for the calibration-time k-NN. The
+  // store's embedding block, which the deployment-time k-NN scans stream,
+  // holds exactly these rows, so the index built here is the one
+  // rebuildKnnIndex() builds over the store after a snapshot load.
   std::vector<std::vector<double>> EmbedRows;
   EmbedRows.reserve(CalibSet.size());
   CalibTargets.clear();
@@ -732,8 +752,8 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
     CalibTargets.push_back(CalibSet[I].Target);
     Residuals.push_back(std::fabs(Predictions[I] - CalibSet[I].Target));
   }
-  CalibEmbeds = support::FeatureMatrix::fromRows(EmbedRows);
-  rebuildKnnIndex();
+  support::FeatureMatrix Block = support::FeatureMatrix::fromRows(EmbedRows);
+  rebuildKnnIndex(Block);
   ResidualIqr = support::quantile(Residuals, 0.75) -
                 support::quantile(Residuals, 0.25);
 
@@ -750,7 +770,7 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
   Calib.reserve(CalibSet.size());
   for (size_t I = 0; I < CalibSet.size(); ++I) {
     CalibrationEntry Entry;
-    Entry.Embed = EmbedRows[I];
+    Entry.Embed = std::move(EmbedRows[I]); // Clustering is done with it.
     Entry.Label = Clusters.Assignments[I];
 
     // Calibration samples use their true targets but the same local
@@ -759,7 +779,7 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
     In.Prediction = Predictions[I];
     In.ResidualIqr = ResidualIqr;
     double ApproxUnused;
-    knnStats(CalibEmbeds, CalibTargets, CalibEmbeds.rowPtr(I), Cfg.KnnK,
+    knnStats(Block, CalibTargets, Block.rowPtr(I), Cfg.KnnK,
              static_cast<long>(I), &KnnIndex, /*CentDistSq=*/nullptr,
              ApproxUnused, In.KnnTargetSpread, In.KnnMeanDistance);
     In.ApproxTarget = CalibTargets[I];
@@ -797,7 +817,7 @@ RegressionVerdict PromRegressor::assessSerial(const data::Sample &S) const {
   V.Cluster = static_cast<int>(support::nearestCentroid(Centroids, Embed));
 
   RegressionScoreInput In = makeScoreInput(Embed.data(), V.Predicted);
-  CalibrationSelection Sel = Calib.flat().select(Embed, Cfg);
+  CalibrationSelection Sel = Calib.select(Embed, Cfg);
 
   V.Experts.reserve(Scorers.size());
   for (size_t E = 0; E < Scorers.size(); ++E) {
@@ -805,7 +825,7 @@ RegressionVerdict PromRegressor::assessSerial(const data::Sample &S) const {
     // The test score is label-independent for regression; the conditioning
     // happens through which cluster's calibration scores it is compared to.
     std::vector<double> TestScores(Centroids.size(), TestScore);
-    std::vector<double> PVals = Calib.flat().pValues(Sel, E, TestScores, Cfg);
+    std::vector<double> PVals = Calib.pValues(Sel, E, TestScores, Cfg);
     V.Experts.push_back(
         judgeRegression(PVals.data(), PVals.size(), V.Cluster, Cfg));
   }
@@ -917,9 +937,6 @@ bool PromRegressor::saveSnapshot(const std::string &Path,
   for (const auto &Scorer : Scorers)
     W.writeString(Scorer->name());
   writeEntries(W, Calib);
-  W.writeU64(CalibEmbeds.rows());
-  for (size_t I = 0; I < CalibEmbeds.rows(); ++I)
-    W.writeDoubleVec(CalibEmbeds.row(I));
   W.writeDoubleVec(CalibTargets);
   W.writeU64(Centroids.size());
   for (const std::vector<double> &Centroid : Centroids)
@@ -939,7 +956,7 @@ bool PromRegressor::loadSnapshot(const std::string &Path,
       R.readU32() != SnapshotKindRegressor)
     return false;
 
-  PromConfig NewCfg;
+  PromConfig NewCfg = Cfg; // Unpersisted knobs keep their current values.
   if (!readConfig(R, NewCfg))
     return false;
 
@@ -959,19 +976,8 @@ bool PromRegressor::loadSnapshot(const std::string &Path,
   if (!readEntries(R, NewScorers.size(), NewStore))
     return false;
 
-  uint64_t NumEmbeds = R.readU64();
-  if (R.failed() || NumEmbeds != NewStore.size())
-    return false;
-  std::vector<std::vector<double>> NewEmbeds;
-  NewEmbeds.reserve(static_cast<size_t>(NumEmbeds));
-  for (uint64_t I = 0; I < NumEmbeds; ++I) {
-    NewEmbeds.push_back(R.readDoubleVec());
-    if (R.failed() || NewEmbeds.back().empty() ||
-        NewEmbeds.back().size() != NewEmbeds.front().size())
-      return false;
-  }
   std::vector<double> NewTargets = R.readDoubleVec();
-  if (R.failed() || NewTargets.size() != NewEmbeds.size())
+  if (R.failed() || NewTargets.size() != NewStore.size())
     return false;
 
   uint64_t NumCentroids = R.readU64();
@@ -998,8 +1004,7 @@ bool PromRegressor::loadSnapshot(const std::string &Path,
   Calib = std::move(NewStore);
   Calib.setIndexPolicy(ClusterIndexPolicy::fromConfig(Cfg));
   Calib.finalize(Shards);
-  CalibEmbeds = support::FeatureMatrix::fromRows(NewEmbeds);
-  rebuildKnnIndex();
+  rebuildKnnIndex(Calib.embedMatrix());
   CalibTargets = std::move(NewTargets);
   Centroids = std::move(NewCentroids);
   ResidualIqr = NewResidualIqr;

@@ -191,7 +191,9 @@ public:
   Verdict assessSerial(const data::Sample &S) const;
 
   /// Per-class p-values of \p S for expert \p Expert (used by the
-  /// assessment and by tests of the CP validity property).
+  /// assessment, the baselines, and tests of the CP validity property).
+  /// Served by the batch engine's selection and fused p-value pass, so
+  /// every bit equals the assessSerial() reference's p-values.
   std::vector<double> pValues(const data::Sample &S, size_t Expert) const;
 
   const PromConfig &config() const { return Cfg; }   ///< Current knobs.
@@ -351,7 +353,7 @@ public:
   void reshard(size_t NumShards) { Calib.reshard(NumShards); }
 
   /// Regression snapshot: config, committee names, calibration entries,
-  /// k-NN embeddings/targets, centroids, residual IQR, optional scaler.
+  /// k-NN targets, centroids, residual IQR, optional scaler.
   /// Same format/guarantees as the classifier snapshot.
   bool saveSnapshot(const std::string &Path,
                     const data::StandardScaler *Scaler = nullptr) const;
@@ -371,12 +373,12 @@ private:
                                       const double *KnnCentDists =
                                           nullptr) const;
 
-  /// Reconciles KnnIndex with the config and the current calibration
-  /// embedding block: built over the whole block when
-  /// PromConfig::KnnClusterIndex is set and the block has at least
+  /// Reconciles KnnIndex with the config over \p Embeds, which must hold
+  /// the calibration embeddings in store order: built over the whole block
+  /// when PromConfig::KnnClusterIndex is set and the block has at least
   /// ClusterIndexMinEntries rows, dropped otherwise. Called by
   /// calibrate() and loadSnapshot().
-  void rebuildKnnIndex();
+  void rebuildKnnIndex(const support::FeatureMatrix &Embeds);
 
   /// Committee assessment of rows [Begin, End) of a batch with precomputed
   /// predictions and embeddings. \p Scan is the store's prepared
@@ -392,15 +394,15 @@ private:
   const ml::Regressor &Model;
   PromConfig Cfg;
   std::vector<std::unique_ptr<RegressionScorer>> Scorers;
+  /// Calibration store; its embedding block also serves the Sec. 5.1.1
+  /// k-NN ground-truth lookups (one batched kernel scan over it).
   CalibrationStore Calib;
-  /// Calibration embeddings as one flat block: the k-NN ground-truth
-  /// lookups run the batched kernel scan over it (Sec. 5.1.1).
-  support::FeatureMatrix CalibEmbeds;
-  /// Lossless cluster index over CalibEmbeds (PromConfig::KnnClusterIndex):
-  /// the Sec. 5.1.1 k-NN ground-truth lookups run the pruned scan through
-  /// it, with the same bit-identity contract as the store indexes.
+  /// Lossless cluster index over the store's embedding block
+  /// (PromConfig::KnnClusterIndex): the k-NN ground-truth lookups run the
+  /// pruned scan through it, with the same bit-identity contract as the
+  /// store indexes.
   support::ClusterIndex KnnIndex;
-  std::vector<double> CalibTargets;
+  std::vector<double> CalibTargets; ///< True target per store entry.
   std::vector<std::vector<double>> Centroids;
   double ResidualIqr = 0.0;
 };

@@ -16,7 +16,6 @@
 #define PROM_CORE_PROM_H
 
 #include "core/Assessment.h"
-#include "core/Calibration.h"
 #include "core/CalibrationStore.h"
 #include "core/Detector.h"
 #include "core/DriftMetrics.h"

@@ -149,27 +149,6 @@ struct PromConfig {
   /// by the same contract, so purely a performance knob.
   bool KnnClusterIndex = true;
 
-  /// Enable the serving runtime's drift-attribution layer
-  /// (serve/DriftAttribution): per-dimension reference-vs-current
-  /// statistics, Page-Hinkley/CUSUM detectors, and drift-shape
-  /// classification over the assessed feature stream. Strictly
-  /// observe-only — verdicts are bit-identical either way (test-enforced)
-  /// — so, like the ClusterIndex* knobs, it never enters snapshots.
-  bool DriftAttribution = true;
-
-  /// Observations frozen into the attribution reference window (the
-  /// "normal" every later window is standardized against).
-  size_t DriftAttributionReferenceWindow = 512;
-
-  /// Tumbling current-window length of the attribution layer.
-  size_t DriftAttributionCurrentWindow = 256;
-
-  /// Dimensions listed in the ranked attribution report.
-  size_t DriftAttributionTopK = 8;
-
-  /// |z| at or above this marks a dimension as drifted in the report.
-  double DriftAttributionZThreshold = 3.0;
-
   /// Effective credibility threshold.
   double credThreshold() const {
     return CredThreshold < 0.0 ? Epsilon : CredThreshold;

@@ -111,19 +111,6 @@ bool CUSUMState::update(double X, const CUSUMConfig &Cfg) {
 }
 
 //===----------------------------------------------------------------------===//
-// DriftAttributionConfig
-//===----------------------------------------------------------------------===//
-
-DriftAttributionConfig DriftAttributionConfig::fromProm(const PromConfig &Cfg) {
-  DriftAttributionConfig Out;
-  Out.ReferenceWindow = Cfg.DriftAttributionReferenceWindow;
-  Out.CurrentWindow = Cfg.DriftAttributionCurrentWindow;
-  Out.TopK = Cfg.DriftAttributionTopK;
-  Out.ZThreshold = Cfg.DriftAttributionZThreshold;
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
 // DriftAttribution
 //===----------------------------------------------------------------------===//
 

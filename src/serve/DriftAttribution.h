@@ -37,8 +37,6 @@
 #ifndef PROM_SERVE_DRIFTATTRIBUTION_H
 #define PROM_SERVE_DRIFTATTRIBUTION_H
 
-#include "core/PromConfig.h"
-
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -207,10 +205,6 @@ struct DriftAttributionConfig {
   /// CUSUM knobs for the rejection stream, targeted at the reference
   /// window's rejection rate (rate units).
   CUSUMConfig RejectCusum{0.1, 4.0, 8};
-
-  /// Maps the PromConfig::DriftAttribution* knobs onto a config (the
-  /// remaining fields keep their defaults).
-  static DriftAttributionConfig fromProm(const PromConfig &Cfg);
 };
 
 /// One row of the ranked drifted-dimension report.

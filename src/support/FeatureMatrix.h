@@ -73,6 +73,10 @@ public:
     std::copy(Src, Src + FeatDim, rowPtr(R));
   }
 
+  /// Reserves room for \p Rows rows, so appendRow() up to that count never
+  /// reallocates (and the block holds no growth slack).
+  void reserveRows(size_t Rows) { Data.reserve(Rows * RowStride); }
+
   /// Appends one row (dim() values from \p Src; padding zero-filled). The
   /// matrix must already have a dimensionality (reset() ran), so appended
   /// rows share the established stride — the incremental-refresh path of

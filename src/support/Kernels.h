@@ -20,7 +20,7 @@
 ///    fold: element I lands in accumulator lane I mod KernelLanes, and the
 ///    lanes are folded in one fixed order at the end — the same scheme for
 ///    the scalar loop and for the SIMD register lanes (the same trick as
-///    CalibrationScores' canonical accumulation blocks, one level down).
+///    CalibrationStore's canonical accumulation blocks, one level down).
 ///  * The matmul accumulates each output element strictly in ascending-k
 ///    order; SIMD vectorizes across *independent* output columns, so no
 ///    sum is ever reassociated.

@@ -9,12 +9,16 @@
 #include "ml/Knn.h"
 #include "ml/Linear.h"
 #include "ml/Mlp.h"
+#include "support/Matrix.h"
 #include "support/Rng.h"
 #include "tests/TestHelpers.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 
 using namespace prom;
 using prom::testing::gaussianBlobs;
@@ -223,6 +227,111 @@ TEST(PValueProperty, RoughlyUniformUnderExchangeability) {
     double Frac = static_cast<double>(B) / PVals.size();
     EXPECT_GT(Frac, 0.10);
     EXPECT_LT(Frac, 0.45);
+  }
+}
+
+namespace {
+
+/// The hard top-k rank of the label: a tie-heavy discrete expert, so the
+/// ScoreScaling mode must fall back to weighted counting for it.
+class HardTopKScorer : public ClassificationScorer {
+public:
+  double score(const std::vector<double> &Probs, int Label) const override {
+    double P = Probs[static_cast<size_t>(Label)];
+    double Rank = 1.0;
+    for (size_t C = 0; C < Probs.size(); ++C)
+      if (Probs[C] > P || (Probs[C] == P && C < static_cast<size_t>(Label)))
+        Rank += 1.0;
+    return Rank;
+  }
+  bool isDiscrete() const override { return true; }
+  std::string name() const override { return "HardTopK"; }
+};
+
+/// The detector's temperature softening, rebuilt from the public API.
+std::vector<double> softened(std::vector<double> Probs, double T) {
+  if (T == 1.0)
+    return Probs;
+  for (double &P : Probs)
+    P = std::log(std::max(P, 1e-12)) / T;
+  support::softmaxInPlace(Probs);
+  return Probs;
+}
+
+} // namespace
+
+TEST(PValueProperty, EnginePValuesMatchSerialReferenceBitForBit) {
+  // pValues(S, E) runs the batch engine; every p-value bit must equal the
+  // serial reference (sorted select() + one linear pValues() scan per
+  // expert) on a store rebuilt from the same calibration outputs.
+  support::Rng R(4242);
+  data::Dataset Full = gaussianBlobs(3, 300, 4.0, 0.9, R);
+  auto Split = data::calibrationPartition(Full, R, 0.5);
+  ml::LogisticRegression Model;
+  Model.fit(Split.first, R);
+  const data::Dataset &Calib = Split.second;
+  ASSERT_GT(Calib.size(), PromConfig().SelectAllBelow)
+      << "the default config must select a proper subset";
+  data::Dataset Probes = gaussianBlobs(3, 10, 4.0, 0.9, R);
+  for (int I = 0; I < 10; ++I) {
+    data::Sample Novel;
+    Novel.Features = {R.gaussian(0.0, 0.7), R.gaussian(0.0, 0.7)};
+    Novel.Label = 0;
+    Probes.add(std::move(Novel));
+  }
+
+  PromConfig Weighted; // WeightedCount over the nearest 50%.
+  PromConfig Scaled;
+  Scaled.WeightMode = CalibrationWeightMode::ScoreScaling;
+  PromConfig Unweighted;
+  Unweighted.WeightMode = CalibrationWeightMode::None;
+  Unweighted.SelectAllBelow = 1u << 20; // Full selection.
+  const char *Names[] = {"weighted-count", "score-scaling", "none-full"};
+  const PromConfig Configs[] = {Weighted, Scaled, Unweighted};
+
+  for (size_t CI = 0; CI < 3; ++CI) {
+    SCOPED_TRACE(Names[CI]);
+    const PromConfig &Cfg = Configs[CI];
+    std::vector<std::unique_ptr<ClassificationScorer>> Committee =
+        defaultClassificationScorers();
+    Committee.push_back(std::make_unique<HardTopKScorer>());
+    PromClassifier Prom(Model, std::move(Committee), Cfg);
+    Prom.calibrate(Calib);
+
+    support::Matrix RawProbs, Embeds;
+    Model.predictWithEmbedBatch(Calib, RawProbs, Embeds);
+    CalibrationStore Ref;
+    for (size_t I = 0; I < Calib.size(); ++I) {
+      CalibrationEntry Entry;
+      Entry.Embed = Embeds.row(I);
+      Entry.Label = Calib[I].Label;
+      std::vector<double> P = softened(RawProbs.row(I), Prom.temperature());
+      for (size_t E = 0; E < Prom.numExperts(); ++E)
+        Entry.Scores.push_back(Prom.scorer(E).score(P, Calib[I].Label));
+      Ref.add(std::move(Entry));
+    }
+    Ref.finalize();
+
+    for (size_t I = 0; I < Probes.size(); ++I) {
+      SCOPED_TRACE("probe " + std::to_string(I));
+      const data::Sample &S = Probes[I];
+      std::vector<double> P =
+          softened(Model.predictProba(S), Prom.temperature());
+      CalibrationSelection Sel = Ref.select(Model.embed(S), Cfg);
+      std::vector<double> TestScores(P.size());
+      for (size_t E = 0; E < Prom.numExperts(); ++E) {
+        for (size_t C = 0; C < P.size(); ++C)
+          TestScores[C] = Prom.scorer(E).score(P, static_cast<int>(C));
+        std::vector<double> Expected = Ref.pValues(
+            Sel, E, TestScores, Cfg, Prom.scorer(E).isDiscrete());
+        std::vector<double> Got = Prom.pValues(S, E);
+        ASSERT_EQ(Got.size(), Expected.size());
+        for (size_t C = 0; C < Got.size(); ++C)
+          EXPECT_EQ(prom::testing::bits(Got[C]),
+                    prom::testing::bits(Expected[C]))
+              << "expert " << E << " label " << C;
+      }
+    }
   }
 }
 

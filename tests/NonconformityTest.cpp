@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Calibration.h"
+#include "core/CalibrationStore.h"
 #include "core/DriftMetrics.h"
 #include "core/Nonconformity.h"
 #include "support/Rng.h"
@@ -170,9 +170,9 @@ namespace {
 
 /// Calibration set with entries at x = 0..N-1 (1-D), label = Labels[i],
 /// single expert score = Scores[i].
-CalibrationScores makeCalib(const std::vector<int> &Labels,
+CalibrationStore makeCalib(const std::vector<int> &Labels,
                             const std::vector<double> &Scores) {
-  CalibrationScores Calib;
+  CalibrationStore Calib;
   for (size_t I = 0; I < Labels.size(); ++I) {
     CalibrationEntry E;
     E.Embed = {static_cast<double>(I)};
@@ -187,7 +187,7 @@ CalibrationScores makeCalib(const std::vector<int> &Labels,
 } // namespace
 
 TEST(CalibrationTest, SelectAllBelowThreshold) {
-  CalibrationScores Calib = makeCalib({0, 0, 0, 0}, {1, 2, 3, 4});
+  CalibrationStore Calib = makeCalib({0, 0, 0, 0}, {1, 2, 3, 4});
   PromConfig Cfg;
   Cfg.SelectAllBelow = 200;
   CalibrationSelection Sel = Calib.select({0.0}, Cfg);
@@ -197,7 +197,7 @@ TEST(CalibrationTest, SelectAllBelowThreshold) {
 TEST(CalibrationTest, SelectsNearestFraction) {
   std::vector<int> Labels(300, 0);
   std::vector<double> Scores(300, 1.0);
-  CalibrationScores Calib = makeCalib(Labels, Scores);
+  CalibrationStore Calib = makeCalib(Labels, Scores);
   PromConfig Cfg;
   Cfg.SelectFraction = 0.5;
   Cfg.SelectAllBelow = 200;
@@ -213,7 +213,7 @@ TEST(CalibrationTest, SelectsNearestFraction) {
 TEST(CalibrationTest, WeightsDecayWithDistance) {
   std::vector<int> Labels(300, 0);
   std::vector<double> Scores(300, 1.0);
-  CalibrationScores Calib = makeCalib(Labels, Scores);
+  CalibrationStore Calib = makeCalib(Labels, Scores);
   PromConfig Cfg;
   Cfg.AutoTau = false;
   Cfg.Tau = 50.0;
@@ -224,7 +224,7 @@ TEST(CalibrationTest, WeightsDecayWithDistance) {
 }
 
 TEST(CalibrationTest, NoneModeGivesUnitWeights) {
-  CalibrationScores Calib = makeCalib({0, 0, 0}, {1, 2, 3});
+  CalibrationStore Calib = makeCalib({0, 0, 0}, {1, 2, 3});
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::None;
   CalibrationSelection Sel = Calib.select({0.0}, Cfg);
@@ -235,7 +235,7 @@ TEST(CalibrationTest, NoneModeGivesUnitWeights) {
 TEST(CalibrationTest, PValueCountsGreaterEqual) {
   // Scores 1..5 for label 0; test score 3 -> 3 of 5 calibration scores are
   // >= 3; smoothed p = (3+1)/(5+1).
-  CalibrationScores Calib = makeCalib({0, 0, 0, 0, 0}, {1, 2, 3, 4, 5});
+  CalibrationStore Calib = makeCalib({0, 0, 0, 0, 0}, {1, 2, 3, 4, 5});
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::None;
   CalibrationSelection Sel = Calib.select({2.0}, Cfg);
@@ -244,7 +244,7 @@ TEST(CalibrationTest, PValueCountsGreaterEqual) {
 }
 
 TEST(CalibrationTest, PValueUnsmoothed) {
-  CalibrationScores Calib = makeCalib({0, 0, 0, 0, 0}, {1, 2, 3, 4, 5});
+  CalibrationStore Calib = makeCalib({0, 0, 0, 0, 0}, {1, 2, 3, 4, 5});
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::None;
   Cfg.SmoothedPValues = false;
@@ -255,7 +255,7 @@ TEST(CalibrationTest, PValueUnsmoothed) {
 
 TEST(CalibrationTest, ClassConditionalCounting) {
   // Two labels with very different score scales.
-  CalibrationScores Calib =
+  CalibrationStore Calib =
       makeCalib({0, 0, 1, 1}, {0.1, 0.2, 10.0, 20.0});
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::None;
@@ -266,7 +266,7 @@ TEST(CalibrationTest, ClassConditionalCounting) {
 }
 
 TEST(CalibrationTest, MissingLabelGetsZeroPValue) {
-  CalibrationScores Calib = makeCalib({0, 0}, {1.0, 2.0});
+  CalibrationStore Calib = makeCalib({0, 0}, {1.0, 2.0});
   PromConfig Cfg;
   CalibrationSelection Sel = Calib.select({0.0}, Cfg);
   std::vector<double> P = Calib.pValues(Sel, 0, {1.0, 1.0}, Cfg);
@@ -279,7 +279,7 @@ TEST(CalibrationTest, ScoreScalingShrinksDistantEvidence) {
   // points keep weights ~1 and the same score stays conforming.
   std::vector<int> Labels(50, 0);
   std::vector<double> Scores(50, 1.0);
-  CalibrationScores Calib = makeCalib(Labels, Scores);
+  CalibrationStore Calib = makeCalib(Labels, Scores);
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::ScoreScaling;
   Cfg.AutoTau = false;
@@ -298,7 +298,7 @@ TEST(CalibrationTest, DiscreteFallbackPreservesTies) {
   // discrete fallback keeps them.
   std::vector<int> Labels(50, 0);
   std::vector<double> Scores(50, 1.0);
-  CalibrationScores Calib = makeCalib(Labels, Scores);
+  CalibrationStore Calib = makeCalib(Labels, Scores);
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::ScoreScaling;
   CalibrationSelection Sel = Calib.select({25.0}, Cfg);
@@ -308,7 +308,7 @@ TEST(CalibrationTest, DiscreteFallbackPreservesTies) {
 }
 
 TEST(CalibrationTest, FinalizeComputesDistanceScale) {
-  CalibrationScores Calib = makeCalib({0, 0, 0}, {1, 2, 3});
+  CalibrationStore Calib = makeCalib({0, 0, 0}, {1, 2, 3});
   EXPECT_NEAR(Calib.medianNNDist(), 1.0, 1e-9); // Unit-spaced 1-D points.
 }
 

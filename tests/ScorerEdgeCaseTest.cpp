@@ -7,13 +7,13 @@
 // Edge-case behaviour of the LAC/TopK/APS/RAPS committee on degenerate
 // probability vectors — uniform, one-hot, and tie-heavy distributions —
 // plus the isDiscrete() weighted-counting fallback those tie-heavy scores
-// force inside CalibrationScores::pValues. scoreAll() must agree with
+// force inside CalibrationStore::pValues. scoreAll() must agree with
 // score() bit-for-bit on every edge case, since the batched engine uses
 // the fused form.
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Calibration.h"
+#include "core/CalibrationStore.h"
 #include "core/Nonconformity.h"
 #include "support/Rng.h"
 
@@ -144,8 +144,8 @@ public:
 };
 
 /// 1-D calibration set at x = 0..N-1, one expert, all scores \p Score.
-CalibrationScores tiedCalib(size_t N, double Score) {
-  CalibrationScores Calib;
+CalibrationStore tiedCalib(size_t N, double Score) {
+  CalibrationStore Calib;
   for (size_t I = 0; I < N; ++I) {
     CalibrationEntry E;
     E.Embed = {static_cast<double>(I)};
@@ -163,7 +163,7 @@ TEST(DiscreteFallbackTest, ScoreScalingCollapsesTiedPValuesWithoutFallback) {
   // Literal score scaling: any weight < 1 shrinks every tied calibration
   // score below the test score, so the p-value collapses toward 0 even
   // though the sample conforms perfectly.
-  CalibrationScores Calib = tiedCalib(100, 1.0);
+  CalibrationStore Calib = tiedCalib(100, 1.0);
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::ScoreScaling;
   Cfg.AutoTau = false;
@@ -179,7 +179,7 @@ TEST(DiscreteFallbackTest, ScoreScalingCollapsesTiedPValuesWithoutFallback) {
 }
 
 TEST(DiscreteFallbackTest, FallbackOnlyAffectsScoreScaling) {
-  CalibrationScores Calib = tiedCalib(50, 2.0);
+  CalibrationStore Calib = tiedCalib(50, 2.0);
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::WeightedCount;
   CalibrationSelection Sel = Calib.select({10.0}, Cfg);
@@ -193,7 +193,7 @@ TEST(DiscreteFallbackTest, HardRankCommitteeSurvivesConfidentModel) {
   // outputs are one-hot-ish must not flag in-distribution inputs purely
   // because of tie flips.
   support::Rng R(61);
-  CalibrationScores Calib;
+  CalibrationStore Calib;
   HardRankScorer Scorer;
   for (size_t I = 0; I < 120; ++I) {
     // Confident correct predictions: rank of the true label is 1.

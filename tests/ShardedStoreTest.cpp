@@ -178,7 +178,8 @@ TEST(ShardedStoreTest, FeatureMatrixScanMatchesPerRowVectorScan) {
   // pre-refactor vector<vector<double>> path) with the same kernel — so
   // moving the storage cannot change a single verdict.
   support::Rng R(99);
-  CalibrationScores Scores;
+  std::vector<CalibrationEntry> Entries;
+  CalibrationStore Scores;
   size_t Dim = 7; // Odd width: every row exercises the kernel tail.
   for (size_t I = 0; I < 700; ++I) {
     CalibrationEntry E;
@@ -186,6 +187,7 @@ TEST(ShardedStoreTest, FeatureMatrixScanMatchesPerRowVectorScan) {
       E.Embed.push_back(R.gaussian(0.0, 2.0));
     E.Label = static_cast<int>(I % 3);
     E.Scores = {R.uniform(0.0, 1.0)};
+    Entries.push_back(E);
     Scores.add(std::move(E));
   }
   Scores.finalize();
@@ -201,8 +203,8 @@ TEST(ShardedStoreTest, FeatureMatrixScanMatchesPerRowVectorScan) {
     S.Dists.resize(Scores.size());
     Scores.computeDistanceKeys(Query.data(), S, 0, Scores.size());
     for (size_t I = 0; I < Scores.size(); ++I) {
-      double PerRow = support::kernels::l2Sq(
-          Scores.entry(I).Embed.data(), Query.data(), Dim);
+      double PerRow = support::kernels::l2Sq(Entries[I].Embed.data(),
+                                             Query.data(), Dim);
       uint64_t GotBits, RefBits;
       std::memcpy(&GotBits, &S.Keyed[I].first, sizeof(GotBits));
       std::memcpy(&RefBits, &PerRow, sizeof(RefBits));

@@ -169,6 +169,48 @@ TEST(SnapshotTest, RegressorRoundTripBitIdentical) {
   std::remove(Path.c_str());
 }
 
+TEST(SnapshotTest, LoadKeepsUnpersistedDeploymentKnobs) {
+  // The snapshot persists the calibration-relevant config; the deployment
+  // knobs it does not persist must keep the loading detector's values
+  // instead of resetting to their defaults on every restart.
+  ClassifierFixture &F = classifierFixture();
+  PromConfig Cfg;
+  Cfg.Epsilon = 0.2;
+  PromClassifier Saved(F.Model, Cfg);
+  Saved.calibrate(F.Calib);
+  std::string Path = tempPath("knobs_classifier.promsnap");
+  ASSERT_TRUE(Saved.saveSnapshot(Path));
+
+  PromConfig NoIndex;
+  NoIndex.ClusterIndex = false;
+  PromClassifier Loaded(F.Model, NoIndex);
+  ASSERT_TRUE(Loaded.loadSnapshot(Path));
+  EXPECT_FALSE(Loaded.config().ClusterIndex);
+  EXPECT_EQ(Loaded.config().Epsilon, 0.2); // Persisted: the snapshot wins.
+  std::remove(Path.c_str());
+
+  support::Rng R(93);
+  data::Dataset Train = linearRegression(200, 0.1, R);
+  data::Dataset Calib = linearRegression(100, 0.1, R);
+  ml::MlpRegressor Model;
+  Model.fit(Train, R);
+  PromConfig RegCfg;
+  RegCfg.FixedClusters = 3;
+  PromRegressor RegSaved(Model, RegCfg);
+  support::Rng CalR(3);
+  RegSaved.calibrate(Calib, CalR);
+  Path = tempPath("knobs_regressor.promsnap");
+  ASSERT_TRUE(RegSaved.saveSnapshot(Path));
+
+  PromConfig NoKnnIndex;
+  NoKnnIndex.KnnClusterIndex = false;
+  PromRegressor RegLoaded(Model, NoKnnIndex);
+  ASSERT_TRUE(RegLoaded.loadSnapshot(Path));
+  EXPECT_FALSE(RegLoaded.config().KnnClusterIndex);
+  EXPECT_EQ(RegLoaded.config().FixedClusters, 3u);
+  std::remove(Path.c_str());
+}
+
 TEST(SnapshotTest, ScalerStateRoundTrips) {
   ClassifierFixture &F = classifierFixture();
 

@@ -72,8 +72,8 @@ inline void expectStoresBitIdentical(const CalibrationStore &Live,
   EXPECT_EQ(bits(Live.medianNNDist()), bits(Ref.medianNNDist()));
 
   size_t NumExp = Ref.numExperts();
-  size_t NumLabels = static_cast<size_t>(Ref.flat().maxLabel() + 1);
-  ASSERT_EQ(static_cast<size_t>(Live.flat().maxLabel() + 1), NumLabels);
+  size_t NumLabels = static_cast<size_t>(Ref.maxLabel() + 1);
+  ASSERT_EQ(static_cast<size_t>(Live.maxLabel() + 1), NumLabels);
   size_t Cells = NumExp * NumLabels;
 
   AssessmentScratch SLive, SRef;
