@@ -53,21 +53,6 @@ PromConfig configFor(double Epsilon) {
   return Cfg;
 }
 
-/// Rotates a new snapshot generation of \p Engine into \p Dir.
-bool rotateSnapshot(const PromClassifier &Engine, const std::string &Dir,
-                    size_t KeepGenerations) {
-  if (Dir.empty() || !support::ensureDirectory(Dir))
-    return false;
-  std::vector<uint64_t> Gens = support::listSnapshotGenerations(Dir);
-  uint64_t Gen = Gens.empty() ? 1 : Gens.back() + 1;
-  if (!Engine.saveSnapshot(Dir + "/" + support::snapshotGenerationFile(Gen)))
-    return false;
-  if (!support::commitLatestPointer(Dir, Gen))
-    return false;
-  support::pruneSnapshotGenerations(Dir, KeepGenerations);
-  return true;
-}
-
 } // namespace
 
 /// The C-side detector: the host-output adapter plus a PromClassifier
@@ -192,8 +177,11 @@ int prom_assess_batch(const prom_detector *d, size_t n,
 int prom_save(const prom_detector *d, const char *snapshot_dir) {
   if (!d || !snapshot_dir || !d->Finalized)
     return -1;
-  return rotateSnapshot(*d->Engine, snapshot_dir, CApiKeepGenerations) ? 0
-                                                                       : -1;
+  std::string Dir = snapshot_dir;
+  bool Rotated = support::rotateSnapshot(
+      Dir, support::nextSnapshotGeneration(Dir), CApiKeepGenerations,
+      [d](const std::string &Path) { return d->Engine->saveSnapshot(Path); });
+  return Rotated ? 0 : -1;
 }
 
 int prom_predicted_label(const prom_detector *d,

@@ -34,16 +34,6 @@ constexpr size_t MedianNNSample = 256;
 // Columns and lifecycle
 //===----------------------------------------------------------------------===//
 
-void CalibrationStore::clear() {
-  Staged.clear();
-  Embeds.clear();
-  Labels.clear();
-  ScoreColumns.clear();
-  MaxLabel = -1;
-  MedianNNDist = 0.0;
-  Shards.clear();
-}
-
 size_t CalibrationStore::numExperts() const {
   if (!ScoreColumns.empty())
     return ScoreColumns.size();

@@ -204,8 +204,6 @@ struct ClusterIndexPolicy {
 /// layout and the exactness contract.
 class CalibrationStore {
 public:
-  /// Drops every entry, staged or live, and all derived state.
-  void clear();
   /// Reserves staging room for \p N entries.
   void reserve(size_t N) { Staged.reserve(N); }
   /// Stages one calibration entry for the next finalize().

@@ -7,12 +7,13 @@
 /// \file
 /// The deployment-time PROM engines (paper Figures 2, 5 and 6).
 ///
-/// PromClassifier / PromRegressor wrap an already-trained underlying model.
-/// calibrate() performs the offline calibration-set processing; assess()
-/// runs the expert committee on one test input and returns the prediction
-/// together with per-expert credibility/confidence scores and the majority
-/// drift verdict. DriftDetector is the uniform interface the comparison
-/// baselines (naive CP, RISE, TESSERACT) also implement.
+/// PromClassifier / PromRegressor wrap an already-trained underlying model
+/// and share one detector core (CommitteeEngine). calibrate() performs the
+/// offline calibration-set processing; assess() runs the expert committee
+/// on one test input and returns the prediction together with per-expert
+/// credibility/confidence scores and the majority drift verdict.
+/// DriftDetector is the uniform interface the comparison baselines (naive
+/// CP, RISE, TESSERACT) also implement.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +26,6 @@
 #include "core/PromConfig.h"
 #include "data/Dataset.h"
 #include "ml/Model.h"
-#include "support/FeatureMatrix.h"
 
 #include <memory>
 #include <string>
@@ -50,10 +50,9 @@ struct ExpertOpinion {
   bool FlagDrift = false;     ///< Both scores below their thresholds.
 };
 
-/// Committee verdict for a classification prediction.
-struct Verdict {
-  int Predicted = -1;                ///< Argmax class of the model.
-  std::vector<double> Probabilities; ///< Temperature-softened class probs.
+/// The committee half of a verdict, shared by both tasks: one opinion per
+/// expert and the vote over them.
+struct CommitteeVerdict {
   bool Drifted = false;              ///< Committee flagged this input.
   size_t VotesToFlag = 0;            ///< Experts that voted "drift".
   std::vector<ExpertOpinion> Experts; ///< One opinion per committee expert.
@@ -64,16 +63,16 @@ struct Verdict {
   double meanConfidence() const;
 };
 
+/// Committee verdict for a classification prediction.
+struct Verdict : CommitteeVerdict {
+  int Predicted = -1;                ///< Argmax class of the model.
+  std::vector<double> Probabilities; ///< Temperature-softened class probs.
+};
+
 /// Committee verdict for a regression prediction.
-struct RegressionVerdict {
+struct RegressionVerdict : CommitteeVerdict {
   double Predicted = 0.0;     ///< The model's point prediction.
   int Cluster = -1;           ///< Pseudo-label assigned to the input.
-  bool Drifted = false;       ///< Committee flagged this input.
-  size_t VotesToFlag = 0;     ///< Experts that voted "drift".
-  std::vector<ExpertOpinion> Experts; ///< One opinion per committee expert.
-
-  /// Mean expert credibility (0 with an empty committee).
-  double meanCredibility() const;
 };
 
 /// Uniform accept/reject interface shared with the baselines.
@@ -97,8 +96,128 @@ public:
   virtual std::string name() const = 0;
 };
 
+/// Task tag of the classification committee: softened class
+/// probabilities in, the true classes as the label space.
+struct ClassificationTask {
+  using ModelType = ml::Classifier;        ///< The wrapped model.
+  using ScorerType = ClassificationScorer; ///< One committee expert.
+  using VerdictType = Verdict;             ///< Per-input result.
+  using OutputType = support::Matrix;      ///< Batched model output.
+};
+
+/// Task tag of the regression committee: k-NN-approximated residuals in,
+/// k-means pseudo-labels as the label space (Sec. 5.1.2).
+struct RegressionTask {
+  using ModelType = ml::Regressor;         ///< The wrapped model.
+  using ScorerType = RegressionScorer;     ///< One committee expert.
+  using VerdictType = RegressionVerdict;   ///< Per-input result.
+  using OutputType = std::vector<double>;  ///< Batched model output.
+};
+
+/// The detector core both PROM detectors run on (Sec. 5.1: one conformal
+/// committee; only the nonconformity inputs and the label space differ).
+/// It owns the config, the committee, and one RCU handle to an immutable
+/// calibration *generation* (the CalibrationStore plus the task's fitted
+/// state). Every writer builds a new generation privately and publishes it
+/// with one atomic swap, and every batch pins exactly one generation. The
+/// batch skeleton, the snapshot envelope and publication live here once;
+/// the task policies in Detector.cpp keep only what differs. Explicitly
+/// instantiated for ClassificationTask and RegressionTask.
+template <class Task> class CommitteeEngine {
+public:
+  using ModelType = typename Task::ModelType;     ///< The wrapped model.
+  using ScorerType = typename Task::ScorerType;   ///< One committee expert.
+  using VerdictType = typename Task::VerdictType; ///< Per-input result.
+
+  /// Full committee assessment of one test input (Figure 5). Delegates to
+  /// assessBatch() on a size-1 batch, so single-sample and batched
+  /// deployments produce bit-identical verdicts by construction.
+  VerdictType assess(const data::Sample &S) const;
+
+  /// Batched committee assessment: one batched model forward computes every
+  /// output and embedding — every model in the zoo has a native batch path
+  /// (matmul batching, one-scan k-NN, level-by-level tree ensembles; see
+  /// ml/Model.h) — then the per-sample committee work (selection, fused
+  /// all-expert p-values, vote) runs across the ThreadPool with reusable
+  /// per-lane scratch, against one pinned generation. Element I is
+  /// bit-identical to assessSerial(Batch[I]).
+  std::vector<VerdictType> assessBatch(const data::Dataset &Batch) const;
+
+  /// Live calibration entries (0 before calibration).
+  size_t calibrationSize() const;
+
+  /// True once calibrate() (or a snapshot load) has run.
+  bool isCalibrated() const;
+
+  /// Shard count of the calibration store (1 before calibration).
+  size_t numShards() const;
+
+  /// Re-partitions the calibration store into \p NumShards shards without
+  /// recalibrating; verdicts are unchanged by contract. Publishes the
+  /// re-partitioned copy as a new generation, so it is safe against
+  /// concurrent assessments.
+  void reshard(size_t NumShards);
+
+  /// Writes a versioned binary snapshot of the live generation — config,
+  /// the task's fitted state, committee (by scorer name), calibration
+  /// entries, and optionally the deployment feature \p Scaler — so a
+  /// restarted server can loadSnapshot() instead of recalibrating. Returns
+  /// false before calibration or on I/O failure.
+  bool saveSnapshot(const std::string &Path,
+                    const data::StandardScaler *Scaler = nullptr) const;
+
+  /// Restores the state written by saveSnapshot(): verdicts after a load
+  /// are bit-identical to the ones the saving detector produced. The
+  /// committee is rebuilt by scorer name. Returns false (leaving the
+  /// detector untouched) on missing/truncated/corrupt files, a snapshot of
+  /// the wrong kind, an unknown scorer name, or a config no detector can
+  /// run (docs/SNAPSHOT_FORMAT.md lists the rules). Targets a detector
+  /// that is not serving yet: the generation is published atomically, but
+  /// the config and committee are replaced in place.
+  bool loadSnapshot(const std::string &Path,
+                    data::StandardScaler *Scaler = nullptr);
+
+  const PromConfig &config() const { return Cfg; }   ///< Current knobs.
+  PromConfig &config() { return Cfg; }               ///< Mutable knobs.
+  size_t numExperts() const { return Scorers.size(); } ///< Committee size.
+  /// Committee expert \p I.
+  const ScorerType &scorer(size_t I) const { return *Scorers[I]; }
+  const ModelType &model() const { return Model; } ///< Wrapped model.
+
+protected:
+  /// One immutable calibration generation: the store plus the task's
+  /// fitted state (defined in Detector.cpp).
+  struct Generation;
+
+  /// Wraps \p Model with the committee \p Scorers (must be non-empty).
+  CommitteeEngine(const ModelType &Model,
+                  std::vector<std::unique_ptr<ScorerType>> Scorers,
+                  PromConfig Cfg);
+
+  /// Pins the live generation (atomic load; null before calibration).
+  std::shared_ptr<const Generation> pin() const;
+
+  /// Publishes \p Fresh as the live generation (atomic swap).
+  void publish(std::shared_ptr<const Generation> Fresh);
+
+  /// The batch skeleton: committee assessment of every row of \p Out /
+  /// \p Embeds (the batched model outputs and embeddings) against \p Gen.
+  /// \p Out is consumed (the classifier softens it in place).
+  std::vector<VerdictType> assessRows(const Generation &Gen,
+                                      typename Task::OutputType &Out,
+                                      const support::Matrix &Embeds) const;
+
+  const ModelType &Model;                          ///< Wrapped model.
+  PromConfig Cfg;                                  ///< Current knobs.
+  std::vector<std::unique_ptr<ScorerType>> Scorers; ///< The committee.
+
+private:
+  /// Live generation; access only through pin()/publish().
+  std::shared_ptr<const Generation> Live;
+};
+
 /// PROM wrapper around a trained classifier.
-class PromClassifier {
+class PromClassifier : public CommitteeEngine<ClassificationTask> {
 public:
   /// Uses the default LAC/TopK/APS/RAPS committee.
   explicit PromClassifier(const ml::Classifier &Model,
@@ -116,7 +235,9 @@ public:
   /// saturate to one-hot outputs, which starves every probability-based
   /// nonconformity function; temperature scaling restores the signal
   /// without touching the model or its argmax. Re-callable after
-  /// incremental learning updates the model.
+  /// incremental learning updates the model; the store and temperature
+  /// are published together as one generation, so it is safe against
+  /// concurrent assessments.
   void calibrate(const data::Dataset &Calib);
 
   /// Online calibration refresh (the deployment loop's "relabel a small
@@ -124,10 +245,10 @@ public:
   /// committee and temperature, folds the entries into a copy of the live
   /// calibration store via the incremental CalibrationStore::refinalize()
   /// (evicting oldest-first beyond PromConfig::MaxCalibEntries), and
-  /// atomically publishes the refreshed store. Concurrent assessments are
-  /// unaffected: every batch pins the store it started with (RCU-style
-  /// snapshot), so in-flight verdicts stay internally consistent and the
-  /// swap never blocks the serving path.
+  /// atomically publishes the refreshed generation. Concurrent
+  /// assessments are unaffected: every batch pins the generation it
+  /// started with, so in-flight verdicts stay internally consistent and
+  /// the swap never blocks the serving path.
   ///
   /// With \p Incremental false the refreshed store is rebuilt from
   /// scratch on the same union of entries — the reference path; verdicts
@@ -137,17 +258,14 @@ public:
   /// entries must be exchangeable with the retained ones, and re-fitting
   /// the temperature would silently rescore every retained entry.
   ///
-  /// Thread-safe against concurrent assessments; concurrent *writers*
-  /// (calibrate/refresh/reshard/loadSnapshot) must be serialized by the
-  /// caller — the serve::RecalibrationController runs all refreshes on
-  /// one background thread.
+  /// calibrate(), refreshCalibration() and reshard() are each safe
+  /// against concurrent assessments; concurrent *writers* must be
+  /// serialized by the caller — the serve::RecalibrationController runs
+  /// all refreshes on one background thread.
   ///
   /// Returns the live store size after the refresh.
   size_t refreshCalibration(const data::Dataset &NewlyLabeled,
                             bool Incremental = true);
-
-  /// Live calibration entries (0 before calibrate()).
-  size_t calibrationSize() const;
 
   /// Estimated heap footprint of the calibrated state (the live
   /// calibration store with its indexes; the wrapped model is external
@@ -156,22 +274,7 @@ public:
   size_t memoryBytes() const;
 
   /// The fitted softening temperature (1 = untouched).
-  double temperature() const { return Temperature; }
-
-  /// Full committee assessment of one test input (Figure 5). Delegates to
-  /// assessBatch() on a size-1 batch, so single-sample and batched
-  /// deployments produce bit-identical verdicts by construction.
-  Verdict assess(const data::Sample &S) const;
-
-  /// Batched committee assessment: one batched model forward computes every
-  /// probability vector and embedding — every model in the zoo has a
-  /// native batch path (matmul batching, one-scan k-NN, level-by-level
-  /// tree ensembles; see ml/Model.h), so no expert falls back to a
-  /// per-sample forward loop — then the per-sample committee work
-  /// (selection, fused all-expert p-values, vote) runs across the
-  /// ThreadPool with reusable per-lane scratch. Element I is bit-identical
-  /// to assessSerial(Batch[I]).
-  std::vector<Verdict> assessBatch(const data::Dataset &Batch) const;
+  double temperature() const;
 
   /// Committee assessment over precomputed *raw* model outputs: row I of
   /// \p RawProbs / \p Embeds must be predictProba / embed of sample I
@@ -195,76 +298,6 @@ public:
   /// Served by the batch engine's selection and fused p-value pass, so
   /// every bit equals the assessSerial() reference's p-values.
   std::vector<double> pValues(const data::Sample &S, size_t Expert) const;
-
-  const PromConfig &config() const { return Cfg; }   ///< Current knobs.
-  PromConfig &config() { return Cfg; }               ///< Mutable knobs.
-  size_t numExperts() const { return Scorers.size(); } ///< Committee size.
-  /// Committee expert \p I.
-  const ClassificationScorer &scorer(size_t I) const { return *Scorers[I]; }
-  const ml::Classifier &model() const { return Model; } ///< Wrapped model.
-  /// True once calibrate() (or a snapshot load) has run.
-  bool isCalibrated() const;
-
-  /// Shard count of the calibration store (1 before calibration).
-  size_t numShards() const;
-
-  /// Re-partitions the calibration store into \p NumShards shards without
-  /// recalibrating; verdicts are unchanged by contract. Publishes the
-  /// re-partitioned store with the same atomic swap as
-  /// refreshCalibration(), so it is safe against concurrent assessments.
-  void reshard(size_t NumShards);
-
-  /// Writes a versioned binary snapshot of the calibrated detector state —
-  /// config, fitted temperature, committee (by scorer name), calibration
-  /// entries, and optionally the deployment feature \p Scaler — so a
-  /// restarted server can loadSnapshot() instead of recalibrating. Returns
-  /// false on I/O failure.
-  bool saveSnapshot(const std::string &Path,
-                    const data::StandardScaler *Scaler = nullptr) const;
-
-  /// Restores the state written by saveSnapshot(): verdicts after a load
-  /// are bit-identical to the ones the saving detector produced. The
-  /// committee is rebuilt by scorer name. Returns false (leaving the
-  /// detector untouched) on missing/truncated/corrupt files, a snapshot of
-  /// the wrong kind, or an unknown scorer name.
-  bool loadSnapshot(const std::string &Path,
-                    data::StandardScaler *Scaler = nullptr);
-
-private:
-  ExpertOpinion judge(const double *PVals, size_t NumLabels,
-                      int Predicted) const;
-
-  /// Model probabilities softened by the fitted temperature.
-  std::vector<double> softenedProbs(const data::Sample &S) const;
-
-  /// Committee assessment of rows [Begin, End) of a batch whose softened
-  /// probabilities and embeddings are already computed, against the
-  /// pinned \p Store. \p Scan is the batch's prepared pruned-scan context
-  /// (inactive when the pruned routing is not in force); each query reads
-  /// its own precomputed centroid-distance row and writes its own stats
-  /// slot, so concurrent ranges never touch shared state.
-  void assessRange(const CalibrationStore &Store,
-                   const support::Matrix &Probs,
-                   const support::Matrix &Embeds, size_t Begin, size_t End,
-                   std::vector<Verdict> &Out,
-                   CalibrationStore::BatchPrunedScan &Scan) const;
-
-  /// Pins the live store (atomic load). Every public entry point takes
-  /// one snapshot up front and uses it throughout, so a concurrent
-  /// refreshCalibration()/reshard() swap never splits a batch across two
-  /// stores; the shared_ptr keeps the old generation alive until its last
-  /// in-flight batch retires (RCU-style reclamation).
-  std::shared_ptr<const CalibrationStore> store() const;
-
-  /// Publishes \p NewStore (atomic swap).
-  void installStore(std::shared_ptr<const CalibrationStore> NewStore);
-
-  const ml::Classifier &Model;
-  PromConfig Cfg;
-  std::vector<std::unique_ptr<ClassificationScorer>> Scorers;
-  /// Live calibration store; access only through store()/installStore().
-  std::shared_ptr<const CalibrationStore> Calib;
-  double Temperature = 1.0;
 };
 
 /// Adapter exposing PromClassifier through the DriftDetector interface.
@@ -306,7 +339,10 @@ private:
 };
 
 /// PROM wrapper around a trained regressor (Sec. 5.1.2 regression scheme).
-class PromRegressor {
+/// Its generation adds the per-entry targets, the pseudo-label centroids,
+/// the residual IQR and the k-NN cluster index. It has no online refresh:
+/// its scores depend on the whole calibration set.
+class PromRegressor : public CommitteeEngine<RegressionTask> {
 public:
   /// Uses the default regression committee.
   explicit PromRegressor(const ml::Regressor &Model,
@@ -319,92 +355,17 @@ public:
 
   /// Offline processing: embeds the calibration samples, clusters them into
   /// pseudo-labels (k-means++, K by gap statistic unless fixed), and stores
-  /// per-expert residual-based scores. \p R seeds the clustering.
+  /// per-expert residual-based scores. \p R seeds the clustering. Safe
+  /// against concurrent assessments (one generation swap).
   void calibrate(const data::Dataset &Calib, support::Rng &R);
 
-  /// Committee assessment; the ground truth of \p S is approximated by its
-  /// k nearest calibration samples (Sec. 5.1.1). Delegates to assessBatch()
-  /// on a size-1 batch.
-  RegressionVerdict assess(const data::Sample &S) const;
-
-  /// Batched committee assessment (see PromClassifier::assessBatch);
-  /// element I is bit-identical to assessSerial(Batch[I]).
-  std::vector<RegressionVerdict>
-  assessBatch(const data::Dataset &Batch) const;
-
   /// Reference per-sample implementation retained for equivalence testing
-  /// and the serial bench baseline.
+  /// and the serial bench baseline; the ground truth of \p S is
+  /// approximated by its k nearest calibration samples (Sec. 5.1.1).
   RegressionVerdict assessSerial(const data::Sample &S) const;
 
-  const PromConfig &config() const { return Cfg; }   ///< Current knobs.
-  PromConfig &config() { return Cfg; }               ///< Mutable knobs.
-  size_t numExperts() const { return Scorers.size(); } ///< Committee size.
-  size_t numClusters() const { return Centroids.size(); } ///< Pseudo-labels.
-  const ml::Regressor &model() const { return Model; } ///< Wrapped model.
-  /// True once calibrate() (or a snapshot load) has run.
-  bool isCalibrated() const { return !Calib.empty(); }
-
-  /// Shard count of the calibration store (1 before calibration).
-  size_t numShards() const {
-    return Calib.numShards() ? Calib.numShards() : 1;
-  }
-
-  /// See PromClassifier::reshard().
-  void reshard(size_t NumShards) { Calib.reshard(NumShards); }
-
-  /// Regression snapshot: config, committee names, calibration entries,
-  /// k-NN targets, centroids, residual IQR, optional scaler.
-  /// Same format/guarantees as the classifier snapshot.
-  bool saveSnapshot(const std::string &Path,
-                    const data::StandardScaler *Scaler = nullptr) const;
-  /// Restores a regressor snapshot; see PromClassifier::loadSnapshot()
-  /// for the validation and failure guarantees.
-  bool loadSnapshot(const std::string &Path,
-                    data::StandardScaler *Scaler = nullptr);
-
-private:
-  /// \p Embed must point at embedDim() values (a row of the calibration
-  /// embedding block or a freshly computed test embedding).
-  /// \p KnnCentDists, when non-null, supplies this query's precomputed
-  /// squared distances to the KnnIndex centroids (one row of the batch
-  /// block assessBatch() prepares) — same bits as recomputing them, so
-  /// the k-NN statistics are unchanged.
-  RegressionScoreInput makeScoreInput(const double *Embed, double Prediction,
-                                      const double *KnnCentDists =
-                                          nullptr) const;
-
-  /// Reconciles KnnIndex with the config over \p Embeds, which must hold
-  /// the calibration embeddings in store order: built over the whole block
-  /// when PromConfig::KnnClusterIndex is set and the block has at least
-  /// ClusterIndexMinEntries rows, dropped otherwise. Called by
-  /// calibrate() and loadSnapshot().
-  void rebuildKnnIndex(const support::FeatureMatrix &Embeds);
-
-  /// Committee assessment of rows [Begin, End) of a batch with precomputed
-  /// predictions and embeddings. \p Scan is the store's prepared
-  /// pruned-scan context and \p KnnCentBlock the batch's precomputed
-  /// KnnIndex centroid distances (null when the index is not built); both
-  /// are per-query-sliced, so concurrent ranges never share state.
-  void assessRange(const std::vector<double> &Predictions,
-                   const support::Matrix &Embeds, size_t Begin, size_t End,
-                   std::vector<RegressionVerdict> &Out,
-                   CalibrationStore::BatchPrunedScan &Scan,
-                   const double *KnnCentBlock) const;
-
-  const ml::Regressor &Model;
-  PromConfig Cfg;
-  std::vector<std::unique_ptr<RegressionScorer>> Scorers;
-  /// Calibration store; its embedding block also serves the Sec. 5.1.1
-  /// k-NN ground-truth lookups (one batched kernel scan over it).
-  CalibrationStore Calib;
-  /// Lossless cluster index over the store's embedding block
-  /// (PromConfig::KnnClusterIndex): the k-NN ground-truth lookups run the
-  /// pruned scan through it, with the same bit-identity contract as the
-  /// store indexes.
-  support::ClusterIndex KnnIndex;
-  std::vector<double> CalibTargets; ///< True target per store entry.
-  std::vector<std::vector<double>> Centroids;
-  double ResidualIqr = 0.0;
+  /// Pseudo-labels of the live generation (0 before calibration).
+  size_t numClusters() const;
 };
 
 } // namespace prom

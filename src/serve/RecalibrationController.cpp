@@ -33,12 +33,7 @@ RecalibrationController::RecalibrationController(PromClassifier &Engine,
   // Resume the generation sequence of an existing rotation directory so a
   // restarted server keeps numbering monotonically instead of overwriting
   // the generations it just restored from.
-  if (!Cfg.SnapshotDir.empty()) {
-    std::vector<uint64_t> Gens =
-        support::listSnapshotGenerations(Cfg.SnapshotDir);
-    if (!Gens.empty())
-      Stats.LastGeneration = Gens.back();
-  }
+  Stats.LastGeneration = support::nextSnapshotGeneration(Cfg.SnapshotDir) - 1;
 
   Worker = std::thread([this] { workerLoop(); });
   // The callback only signals; the refresh itself runs on Worker so the
@@ -305,10 +300,9 @@ void RecalibrationController::runRefresh(std::deque<data::Sample> Batch) {
     return;
   }
 
-  // Snapshot rotation: write the new generation fully, commit the
-  // `latest` pointer atomically, then prune old generations. A crash
-  // between any two steps leaves a loadable committed state behind
-  // (support::resolveLatestSnapshot falls back over invalid files).
+  // Snapshot rotation (support::rotateSnapshot: write the new generation
+  // fully, commit the `latest` pointer atomically, then prune). A crash
+  // between any two steps leaves a loadable committed state behind.
   // Rotation failures get the same bounded retry/backoff as the refresh;
   // a rotation that never commits only costs durability — the refreshed
   // store is live, and the previous committed generation still loads.
@@ -325,16 +319,13 @@ void RecalibrationController::runRefresh(std::deque<data::Sample> Batch) {
     Backoff = Cfg.RefreshRetryBackoff;
     for (size_t Attempt = 1; Attempt <= Cfg.MaxRefreshAttempts && !Rotated;
          ++Attempt) {
-      std::string Path = Cfg.SnapshotDir + "/" +
-                         support::snapshotGenerationFile(Generation);
-      if (support::ensureDirectory(Cfg.SnapshotDir) &&
-          Engine.saveSnapshot(Path, SnapScaler) &&
-          support::commitLatestPointer(Cfg.SnapshotDir, Generation)) {
-        support::pruneSnapshotGenerations(Cfg.SnapshotDir,
-                                          Cfg.KeepGenerations);
-        Rotated = true;
+      Rotated = support::rotateSnapshot(
+          Cfg.SnapshotDir, Generation, Cfg.KeepGenerations,
+          [&](const std::string &Path) {
+            return Engine.saveSnapshot(Path, SnapScaler);
+          });
+      if (Rotated)
         break;
-      }
       {
         std::lock_guard<std::mutex> Lock(Mutex);
         ++Stats.SnapshotFailures;

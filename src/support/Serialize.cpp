@@ -358,3 +358,19 @@ size_t prom::support::pruneSnapshotGenerations(const std::string &Dir,
   }
   return Removed;
 }
+
+uint64_t prom::support::nextSnapshotGeneration(const std::string &Dir) {
+  std::vector<uint64_t> Gens = listSnapshotGenerations(Dir);
+  return Gens.empty() ? 1 : Gens.back() + 1;
+}
+
+bool prom::support::rotateSnapshot(
+    const std::string &Dir, uint64_t Gen, size_t KeepCount,
+    const std::function<bool(const std::string &)> &Save) {
+  if (!ensureDirectory(Dir) ||
+      !Save(joinPath(Dir, snapshotGenerationFile(Gen))) ||
+      !commitLatestPointer(Dir, Gen))
+    return false;
+  pruneSnapshotGenerations(Dir, KeepCount);
+  return true;
+}

@@ -35,6 +35,7 @@
 #define PROM_SUPPORT_SERIALIZE_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,19 @@ std::string resolveLatestSnapshot(const std::string &Dir);
 /// the generation the `latest` pointer names. Returns how many files were
 /// removed.
 size_t pruneSnapshotGenerations(const std::string &Dir, size_t KeepCount);
+
+/// One past the newest generation on disk in \p Dir (1 when it holds none
+/// or does not exist), for writers that number generations from disk.
+uint64_t nextSnapshotGeneration(const std::string &Dir);
+
+/// Writes generation \p Gen into \p Dir in the crash-safe order: create
+/// the directory, write the generation file through \p Save (given its
+/// full path), commit the `latest` pointer, then prune down to
+/// \p KeepCount generations. Returns false when any step before the prune
+/// fails; the previously committed generation then stays the one
+/// resolveLatestSnapshot() serves. Retries and backoff are the caller's.
+bool rotateSnapshot(const std::string &Dir, uint64_t Gen, size_t KeepCount,
+                    const std::function<bool(const std::string &)> &Save);
 
 } // namespace support
 } // namespace prom

@@ -12,24 +12,32 @@
 // refreshCalibration(Incremental=true) must produce verdicts bit-equal
 // to the full-rebuild reference path. CMake registers this suite at
 // PROM_THREADS=1 and PROM_THREADS=4, so the contract is enforced across
-// thread counts as well.
+// thread counts as well. Every detector writer (calibrate, refresh,
+// reshard) publishes one calibration generation with one atomic swap, so
+// a batch assessed concurrently with any of them reads exactly one
+// generation; the concurrency cases run in the TSan leg as well.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Detector.h"
 #include "data/Split.h"
+#include "ml/Knn.h"
 #include "ml/Linear.h"
 #include "tests/StoreTestHelpers.h"
 #include "tests/TestHelpers.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 
 using namespace prom;
 using prom::testing::bits;
+using prom::testing::expectSameRegressionVerdict;
 using prom::testing::expectSameVerdict;
 using prom::testing::gaussianBlobs;
+using prom::testing::linearRegression;
 
 using prom::testing::expectBothRegimesMatch;
 using prom::testing::makeEntries;
@@ -320,4 +328,92 @@ TEST(RefreshTest, EmptyRefreshIsANoop) {
   std::vector<Verdict> After = Prom.assessBatch(Probes);
   for (size_t I = 0; I < Probes.size(); ++I)
     expectSameVerdict(Before[I], After[I], I);
+}
+
+TEST(RefreshTest, ConcurrentCalibrateNeverSplitsABatch) {
+  // A writer alternates calibrate() between two sets whose fitted
+  // temperatures differ; every concurrently assessed batch must equal the
+  // reference verdicts of exactly one of them, bit for bit — never one
+  // set's store scored with the other set's temperature.
+  support::Rng R(2024);
+  data::Dataset Full = gaussianBlobs(3, 200, 4.0, 0.8, R);
+  auto Split = data::calibrationPartition(Full, R, 0.5);
+  ml::LogisticRegression Model;
+  Model.fit(Split.first, R);
+  data::Dataset CalibA = Split.second;
+  data::Dataset CalibB = CalibA; // Random labels: a much softer fit.
+  for (size_t I = 0; I < CalibB.size(); ++I)
+    CalibB[I].Label = R.intIn(0, 2);
+  data::Dataset Probes = gaussianBlobs(3, 20, 4.0, 0.8, R);
+
+  PromConfig Cfg;
+  Cfg.NumShards = 2;
+  PromClassifier Prom(Model, Cfg);
+  Prom.calibrate(CalibB);
+  double TempB = Prom.temperature();
+  std::vector<Verdict> RefB = Prom.assessBatch(Probes);
+  Prom.calibrate(CalibA);
+  double TempA = Prom.temperature();
+  std::vector<Verdict> RefA = Prom.assessBatch(Probes);
+  ASSERT_NE(TempA, TempB) << "the two sets must fit different temperatures";
+
+  std::atomic<bool> Done{false};
+  std::thread Writer([&] {
+    for (int Round = 0; !Done.load(); ++Round)
+      Prom.calibrate(Round % 2 == 0 ? CalibB : CalibA);
+  });
+  for (size_t Batch = 0; Batch < 40; ++Batch) {
+    std::vector<Verdict> Got = Prom.assessBatch(Probes);
+    // The softened probabilities identify the temperature the batch read;
+    // everything else must then match that generation's reference.
+    bool IsB = prom::testing::bits(Got[0].Probabilities[0]) ==
+               prom::testing::bits(RefB[0].Probabilities[0]);
+    const std::vector<Verdict> &Ref = IsB ? RefB : RefA;
+    SCOPED_TRACE("batch " + std::to_string(Batch));
+    EXPECT_EQ(Got.size(), Ref.size());
+    for (size_t I = 0; I < Got.size() && I < Ref.size(); ++I)
+      expectSameVerdict(Got[I], Ref[I], I);
+    if (HasFailure())
+      break; // One mixed batch is enough.
+  }
+  Done = true;
+  Writer.join();
+}
+
+TEST(RefreshTest, ConcurrentRegressorReshardLeavesVerdictsUnchanged) {
+  // reshard() publishes a re-partitioned copy of the live generation, so
+  // batches assessed while a writer alternates between 1 and 8 shards all
+  // equal the reference bit for bit.
+  support::Rng R(77);
+  data::Dataset Train = linearRegression(300, 0.1, R);
+  data::Dataset Calib = linearRegression(1200, 0.1, R);
+  ml::KnnRegressor Model;
+  Model.fit(Train, R);
+  PromConfig Cfg;
+  Cfg.FixedClusters = 4;
+  Cfg.NumShards = 1;
+  PromRegressor Prom(Model, Cfg);
+  support::Rng CalR(5);
+  Prom.calibrate(Calib, CalR);
+  data::Dataset Probes = linearRegression(60, 0.1, R);
+  std::vector<RegressionVerdict> Ref = Prom.assessBatch(Probes);
+  Prom.reshard(8);
+  ASSERT_GE(Prom.numShards(), 2u) << "the store must span several shards";
+
+  std::atomic<bool> Done{false};
+  std::thread Writer([&] {
+    for (int Round = 0; !Done.load(); ++Round)
+      Prom.reshard(Round % 2 == 0 ? 1 : 8);
+  });
+  for (size_t Batch = 0; Batch < 100; ++Batch) {
+    std::vector<RegressionVerdict> Got = Prom.assessBatch(Probes);
+    SCOPED_TRACE("batch " + std::to_string(Batch));
+    EXPECT_EQ(Got.size(), Ref.size());
+    for (size_t I = 0; I < Got.size() && I < Ref.size(); ++I)
+      expectSameRegressionVerdict(Got[I], Ref[I], I);
+    if (HasFailure())
+      break;
+  }
+  Done = true;
+  Writer.join();
 }

@@ -27,25 +27,12 @@
 #include <cstring>
 
 using namespace prom;
+using prom::testing::expectSameRegressionVerdict;
+using prom::testing::expectSameVerdict;
 using prom::testing::gaussianBlobs;
 using prom::testing::linearRegression;
 
 namespace {
-
-void expectSameVerdict(const Verdict &A, const Verdict &B, size_t Index) {
-  SCOPED_TRACE("sample " + std::to_string(Index));
-  EXPECT_EQ(A.Predicted, B.Predicted);
-  EXPECT_EQ(A.Drifted, B.Drifted);
-  EXPECT_EQ(A.VotesToFlag, B.VotesToFlag);
-  ASSERT_EQ(A.Experts.size(), B.Experts.size());
-  for (size_t E = 0; E < A.Experts.size(); ++E) {
-    EXPECT_EQ(A.Experts[E].Credibility, B.Experts[E].Credibility);
-    EXPECT_EQ(A.Experts[E].Confidence, B.Experts[E].Confidence);
-    EXPECT_EQ(A.Experts[E].PredictionSetSize,
-              B.Experts[E].PredictionSetSize);
-    EXPECT_EQ(A.Experts[E].FlagDrift, B.Experts[E].FlagDrift);
-  }
-}
 
 void expectSameVerdicts(const std::vector<Verdict> &A,
                         const std::vector<Verdict> &B) {
@@ -254,16 +241,6 @@ TEST(ShardedStoreTest, RegressorShardCountInvariant) {
   std::vector<RegressionVerdict> V1 = P1.assessBatch(Test);
   std::vector<RegressionVerdict> V8 = P8.assessBatch(Test);
   ASSERT_EQ(V1.size(), V8.size());
-  for (size_t I = 0; I < V1.size(); ++I) {
-    SCOPED_TRACE("sample " + std::to_string(I));
-    EXPECT_EQ(V1[I].Predicted, V8[I].Predicted);
-    EXPECT_EQ(V1[I].Cluster, V8[I].Cluster);
-    EXPECT_EQ(V1[I].Drifted, V8[I].Drifted);
-    EXPECT_EQ(V1[I].VotesToFlag, V8[I].VotesToFlag);
-    ASSERT_EQ(V1[I].Experts.size(), V8[I].Experts.size());
-    for (size_t E = 0; E < V1[I].Experts.size(); ++E) {
-      EXPECT_EQ(V1[I].Experts[E].Credibility, V8[I].Experts[E].Credibility);
-      EXPECT_EQ(V1[I].Experts[E].Confidence, V8[I].Experts[E].Confidence);
-    }
-  }
+  for (size_t I = 0; I < V1.size(); ++I)
+    expectSameRegressionVerdict(V1[I], V8[I], I);
 }

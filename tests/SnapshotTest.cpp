@@ -25,10 +25,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 using namespace prom;
+using prom::testing::expectSameRegressionVerdict;
+using prom::testing::expectSameVerdict;
 using prom::testing::gaussianBlobs;
 using prom::testing::linearRegression;
 
@@ -47,21 +50,6 @@ std::vector<char> slurp(const std::string &Path) {
 void spit(const std::string &Path, const std::vector<char> &Bytes) {
   std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
   Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-}
-
-void expectSameVerdict(const Verdict &A, const Verdict &B, size_t Index) {
-  SCOPED_TRACE("sample " + std::to_string(Index));
-  EXPECT_EQ(A.Predicted, B.Predicted);
-  EXPECT_EQ(A.Drifted, B.Drifted);
-  EXPECT_EQ(A.VotesToFlag, B.VotesToFlag);
-  ASSERT_EQ(A.Experts.size(), B.Experts.size());
-  for (size_t E = 0; E < A.Experts.size(); ++E) {
-    EXPECT_EQ(A.Experts[E].Credibility, B.Experts[E].Credibility);
-    EXPECT_EQ(A.Experts[E].Confidence, B.Experts[E].Confidence);
-    EXPECT_EQ(A.Experts[E].PredictionSetSize,
-              B.Experts[E].PredictionSetSize);
-    EXPECT_EQ(A.Experts[E].FlagDrift, B.Experts[E].FlagDrift);
-  }
 }
 
 /// Calibrated classifier + probe set shared by the classifier tests.
@@ -119,11 +107,8 @@ TEST(SnapshotTest, ClassifierRoundTripBitIdentical) {
 
   std::vector<Verdict> Restored = Loaded.assessBatch(F.Probes);
   ASSERT_EQ(Restored.size(), Expected.size());
-  for (size_t I = 0; I < Expected.size(); ++I) {
+  for (size_t I = 0; I < Expected.size(); ++I)
     expectSameVerdict(Expected[I], Restored[I], I);
-    for (size_t C = 0; C < Expected[I].Probabilities.size(); ++C)
-      EXPECT_EQ(Expected[I].Probabilities[C], Restored[I].Probabilities[C]);
-  }
   std::remove(Path.c_str());
 }
 
@@ -152,20 +137,8 @@ TEST(SnapshotTest, RegressorRoundTripBitIdentical) {
 
   std::vector<RegressionVerdict> Restored = Loaded.assessBatch(Probes);
   ASSERT_EQ(Restored.size(), Expected.size());
-  for (size_t I = 0; I < Expected.size(); ++I) {
-    SCOPED_TRACE("sample " + std::to_string(I));
-    EXPECT_EQ(Expected[I].Predicted, Restored[I].Predicted);
-    EXPECT_EQ(Expected[I].Cluster, Restored[I].Cluster);
-    EXPECT_EQ(Expected[I].Drifted, Restored[I].Drifted);
-    EXPECT_EQ(Expected[I].VotesToFlag, Restored[I].VotesToFlag);
-    ASSERT_EQ(Expected[I].Experts.size(), Restored[I].Experts.size());
-    for (size_t E = 0; E < Expected[I].Experts.size(); ++E) {
-      EXPECT_EQ(Expected[I].Experts[E].Credibility,
-                Restored[I].Experts[E].Credibility);
-      EXPECT_EQ(Expected[I].Experts[E].Confidence,
-                Restored[I].Experts[E].Confidence);
-    }
-  }
+  for (size_t I = 0; I < Expected.size(); ++I)
+    expectSameRegressionVerdict(Expected[I], Restored[I], I);
   std::remove(Path.c_str());
 }
 
@@ -289,6 +262,88 @@ TEST(SnapshotTest, RejectsMissingShortCorruptAndWrongKind) {
 
   std::remove(Path.c_str());
   std::remove(Mangled.c_str());
+}
+
+TEST(SnapshotTest, RejectsConfigsNoDetectorCanRun) {
+  // The loader range-checks the config block: knobs that would score NaN
+  // (ConfidenceC or Tau at 0), flag every input (Epsilon >= 1), or cast a
+  // NaN to an integer (SelectFraction) fail the load, and the loading
+  // detector keeps serving its own generation untouched.
+  ClassifierFixture &F = classifierFixture();
+  PromClassifier Loader(F.Model);
+  Loader.calibrate(F.Calib);
+  std::vector<Verdict> Expected = Loader.assessBatch(F.Probes);
+
+  PromClassifier Saved(F.Model);
+  Saved.calibrate(F.Calib);
+  const PromConfig Good = Saved.config();
+  constexpr double NaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  using Mutation = void (*)(PromConfig &);
+  const std::pair<const char *, Mutation> Cases[] = {
+      {"ConfidenceC = 0", [](PromConfig &C) { C.ConfidenceC = 0.0; }},
+      {"Tau = 0 without AutoTau",
+       [](PromConfig &C) {
+         C.AutoTau = false;
+         C.Tau = 0.0;
+       }},
+      {"Tau = inf", [](PromConfig &C) { C.Tau = Inf; }},
+      {"TauScale = -1", [](PromConfig &C) { C.TauScale = -1.0; }},
+      {"Epsilon = 1.5", [](PromConfig &C) { C.Epsilon = 1.5; }},
+      {"Epsilon = 0", [](PromConfig &C) { C.Epsilon = 0.0; }},
+      {"SelectFraction = NaN", [](PromConfig &C) { C.SelectFraction = NaN; }},
+      {"SelectFraction = 0", [](PromConfig &C) { C.SelectFraction = 0.0; }},
+      {"SelectFraction = 1.5", [](PromConfig &C) { C.SelectFraction = 1.5; }},
+      {"WeightNormPower = 3", [](PromConfig &C) { C.WeightNormPower = 3; }},
+      {"CredThreshold = NaN", [](PromConfig &C) { C.CredThreshold = NaN; }},
+      {"ConfThreshold = inf", [](PromConfig &C) { C.ConfThreshold = Inf; }},
+  };
+  std::string Path = tempPath("bad_config.promsnap");
+  for (const auto &Case : Cases) {
+    SCOPED_TRACE(Case.first);
+    Case.second(Saved.config());
+    ASSERT_TRUE(Saved.saveSnapshot(Path));
+    Saved.config() = Good;
+    EXPECT_FALSE(Loader.loadSnapshot(Path));
+  }
+  std::vector<Verdict> After = Loader.assessBatch(F.Probes);
+  ASSERT_EQ(After.size(), Expected.size());
+  for (size_t I = 0; I < Expected.size(); ++I)
+    expectSameVerdict(Expected[I], After[I], I);
+
+  // The thresholds only need to be finite: NaiveCP disables the
+  // confidence test with ConfThreshold = 2.0, and a negative
+  // CredThreshold means "use Epsilon".
+  Saved.config().ConfThreshold = 2.0;
+  Saved.config().CredThreshold = -1.0;
+  ASSERT_TRUE(Saved.saveSnapshot(Path));
+  PromClassifier Lenient(F.Model);
+  EXPECT_TRUE(Lenient.loadSnapshot(Path));
+  std::remove(Path.c_str());
+
+  // The regressor additionally needs at least one k-NN neighbour.
+  support::Rng R(94);
+  data::Dataset Train = linearRegression(200, 0.1, R);
+  data::Dataset Calib = linearRegression(100, 0.1, R);
+  ml::MlpRegressor Model;
+  Model.fit(Train, R);
+  PromConfig RegCfg;
+  RegCfg.FixedClusters = 3;
+  PromRegressor RegSaved(Model, RegCfg), RegLoader(Model, RegCfg);
+  support::Rng CalR(3), LoadR(3);
+  RegSaved.calibrate(Calib, CalR);
+  RegLoader.calibrate(Calib, LoadR);
+  data::Dataset Probes = linearRegression(30, 0.1, R);
+  std::vector<RegressionVerdict> RegExpected = RegLoader.assessBatch(Probes);
+  RegSaved.config().KnnK = 0;
+  Path = tempPath("bad_knn.promsnap");
+  ASSERT_TRUE(RegSaved.saveSnapshot(Path));
+  EXPECT_FALSE(RegLoader.loadSnapshot(Path));
+  std::vector<RegressionVerdict> RegAfter = RegLoader.assessBatch(Probes);
+  ASSERT_EQ(RegAfter.size(), RegExpected.size());
+  for (size_t I = 0; I < RegExpected.size(); ++I)
+    expectSameRegressionVerdict(RegExpected[I], RegAfter[I], I);
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
