@@ -363,7 +363,6 @@ void runTreeKnnExpertStudy() {
 /// One exact selection's outputs, captured for the bit-identity check.
 struct SelectionSnapshot {
   size_t Keep = 0;
-  bool SelectedAll = false;
   std::vector<uint8_t> Mask;
   std::vector<double> Weights;
 };
@@ -414,7 +413,7 @@ void runStoreScaleStudy(size_t N) {
     Out.clear();
     for (const auto &Q : Queries) {
       Store.selectForAssessment(Q.data(), Cfg, S);
-      Out.push_back({S.Keep, S.SelectedAll, S.SelectedMask, S.WeightByEntry});
+      Out.push_back({S.Keep, S.SelectedMask, S.WeightByEntry});
     }
   };
   auto TimePerQueryUs = [&](const PromConfig &Cfg) {
@@ -472,8 +471,8 @@ void runStoreScaleStudy(size_t N) {
     for (size_t Q = 0; Q < NumQueries; ++Q) {
       Store.selectForAssessment(Queries[Q].data(), Cfg, S);
       const SelectionSnapshot &Ref = Reference[F][Q];
-      if (!S.Pruned.Used || S.Keep != Ref.Keep ||
-          S.SelectedAll != Ref.SelectedAll || S.SelectedMask != Ref.Mask ||
+      if (S.Pruned.ListsTotal == 0 || S.Keep != Ref.Keep ||
+          S.SelectedMask != Ref.Mask ||
           S.WeightByEntry.size() != Ref.Weights.size() ||
           std::memcmp(S.WeightByEntry.data(), Ref.Weights.data(),
                       Ref.Weights.size() * sizeof(double)) != 0) {
@@ -514,7 +513,7 @@ void runStoreScaleStudy(size_t N) {
       Store.selectForAssessment(QueryBlock.data() + Q * Dim, Cfg, BS, &Scan,
                                 Q);
       const SelectionSnapshot &Ref = Reference[F][Q];
-      if (!BS.Pruned.Used || BS.Keep != Ref.Keep ||
+      if (BS.Pruned.ListsTotal == 0 || BS.Keep != Ref.Keep ||
           BS.SelectedMask != Ref.Mask ||
           BS.WeightByEntry.size() != Ref.Weights.size() ||
           std::memcmp(BS.WeightByEntry.data(), Ref.Weights.data(),
@@ -526,7 +525,7 @@ void runStoreScaleStudy(size_t N) {
         std::exit(1);
       }
     }
-    PrunedScanStats Agg = Scan.aggregated();
+    support::ClusterScanStats Agg = Scan.aggregated();
     double BatchRowsFrac = static_cast<double>(Agg.RowsScanned) /
                            static_cast<double>(Agg.RowsTotal);
 

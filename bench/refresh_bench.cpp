@@ -18,7 +18,7 @@
 //                           path of the bit-identity contract).
 //   refresh_incremental   - refreshCalibration(Incremental=true): the
 //                           incremental CalibrationStore::refinalize()
-//                           (append + sorted-index merge + shard extend).
+//                           (column append + last-shard extend).
 //
 // Verdict equality across all three is asserted before timing, so every
 // row is a pure cost comparison. The bounded variant repeats the

@@ -62,7 +62,6 @@ void CalibrationStore::foldStaged() {
     assert(E.Scores.size() == NumExp && "ragged expert scores");
     Embeds.appendRow(E.Embed.data());
     Labels.push_back(E.Label);
-    MaxLabel = std::max(MaxLabel, E.Label);
     for (size_t X = 0; X < NumExp; ++X)
       ScoreColumns[X].push_back(E.Scores[X]);
   }
@@ -77,11 +76,6 @@ void CalibrationStore::dropOldest(size_t Count) {
     Labels.erase(Labels.begin(), Labels.begin() + static_cast<long>(Live));
     for (std::vector<double> &Column : ScoreColumns)
       Column.erase(Column.begin(), Column.begin() + static_cast<long>(Live));
-    // Eviction can retire the largest label entirely; a fresh finalize
-    // would size its buckets to the surviving maximum.
-    MaxLabel = -1;
-    for (int Label : Labels)
-      MaxLabel = std::max(MaxLabel, Label);
   }
   Staged.erase(Staged.begin(),
                Staged.begin() + static_cast<long>(Count - Live));
@@ -163,7 +157,8 @@ void CalibrationStore::refinalize() {
 
   if (Evict > 0) {
     // Eviction re-blocks every surviving entry (block membership is
-    // positional), so the per-shard indexes are stale wholesale.
+    // positional), so the shard partition and its indexes are stale
+    // wholesale.
     buildShards(TargetShards);
     return;
   }
@@ -187,11 +182,11 @@ void CalibrationStore::refinalize() {
   }
   assert(Last.End == Live && "extending past staged entries");
   Last.End = Labels.size();
-  mergeIntoSortedIndex(Last, Live);
   // The extension left the last shard's cluster index covering only a
   // prefix; the staleness policy decides whether the exact tail scan is
-  // still cheap enough or the index re-clusters now.
-  updateShardIndexes(/*Force=*/false);
+  // still cheap enough or the index re-clusters now. Every other shard is
+  // untouched and already reconciled.
+  updateShardIndex(Last);
 }
 
 void CalibrationStore::refinalizeFull() {
@@ -207,9 +202,7 @@ size_t CalibrationStore::memoryBytes() const {
   for (const CalibrationEntry &E : Staged)
     Bytes += (E.Embed.capacity() + E.Scores.capacity()) * sizeof(double);
   for (const Shard &Sh : Shards)
-    Bytes += Sh.Sorted.capacity() * sizeof(double) +
-             Sh.LabelStart.capacity() * sizeof(size_t) +
-             Sh.Index.memoryBytes();
+    Bytes += Sh.Index.memoryBytes();
   return Bytes;
 }
 
@@ -226,7 +219,7 @@ void CalibrationStore::buildShards(size_t NumShards) {
   if (NumShards == 0)
     NumShards = 1;
   // A shard owns whole accumulation blocks, so block partials never
-  // straddle shards and the general-path merge stays K-invariant.
+  // straddle shards and the block-partial merge stays K-invariant.
   NumShards = std::min(NumShards, NumBlocks);
   size_t BlocksPerShard = (NumBlocks + NumShards - 1) / NumShards;
   for (size_t S = 0; S < NumShards; ++S) {
@@ -239,83 +232,7 @@ void CalibrationStore::buildShards(size_t NumShards) {
     Sh.End = std::min(N, LastBlock * CalibrationAccumBlock);
     Shards.push_back(std::move(Sh));
   }
-
-  // Per-shard index builds touch disjoint state, so they fan out over the
-  // pool; each shard's sort depends only on its own entry range, never on
-  // which lane ran it. Runs inline when nested under an active region.
-  support::ThreadPool::global().parallelFor(
-      Shards.size(), [&](size_t Begin, size_t End) {
-        for (size_t S = Begin; S < End; ++S)
-          buildSortedIndex(Shards[S]);
-      });
   updateShardIndexes(/*Force=*/false);
-}
-
-void CalibrationStore::buildSortedIndex(Shard &Sh) const {
-  size_t Buckets = static_cast<size_t>(MaxLabel + 1);
-  Sh.LabelStart.assign(Buckets + 1, 0);
-  for (size_t I = Sh.Begin; I < Sh.End; ++I)
-    if (Labels[I] >= 0)
-      ++Sh.LabelStart[static_cast<size_t>(Labels[I]) + 1];
-  std::partial_sum(Sh.LabelStart.begin(), Sh.LabelStart.end(),
-                   Sh.LabelStart.begin());
-  size_t M = Sh.LabelStart.back();
-  Sh.Sorted.assign(ScoreColumns.size() * M, 0.0);
-  std::vector<size_t> Cursor;
-  for (size_t E = 0; E < ScoreColumns.size(); ++E) {
-    double *Out = Sh.Sorted.data() + E * M;
-    Cursor.assign(Sh.LabelStart.begin(), Sh.LabelStart.end() - 1);
-    for (size_t I = Sh.Begin; I < Sh.End; ++I)
-      if (Labels[I] >= 0)
-        Out[Cursor[static_cast<size_t>(Labels[I])]++] = ScoreColumns[E][I];
-    for (size_t L = 0; L < Buckets; ++L)
-      std::sort(Out + Sh.LabelStart[L], Out + Sh.LabelStart[L + 1]);
-  }
-}
-
-void CalibrationStore::mergeIntoSortedIndex(Shard &Sh, size_t From) const {
-  size_t Buckets = static_cast<size_t>(MaxLabel + 1);
-  // The refresh may have introduced new labels: their old runs are empty.
-  std::vector<size_t> OldStart = std::move(Sh.LabelStart);
-  size_t OldM = OldStart.back();
-  OldStart.resize(Buckets + 1, OldM);
-  std::vector<size_t> FreshStart(Buckets + 1, 0);
-  for (size_t I = From; I < Sh.End; ++I)
-    if (Labels[I] >= 0)
-      ++FreshStart[static_cast<size_t>(Labels[I]) + 1];
-  std::partial_sum(FreshStart.begin(), FreshStart.end(), FreshStart.begin());
-  Sh.LabelStart.resize(Buckets + 1);
-  for (size_t L = 0; L <= Buckets; ++L)
-    Sh.LabelStart[L] = OldStart[L] + FreshStart[L];
-
-  size_t M = Sh.LabelStart.back();
-  std::vector<double> Merged(ScoreColumns.size() * M);
-  // Per-expert merges write disjoint runs, so they fan out (inline when
-  // nested under another pool region, e.g. a synchronous refresh from a
-  // service worker).
-  support::ThreadPool::global().parallelFor(
-      ScoreColumns.size(), [&](size_t Begin, size_t End) {
-        std::vector<double> Fresh(FreshStart.back());
-        std::vector<size_t> Cursor;
-        for (size_t E = Begin; E < End; ++E) {
-          Cursor.assign(FreshStart.begin(), FreshStart.end() - 1);
-          for (size_t I = From; I < Sh.End; ++I)
-            if (Labels[I] >= 0)
-              Fresh[Cursor[static_cast<size_t>(Labels[I])]++] =
-                  ScoreColumns[E][I];
-          const double *Old = Sh.Sorted.data() + E * OldM;
-          double *Out = Merged.data() + E * M;
-          for (size_t L = 0; L < Buckets; ++L) {
-            std::sort(Fresh.begin() + static_cast<long>(FreshStart[L]),
-                      Fresh.begin() + static_cast<long>(FreshStart[L + 1]));
-            std::merge(Old + OldStart[L], Old + OldStart[L + 1],
-                       Fresh.begin() + static_cast<long>(FreshStart[L]),
-                       Fresh.begin() + static_cast<long>(FreshStart[L + 1]),
-                       Out + Sh.LabelStart[L]);
-          }
-        }
-      });
-  Sh.Sorted = std::move(Merged);
 }
 
 void CalibrationStore::setIndexPolicy(const ClusterIndexPolicy &Policy) {
@@ -552,7 +469,6 @@ void CalibrationStore::finishSelection(const PromConfig &Cfg,
   S.Keep = selectionKeepCount(N, Cfg);
   assert(S.Keyed.size() >= S.Keep &&
          "pruned candidates cannot cover the selection");
-  S.SelectedAll = S.Keep == N;
   if (S.Keyed.size() > S.Keep)
     partitionSmallestKeys(S, S.Keep);
   applySelectionWeights(Cfg, S);
@@ -585,9 +501,10 @@ void CalibrationStore::applySelectionWeights(const PromConfig &Cfg,
   }
 }
 
-PrunedScanStats CalibrationStore::BatchPrunedScan::aggregated() const {
-  PrunedScanStats Agg;
-  for (const PrunedScanStats &S : PerQuery)
+support::ClusterScanStats
+CalibrationStore::BatchPrunedScan::aggregated() const {
+  support::ClusterScanStats Agg;
+  for (const support::ClusterScanStats &S : PerQuery)
     Agg += S;
   return Agg;
 }
@@ -616,7 +533,7 @@ void CalibrationStore::prepareBatchPrunedScan(const double *Queries,
   Scan.Active = false;
   Scan.NumQueries = NumQueries;
   Scan.Blocks.clear();
-  Scan.PerQuery.assign(NumQueries, PrunedScanStats());
+  Scan.PerQuery.assign(NumQueries, support::ClusterScanStats());
   size_t Keep = 0;
   if (Labels.empty() || NumQueries == 0 || !prunedRouting(Cfg, Keep))
     return;
@@ -658,7 +575,7 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
   assert(Staged.empty() &&
          "assessing a store with staged (unfinalized) entries");
   size_t N = Labels.size();
-  Scratch.Pruned = PrunedScanStats();
+  Scratch.Pruned = support::ClusterScanStats();
 
   size_t Keep = 0;
   if (prunedRouting(Cfg, Keep)) {
@@ -697,7 +614,6 @@ void CalibrationStore::selectForAssessmentPruned(
     const double *TestEmbed, const PromConfig &Cfg, size_t Keep,
     AssessmentScratch &S, const BatchPrunedScan *Batch,
     size_t QueryIndex) const {
-  S.Pruned.Used = true;
   S.Pruned.RowsTotal = Labels.size();
   S.Keyed.clear();
 
@@ -860,8 +776,7 @@ CalibrationStore::pValues(const CalibrationSelection &Sel, size_t Expert,
   // block, and block partials fold in ascending block order — the scheme
   // shared with pValuesAllExperts() — so the floating-point sums do not
   // depend on how the selection was ordered or how the work was
-  // partitioned. Unweighted counts are exact integers in doubles, so this
-  // scan also reproduces the engine's sorted-index fast path.
+  // partitioned.
   std::vector<uint8_t> Mask(N, 0);
   std::vector<double> WeightByEntry(N, 0.0);
   for (size_t Pos = 0; Pos < Sel.Indices.size(); ++Pos) {
@@ -938,12 +853,11 @@ void CalibrationStore::resolveExpertModes(const PromConfig &Cfg,
   }
 }
 
-void CalibrationStore::accumulateGeneralBlock(const AssessmentScratch &S,
-                                              const double *TestScores,
-                                              size_t NumLabels, size_t Begin,
-                                              size_t End, double *GreaterEq,
-                                              double *Total,
-                                              double *Counts) const {
+void CalibrationStore::accumulateBlock(const AssessmentScratch &S,
+                                       const double *TestScores,
+                                       size_t NumLabels, size_t Begin,
+                                       size_t End, double *GreaterEq,
+                                       double *Total, double *Counts) const {
   size_t NumExp = numExperts();
   const CalibrationWeightMode *Modes = S.Modes.data();
   const double *const *Columns = S.Columns.data();
@@ -1015,97 +929,46 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
   S.Total.assign(Cells, 0.0);
   S.Counts.assign(NumLabels, 0.0);
 
-  if (Cfg.WeightMode == CalibrationWeightMode::None && S.SelectedAll) {
-    // Unweighted full selection (the configuration of the naive-CP
-    // baselines): every (expert, label) count is a binary search over the
-    // shard's sorted runs, O(E * L * log N) instead of O(E * N). Counting
-    // with unit weights is exact integer arithmetic in doubles, so the
-    // per-shard counts sum to the linear scan's counts bit-exactly.
-    S.BlockGreaterEq.assign(K * Cells, 0.0);
-    S.BlockCounts.assign(K * NumLabels, 0.0);
-    auto CountShard = [&](size_t SI) {
-      const Shard &Sh = Shards[SI];
-      double *GE = S.BlockGreaterEq.data() + SI * Cells;
-      double *Cnt = S.BlockCounts.data() + SI * NumLabels;
-      size_t M = Sh.LabelStart.back();
-      // Labels past the shard's buckets have no entries in it.
-      size_t Covered = std::min(NumLabels, Sh.LabelStart.size() - 1);
-      for (size_t L = 0; L < Covered; ++L) {
-        size_t RunBegin = Sh.LabelStart[L], RunEnd = Sh.LabelStart[L + 1];
-        Cnt[L] = static_cast<double>(RunEnd - RunBegin);
-        if (RunBegin == RunEnd)
-          continue;
-        for (size_t E = 0; E < NumExp; ++E) {
-          const double *Run = Sh.Sorted.data() + E * M;
-          GE[E * NumLabels + L] = static_cast<double>(
-              (Run + RunEnd) - std::lower_bound(Run + RunBegin, Run + RunEnd,
-                                                TestScores[E * NumLabels + L]));
-        }
-      }
-    };
-    if (FanOut)
-      support::ThreadPool::global().parallelFor(
-          K, [&](size_t Begin, size_t End) {
-            for (size_t SI = Begin; SI < End; ++SI)
-              CountShard(SI);
-          });
-    else
-      for (size_t SI = 0; SI < K; ++SI)
-        CountShard(SI);
+  // Every shard folds its own canonical blocks into per-block partials;
+  // the merge walks the blocks in ascending order on this thread,
+  // reproducing the serial block fold exactly.
+  resolveExpertModes(Cfg, DiscreteFlags, S);
+  size_t NumBlocks = numAccumBlocks();
+  S.BlockGreaterEq.assign(NumBlocks * Cells, 0.0);
+  S.BlockTotal.assign(NumBlocks * Cells, 0.0);
+  S.BlockCounts.assign(NumBlocks * NumLabels, 0.0);
 
-    for (size_t SI = 0; SI < K; ++SI) {
-      const double *GE = S.BlockGreaterEq.data() + SI * Cells;
-      const double *Cnt = S.BlockCounts.data() + SI * NumLabels;
-      for (size_t L = 0; L < NumLabels; ++L)
-        S.Counts[L] += Cnt[L];
-      for (size_t Cell = 0; Cell < Cells; ++Cell)
-        S.GreaterEq[Cell] += GE[Cell];
+  auto AccumulateShard = [&](size_t SI) {
+    const Shard &Sh = Shards[SI];
+    for (size_t B0 = Sh.Begin; B0 < Sh.End; B0 += CalibrationAccumBlock) {
+      size_t Block = B0 / CalibrationAccumBlock;
+      size_t B1 = std::min(Sh.End, B0 + CalibrationAccumBlock);
+      accumulateBlock(S, TestScores, NumLabels, B0, B1,
+                      S.BlockGreaterEq.data() + Block * Cells,
+                      S.BlockTotal.data() + Block * Cells,
+                      S.BlockCounts.data() + Block * NumLabels);
     }
-    for (size_t E = 0; E < NumExp; ++E)
-      for (size_t L = 0; L < NumLabels; ++L)
-        S.Total[E * NumLabels + L] = S.Counts[L];
-  } else {
-    // General weighted path: every shard folds its own canonical blocks
-    // into per-block partials; the merge walks the blocks in ascending
-    // order on this thread, reproducing the serial block fold exactly.
-    resolveExpertModes(Cfg, DiscreteFlags, S);
-    size_t NumBlocks = numAccumBlocks();
-    S.BlockGreaterEq.assign(NumBlocks * Cells, 0.0);
-    S.BlockTotal.assign(NumBlocks * Cells, 0.0);
-    S.BlockCounts.assign(NumBlocks * NumLabels, 0.0);
+  };
+  if (FanOut)
+    support::ThreadPool::global().parallelFor(
+        K, [&](size_t Begin, size_t End) {
+          for (size_t SI = Begin; SI < End; ++SI)
+            AccumulateShard(SI);
+        });
+  else
+    for (size_t SI = 0; SI < K; ++SI)
+      AccumulateShard(SI);
 
-    auto AccumulateShard = [&](size_t SI) {
-      const Shard &Sh = Shards[SI];
-      for (size_t B0 = Sh.Begin; B0 < Sh.End; B0 += CalibrationAccumBlock) {
-        size_t Block = B0 / CalibrationAccumBlock;
-        size_t B1 = std::min(Sh.End, B0 + CalibrationAccumBlock);
-        accumulateGeneralBlock(S, TestScores, NumLabels, B0, B1,
-                               S.BlockGreaterEq.data() + Block * Cells,
-                               S.BlockTotal.data() + Block * Cells,
-                               S.BlockCounts.data() + Block * NumLabels);
-      }
-    };
-    if (FanOut)
-      support::ThreadPool::global().parallelFor(
-          K, [&](size_t Begin, size_t End) {
-            for (size_t SI = Begin; SI < End; ++SI)
-              AccumulateShard(SI);
-          });
-    else
-      for (size_t SI = 0; SI < K; ++SI)
-        AccumulateShard(SI);
-
-    for (size_t Block = 0; Block < NumBlocks; ++Block) {
-      const double *GE = S.BlockGreaterEq.data() + Block * Cells;
-      const double *Tot = S.BlockTotal.data() + Block * Cells;
-      const double *Cnt = S.BlockCounts.data() + Block * NumLabels;
-      for (size_t Cell = 0; Cell < Cells; ++Cell) {
-        S.GreaterEq[Cell] += GE[Cell];
-        S.Total[Cell] += Tot[Cell];
-      }
-      for (size_t L = 0; L < NumLabels; ++L)
-        S.Counts[L] += Cnt[L];
+  for (size_t Block = 0; Block < NumBlocks; ++Block) {
+    const double *GE = S.BlockGreaterEq.data() + Block * Cells;
+    const double *Tot = S.BlockTotal.data() + Block * Cells;
+    const double *Cnt = S.BlockCounts.data() + Block * NumLabels;
+    for (size_t Cell = 0; Cell < Cells; ++Cell) {
+      S.GreaterEq[Cell] += GE[Cell];
+      S.Total[Cell] += Tot[Cell];
     }
+    for (size_t L = 0; L < NumLabels; ++L)
+      S.Counts[L] += Cnt[L];
   }
 
   for (size_t E = 0; E < NumExp; ++E)

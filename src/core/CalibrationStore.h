@@ -19,24 +19,20 @@
 /// columns.
 ///
 /// Everything else is derived per shard. The entries are partitioned into
-/// K contiguous, accumulation-block-aligned shards. Each shard carries a
-/// per-(expert, label) sorted-score index, which serves the unweighted
-/// full-selection fast path (K = 1 is the unsharded case). A shard may also
-/// carry a lossless cluster index for the pruned distance scan, built only
-/// when the ClusterIndexPolicy enables it. The engine entry points fan out
-/// shard-parallel over support::ThreadPool:
+/// K contiguous, accumulation-block-aligned shards (K = 1 is the unsharded
+/// case). A shard may carry a lossless cluster index for the pruned
+/// distance scan, built only when the ClusterIndexPolicy enables it. The
+/// engine entry points fan out shard-parallel over support::ThreadPool:
 ///
 ///  * the squared-distance scan of selectForAssessment() fills disjoint
 ///    slices of the key array per shard (per-entry independent, so the
 ///    values cannot depend on the partitioning);
-///  * the unweighted full-selection p-value fast path sums per-shard
-///    binary-search counts (exact integer arithmetic in doubles);
-///  * the general weighted path has each shard fold its own canonical
+///  * the Eq. (2) p-values have each shard fold its own canonical
 ///    accumulation blocks (see CalibrationAccumBlock) into per-block
 ///    partials that are merged in ascending block order on one thread.
 ///
-/// All three merges reproduce the same floating-point arithmetic bit for
-/// bit, so verdicts are identical for every shard count and every thread
+/// Both merges reproduce the same floating-point arithmetic bit for bit,
+/// so verdicts are identical for every shard count and every thread
 /// count. select() and pValues() are the serial reference: a closest-first
 /// distance sort and one linear scan per expert over the same columns.
 ///
@@ -89,27 +85,6 @@ struct CalibrationSelection {
   std::vector<double> Weights;  ///< Eq. (1) weight per selected entry.
 };
 
-/// Counters of one cluster-pruned selection scan (see
-/// support/ClusterIndex.h for the losslessness contract).
-struct PrunedScanStats {
-  bool Used = false;       ///< The pruned path served the last selection.
-  size_t ListsTotal = 0;   ///< Inverted lists across all shard indexes.
-  size_t ListsScanned = 0; ///< Lists that survived the bound test.
-  size_t RowsTotal = 0;    ///< Entries the selection ranged over (all).
-  size_t RowsScanned = 0;  ///< Entries actually distance-scanned.
-
-  /// Merges another query's counters in (integer sums; Used ORs), so
-  /// batch aggregates fold deterministically in ascending query order.
-  PrunedScanStats &operator+=(const PrunedScanStats &O) {
-    Used = Used || O.Used;
-    ListsTotal += O.ListsTotal;
-    ListsScanned += O.ListsScanned;
-    RowsTotal += O.RowsTotal;
-    RowsScanned += O.RowsScanned;
-    return *this;
-  }
-};
-
 /// Reusable per-lane working state of the batched assessment engine: one
 /// instance per ThreadPool lane, recycled across the samples of a batch so
 /// the hot path performs no per-sample allocation.
@@ -121,7 +96,6 @@ struct AssessmentScratch {
   /// by computeDistanceKeys.
   std::vector<double> Dists;
   size_t Keep = 0;                   ///< Number of selected entries.
-  bool SelectedAll = false;          ///< Selection covers every entry.
   std::vector<uint8_t> SelectedMask; ///< 1 for selected entries.
   std::vector<double> WeightByEntry; ///< Eq. (1) weight, by entry id.
   /// Per-(expert, label) weighted ">= test score" sums of the fused pass.
@@ -139,15 +113,17 @@ struct AssessmentScratch {
   std::vector<const double *> Columns;
   bool UniformModes = true; ///< Every expert resolved to the same mode.
   /// Block-partial GreaterEq of the canonical block fold: one stripe per
-  /// block (or per shard on the fast path), filled concurrently.
+  /// block, filled concurrently.
   std::vector<double> BlockGreaterEq;
   /// Block-partial Total, laid out like BlockGreaterEq.
   std::vector<double> BlockTotal;
-  /// Block-partial Counts, one NumLabels stripe per block (or shard).
+  /// Block-partial Counts, one NumLabels stripe per block.
   std::vector<double> BlockCounts;
-  /// Counters of the last cluster-pruned selection (Used == false whenever
-  /// the exact scan served it instead).
-  PrunedScanStats Pruned;
+  /// Counters of the last selection's cluster-pruned scan: RowsTotal is
+  /// the store size, ListsTotal the lists across all shard indexes. All
+  /// zero when the exact scan served it, so ListsTotal != 0 marks a
+  /// pruned selection (every valid index holds at least one list).
+  support::ClusterScanStats Pruned;
   /// Pruned scan: (query-centroid distSq, (shard << 32) | list) ranking
   /// pairs.
   std::vector<std::pair<double, uint64_t>> ListOrder;
@@ -241,7 +217,7 @@ public:
   /// Folds the staged entries into the store incrementally: oldest-first
   /// eviction down to maxEntries(), appended embedding rows, labels and
   /// score columns. Without eviction the new entries extend the last shard
-  /// (a sort + merge into its sorted index; the partition rebalances when
+  /// and its cluster index is reconciled (the partition rebalances when
   /// that shard drifts past 2x the even share). Eviction shifts every
   /// entry's block, so it rebuilds the shard partition and its indexes.
   /// Either way none of the model forwards a detector-level recalibration
@@ -286,15 +262,13 @@ public:
   const support::FeatureMatrix &embedMatrix() const { return Embeds; }
   /// Label of live entry \p I.
   int label(size_t I) const { return Labels[I]; }
-  /// Largest live label (-1 when empty).
-  int maxLabel() const { return MaxLabel; }
   /// Contiguous per-expert score column (one value per live entry).
   const std::vector<double> &scoreColumn(size_t Expert) const {
     return ScoreColumns[Expert];
   }
 
   /// Estimated heap footprint of the store: the columns, the staging
-  /// buffer, and every per-shard sorted and cluster index. The fleet
+  /// buffer, and every per-shard cluster index. The fleet
   /// registry meters a tenant's detector with this when enforcing its LRU
   /// memory budget, so it only needs to be proportional, not
   /// allocator-exact.
@@ -346,12 +320,12 @@ public:
     /// per-query path's shard walk).
     std::vector<ShardBlock> Blocks;
     /// Per-query counters of the selections served from this batch; slot
-    /// Q is written by the selection of query Q (default — Used == false —
-    /// when the exact path served it).
-    std::vector<PrunedScanStats> PerQuery;
+    /// Q is written by the selection of query Q (all zero when the exact
+    /// path served it).
+    std::vector<support::ClusterScanStats> PerQuery;
     /// Canonical ascending-query fold of PerQuery — the batch's aggregate
     /// lists/rows-scanned counters, identical at any thread count.
-    PrunedScanStats aggregated() const;
+    support::ClusterScanStats aggregated() const;
   };
 
   /// Fills \p Scan for a batch of \p NumQueries query embeddings (rows of
@@ -382,8 +356,8 @@ public:
   /// distance scan fans out over the shards when the store is sharded and
   /// the pool is not already saturated — or, when the index policy built
   /// cluster indexes and a small proper-subset selection is in force, runs
-  /// the lossless pruned scan instead (Scratch.Pruned reports which path
-  /// served the call and its pruning counters).
+  /// the lossless pruned scan instead (Scratch.Pruned carries its pruning
+  /// counters, all zero when the exact scan served the call).
   ///
   /// \p Batch, when non-null and Active, must have been prepared by
   /// prepareBatchPrunedScan() on this store with the same config;
@@ -420,11 +394,8 @@ public:
   ///        (may be null when no expert is discrete).
   /// \param PValsOut numExperts() x NumLabels row-major output block.
   ///
-  /// With unweighted counting (WeightMode::None) and a full selection, the
-  /// per-label counts come from binary searches over the per-shard sorted
-  /// indexes instead of the linear scan; counting with unit weights is
-  /// exact integer arithmetic in doubles, so the fast path is
-  /// bit-identical.
+  /// Every configuration runs the canonical block fold over the selection
+  /// mask and weights, so the result is pValues()'s bit for bit.
   void pValuesAllExperts(AssessmentScratch &Scratch, const double *TestScores,
                          size_t NumLabels, const PromConfig &Cfg,
                          const uint8_t *DiscreteFlags,
@@ -464,17 +435,10 @@ public:
 
 private:
   /// One contiguous, block-aligned slice of the entries with its derived
-  /// indexes.
+  /// cluster index.
   struct Shard {
     size_t Begin = 0; ///< First entry (multiple of CalibrationAccumBlock).
     size_t End = 0;   ///< One past the last entry.
-    /// Per-expert sorted-score runs: with M = LabelStart.back() labeled
-    /// entries, expert E's ascending label-L scores occupy
-    /// Sorted[E * M + LabelStart[L], E * M + LabelStart[L + 1]).
-    std::vector<double> Sorted;
-    /// Prefix offsets of the label runs (one more than the label buckets
-    /// the index was built with).
-    std::vector<size_t> LabelStart;
     /// Cluster index over [Begin, End); invalid (cleared) when the shard
     /// is too small or the policy is disabled.
     support::ClusterIndex Index;
@@ -503,15 +467,6 @@ private:
   void computeMedianNNDist();
 
   void buildShards(size_t NumShards);
-
-  /// Builds \p Sh's sorted-score index from the columns.
-  void buildSortedIndex(Shard &Sh) const;
-
-  /// Merges the scores of entries [\p From, Sh.End) into \p Sh's sorted
-  /// index, which covers [Sh.Begin, \p From): sort the new scores per
-  /// label, then merge each run. The result is exactly what
-  /// buildSortedIndex() produces on the extended shard.
-  void mergeIntoSortedIndex(Shard &Sh, size_t From) const;
 
   /// Reconciles every shard's cluster index with the policy and the
   /// current partition: builds missing indexes on shards past MinEntries,
@@ -553,15 +508,15 @@ private:
   void resolveExpertModes(const PromConfig &Cfg, const uint8_t *DiscreteFlags,
                           AssessmentScratch &Scratch) const;
 
-  /// Accumulates the general-path Eq. (2) partial sums of entries
-  /// [Begin, End) into the caller-zeroed \p GreaterEq / \p Total (both
-  /// numExperts() x NumLabels) and \p Counts (NumLabels) buffers, using the
-  /// selection mask/weights and resolved modes in \p Scratch. This is the
-  /// canonical per-block accumulation every engine p-value path folds.
-  void accumulateGeneralBlock(const AssessmentScratch &Scratch,
-                              const double *TestScores, size_t NumLabels,
-                              size_t Begin, size_t End, double *GreaterEq,
-                              double *Total, double *Counts) const;
+  /// Accumulates the Eq. (2) partial sums of entries [Begin, End) into the
+  /// caller-zeroed \p GreaterEq / \p Total (both numExperts() x NumLabels)
+  /// and \p Counts (NumLabels) buffers, using the selection mask/weights
+  /// and resolved modes in \p Scratch. This is the canonical per-block
+  /// accumulation the engine's p-value fold merges.
+  void accumulateBlock(const AssessmentScratch &Scratch,
+                       const double *TestScores, size_t NumLabels,
+                       size_t Begin, size_t End, double *GreaterEq,
+                       double *Total, double *Counts) const;
 
   /// Entries added but not yet folded into the columns.
   std::vector<CalibrationEntry> Staged;
@@ -571,7 +526,6 @@ private:
   std::vector<int> Labels; ///< Live entry labels.
   /// ScoreColumns[E][I] = expert E's score of live entry I.
   std::vector<std::vector<double>> ScoreColumns;
-  int MaxLabel = -1;
   double MedianNNDist = 0.0;
 
   std::vector<Shard> Shards;

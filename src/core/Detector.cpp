@@ -196,7 +196,7 @@ template <> struct TaskPolicy<ClassificationTask> {
     return !R.failed();
   }
   static void writeTail(support::ByteWriter &, const Fitted &) {}
-  static bool readTail(support::ByteReader &, Fitted &, size_t) {
+  static bool readTail(support::ByteReader &, Fitted &, size_t, size_t) {
     return true;
   }
   static void finishLoad(Fitted &, const CalibrationStore &,
@@ -216,7 +216,8 @@ template <> struct TaskPolicy<RegressionTask> {
     /// the pruned scan through it.
     support::ClusterIndex KnnIndex;
     std::vector<double> Targets; ///< True target per store entry.
-    std::vector<std::vector<double>> Centroids; ///< Pseudo-label centroids.
+    /// Pseudo-label centroids, one row per label (kMeansMatrix output).
+    support::FeatureMatrix Centroids;
     double ResidualIqr = 0.0;
 
     /// Reconciles KnnIndex with \p Cfg over \p Embeds, which must hold the
@@ -307,21 +308,20 @@ template <> struct TaskPolicy<RegressionTask> {
           });
     }
 
-    size_t numLabels() const { return Fit.Centroids.size(); }
+    size_t numLabels() const { return Fit.Centroids.rows(); }
 
     size_t
     score(size_t I,
           const std::vector<std::unique_ptr<RegressionScorer>> &Scorers,
           RegressionVerdict &V, double *TestScores) const {
-      size_t NumLabels = Fit.Centroids.size();
+      size_t NumLabels = Fit.Centroids.rows();
       V.Predicted = Predictions[I];
-      std::vector<double> Embed(Embeds.rowPtr(I),
-                                Embeds.rowPtr(I) + Embeds.cols());
+      const double *Embed = Embeds.rowPtr(I);
       V.Cluster =
           static_cast<int>(support::nearestCentroid(Fit.Centroids, Embed));
       RegressionScoreInput In;
       In.Prediction = V.Predicted;
-      Fit.knnStats(Store.embedMatrix(), Embed.data(), K, /*SelfIndex=*/-1,
+      Fit.knnStats(Store.embedMatrix(), Embed, K, /*SelfIndex=*/-1,
                    KnnCentBlock.empty()
                        ? nullptr
                        : KnnCentBlock.data() + I * Fit.KnnIndex.numLists(),
@@ -355,24 +355,27 @@ template <> struct TaskPolicy<RegressionTask> {
   static bool readHead(support::ByteReader &, Fitted &) { return true; }
   static void writeTail(support::ByteWriter &W, const Fitted &Fit) {
     W.writeDoubleVec(Fit.Targets);
-    W.writeU64(Fit.Centroids.size());
-    for (const std::vector<double> &Centroid : Fit.Centroids)
-      W.writeDoubleVec(Centroid);
+    W.writeU64(Fit.Centroids.rows());
+    for (size_t C = 0; C < Fit.Centroids.rows(); ++C)
+      W.writeDoubleVec(Fit.Centroids.row(C));
     W.writeF64(Fit.ResidualIqr);
   }
+  /// Every centroid row must be exactly \p EmbedDim wide: assessment
+  /// scans it against the test embedding.
   static bool readTail(support::ByteReader &R, Fitted &Fit,
-                       size_t NumEntries) {
+                       size_t NumEntries, size_t EmbedDim) {
     Fit.Targets = R.readDoubleVec();
     if (R.failed() || Fit.Targets.size() != NumEntries)
       return false;
     uint64_t NumCentroids = R.readU64();
     if (R.failed() || NumCentroids == 0 || NumCentroids > NumEntries)
       return false;
-    Fit.Centroids.reserve(static_cast<size_t>(NumCentroids));
-    for (uint64_t I = 0; I < NumCentroids; ++I) {
-      Fit.Centroids.push_back(R.readDoubleVec());
-      if (R.failed() || Fit.Centroids.back().empty())
+    Fit.Centroids.reset(static_cast<size_t>(NumCentroids), EmbedDim);
+    for (size_t C = 0; C < Fit.Centroids.rows(); ++C) {
+      std::vector<double> Row = R.readDoubleVec();
+      if (R.failed() || Row.size() != EmbedDim)
         return false;
+      Fit.Centroids.setRow(C, Row.data());
     }
     Fit.ResidualIqr = R.readF64();
     return !R.failed();
@@ -714,7 +717,7 @@ PromRegressor::PromRegressor(
 
 size_t PromRegressor::numClusters() const {
   std::shared_ptr<const Generation> G = pin();
-  return G ? G->Fit.Centroids.size() : 0;
+  return G ? G->Fit.Centroids.rows() : 0;
 }
 
 void PromRegressor::calibrate(const data::Dataset &CalibSet,
@@ -727,40 +730,40 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
   Matrix Embeds;
   Model.predictWithEmbedBatch(CalibSet, Predictions, Embeds);
 
-  // Row-vector copies for the (calibration-time) clustering, and a
-  // transient block of the same rows for the calibration-time k-NN. The
-  // store's embedding block, which the deployment-time k-NN scans stream,
-  // holds exactly these rows, so the index built here is the one a
-  // snapshot load rebuilds over the store.
+  // A transient block of the embeddings for the calibration-time
+  // clustering and k-NN. The store's embedding block, which the
+  // deployment-time k-NN scans stream, holds exactly these rows, so the
+  // index built here is the one a snapshot load rebuilds over the store.
+  size_t N = CalibSet.size();
   auto Fresh = std::make_shared<Generation>();
   TaskPolicy<RegressionTask>::Fitted &Fit = Fresh->Fit;
-  std::vector<std::vector<double>> EmbedRows;
-  EmbedRows.reserve(CalibSet.size());
+  support::FeatureMatrix Block(N, Embeds.cols());
   std::vector<double> Residuals;
-  for (size_t I = 0; I < CalibSet.size(); ++I) {
-    EmbedRows.push_back(Embeds.row(I));
+  for (size_t I = 0; I < N; ++I) {
+    Block.setRow(I, Embeds.rowPtr(I));
     Fit.Targets.push_back(CalibSet[I].Target);
     Residuals.push_back(std::fabs(Predictions[I] - CalibSet[I].Target));
   }
-  support::FeatureMatrix Block = support::FeatureMatrix::fromRows(EmbedRows);
   Fit.rebuildKnnIndex(Block, Cfg);
   Fit.ResidualIqr = support::quantile(Residuals, 0.75) -
                     support::quantile(Residuals, 0.25);
 
-  // Pseudo-labels from k-means over the embedding space (Sec. 5.1.2).
+  // Pseudo-labels from k-means over the embedding space (Sec. 5.1.2): the
+  // final exact assignment, so every label is its entry's nearest
+  // centroid — the rule assessment applies to a test embedding.
   size_t K = Cfg.FixedClusters;
   if (K == 0)
-    K = support::gapStatisticK(EmbedRows, R, Cfg.MinClusters,
-                               std::min(Cfg.MaxClusters,
-                                        CalibSet.size() / 2));
-  support::KMeansResult Clusters = support::kMeans(EmbedRows, K, R);
-  Fit.Centroids = Clusters.Centroids;
+    K = support::gapStatisticK(Block, R, Cfg.MinClusters,
+                               std::min(Cfg.MaxClusters, N / 2));
+  support::KMeansMatrixResult Clusters = support::kMeansMatrix(
+      Block, 0, N, K, R, /*MaxIters=*/50, /*SampleCap=*/N);
+  Fit.Centroids = std::move(Clusters.Centroids);
 
-  Fresh->Store.reserve(CalibSet.size());
-  for (size_t I = 0; I < CalibSet.size(); ++I) {
+  Fresh->Store.reserve(N);
+  for (size_t I = 0; I < N; ++I) {
     CalibrationEntry Entry;
-    Entry.Embed = std::move(EmbedRows[I]); // Clustering is done with it.
-    Entry.Label = Clusters.Assignments[I];
+    Entry.Embed = Block.row(I);
+    Entry.Label = static_cast<int>(Clusters.Assignments[I]);
 
     // Calibration samples use their true targets but the same local
     // statistics pipeline as test samples (self excluded from the k-NN).
@@ -786,15 +789,15 @@ RegressionVerdict PromRegressor::assessSerial(const data::Sample &S) const {
   V.Predicted = Model.predict(S);
 
   std::vector<double> Embed = Model.embed(S);
-  V.Cluster = static_cast<int>(support::nearestCentroid(G->Fit.Centroids,
-                                                        Embed));
+  V.Cluster = static_cast<int>(
+      support::nearestCentroid(G->Fit.Centroids, Embed.data()));
   RegressionScoreInput In;
   In.Prediction = V.Predicted;
   G->Fit.knnStats(G->Store.embedMatrix(), Embed.data(), Cfg.KnnK,
                   /*SelfIndex=*/-1, /*CentDistSq=*/nullptr, In);
   CalibrationSelection Sel = G->Store.select(Embed, Cfg);
 
-  size_t NumLabels = G->Fit.Centroids.size();
+  size_t NumLabels = G->Fit.Centroids.rows();
   std::vector<double> PVals;
   for (size_t E = 0; E < Scorers.size(); ++E) {
     std::vector<double> TestScores(NumLabels, Scorers[E]->score(In));
@@ -912,15 +915,15 @@ void writeEntries(support::ByteWriter &W, const CalibrationStore &Store) {
   }
 }
 
-/// Reads the entry block into \p Store (not finalized). Validates shape
-/// consistency: every embed the same width, every entry one score per
-/// expert of the committee being restored.
+/// Reads the entry block into \p Store (not finalized) and their common
+/// embedding width into \p EmbedDim. Validates shape consistency: every
+/// embed the same width, every entry one score per expert of the
+/// committee being restored.
 bool readEntries(support::ByteReader &R, size_t NumExperts,
-                 CalibrationStore &Store) {
+                 CalibrationStore &Store, size_t &EmbedDim) {
   uint64_t Count = R.readU64();
   if (R.failed() || Count == 0)
     return false;
-  size_t EmbedDim = 0;
   for (uint64_t I = 0; I < Count; ++I) {
     CalibrationEntry E;
     E.Embed = R.readDoubleVec();
@@ -1021,8 +1024,9 @@ bool CommitteeEngine<Task>::loadSnapshot(const std::string &Path,
     NewScorers.push_back(std::move(Scorer));
   }
 
-  if (!readEntries(R, NewScorers.size(), Fresh->Store) ||
-      !Policy::readTail(R, Fresh->Fit, Fresh->Store.size()))
+  size_t EmbedDim = 0;
+  if (!readEntries(R, NewScorers.size(), Fresh->Store, EmbedDim) ||
+      !Policy::readTail(R, Fresh->Fit, Fresh->Store.size(), EmbedDim))
     return false;
   size_t Shards = static_cast<size_t>(R.readU64());
 

@@ -70,7 +70,10 @@ namespace support {
 /// rounding of the exact arithmetic could have let a member survive.
 constexpr double PruneSlack = 4e-9;
 
-/// Counters of one pruned query, for benches and tests.
+/// Counters of one pruned query, for benches and tests. A calibration
+/// store's pruned selection fills them across all of its shards: the lists
+/// of every shard index, every entry (RowsTotal) and every row it scanned,
+/// indexed or not (RowsScanned).
 struct ClusterScanStats {
   size_t ListsTotal = 0;   ///< Lists the index holds.
   size_t ListsScanned = 0; ///< Lists that survived the bound test.

@@ -7,7 +7,7 @@
 // The columnar store holds every calibration value once: one embedding
 // row, one label and one score per expert per entry, plus derived
 // per-shard state. These tests pin that shape: the footprint stays within
-// 1.5x of the raw payload after finalize, after a snapshot load and after
+// 1.05x of the raw payload after finalize, after a snapshot load and after
 // a bounded refresh, and the config-derived policy builds cluster indexes
 // only when the configured selection can route to them.
 //
@@ -78,7 +78,7 @@ TEST(CalibrationStoreTest, FinalizedStoreStaysNearRawPayload) {
   ASSERT_EQ(Store.size(), NumEntries);
   EXPECT_EQ(Store.stagedEntries(), 0u);
   EXPECT_LE(bytesPerEntry(Store.memoryBytes(), NumEntries),
-            1.5 * RawBytesPerEntry);
+            1.05 * RawBytesPerEntry);
 }
 
 TEST(CalibrationStoreTest, DetectorStaysNearRawPayloadAcrossLoadAndRefresh) {
@@ -91,7 +91,7 @@ TEST(CalibrationStoreTest, DetectorStaysNearRawPayloadAcrossLoadAndRefresh) {
   Prom.calibrate(hostSamples(NumEntries, R));
   ASSERT_EQ(Prom.calibrationSize(), NumEntries);
   EXPECT_LE(bytesPerEntry(Prom.memoryBytes(), NumEntries),
-            1.5 * RawBytesPerEntry);
+            1.05 * RawBytesPerEntry);
 
   std::string Path = ::testing::TempDir() + "/store_shape.promsnap";
   ASSERT_TRUE(Prom.saveSnapshot(Path));
@@ -100,13 +100,13 @@ TEST(CalibrationStoreTest, DetectorStaysNearRawPayloadAcrossLoadAndRefresh) {
   std::remove(Path.c_str());
   ASSERT_EQ(Loaded.calibrationSize(), NumEntries);
   EXPECT_LE(bytesPerEntry(Loaded.memoryBytes(), NumEntries),
-            1.5 * RawBytesPerEntry)
+            1.05 * RawBytesPerEntry)
       << "after a snapshot load";
 
   // A bounded refresh: 128 rows in, the 128 oldest out.
   EXPECT_EQ(Prom.refreshCalibration(hostSamples(128, R)), NumEntries);
   EXPECT_LE(bytesPerEntry(Prom.memoryBytes(), NumEntries),
-            1.5 * RawBytesPerEntry)
+            1.05 * RawBytesPerEntry)
       << "after a bounded refresh";
 }
 

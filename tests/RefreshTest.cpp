@@ -7,8 +7,8 @@
 // The online-refresh contract: after appendEntries() + refinalize() —
 // with or without oldest-first eviction — a CalibrationStore behaves
 // bit-identically to a brand-new store finalized on the surviving union
-// of entries, for every shard count, on both the general weighted path
-// and the unweighted sorted-index fast path. At the detector level,
+// of entries, for every shard count, under both weighted partial and
+// unweighted full selections. At the detector level,
 // refreshCalibration(Incremental=true) must produce verdicts bit-equal
 // to the full-rebuild reference path. CMake registers this suite at
 // PROM_THREADS=1 and PROM_THREADS=4, so the contract is enforced across

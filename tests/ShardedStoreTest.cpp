@@ -7,9 +7,9 @@
 // The sharded CalibrationStore must be a pure work-partitioning
 // transformation: for any shard count, verdicts are bit-identical to the
 // unsharded (K=1) path and to the assessSerial() oracle — exact
-// floating-point equality on every expert score. Covers the general
-// weighted path (block-partial merge), the unweighted full-selection fast
-// path (per-shard sorted-index counts), the regressor, and reshard().
+// floating-point equality on every expert score. Covers the block-partial
+// merge under weighted partial and unweighted full selections, the
+// regressor, and reshard().
 //
 //===----------------------------------------------------------------------===//
 
@@ -100,11 +100,11 @@ TEST(ShardedStoreTest, WeightedPathShardCountInvariant) {
     expectSameVerdict(P8.assessSerial(F.Test[I]), V8[I], I);
 }
 
-TEST(ShardedStoreTest, UnweightedFastPathShardCountInvariant) {
+TEST(ShardedStoreTest, UnweightedFullSelectionShardCountInvariant) {
   BigBlobFixture &F = fixture();
 
-  // Unweighted counting over the full selection drives the per-shard
-  // sorted-score-index fast path.
+  // Unweighted counting over the full selection: the configuration of the
+  // naive-CP baselines.
   PromConfig Base;
   Base.WeightMode = CalibrationWeightMode::None;
   Base.SelectAllBelow = 1u << 20;

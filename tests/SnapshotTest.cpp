@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -343,6 +344,71 @@ TEST(SnapshotTest, RejectsConfigsNoDetectorCanRun) {
   ASSERT_EQ(RegAfter.size(), RegExpected.size());
   for (size_t I = 0; I < RegExpected.size(); ++I)
     expectSameRegressionVerdict(RegExpected[I], RegAfter[I], I);
+  std::remove(Path.c_str());
+}
+
+TEST(SnapshotTest, RejectsCentroidRowsOfTheWrongWidth) {
+  // Assessment scans every pseudo-label centroid against the test
+  // embedding, so each centroid row must be exactly as wide as the
+  // entries' embeddings. A snapshot whose last centroid row carries one
+  // extra value (length prefix bumped, file re-checksummed, so only the
+  // shape is wrong) fails the load and leaves the loader untouched.
+  support::Rng R(95);
+  data::Dataset Train = linearRegression(200, 0.1, R);
+  data::Dataset Calib = linearRegression(100, 0.1, R);
+  ml::MlpRegressor Model;
+  Model.fit(Train, R);
+  PromConfig Cfg;
+  Cfg.FixedClusters = 3;
+  PromRegressor Saved(Model, Cfg), Loader(Model, Cfg);
+  support::Rng CalR(5), LoadR(5);
+  Saved.calibrate(Calib, CalR);
+  Loader.calibrate(Calib, LoadR);
+  data::Dataset Probes = linearRegression(30, 0.1, R);
+  std::vector<RegressionVerdict> Expected = Loader.assessBatch(Probes);
+
+  std::string Path = tempPath("wide_centroid.promsnap");
+  ASSERT_TRUE(Saved.saveSnapshot(Path));
+  std::vector<char> File = slurp(Path);
+  // The file is the 8-byte magic, the payload and an 8-byte checksum. The
+  // payload ends with the last centroid row (u64 length + doubles), the
+  // residual IQR (f64), the shard count (u64) and the scaler flag (u8).
+  constexpr size_t MagicBytes = 8, SumBytes = 8, TrailerBytes = 8 + 8 + 1;
+  ASSERT_GT(File.size(), MagicBytes + SumBytes + TrailerBytes);
+  std::vector<uint8_t> Payload(File.begin() + MagicBytes,
+                               File.end() - SumBytes);
+  size_t Dim = Model.embed(Calib[0]).size();
+  size_t RowEnd = Payload.size() - TrailerBytes;
+  size_t Prefix = RowEnd - Dim * sizeof(double) - sizeof(uint64_t);
+  uint64_t Len = 0;
+  std::memcpy(&Len, Payload.data() + Prefix, sizeof(Len));
+  ASSERT_EQ(Len, Dim) << "fixture layout: not the last centroid row";
+
+  auto Rewrite = [&](const std::vector<uint8_t> &Bytes) {
+    support::ByteWriter W;
+    for (uint8_t B : Bytes)
+      W.writeU8(B);
+    return W.writeFile(Path);
+  };
+  // Control: the untouched payload re-written the same way still loads.
+  ASSERT_TRUE(Rewrite(Payload));
+  PromRegressor Control(Model);
+  ASSERT_TRUE(Control.loadSnapshot(Path));
+
+  ++Len;
+  std::memcpy(Payload.data() + Prefix, &Len, sizeof(Len));
+  double Extra = 0.5;
+  uint8_t Raw[sizeof(Extra)];
+  std::memcpy(Raw, &Extra, sizeof(Extra));
+  Payload.insert(Payload.begin() + static_cast<long>(RowEnd), Raw,
+                 Raw + sizeof(Raw));
+  ASSERT_TRUE(Rewrite(Payload));
+  EXPECT_FALSE(Loader.loadSnapshot(Path));
+
+  std::vector<RegressionVerdict> After = Loader.assessBatch(Probes);
+  ASSERT_EQ(After.size(), Expected.size());
+  for (size_t I = 0; I < Expected.size(); ++I)
+    expectSameRegressionVerdict(Expected[I], After[I], I);
   std::remove(Path.c_str());
 }
 

@@ -235,7 +235,7 @@ void runPrunedProgram(uint64_t Seed) {
     for (double &V : Query)
       V = R.gaussian(0.0, 2.0);
     Live.selectForAssessment(Query.data(), Cfg, S);
-    EXPECT_TRUE(S.Pruned.Used);
+    EXPECT_NE(S.Pruned.ListsTotal, 0u);
     EXPECT_EQ(S.Pruned.RowsTotal, Live.size());
     EXPECT_GT(S.Pruned.RowsScanned, 0u);
     EXPECT_LE(S.Pruned.RowsScanned, S.Pruned.RowsTotal);
@@ -297,7 +297,6 @@ void runBatchPreparedProgram(uint64_t Seed) {
     Live.selectForAssessment(Queries.rowPtr(Q), Cfg, Standalone);
 
     ASSERT_EQ(WithBatch.Keep, Standalone.Keep);
-    EXPECT_EQ(WithBatch.SelectedAll, Standalone.SelectedAll);
     ASSERT_EQ(WithBatch.Keyed.size(), Standalone.Keyed.size());
     for (size_t I = 0; I < WithBatch.Keyed.size(); ++I) {
       EXPECT_EQ(prom::testing::bits(WithBatch.Keyed[I].first),
@@ -311,7 +310,7 @@ void runBatchPreparedProgram(uint64_t Seed) {
       EXPECT_EQ(prom::testing::bits(WithBatch.WeightByEntry[I]),
                 prom::testing::bits(Standalone.WeightByEntry[I]));
 
-    EXPECT_TRUE(WithBatch.Pruned.Used);
+    EXPECT_NE(WithBatch.Pruned.ListsTotal, 0u);
     EXPECT_EQ(WithBatch.Pruned.ListsTotal, Standalone.Pruned.ListsTotal);
     EXPECT_EQ(WithBatch.Pruned.ListsScanned,
               Standalone.Pruned.ListsScanned);
@@ -326,11 +325,11 @@ void runBatchPreparedProgram(uint64_t Seed) {
   }
 
   // The aggregate is the ascending-slot fold of the per-query counters.
-  PrunedScanStats Fold;
-  for (const PrunedScanStats &S : Scan.PerQuery)
+  support::ClusterScanStats Fold;
+  for (const support::ClusterScanStats &S : Scan.PerQuery)
     Fold += S;
-  PrunedScanStats Agg = Scan.aggregated();
-  EXPECT_TRUE(Agg.Used);
+  support::ClusterScanStats Agg = Scan.aggregated();
+  EXPECT_NE(Agg.ListsTotal, 0u);
   EXPECT_EQ(Agg.ListsTotal, Fold.ListsTotal);
   EXPECT_EQ(Agg.ListsScanned, Fold.ListsScanned);
   EXPECT_EQ(Agg.RowsTotal, Fold.RowsTotal);
@@ -347,7 +346,7 @@ void runBatchPreparedProgram(uint64_t Seed) {
   EXPECT_FALSE(Off.Active);
   AssessmentScratch S;
   Live.selectForAssessment(Queries.rowPtr(0), Cfg, S, &Off, 0);
-  EXPECT_FALSE(S.Pruned.Used);
+  EXPECT_EQ(S.Pruned.ListsTotal, 0u);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include "support/Distance.h"
 #include "support/FeatureMatrix.h"
 #include "support/KMeans.h"
+#include "support/Kernels.h"
 #include "support/Matrix.h"
 #include "support/Rng.h"
 #include "support/Stats.h"
@@ -391,6 +392,18 @@ TEST(DistanceTest, SelectNearestIsTheSharedTieBreakRule) {
 // KMeans + gap statistic
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Full-range k-means, the regressor's pseudo-label clustering: Lloyd on
+/// every row, 50-iteration cap.
+KMeansMatrixResult kMeansAll(const FeatureMatrix &Points, size_t K, Rng &R,
+                             size_t MaxIters = 50) {
+  return kMeansMatrix(Points, 0, Points.rows(), K, R, MaxIters,
+                      /*SampleCap=*/Points.rows());
+}
+
+} // namespace
+
 TEST(KMeansTest, SeparatesObviousClusters) {
   Rng R(5);
   std::vector<std::vector<double>> Points;
@@ -398,10 +411,10 @@ TEST(KMeansTest, SeparatesObviousClusters) {
     for (int I = 0; I < 40; ++I)
       Points.push_back({C * 10.0 + R.gaussian(0.0, 0.3),
                         C * 10.0 + R.gaussian(0.0, 0.3)});
-  KMeansResult Res = kMeans(Points, 3, R);
+  KMeansMatrixResult Res = kMeansAll(FeatureMatrix::fromRows(Points), 3, R);
   // All members of one true cluster must share an assignment.
   for (int C = 0; C < 3; ++C) {
-    int First = Res.Assignments[static_cast<size_t>(C) * 40];
+    uint32_t First = Res.Assignments[static_cast<size_t>(C) * 40];
     for (int I = 0; I < 40; ++I)
       EXPECT_EQ(Res.Assignments[static_cast<size_t>(C) * 40 + I], First);
   }
@@ -409,12 +422,13 @@ TEST(KMeansTest, SeparatesObviousClusters) {
 
 TEST(KMeansTest, InertiaDecreasesWithMoreClusters) {
   Rng R(6);
-  std::vector<std::vector<double>> Points;
+  std::vector<std::vector<double>> Rows;
   for (int I = 0; I < 200; ++I)
-    Points.push_back({R.uniform(0, 10), R.uniform(0, 10)});
-  double Prev = kMeans(Points, 1, R).Inertia;
+    Rows.push_back({R.uniform(0, 10), R.uniform(0, 10)});
+  FeatureMatrix Points = FeatureMatrix::fromRows(Rows);
+  double Prev = kMeansAll(Points, 1, R).Inertia;
   for (size_t K = 2; K <= 8; K += 2) {
-    double Cur = kMeans(Points, K, R).Inertia;
+    double Cur = kMeansAll(Points, K, R).Inertia;
     EXPECT_LE(Cur, Prev * 1.05); // Allow slight local-minimum noise.
     Prev = Cur;
   }
@@ -422,9 +436,9 @@ TEST(KMeansTest, InertiaDecreasesWithMoreClusters) {
 
 TEST(KMeansTest, KClampedToPointCount) {
   Rng R(7);
-  std::vector<std::vector<double>> Points = {{0, 0}, {1, 1}};
-  KMeansResult Res = kMeans(Points, 10, R);
-  EXPECT_LE(Res.Centroids.size(), 2u);
+  FeatureMatrix Points = FeatureMatrix::fromRows({{0, 0}, {1, 1}});
+  KMeansMatrixResult Res = kMeansAll(Points, 10, R);
+  EXPECT_LE(Res.Centroids.rows(), 2u);
 }
 
 TEST(KMeansTest, EmptyClustersReseedToFarthestPoint) {
@@ -439,20 +453,64 @@ TEST(KMeansTest, EmptyClustersReseedToFarthestPoint) {
     for (int I = 0; I < 40; ++I)
       Points.push_back({static_cast<double>(I) * 1.7,
                         static_cast<double>(I % 5) * 3.1});
-    KMeansResult Res = kMeans(Points, 20, R);
-    ASSERT_EQ(Res.Centroids.size(), 20u);
+    KMeansMatrixResult Res = kMeansAll(FeatureMatrix::fromRows(Points), 20, R);
+    ASSERT_EQ(Res.Centroids.rows(), 20u);
     std::vector<int> Counts(20, 0);
-    for (int A : Res.Assignments)
-      ++Counts[static_cast<size_t>(A)];
+    for (uint32_t A : Res.Assignments)
+      ++Counts[A];
     for (size_t C = 0; C < 20; ++C)
       EXPECT_GT(Counts[C], 0) << "cluster " << C << " ended empty";
   }
 }
 
+TEST(KMeansTest, AssignmentsAreNearestCentroidWhenLloydHitsTheCap) {
+  // The regressor labels each calibration entry with its assignment and
+  // each test input with nearestCentroid(); the two must agree even when
+  // Lloyd stops at its iteration cap with assignments still moving.
+  Rng Gen(2024);
+  FeatureMatrix Points(3137, 2);
+  for (size_t I = 0; I < Points.rows(); ++I)
+    for (size_t D = 0; D < 2; ++D)
+      Points.rowPtr(I)[D] = Gen.uniform(0.0, 1.0);
+
+  Rng R(1), RLonger(1);
+  KMeansMatrixResult Res = kMeansAll(Points, 20, R);
+  // The fixture must really stop at the cap: had Lloyd converged within 50
+  // iterations, a longer cap would return the same centroids.
+  KMeansMatrixResult Longer = kMeansAll(Points, 20, RLonger, 200);
+  bool SameCentroids = true;
+  for (size_t C = 0; C < 20; ++C)
+    for (size_t D = 0; D < 2; ++D)
+      SameCentroids &= Res.Centroids.rowPtr(C)[D] ==
+                       Longer.Centroids.rowPtr(C)[D];
+  ASSERT_FALSE(SameCentroids) << "fixture converged within the cap";
+
+  ASSERT_EQ(Res.Centroids.rows(), 20u);
+  ASSERT_EQ(Res.Assignments.size(), Points.rows());
+  size_t Stale = 0;
+  for (size_t I = 0; I < Points.rows(); ++I) {
+    // Reference: per-centroid distances, ties toward the lower index.
+    size_t Best = 0;
+    double BestDist = 0.0;
+    for (size_t C = 0; C < Res.Centroids.rows(); ++C) {
+      double D = kernels::l2Sq(Points.rowPtr(I), Res.Centroids.rowPtr(C), 2);
+      if (C == 0 || D < BestDist) {
+        Best = C;
+        BestDist = D;
+      }
+    }
+    if (Res.Assignments[I] != Best)
+      ++Stale;
+    EXPECT_EQ(nearestCentroid(Res.Centroids, Points.rowPtr(I)), Best);
+  }
+  EXPECT_EQ(Stale, 0u) << "assignments that are not the nearest centroid";
+}
+
 TEST(KMeansTest, NearestCentroidPicksClosest) {
-  std::vector<std::vector<double>> Centroids = {{0, 0}, {10, 10}};
-  EXPECT_EQ(nearestCentroid(Centroids, {1, 1}), 0u);
-  EXPECT_EQ(nearestCentroid(Centroids, {9, 9}), 1u);
+  FeatureMatrix Centroids = FeatureMatrix::fromRows({{0, 0}, {10, 10}});
+  std::vector<double> Near0 = {1, 1}, Near1 = {9, 9};
+  EXPECT_EQ(nearestCentroid(Centroids, Near0.data()), 0u);
+  EXPECT_EQ(nearestCentroid(Centroids, Near1.data()), 1u);
 }
 
 TEST(GapStatisticTest, FindsThreeBlobs) {
@@ -462,15 +520,14 @@ TEST(GapStatisticTest, FindsThreeBlobs) {
     for (int I = 0; I < 50; ++I)
       Points.push_back({C * 20.0 + R.gaussian(0.0, 0.5),
                         R.gaussian(0.0, 0.5)});
-  size_t K = gapStatisticK(Points, R, 2, 8);
+  size_t K = gapStatisticK(FeatureMatrix::fromRows(Points), R, 2, 8);
   EXPECT_GE(K, 2u);
   EXPECT_LE(K, 4u);
 }
 
 TEST(GapStatisticTest, TinyInputIsSafe) {
   Rng R(10);
-  std::vector<std::vector<double>> Points = {{0.0, 0.0}};
-  EXPECT_EQ(gapStatisticK(Points, R), 1u);
+  EXPECT_EQ(gapStatisticK(FeatureMatrix::fromRows({{0.0, 0.0}}), R), 1u);
 }
 
 //===----------------------------------------------------------------------===//
