@@ -360,11 +360,27 @@ void runTreeKnnExpertStudy() {
 // Large-store cluster-pruned scan study
 //===----------------------------------------------------------------------===//
 
-/// One exact selection's outputs, captured for the bit-identity check.
+/// One selection's outputs, captured for the bit-identity check: the
+/// selected set and each selected entry's Eq. (1) weight (0 elsewhere).
 struct SelectionSnapshot {
   size_t Keep = 0;
   std::vector<uint8_t> Mask;
   std::vector<double> Weights;
+
+  explicit SelectionSnapshot(const AssessmentScratch &S)
+      : Keep(S.Keep), Mask(S.Dists.size(), 0), Weights(S.Dists.size(), 0.0) {
+    for (size_t I = 0; I < S.Dists.size(); ++I)
+      if (S.selected(I)) {
+        Mask[I] = 1;
+        Weights[I] = S.weight(I);
+      }
+  }
+  /// Same set and same weight bits.
+  bool sameBits(const SelectionSnapshot &O) const {
+    return Keep == O.Keep && Mask == O.Mask &&
+           std::memcmp(Weights.data(), O.Weights.data(),
+                       Weights.size() * sizeof(double)) == 0;
+  }
 };
 
 /// Exact-vs-pruned selectForAssessment() on a store of \p N blob-structured
@@ -413,7 +429,7 @@ void runStoreScaleStudy(size_t N) {
     Out.clear();
     for (const auto &Q : Queries) {
       Store.selectForAssessment(Q.data(), Cfg, S);
-      Out.push_back({S.Keep, S.SelectedMask, S.WeightByEntry});
+      Out.emplace_back(S);
     }
   };
   auto TimePerQueryUs = [&](const PromConfig &Cfg) {
@@ -471,11 +487,7 @@ void runStoreScaleStudy(size_t N) {
     for (size_t Q = 0; Q < NumQueries; ++Q) {
       Store.selectForAssessment(Queries[Q].data(), Cfg, S);
       const SelectionSnapshot &Ref = Reference[F][Q];
-      if (S.Pruned.ListsTotal == 0 || S.Keep != Ref.Keep ||
-          S.SelectedMask != Ref.Mask ||
-          S.WeightByEntry.size() != Ref.Weights.size() ||
-          std::memcmp(S.WeightByEntry.data(), Ref.Weights.data(),
-                      Ref.Weights.size() * sizeof(double)) != 0) {
+      if (S.Pruned.ListsTotal == 0 || !SelectionSnapshot(S).sameBits(Ref)) {
         std::fprintf(stderr,
                      "FATAL: pruned selection diverges from the exact scan "
                      "(N=%zu, fraction %.2f, query %zu)\n",
@@ -496,10 +508,6 @@ void runStoreScaleStudy(size_t N) {
     // centroid blocks for all queries (shared MxN kernel pass + ThreadPool
     // fan-out), then each selection reads its cached row. Verified
     // bit-identical to the exact reference first, like the per-query path.
-    // A fresh scratch replays the reference's query history: WeightByEntry
-    // slots of unselected entries carry the previous query's values by
-    // design (the engine only reads them mask-gated), so the full-array
-    // comparison is only meaningful between runs with identical histories.
     CalibrationStore::BatchPrunedScan Scan;
     Store.prepareBatchPrunedScan(QueryBlock.data(), NumQueries, Dim, Cfg,
                                  Scan);
@@ -513,11 +521,8 @@ void runStoreScaleStudy(size_t N) {
       Store.selectForAssessment(QueryBlock.data() + Q * Dim, Cfg, BS, &Scan,
                                 Q);
       const SelectionSnapshot &Ref = Reference[F][Q];
-      if (BS.Pruned.ListsTotal == 0 || BS.Keep != Ref.Keep ||
-          BS.SelectedMask != Ref.Mask ||
-          BS.WeightByEntry.size() != Ref.Weights.size() ||
-          std::memcmp(BS.WeightByEntry.data(), Ref.Weights.data(),
-                      Ref.Weights.size() * sizeof(double)) != 0) {
+      if (BS.Pruned.ListsTotal == 0 ||
+          !SelectionSnapshot(BS).sameBits(Ref)) {
         std::fprintf(stderr,
                      "FATAL: batch-prepared pruned selection diverges from "
                      "the exact scan (N=%zu, fraction %.2f, query %zu)\n",

@@ -122,7 +122,9 @@ int prom_assess_batch(const prom_detector *d, size_t n,
  * Rotates a new snapshot generation of the finalized detector into
  * directory \p snapshot_dir (created if missing; the `latest` pointer is
  * committed atomically and old generations are pruned). Returns 0 on
- * success, -1 on error.
+ * success, -1 on error — including calibration state no load could
+ * restore (a non-finite probability or feature), in which case the
+ * previous generation stays `latest`.
  */
 int prom_save(const prom_detector *d, const char *snapshot_dir);
 

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <numeric>
 
 using namespace prom;
@@ -370,135 +371,65 @@ CalibrationStore::select(const std::vector<double> &TestEmbed,
   return Sel;
 }
 
-/// Moves the \p Keep smallest (key, id) pairs — under the same
-/// lexicographic order std::nth_element would use — into the first Keep
-/// slots of \p Keyed, in O(N) plus a sort of the pivot-bucket entries.
-///
-/// Non-negative IEEE doubles order identically to their raw bit patterns,
-/// so a histogram over range-adapted bit buckets finds the pivot bucket in
-/// one pass; only its members (usually a handful) need comparison sorting.
-/// Equal keys share a bucket and are resolved by ascending id there, which
-/// reproduces nth_element's (key, id) total order exactly.
-static void partitionSmallestKeys(AssessmentScratch &S, size_t Keep) {
-  std::vector<std::pair<double, uint32_t>> &Keyed = S.Keyed;
-  size_t N = Keyed.size();
-  auto KeyBits = [](double Key) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &Key, sizeof(Bits));
-    return Bits;
-  };
+/// The double whose bit pattern is \p Bits.
+static double fromKeyBits(uint64_t Bits) {
+  double V;
+  std::memcpy(&V, &Bits, sizeof(V));
+  return V;
+}
 
+double AssessmentScratch::weight(size_t I) const {
+  // The deferred sqrt of the kernel's squared distance is select()'s
+  // support::euclidean value bit for bit.
+  return Weighted ? distanceWeight(std::sqrt(Dists[I]), Offset, Tau, NormPower)
+                  : 1.0;
+}
+
+/// Sets the cut of \p S to the S.Keep-th smallest (distance bits, id) key
+/// of S.Dists and returns the smallest squared distance, in O(N) plus a
+/// selection within one bucket.
+///
+/// A histogram over range-adapted bit buckets finds the bucket that holds
+/// the cut in one pass; only its members (usually a handful) are collected
+/// and ordered by (bits, id). No double is compared, so the result is
+/// defined for every bit pattern.
+static double cutSmallestKeys(AssessmentScratch &S) {
+  const std::vector<double> &Dists = S.Dists;
+  size_t N = Dists.size(), Keep = S.Keep;
   uint64_t MinBits = ~uint64_t(0), MaxBits = 0;
-  for (const auto &P : Keyed) {
-    uint64_t Bits = KeyBits(P.first);
-    MinBits = std::min(MinBits, Bits);
-    MaxBits = std::max(MaxBits, Bits);
+  for (double D : Dists) {
+    MinBits = std::min(MinBits, keyBits(D));
+    MaxBits = std::max(MaxBits, keyBits(D));
   }
-  // All keys equal: the selection is decided purely by the id tie-break.
-  // Keyed is NOT guaranteed to be in ascending id order (the pruned scan
-  // appends candidates list by list), so partition explicitly — with equal
-  // keys the pair order degenerates to ascending id, and nth_element over
-  // it moves exactly the Keep smallest ids into the front slots.
-  if (MinBits == MaxBits) {
-    std::nth_element(Keyed.begin(), Keyed.begin() + static_cast<long>(Keep),
-                     Keyed.end());
-    return;
+  S.Candidates.clear();
+  if (Keep == N || MinBits == MaxBits) {
+    // A full selection admits every key up to the largest; with all keys
+    // equal, the id tie-break alone decides.
+    S.Cut = {MaxBits, static_cast<uint32_t>(Keep - 1)};
+    return fromKeyBits(MinBits);
   }
 
   constexpr size_t NumBuckets = 2048;
   int Shift = 0;
   while (((MaxBits - MinBits) >> Shift) >= NumBuckets)
     ++Shift;
+  auto Bucket = [&](double D) { return (keyBits(D) - MinBits) >> Shift; };
   uint32_t Histogram[NumBuckets] = {0};
-  for (const auto &P : Keyed)
-    ++Histogram[(KeyBits(P.first) - MinBits) >> Shift];
+  for (double D : Dists)
+    ++Histogram[Bucket(D)];
 
-  // The pivot bucket is the one where the cumulative count crosses Keep.
+  // The pivot bucket is the one where the cumulative count crosses Keep;
+  // every key below it is selected, every key above it is not.
   size_t Cum = 0, Pivot = 0;
   while (Cum + Histogram[Pivot] < Keep)
     Cum += Histogram[Pivot++];
-
-  // Entries below the pivot bucket are selected outright; pivot-bucket
-  // members compete by (key, id); the rest are rejected.
-  S.Boundary.clear();
-  S.Tail.clear();
-  size_t Write = 0;
-  for (size_t I = 0; I < N; ++I) {
-    uint64_t Bucket = (KeyBits(Keyed[I].first) - MinBits) >> Shift;
-    if (Bucket < Pivot)
-      Keyed[Write++] = Keyed[I];
-    else if (Bucket == Pivot)
-      S.Boundary.push_back(Keyed[I]);
-    else
-      S.Tail.push_back(Keyed[I]);
-  }
-  std::sort(S.Boundary.begin(), S.Boundary.end());
-  for (const auto &P : S.Boundary)
-    Keyed[Write++] = P;
-  for (const auto &P : S.Tail)
-    Keyed[Write++] = P;
-  assert(Write == N && "bucket partition lost entries");
-}
-
-void CalibrationStore::computeDistanceKeys(const double *TestEmbed,
-                                           AssessmentScratch &S, size_t Begin,
-                                           size_t End) const {
-  // One batched kernel scan over the contiguous embedding block. The
-  // kernel is the same lane-folded l2Sq behind support::euclidean, so the
-  // deferred sqrt reproduces select()'s per-entry distance bit-for-bit.
-  // Dists/Keyed are sized by the caller: sharded stores fill disjoint
-  // slices of both from worker threads, so no resizing may happen here.
-  assert(S.Dists.size() == Labels.size() && "caller must size the scratch");
-  support::kernels::l2Sq1xN(TestEmbed, Embeds.rowPtr(Begin), End - Begin,
-                            Embeds.dim(), Embeds.stride(),
-                            S.Dists.data() + Begin);
-  for (size_t I = Begin; I < End; ++I)
-    S.Keyed[I] = {S.Dists[I], static_cast<uint32_t>(I)};
-}
-
-void CalibrationStore::finishSelection(const PromConfig &Cfg,
-                                       AssessmentScratch &S) const {
-  size_t N = Labels.size();
-  // Partition out the Keep nearest. std::pair's lexicographic < is the
-  // same (distance, index) total order as select()'s comparator, and
-  // ordering by squared distance is order-equivalent to ordering by
-  // distance — so the selected *set* is identical. No full sort: the
-  // engine consumes the selection as a set. The pruned path hands in a
-  // candidate list that provably contains the Keep global nearest, so
-  // partitioning it selects exactly the set the full-scan partition would.
-  S.Keep = selectionKeepCount(N, Cfg);
-  assert(S.Keyed.size() >= S.Keep &&
-         "pruned candidates cannot cover the selection");
-  if (S.Keyed.size() > S.Keep)
-    partitionSmallestKeys(S, S.Keep);
-  applySelectionWeights(Cfg, S);
-}
-
-void CalibrationStore::applySelectionWeights(const PromConfig &Cfg,
-                                             AssessmentScratch &S) const {
-  size_t N = Labels.size();
-  S.SelectedMask.assign(N, 0);
-  for (size_t Pos = 0; Pos < S.Keep; ++Pos)
-    S.SelectedMask[S.Keyed[Pos].second] = 1;
-
-  S.WeightByEntry.resize(N);
-  if (Cfg.WeightMode != CalibrationWeightMode::None) {
-    double Tau = effectiveTau(Cfg, MedianNNDist);
-    double Offset = 0.0;
-    if (Cfg.WeightMode == CalibrationWeightMode::WeightedCount) {
-      double MinSq = S.Keyed.front().first;
-      for (size_t Pos = 1; Pos < S.Keep; ++Pos)
-        MinSq = std::min(MinSq, S.Keyed[Pos].first);
-      Offset = std::sqrt(MinSq);
-    }
-    for (size_t Pos = 0; Pos < S.Keep; ++Pos)
-      S.WeightByEntry[S.Keyed[Pos].second] =
-          distanceWeight(std::sqrt(S.Keyed[Pos].first), Offset, Tau,
-                         Cfg.WeightNormPower);
-  } else {
-    for (size_t Pos = 0; Pos < S.Keep; ++Pos)
-      S.WeightByEntry[S.Keyed[Pos].second] = 1.0;
-  }
+  for (size_t I = 0; I < N; ++I)
+    if (Bucket(Dists[I]) == Pivot)
+      S.Candidates.push_back({keyBits(Dists[I]), static_cast<uint32_t>(I)});
+  auto Cut = S.Candidates.begin() + static_cast<long>(Keep - Cum - 1);
+  std::nth_element(S.Candidates.begin(), Cut, S.Candidates.end());
+  S.Cut = *Cut;
+  return fromKeyBits(MinBits);
 }
 
 support::ClusterScanStats
@@ -509,8 +440,7 @@ CalibrationStore::BatchPrunedScan::aggregated() const {
   return Agg;
 }
 
-bool CalibrationStore::prunedRouting(const PromConfig &Cfg,
-                                     size_t &Keep) const {
+bool CalibrationStore::prunedRouting(size_t Keep) const {
   // The pruned scan pays off only when the selection is a proper subset
   // (a full selection must touch every entry anyway) — and a small one:
   // pruning can never skip the kept rows themselves, so large selections
@@ -519,7 +449,6 @@ bool CalibrationStore::prunedRouting(const PromConfig &Cfg,
   size_t N = Labels.size();
   if (!IndexPolicy.Enabled || indexedShards() == 0)
     return false;
-  Keep = selectionKeepCount(N, Cfg);
   return Keep < N && static_cast<double>(Keep) <=
                          IndexPolicy.MaxSelectFraction *
                              static_cast<double>(N);
@@ -534,8 +463,8 @@ void CalibrationStore::prepareBatchPrunedScan(const double *Queries,
   Scan.NumQueries = NumQueries;
   Scan.Blocks.clear();
   Scan.PerQuery.assign(NumQueries, support::ClusterScanStats());
-  size_t Keep = 0;
-  if (Labels.empty() || NumQueries == 0 || !prunedRouting(Cfg, Keep))
+  if (Labels.empty() || NumQueries == 0 ||
+      !prunedRouting(selectionKeepCount(Labels.size(), Cfg)))
     return;
   Scan.Active = true;
 
@@ -577,45 +506,53 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
   size_t N = Labels.size();
   Scratch.Pruned = support::ClusterScanStats();
 
-  size_t Keep = 0;
-  if (prunedRouting(Cfg, Keep)) {
+  double MinSq = 0.0;
+  Scratch.Keep = selectionKeepCount(N, Cfg);
+  if (prunedRouting(Scratch.Keep)) {
     assert((!Batch || (Batch->Active && QueryIndex < Batch->NumQueries)) &&
            "batch scan prepared under a different store or config");
-    selectForAssessmentPruned(TestEmbed, Cfg, Keep, Scratch,
-                              Batch && Batch->Active ? Batch : nullptr,
-                              QueryIndex);
+    MinSq = selectForAssessmentPruned(TestEmbed, Scratch,
+                                      Batch && Batch->Active ? Batch : nullptr,
+                                      QueryIndex);
     if (Batch && Batch->Active)
       Batch->PerQuery[QueryIndex] = Scratch.Pruned;
-    return;
-  }
-
-  Scratch.Keyed.resize(N);
-  Scratch.Dists.resize(N);
-
-  if (Shards.size() > 1 && N >= MinEntriesForFanOut) {
-    // Each shard fills its own slice of the key array; per-entry
-    // independent, so the values are identical to the serial scan.
-    support::ThreadPool::global().parallelFor(
-        Shards.size(), [&](size_t Begin, size_t End) {
-          for (size_t S = Begin; S < End; ++S)
-            computeDistanceKeys(TestEmbed, Scratch, Shards[S].Begin,
-                                Shards[S].End);
-        });
   } else {
-    computeDistanceKeys(TestEmbed, Scratch, 0, N);
+    // One batched kernel scan over the contiguous embedding block, the
+    // same lane-folded l2Sq behind support::euclidean. Sharded stores fill
+    // disjoint slices from worker threads (per-entry independent, so the
+    // values match the serial scan), hence Dists is sized up front.
+    Scratch.Dists.resize(N);
+    auto ScanRange = [&](size_t Begin, size_t End) {
+      support::kernels::l2Sq1xN(TestEmbed, Embeds.rowPtr(Begin), End - Begin,
+                                Embeds.dim(), Embeds.stride(),
+                                Scratch.Dists.data() + Begin);
+    };
+    if (Shards.size() > 1 && N >= MinEntriesForFanOut)
+      support::ThreadPool::global().parallelFor(
+          Shards.size(), [&](size_t Begin, size_t End) {
+            for (size_t S = Begin; S < End; ++S)
+              ScanRange(Shards[S].Begin, Shards[S].End);
+          });
+    else
+      ScanRange(0, N);
+    MinSq = cutSmallestKeys(Scratch);
   }
-  // Partition + Eq. (1) weights on the merged keys: O(N) with small
-  // constants next to the O(N x dim) scan above, and keeping it on one
-  // thread preserves select()'s arithmetic verbatim.
-  finishSelection(Cfg, Scratch);
+  // The Eq. (1) parameters. The closest entry is always selected, so the
+  // root of MinSq is select()'s WeightedCount offset.
+  Scratch.Weighted = Cfg.WeightMode != CalibrationWeightMode::None;
+  Scratch.Offset = Cfg.WeightMode == CalibrationWeightMode::WeightedCount
+                       ? std::sqrt(MinSq)
+                       : 0.0;
+  Scratch.Tau = effectiveTau(Cfg, MedianNNDist);
+  Scratch.NormPower = Cfg.WeightNormPower;
 }
 
-void CalibrationStore::selectForAssessmentPruned(
-    const double *TestEmbed, const PromConfig &Cfg, size_t Keep,
-    AssessmentScratch &S, const BatchPrunedScan *Batch,
-    size_t QueryIndex) const {
-  S.Pruned.RowsTotal = Labels.size();
-  S.Keyed.clear();
+double CalibrationStore::selectForAssessmentPruned(
+    const double *TestEmbed, AssessmentScratch &S,
+    const BatchPrunedScan *Batch, size_t QueryIndex) const {
+  size_t N = Labels.size(), Keep = S.Keep;
+  S.Pruned.RowsTotal = N;
+  S.Candidates.clear();
 
   // Exact scan of one contiguous row range into the candidate list. Rows
   // come straight out of the embedding block, so the kernel fold is the
@@ -628,7 +565,8 @@ void CalibrationStore::selectForAssessmentPruned(
                               Embeds.dim(), Embeds.stride(),
                               S.RowScratch.data());
     for (size_t I = Begin; I < End; ++I)
-      S.Keyed.push_back({S.RowScratch[I - Begin], static_cast<uint32_t>(I)});
+      S.Candidates.push_back(
+          {keyBits(S.RowScratch[I - Begin]), static_cast<uint32_t>(I)});
     S.Pruned.RowsScanned += End - Begin;
   };
 
@@ -682,14 +620,14 @@ void CalibrationStore::selectForAssessmentPruned(
   double BoundKey = 0.0;
   size_t LastTighten = 0;
   auto Tighten = [&] {
-    if (S.Keyed.size() < Keep)
+    if (S.Candidates.size() < Keep)
       return;
-    std::nth_element(S.Keyed.begin(),
-                     S.Keyed.begin() + static_cast<long>(Keep - 1),
-                     S.Keyed.end());
-    BoundKey = S.Keyed[Keep - 1].first;
+    std::nth_element(S.Candidates.begin(),
+                     S.Candidates.begin() + static_cast<long>(Keep - 1),
+                     S.Candidates.end());
+    BoundKey = fromKeyBits(S.Candidates[Keep - 1].first);
     HaveBound = true;
-    LastTighten = S.Keyed.size();
+    LastTighten = S.Candidates.size();
   };
   Tighten();
 
@@ -709,15 +647,28 @@ void CalibrationStore::selectForAssessmentPruned(
     support::kernels::l2Sq1xN(TestEmbed, Rows.rowPtr(LB), LE - LB,
                               Rows.dim(), Rows.stride(), S.RowScratch.data());
     for (size_t I = LB; I < LE; ++I)
-      S.Keyed.push_back({S.RowScratch[I - LB], Idx.rowId(I)});
-    if (!HaveBound || S.Keyed.size() >= 2 * LastTighten)
+      S.Candidates.push_back({keyBits(S.RowScratch[I - LB]), Idx.rowId(I)});
+    if (!HaveBound || S.Candidates.size() >= 2 * LastTighten)
       Tighten();
   }
 
-  // Every entry is either a candidate or provably outside the selection,
-  // so the shared partition + weight steps land on the exact path's bits.
-  assert(Keep < Labels.size() && "pruned selection requires a proper subset");
-  finishSelection(Cfg, S);
+  // Every entry is either a candidate or provably farther than the bound,
+  // so the Keep smallest candidates are the exact path's selection and the
+  // last nth_element at Keep - 1 puts its cut in that slot.
+  assert(Keep < N && S.Candidates.size() >= Keep &&
+         "pruned candidates cannot cover the selection");
+  if (S.Candidates.size() != LastTighten)
+    Tighten();
+  S.Cut = S.Candidates[Keep - 1];
+  // Only the selected entries carry their distance; +inf keeps every other
+  // entry past the cut.
+  S.Dists.assign(N, std::numeric_limits<double>::infinity());
+  uint64_t MinBits = ~uint64_t(0);
+  for (size_t Pos = 0; Pos < Keep; ++Pos) {
+    S.Dists[S.Candidates[Pos].second] = fromKeyBits(S.Candidates[Pos].first);
+    MinBits = std::min(MinBits, S.Candidates[Pos].first);
+  }
+  return fromKeyBits(MinBits);
 }
 
 //===----------------------------------------------------------------------===//
@@ -864,21 +815,20 @@ void CalibrationStore::accumulateBlock(const AssessmentScratch &S,
 
   auto ForEachSelected = [&](auto &&Body) {
     for (size_t I = Begin; I < End; ++I) {
-      if (!S.SelectedMask[I])
+      if (!S.selected(I))
         continue;
       int Label = Labels[I];
       if (Label < 0 || static_cast<size_t>(Label) >= NumLabels)
         continue;
       size_t L = static_cast<size_t>(Label);
       Counts[L] += 1.0;
-      Body(I, L);
+      Body(I, L, S.weight(I));
     }
   };
 
   if (S.UniformModes && Modes[0] == CalibrationWeightMode::WeightedCount) {
     // The default configuration: branch-free weighted counting.
-    ForEachSelected([&](size_t I, size_t L) {
-      double W = S.WeightByEntry[I];
+    ForEachSelected([&](size_t I, size_t L, double W) {
       for (size_t E = 0; E < NumExp; ++E) {
         size_t Cell = E * NumLabels + L;
         Total[Cell] += W;
@@ -887,8 +837,7 @@ void CalibrationStore::accumulateBlock(const AssessmentScratch &S,
       }
     });
   } else {
-    ForEachSelected([&](size_t I, size_t L) {
-      double W = S.WeightByEntry[I];
+    ForEachSelected([&](size_t I, size_t L, double W) {
       for (size_t E = 0; E < NumExp; ++E) {
         size_t Cell = E * NumLabels + L;
         switch (Modes[E]) {
@@ -920,6 +869,8 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
                                          const uint8_t *DiscreteFlags,
                                          double *PValsOut) const {
   assert(!Shards.empty() && "pValuesAllExperts before finalize");
+  assert(S.Dists.size() == Labels.size() &&
+         "scratch holds no selection over this store");
   size_t NumExp = numExperts();
   size_t Cells = NumExp * NumLabels;
   size_t K = Shards.size();

@@ -25,8 +25,8 @@
 /// engine entry points fan out shard-parallel over support::ThreadPool:
 ///
 ///  * the squared-distance scan of selectForAssessment() fills disjoint
-///    slices of the key array per shard (per-entry independent, so the
-///    values cannot depend on the partitioning);
+///    slices of the distance array per shard (per-entry independent, so
+///    the values cannot depend on the partitioning);
 ///  * the Eq. (2) p-values have each shard fold its own canonical
 ///    accumulation blocks (see CalibrationAccumBlock) into per-block
 ///    partials that are merged in ascending block order on one thread.
@@ -54,6 +54,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -85,28 +86,54 @@ struct CalibrationSelection {
   std::vector<double> Weights;  ///< Eq. (1) weight per selected entry.
 };
 
+/// Raw IEEE-754 bit pattern of \p V: the distance half of a selection key
+/// (see AssessmentScratch).
+inline uint64_t keyBits(double V) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  return Bits;
+}
+
 /// Reusable per-lane working state of the batched assessment engine: one
 /// instance per ThreadPool lane, recycled across the samples of a batch so
 /// the hot path performs no per-sample allocation.
+///
+/// A selection is one cut over Dists. Entries are ordered by the key
+/// (IEEE bit pattern of the squared distance, entry id), which for the
+/// non-negative distances the kernel returns is select()'s (distance,
+/// index) order; entry I is selected when its key is at most the cut, the
+/// Keep-th smallest key (a full selection's cut admits every key). The
+/// Eq. (1) weight of a selected entry is a pure function of its distance,
+/// so the p-value fold computes it inline.
 struct AssessmentScratch {
-  /// (squared distance, entry id) keys; after selection the first Keep
-  /// elements are the selected entries (unordered beyond the partition).
-  std::vector<std::pair<double, uint32_t>> Keyed;
-  /// Raw squared distances of the batched kernel scan, packed into Keyed
-  /// by computeDistanceKeys.
+  /// Squared distance per live entry. The exact scan fills every slot; the
+  /// pruned scan writes the Keep selected entries and +inf elsewhere.
   std::vector<double> Dists;
-  size_t Keep = 0;                   ///< Number of selected entries.
-  std::vector<uint8_t> SelectedMask; ///< 1 for selected entries.
-  std::vector<double> WeightByEntry; ///< Eq. (1) weight, by entry id.
+  size_t Keep = 0; ///< Number of selected entries.
+  /// The cut: the Keep-th smallest (distance bits, entry id) key.
+  std::pair<uint64_t, uint32_t> Cut;
+  bool Weighted = false; ///< Eq. (1) applies; false gives every weight 1.
+  double Offset = 0.0;   ///< Closest distance under WeightedCount, else 0.
+  double Tau = 1.0;      ///< Effective Eq. (1) temperature.
+  int NormPower = 1;     ///< Eq. (1) norm power (1 or 2).
+
+  /// True when entry \p I's key is at most the cut.
+  bool selected(size_t I) const {
+    return std::make_pair(keyBits(Dists[I]), static_cast<uint32_t>(I)) <= Cut;
+  }
+  /// Eq. (1) weight of selected entry \p I, the same expression select()
+  /// attaches to it.
+  double weight(size_t I) const;
+
+  /// (distance bits, entry id) keys of the last selection: the pivot
+  /// bucket of the exact cut (empty when the cut needs none), or the
+  /// candidates of the pruned scan (the first Keep are the selection).
+  std::vector<std::pair<uint64_t, uint32_t>> Candidates;
   /// Per-(expert, label) weighted ">= test score" sums of the fused pass.
   std::vector<double> GreaterEq;
   /// Per-(expert, label) weighted totals of the fused pass.
   std::vector<double> Total;
   std::vector<double> Counts; ///< Per-label selected counts.
-  /// Bucket-select partition: members of the pivot bucket.
-  std::vector<std::pair<double, uint32_t>> Boundary;
-  /// Bucket-select partition: members past the pivot bucket.
-  std::vector<std::pair<double, uint32_t>> Tail;
   /// Per-expert resolved weight modes of the fused pass.
   std::vector<CalibrationWeightMode> Modes;
   /// Per-expert score-column pointers of the fused pass.
@@ -344,19 +371,21 @@ public:
   //
   // The engine entry points compute the same selection and Eq. (2)
   // p-values as select()/pValues() — bit-identically — but without the
-  // closest-first ordering contract, which lets them replace the full
-  // distance sort with an O(N) partition, defer square roots to the
-  // selected subset, and score every expert in a single pass over the
-  // calibration entries.
+  // closest-first ordering contract. The selection is one cut over the
+  // scanned distances, found by an O(N) bit-pattern histogram instead of
+  // a full sort; the p-value pass tests membership against the cut,
+  // computes each selected entry's Eq. (1) weight inline, and scores
+  // every expert in a single pass over the calibration entries.
   //===--------------------------------------------------------------------===//
 
   /// Selection for one test embedding (length embedDim()): fills
-  /// \p Scratch with the selected-entry mask and Eq. (1) weights; the set
-  /// and every weight equal select()'s, for every shard count. The
-  /// distance scan fans out over the shards when the store is sharded and
-  /// the pool is not already saturated — or, when the index policy built
-  /// cluster indexes and a small proper-subset selection is in force, runs
-  /// the lossless pruned scan instead (Scratch.Pruned carries its pruning
+  /// \p Scratch with the squared distances, the cut and the Eq. (1)
+  /// parameters (see AssessmentScratch); the selected set and every
+  /// weight equal select()'s, for every shard count. The distance scan
+  /// fans out over the shards when the store is sharded and the pool is
+  /// not already saturated — or, when the index policy built cluster
+  /// indexes and a small proper-subset selection is in force, runs the
+  /// lossless pruned scan instead (Scratch.Pruned carries its pruning
   /// counters, all zero when the exact scan served the call).
   ///
   /// \p Batch, when non-null and Active, must have been prepared by
@@ -370,23 +399,10 @@ public:
                            BatchPrunedScan *Batch = nullptr,
                            size_t QueryIndex = 0) const;
 
-  /// Squared-distance keys of entries [Begin, End) against \p TestEmbed,
-  /// written into Scratch.Dists and Scratch.Keyed (which must already hold
-  /// one slot per live entry). Per-entry independent, so disjoint ranges
-  /// can be filled concurrently; the values are identical regardless of
-  /// the partitioning.
-  void computeDistanceKeys(const double *TestEmbed,
-                           AssessmentScratch &Scratch, size_t Begin,
-                           size_t End) const;
-
-  /// The partition + mask + Eq. (1) weight steps of selectForAssessment(),
-  /// run after Scratch.Keyed has been filled by computeDistanceKeys().
-  void finishSelection(const PromConfig &Cfg,
-                       AssessmentScratch &Scratch) const;
-
   /// Class-conditional p-values of every expert in one fused pass.
   ///
-  /// \param Scratch selection state from selectForAssessment().
+  /// \param Scratch selection state from selectForAssessment() on this
+  ///        store (one distance per live entry).
   /// \param TestScores numExperts() x NumLabels row-major score block.
   /// \param NumLabels labels scored per expert.
   /// \param Cfg weighting and smoothing knobs.
@@ -394,8 +410,9 @@ public:
   ///        (may be null when no expert is discrete).
   /// \param PValsOut numExperts() x NumLabels row-major output block.
   ///
-  /// Every configuration runs the canonical block fold over the selection
-  /// mask and weights, so the result is pValues()'s bit for bit.
+  /// Every configuration runs the canonical block fold, testing each
+  /// entry against the cut and weighting the selected ones inline, so the
+  /// result is pValues()'s bit for bit.
   void pValuesAllExperts(AssessmentScratch &Scratch, const double *TestScores,
                          size_t NumLabels, const PromConfig &Cfg,
                          const uint8_t *DiscreteFlags,
@@ -478,30 +495,23 @@ private:
   void updateShardIndex(Shard &Sh);
 
   /// The shared routing predicate of the pruned scan: true when the policy
-  /// is enabled, at least one shard is indexed, and the \p Cfg selection is
-  /// a small proper subset (MaxSelectFraction); \p Keep receives the
-  /// selection size. prepareBatchPrunedScan() and selectForAssessment()
-  /// both route through this, so a prepared batch can never disagree with
-  /// the per-query decision.
-  bool prunedRouting(const PromConfig &Cfg, size_t &Keep) const;
+  /// is enabled, at least one shard is indexed, and a selection of \p Keep
+  /// entries is a small proper subset (MaxSelectFraction).
+  /// prepareBatchPrunedScan() and selectForAssessment() both route through
+  /// this, so a prepared batch can never disagree with the per-query
+  /// decision.
+  bool prunedRouting(size_t Keep) const;
 
   /// The cluster-pruned selection path: exact scan of every unindexed
-  /// row, bound-pruned scan of the indexed lists, then the shared
-  /// partition + weight steps. Bit-identical to the exact path. \p Batch,
-  /// when non-null, supplies the precomputed centroid-distance rows of
-  /// query \p QueryIndex (see selectForAssessment()).
-  void selectForAssessmentPruned(const double *TestEmbed,
-                                 const PromConfig &Cfg, size_t Keep,
-                                 AssessmentScratch &Scratch,
-                                 const BatchPrunedScan *Batch,
-                                 size_t QueryIndex) const;
-
-  /// Shared tail of both selection paths: the selected-entry mask and
-  /// Eq. (1) weights from the first Scratch.Keep slots of Scratch.Keyed.
-  /// Every step is order-independent over those slots, so both paths land
-  /// on identical bits.
-  void applySelectionWeights(const PromConfig &Cfg,
-                             AssessmentScratch &Scratch) const;
+  /// row, bound-pruned scan of the indexed lists, then the cut at the
+  /// Scratch.Keep-th smallest candidate; returns the smallest squared
+  /// distance. Bit-identical to the exact path. \p Batch, when non-null,
+  /// supplies the precomputed centroid-distance rows of query
+  /// \p QueryIndex (see selectForAssessment()).
+  double selectForAssessmentPruned(const double *TestEmbed,
+                                   AssessmentScratch &Scratch,
+                                   const BatchPrunedScan *Batch,
+                                   size_t QueryIndex) const;
 
   /// Resolves every expert's effective weight mode and score column into
   /// \p Scratch (Modes / Columns / UniformModes).
@@ -510,9 +520,9 @@ private:
 
   /// Accumulates the Eq. (2) partial sums of entries [Begin, End) into the
   /// caller-zeroed \p GreaterEq / \p Total (both numExperts() x NumLabels)
-  /// and \p Counts (NumLabels) buffers, using the selection mask/weights
-  /// and resolved modes in \p Scratch. This is the canonical per-block
-  /// accumulation the engine's p-value fold merges.
+  /// and \p Counts (NumLabels) buffers, using the selection and resolved
+  /// modes in \p Scratch. This is the canonical per-block accumulation the
+  /// engine's p-value fold merges.
   void accumulateBlock(const AssessmentScratch &Scratch,
                        const double *TestScores, size_t NumLabels,
                        size_t Begin, size_t End, double *GreaterEq,

@@ -199,6 +199,10 @@ template <> struct TaskPolicy<ClassificationTask> {
   static bool readTail(support::ByteReader &, Fitted &, size_t, size_t) {
     return true;
   }
+  /// Payload value rule: the temperature divides every log-probability.
+  static bool validFit(const Fitted &Fit) {
+    return std::isfinite(Fit.Temperature) && Fit.Temperature > 0.0;
+  }
   static void finishLoad(Fitted &, const CalibrationStore &,
                          const PromConfig &) {}
 };
@@ -379,6 +383,11 @@ template <> struct TaskPolicy<RegressionTask> {
     }
     Fit.ResidualIqr = R.readF64();
     return !R.failed();
+  }
+  /// Payload value rule: the residual IQR is a finite spread. (Targets and
+  /// centroids are f64vecs, which the codec keeps finite.)
+  static bool validFit(const Fitted &Fit) {
+    return std::isfinite(Fit.ResidualIqr) && Fit.ResidualIqr >= 0.0;
   }
   static void finishLoad(Fitted &Fit, const CalibrationStore &Store,
                          const PromConfig &Cfg) {
@@ -940,6 +949,13 @@ bool readEntries(support::ByteReader &R, size_t NumExperts,
   return true;
 }
 
+/// Payload value rule for a fitted scaler: transform() divides by every
+/// stddev.
+bool positiveStddevs(const std::vector<double> &Stddevs) {
+  return std::all_of(Stddevs.begin(), Stddevs.end(),
+                     [](double S) { return S > 0.0; });
+}
+
 void writeScaler(support::ByteWriter &W, const data::StandardScaler *Scaler) {
   if (!Scaler || !Scaler->isFitted()) {
     W.writeU8(0);
@@ -951,8 +967,8 @@ void writeScaler(support::ByteWriter &W, const data::StandardScaler *Scaler) {
 }
 
 /// Parses the scaler block; restores into \p Scaler when the snapshot has
-/// one and the caller asked for it.
-bool readScaler(support::ByteReader &R, data::StandardScaler *Scaler) {
+/// one.
+bool readScaler(support::ByteReader &R, data::StandardScaler &Scaler) {
   uint8_t Present = R.readU8();
   if (R.failed() || Present > 1)
     return false;
@@ -960,10 +976,10 @@ bool readScaler(support::ByteReader &R, data::StandardScaler *Scaler) {
     return true;
   std::vector<double> Means = R.readDoubleVec();
   std::vector<double> Stddevs = R.readDoubleVec();
-  if (R.failed() || Means.size() != Stddevs.size() || Means.empty())
+  if (R.failed() || Means.size() != Stddevs.size() || Means.empty() ||
+      !positiveStddevs(Stddevs))
     return false;
-  if (Scaler)
-    Scaler->restore(std::move(Means), std::move(Stddevs));
+  Scaler.restore(std::move(Means), std::move(Stddevs));
   return true;
 }
 
@@ -974,7 +990,10 @@ bool CommitteeEngine<Task>::saveSnapshot(
     const std::string &Path, const data::StandardScaler *Scaler) const {
   using Policy = TaskPolicy<Task>;
   std::shared_ptr<const Generation> G = pin();
-  if (!G || G->Store.empty())
+  // No payload value loadSnapshot would reject (W refuses a non-finite
+  // f64vec value), so a rotation never points `latest` at such a file.
+  if (!G || G->Store.empty() || !Policy::validFit(G->Fit) ||
+      (Scaler && Scaler->isFitted() && !positiveStddevs(Scaler->stddevs())))
     return false;
   support::ByteWriter W;
   W.writeU32(SnapshotFormatVersion);
@@ -1026,12 +1045,13 @@ bool CommitteeEngine<Task>::loadSnapshot(const std::string &Path,
 
   size_t EmbedDim = 0;
   if (!readEntries(R, NewScorers.size(), Fresh->Store, EmbedDim) ||
-      !Policy::readTail(R, Fresh->Fit, Fresh->Store.size(), EmbedDim))
+      !Policy::readTail(R, Fresh->Fit, Fresh->Store.size(), EmbedDim) ||
+      !Policy::validFit(Fresh->Fit))
     return false;
   size_t Shards = static_cast<size_t>(R.readU64());
 
   data::StandardScaler StagedScaler;
-  if (!readScaler(R, &StagedScaler))
+  if (!readScaler(R, StagedScaler))
     return false;
   if (R.failed() || !R.atEnd())
     return false;

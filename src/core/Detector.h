@@ -162,7 +162,8 @@ public:
   /// the task's fitted state, committee (by scorer name), calibration
   /// entries, and optionally the deployment feature \p Scaler — so a
   /// restarted server can loadSnapshot() instead of recalibrating. Returns
-  /// false before calibration or on I/O failure.
+  /// false before calibration, on I/O failure, or — writing nothing — when
+  /// loadSnapshot() would reject a value (docs/SNAPSHOT_FORMAT.md).
   bool saveSnapshot(const std::string &Path,
                     const data::StandardScaler *Scaler = nullptr) const;
 
@@ -170,10 +171,10 @@ public:
   /// are bit-identical to the ones the saving detector produced. The
   /// committee is rebuilt by scorer name. Returns false (leaving the
   /// detector untouched) on missing/truncated/corrupt files, a snapshot of
-  /// the wrong kind, an unknown scorer name, or a config no detector can
-  /// run (docs/SNAPSHOT_FORMAT.md lists the rules). Targets a detector
-  /// that is not serving yet: the generation is published atomically, but
-  /// the config and committee are replaced in place.
+  /// the wrong kind, an unknown scorer name, or a config or payload value
+  /// no detector can run (docs/SNAPSHOT_FORMAT.md lists the rules). Targets
+  /// a detector that is not serving yet: the generation is published
+  /// atomically, but the config and committee are replaced in place.
   bool loadSnapshot(const std::string &Path,
                     data::StandardScaler *Scaler = nullptr);
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -59,11 +60,15 @@ void ByteWriter::writeString(const std::string &S) {
 
 void ByteWriter::writeDoubleVec(const std::vector<double> &V) {
   writeU64(V.size());
-  for (double D : V)
+  for (double D : V) {
+    NonFinite |= !std::isfinite(D);
     writeF64(D);
+  }
 }
 
 bool ByteWriter::writeFile(const std::string &Path) const {
+  if (NonFinite)
+    return false; // No reader would accept the file.
   // An injected outright write failure: shaped like fopen/fwrite failing
   // (no file left behind), which is how a full disk or a bad path fails.
   if (faults::shouldFail("snapshot_write"))
@@ -198,8 +203,10 @@ std::vector<double> ByteReader::readDoubleVec() {
     return {};
   }
   std::vector<double> V(static_cast<size_t>(Len));
-  for (double &D : V)
+  for (double &D : V) {
     D = readF64();
+    Failed |= !std::isfinite(D);
+  }
   return V;
 }
 

@@ -20,7 +20,9 @@
 /// calibration scores are bit-identical to the saved ones (snapshots are
 /// restart artifacts for the serving runtime, not a cross-architecture
 /// interchange format: byte order is fixed to the host's, which the
-/// supported targets share).
+/// supported targets share). An f64vec holds finite values only: the
+/// writer refuses to write a file with a NaN or an infinity in one, and
+/// the reader fails on one.
 ///
 /// The rotation helpers at the bottom manage a *directory* of snapshots
 /// for the self-recalibrating server: generation-numbered files
@@ -56,17 +58,20 @@ public:
   void writeF64(double V);
   /// Length-prefixed UTF-8 string.
   void writeString(const std::string &S);
-  /// Length-prefixed vector of doubles.
+  /// Length-prefixed vector of doubles; a non-finite value makes
+  /// writeFile() fail.
   void writeDoubleVec(const std::vector<double> &V);
 
   const std::vector<uint8_t> &bytes() const { return Bytes; }
 
   /// Writes magic + payload + FNV-1a checksum to \p Path. Returns false on
-  /// I/O failure.
+  /// I/O failure, and without writing anything when a vector held a
+  /// non-finite value.
   bool writeFile(const std::string &Path) const;
 
 private:
   std::vector<uint8_t> Bytes;
+  bool NonFinite = false; ///< A vector held a non-finite value.
 };
 
 /// Bounds-checked reader over a loaded snapshot payload. After any failed
@@ -89,7 +94,8 @@ public:
   double readF64();
   std::string readString();
   /// Reads a length-prefixed vector; the length is validated against the
-  /// remaining payload before anything is allocated.
+  /// remaining payload before anything is allocated, and a non-finite
+  /// value fails the read.
   std::vector<double> readDoubleVec();
 
 private:

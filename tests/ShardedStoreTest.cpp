@@ -24,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include <cassert>
-#include <cstring>
 
 using namespace prom;
 using prom::testing::expectSameRegressionVerdict;
@@ -159,14 +158,65 @@ TEST(ShardedStoreTest, AutoShardCountUsesPoolLanes) {
 }
 
 TEST(ShardedStoreTest, FeatureMatrixScanMatchesPerRowVectorScan) {
-  // Property check of the flat-storage refactor: the distance keys the
+  // Property check of the flat-storage refactor: the squared distances the
   // FeatureMatrix-backed store streams out of its contiguous block must
   // be bit-identical to scanning the original per-row entry vectors (the
   // pre-refactor vector<vector<double>> path) with the same kernel — so
-  // moving the storage cannot change a single verdict.
+  // moving the storage cannot change a single verdict. The selection cut
+  // over those distances must match the serial oracle's select() set and
+  // weights, including when several entries share the cut distance and
+  // only the id tie-break decides.
+  using prom::testing::bits;
+  auto Check = [](const char *Tag, const std::vector<CalibrationEntry> &Entries,
+                  const std::vector<std::vector<double>> &Queries,
+                  bool TiesAtCut) {
+    CalibrationStore Scores;
+    for (const CalibrationEntry &E : Entries)
+      Scores.add(E);
+    Scores.finalize();
+    size_t Dim = Entries.front().Embed.size();
+    for (double Fraction : {0.5, 0.1})
+      for (CalibrationWeightMode Mode : {CalibrationWeightMode::WeightedCount,
+                                         CalibrationWeightMode::None}) {
+        SCOPED_TRACE(std::string(Tag) + " fraction " +
+                     std::to_string(Fraction) + " mode " +
+                     std::to_string(static_cast<int>(Mode)));
+        PromConfig Cfg;
+        Cfg.SelectFraction = Fraction;
+        Cfg.WeightMode = Mode;
+        AssessmentScratch S;
+        for (const std::vector<double> &Query : Queries) {
+          Scores.selectForAssessment(Query.data(), Cfg, S);
+          ASSERT_EQ(S.Dists.size(), Entries.size());
+          size_t Selected = 0;
+          bool UnselectedAtCut = false;
+          for (size_t I = 0; I < Entries.size(); ++I) {
+            double PerRow = support::kernels::l2Sq(Entries[I].Embed.data(),
+                                                   Query.data(), Dim);
+            ASSERT_EQ(bits(S.Dists[I]), bits(PerRow)) << "entry " << I;
+            Selected += S.selected(I) ? 1 : 0;
+            UnselectedAtCut |=
+                !S.selected(I) && bits(S.Dists[I]) == S.Cut.first;
+          }
+          CalibrationSelection Sel = Scores.select(Query, Cfg);
+          ASSERT_EQ(Sel.Indices.size(), S.Keep);
+          ASSERT_EQ(Selected, S.Keep);
+          for (size_t Pos = 0; Pos < Sel.Indices.size(); ++Pos) {
+            EXPECT_TRUE(S.selected(Sel.Indices[Pos]));
+            EXPECT_EQ(bits(S.weight(Sel.Indices[Pos])), bits(Sel.Weights[Pos]));
+          }
+          // The tie fixtures must keep their ties at the cut, or they
+          // would silently stop testing the tie-break.
+          if (TiesAtCut) {
+            EXPECT_TRUE(UnselectedAtCut);
+          }
+        }
+      }
+  };
+
   support::Rng R(99);
-  std::vector<CalibrationEntry> Entries;
-  CalibrationStore Scores;
+  std::vector<CalibrationEntry> Gaussian, Grid, Equal;
+  std::vector<std::vector<double>> GaussianQueries, GridQueries;
   size_t Dim = 7; // Odd width: every row exercises the kernel tail.
   for (size_t I = 0; I < 700; ++I) {
     CalibrationEntry E;
@@ -174,39 +224,28 @@ TEST(ShardedStoreTest, FeatureMatrixScanMatchesPerRowVectorScan) {
       E.Embed.push_back(R.gaussian(0.0, 2.0));
     E.Label = static_cast<int>(I % 3);
     E.Scores = {R.uniform(0.0, 1.0)};
-    Entries.push_back(E);
-    Scores.add(std::move(E));
+    Gaussian.push_back(E);
+    // Every {0,1,2}^2 grid point holds about 78 entries.
+    E.Embed = {static_cast<double>(I % 3), static_cast<double>(I / 3 % 3)};
+    Grid.push_back(E);
+    // One embedding for all: every key ties on its distance.
+    E.Embed = {0.5, -1.0, 2.0};
+    Equal.push_back(E);
   }
-  Scores.finalize();
-
-  PromConfig Cfg;
-  AssessmentScratch S;
   for (int Q = 0; Q < 5; ++Q) {
     std::vector<double> Query;
     for (size_t D = 0; D < Dim; ++D)
       Query.push_back(R.gaussian(0.0, 2.0));
-
-    S.Keyed.resize(Scores.size());
-    S.Dists.resize(Scores.size());
-    Scores.computeDistanceKeys(Query.data(), S, 0, Scores.size());
-    for (size_t I = 0; I < Scores.size(); ++I) {
-      double PerRow = support::kernels::l2Sq(Entries[I].Embed.data(),
-                                             Query.data(), Dim);
-      uint64_t GotBits, RefBits;
-      std::memcpy(&GotBits, &S.Keyed[I].first, sizeof(GotBits));
-      std::memcpy(&RefBits, &PerRow, sizeof(RefBits));
-      ASSERT_EQ(GotBits, RefBits) << "entry " << I;
-    }
-    // And the full selection built on those keys matches the serial
-    // oracle's select() set and weights exactly.
-    Scores.finishSelection(Cfg, S);
-    CalibrationSelection Sel = Scores.select(Query, Cfg);
-    ASSERT_EQ(Sel.Indices.size(), S.Keep);
-    for (size_t Pos = 0; Pos < Sel.Indices.size(); ++Pos) {
-      EXPECT_EQ(S.SelectedMask[Sel.Indices[Pos]], 1);
-      EXPECT_EQ(S.WeightByEntry[Sel.Indices[Pos]], Sel.Weights[Pos]);
-    }
+    GaussianQueries.push_back(Query);
   }
+  for (int X = 0; X < 3; ++X)
+    for (int Y = 0; Y < 3; ++Y)
+      GridQueries.push_back({static_cast<double>(X), static_cast<double>(Y)});
+
+  Check("gaussian", Gaussian, GaussianQueries, /*TiesAtCut=*/false);
+  Check("grid", Grid, GridQueries, /*TiesAtCut=*/true);
+  Check("equal", Equal, {{0.5, -1.0, 2.0}, {1.0, 1.0, 1.0}},
+        /*TiesAtCut=*/true);
 }
 
 TEST(ShardedStoreTest, RegressorShardCountInvariant) {

@@ -9,10 +9,12 @@
 // saved, on a fixed probe set, with exact floating-point equality. The
 // loader must also reject — without touching the detector — anything that
 // is not a pristine snapshot: missing files, truncations, flipped bytes,
-// wrong magic, and snapshots of the wrong detector kind.
+// wrong magic, snapshots of the wrong detector kind, and values no
+// detector writes, which saveSnapshot() in turn refuses to write.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/CApi.h"
 #include "core/Detector.h"
 #include "data/Scaler.h"
 #include "data/Split.h"
@@ -31,6 +33,7 @@
 #include <vector>
 
 using namespace prom;
+using prom::testing::bits;
 using prom::testing::expectSameRegressionVerdict;
 using prom::testing::expectSameVerdict;
 using prom::testing::gaussianBlobs;
@@ -79,6 +82,140 @@ ClassifierFixture &classifierFixture() {
   static ClassifierFixture F;
   return F;
 }
+
+/// Calibration inputs shared by the regressor payload-mutation tests.
+struct RegressorFixture {
+  support::Rng R{95};
+  data::Dataset Train, Calib, Probes;
+  ml::MlpRegressor Model;
+  PromConfig Cfg;
+
+  RegressorFixture() {
+    Train = linearRegression(200, 0.1, R);
+    Calib = linearRegression(100, 0.1, R);
+    Model.fit(Train, R);
+    Probes = linearRegression(30, 0.1, R);
+    Cfg.FixedClusters = 3;
+  }
+  /// Calibrates \p D on Calib with the same clustering seed every time.
+  void calibrate(PromRegressor &D) const {
+    support::Rng CalR(5);
+    D.calibrate(Calib, CalR);
+  }
+};
+
+RegressorFixture &regressorFixture() {
+  static RegressorFixture F;
+  return F;
+}
+
+/// The payload of the snapshot file at \p Path: the bytes between the
+/// 8-byte magic and the 8-byte checksum (docs/SNAPSHOT_FORMAT.md).
+std::vector<uint8_t> payloadOf(const std::string &Path) {
+  constexpr size_t MagicBytes = 8, SumBytes = 8;
+  std::vector<char> File = slurp(Path);
+  EXPECT_GT(File.size(), MagicBytes + SumBytes);
+  if (File.size() <= MagicBytes + SumBytes)
+    return {};
+  return std::vector<uint8_t>(File.begin() + MagicBytes,
+                              File.end() - SumBytes);
+}
+
+/// Writes \p Payload to \p Path through ByteWriter, so the magic and the
+/// checksum hold whatever the payload says.
+bool rewritePayload(const std::string &Path,
+                    const std::vector<uint8_t> &Payload) {
+  support::ByteWriter W;
+  for (uint8_t B : Payload)
+    W.writeU8(B);
+  return W.writeFile(Path);
+}
+
+/// Offsets of the regressor's fitted state in a v3 payload.
+struct RegressorTail {
+  size_t Target = 0;          ///< The first target value.
+  size_t Centroid = 0;        ///< The first centroid's first value.
+  size_t LastCentroidRow = 0; ///< The last centroid row's length prefix.
+  size_t Iqr = 0;             ///< The residual IQR.
+};
+
+/// A regressor payload saved without a scaler ends with the shard count
+/// (u64) and the scaler flag (u8).
+constexpr size_t RegressorTrailerBytes = 8 + 1;
+
+/// Walks a v3 snapshot payload (docs/SNAPSHOT_FORMAT.md) to locate single
+/// values.
+struct PayloadCursor {
+  const std::vector<uint8_t> &Bytes;
+  size_t Pos = 0;
+
+  template <class T> T read() {
+    T V{};
+    if (Pos > Bytes.size() || Bytes.size() - Pos < sizeof(V)) {
+      ADD_FAILURE() << "walked past the payload: has the layout changed?";
+      Pos = Bytes.size();
+      return V;
+    }
+    std::memcpy(&V, Bytes.data() + Pos, sizeof(V));
+    Pos += sizeof(V);
+    return V;
+  }
+  /// Skips the version and kind words and the config block: 15
+  /// eight-byte fields, the i32 WeightNormPower and u32 WeightMode, the
+  /// u8 AutoTau and SmoothedPValues.
+  void skipHeaderAndConfig() { Pos += 4 + 4 + 15 * 8 + 2 * 4 + 2 * 1; }
+  void skipScorerNames() {
+    uint32_t Count = read<uint32_t>();
+    for (uint32_t I = 0; I < Count; ++I)
+      Pos += read<uint32_t>();
+  }
+  /// Skips an f64vec; returns the offset of its first value.
+  size_t skipVec() {
+    uint64_t Len = read<uint64_t>();
+    size_t First = Pos;
+    Pos += Len * sizeof(double);
+    return First;
+  }
+  /// Skips the entry block; returns the offsets of the first entry's
+  /// first embedding value and first score.
+  std::pair<size_t, size_t> skipEntries() {
+    uint64_t Count = read<uint64_t>();
+    size_t Embed = skipVec();
+    Pos += sizeof(int32_t);
+    size_t Score = skipVec();
+    for (uint64_t I = 1; I < Count; ++I) {
+      skipVec();
+      Pos += sizeof(int32_t);
+      skipVec();
+    }
+    return {Embed, Score};
+  }
+  /// Skips a regressor payload from its start up to the shard count.
+  RegressorTail skipRegressorPayload() {
+    skipHeaderAndConfig();
+    skipScorerNames();
+    skipEntries();
+    RegressorTail T;
+    T.Target = skipVec();
+    uint64_t NumCentroids = read<uint64_t>();
+    for (uint64_t I = 0; I < NumCentroids; ++I) {
+      T.LastCentroidRow = Pos;
+      size_t First = skipVec();
+      if (I == 0)
+        T.Centroid = First;
+    }
+    T.Iqr = Pos;
+    Pos += sizeof(double);
+    return T;
+  }
+};
+
+/// One payload value to overwrite.
+struct PayloadPatch {
+  const char *Name;
+  size_t Offset;
+  double Value;
+};
 
 } // namespace
 
@@ -353,62 +490,125 @@ TEST(SnapshotTest, RejectsCentroidRowsOfTheWrongWidth) {
   // entries' embeddings. A snapshot whose last centroid row carries one
   // extra value (length prefix bumped, file re-checksummed, so only the
   // shape is wrong) fails the load and leaves the loader untouched.
-  support::Rng R(95);
-  data::Dataset Train = linearRegression(200, 0.1, R);
-  data::Dataset Calib = linearRegression(100, 0.1, R);
-  ml::MlpRegressor Model;
-  Model.fit(Train, R);
-  PromConfig Cfg;
-  Cfg.FixedClusters = 3;
-  PromRegressor Saved(Model, Cfg), Loader(Model, Cfg);
-  support::Rng CalR(5), LoadR(5);
-  Saved.calibrate(Calib, CalR);
-  Loader.calibrate(Calib, LoadR);
-  data::Dataset Probes = linearRegression(30, 0.1, R);
-  std::vector<RegressionVerdict> Expected = Loader.assessBatch(Probes);
+  RegressorFixture &F = regressorFixture();
+  PromRegressor Saved(F.Model, F.Cfg), Loader(F.Model, F.Cfg);
+  F.calibrate(Saved);
+  F.calibrate(Loader);
+  std::vector<RegressionVerdict> Expected = Loader.assessBatch(F.Probes);
 
   std::string Path = tempPath("wide_centroid.promsnap");
   ASSERT_TRUE(Saved.saveSnapshot(Path));
-  std::vector<char> File = slurp(Path);
-  // The file is the 8-byte magic, the payload and an 8-byte checksum. The
-  // payload ends with the last centroid row (u64 length + doubles), the
-  // residual IQR (f64), the shard count (u64) and the scaler flag (u8).
-  constexpr size_t MagicBytes = 8, SumBytes = 8, TrailerBytes = 8 + 8 + 1;
-  ASSERT_GT(File.size(), MagicBytes + SumBytes + TrailerBytes);
-  std::vector<uint8_t> Payload(File.begin() + MagicBytes,
-                               File.end() - SumBytes);
-  size_t Dim = Model.embed(Calib[0]).size();
-  size_t RowEnd = Payload.size() - TrailerBytes;
-  size_t Prefix = RowEnd - Dim * sizeof(double) - sizeof(uint64_t);
-  uint64_t Len = 0;
-  std::memcpy(&Len, Payload.data() + Prefix, sizeof(Len));
-  ASSERT_EQ(Len, Dim) << "fixture layout: not the last centroid row";
+  std::vector<uint8_t> Payload = payloadOf(Path);
+  PayloadCursor C{Payload};
+  RegressorTail Tail = C.skipRegressorPayload();
+  ASSERT_EQ(C.Pos + RegressorTrailerBytes, Payload.size())
+      << "fixture layout";
+  PayloadCursor Row{Payload, Tail.LastCentroidRow};
+  uint64_t Len = Row.read<uint64_t>();
+  ASSERT_EQ(Len, F.Model.embed(F.Calib[0]).size())
+      << "fixture layout: centroid rows of another width";
 
-  auto Rewrite = [&](const std::vector<uint8_t> &Bytes) {
-    support::ByteWriter W;
-    for (uint8_t B : Bytes)
-      W.writeU8(B);
-    return W.writeFile(Path);
-  };
   // Control: the untouched payload re-written the same way still loads.
-  ASSERT_TRUE(Rewrite(Payload));
-  PromRegressor Control(Model);
+  ASSERT_TRUE(rewritePayload(Path, Payload));
+  PromRegressor Control(F.Model);
   ASSERT_TRUE(Control.loadSnapshot(Path));
 
   ++Len;
-  std::memcpy(Payload.data() + Prefix, &Len, sizeof(Len));
+  std::memcpy(Payload.data() + Tail.LastCentroidRow, &Len, sizeof(Len));
   double Extra = 0.5;
   uint8_t Raw[sizeof(Extra)];
   std::memcpy(Raw, &Extra, sizeof(Extra));
-  Payload.insert(Payload.begin() + static_cast<long>(RowEnd), Raw,
+  Payload.insert(Payload.begin() + static_cast<long>(Tail.Iqr), Raw,
                  Raw + sizeof(Raw));
-  ASSERT_TRUE(Rewrite(Payload));
+  ASSERT_TRUE(rewritePayload(Path, Payload));
   EXPECT_FALSE(Loader.loadSnapshot(Path));
 
-  std::vector<RegressionVerdict> After = Loader.assessBatch(Probes);
+  std::vector<RegressionVerdict> After = Loader.assessBatch(F.Probes);
   ASSERT_EQ(After.size(), Expected.size());
   for (size_t I = 0; I < Expected.size(); ++I)
     expectSameRegressionVerdict(Expected[I], After[I], I);
+  std::remove(Path.c_str());
+}
+
+TEST(SnapshotTest, RejectsNonFinitePayloadValues) {
+  // A checksum proves the bytes arrived intact, not that they are values
+  // a detector could have written. Each case overwrites one payload value
+  // with NaN, an infinity or an out-of-range number and re-writes the file
+  // through ByteWriter so the checksum holds: the load fails and the
+  // loader keeps serving its own generation. A control re-write of the
+  // untouched payload still loads.
+  constexpr double NaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  std::string Path = tempPath("non_finite.promsnap");
+  auto ExpectEachRejected = [&](auto &Loader, auto &Control,
+                                const std::vector<uint8_t> &Payload,
+                                const std::vector<PayloadPatch> &Patches) {
+    ASSERT_TRUE(rewritePayload(Path, Payload));
+    ASSERT_TRUE(Control.loadSnapshot(Path));
+    for (const PayloadPatch &P : Patches) {
+      SCOPED_TRACE(P.Name);
+      std::vector<uint8_t> Bad = Payload;
+      std::memcpy(Bad.data() + P.Offset, &P.Value, sizeof(double));
+      ASSERT_TRUE(rewritePayload(Path, Bad));
+      EXPECT_FALSE(Loader.loadSnapshot(Path));
+    }
+  };
+
+  ClassifierFixture &F = classifierFixture();
+  data::StandardScaler Scaler;
+  Scaler.fit(F.Train);
+  PromClassifier Saved(F.Model), Loader(F.Model), Control(F.Model);
+  Saved.calibrate(F.Calib);
+  Loader.calibrate(F.Calib);
+  std::vector<Verdict> Expected = Loader.assessBatch(F.Probes);
+  ASSERT_TRUE(Saved.saveSnapshot(Path, &Scaler));
+  std::vector<uint8_t> Payload = payloadOf(Path);
+  PayloadCursor C{Payload};
+  C.skipHeaderAndConfig();
+  size_t Temperature = C.Pos;
+  ASSERT_EQ(C.read<double>(), Saved.temperature());
+  C.skipScorerNames();
+  std::pair<size_t, size_t> Entry = C.skipEntries();
+  C.read<uint64_t>(); // The shard count.
+  ASSERT_EQ(C.read<uint8_t>(), 1u) << "fixture layout: no scaler block";
+  size_t Mean = C.skipVec();
+  size_t Stddev = C.skipVec();
+  ASSERT_EQ(C.Pos, Payload.size()) << "fixture layout";
+  ExpectEachRejected(Loader, Control, Payload,
+                     {{"temperature NaN", Temperature, NaN},
+                      {"temperature 0", Temperature, 0.0},
+                      {"embedding +inf", Entry.first, Inf},
+                      {"score NaN", Entry.second, NaN},
+                      {"scaler mean NaN", Mean, NaN},
+                      {"scaler stddev 0", Stddev, 0.0},
+                      {"scaler stddev +inf", Stddev, Inf}});
+  std::vector<Verdict> After = Loader.assessBatch(F.Probes);
+  ASSERT_EQ(After.size(), Expected.size());
+  for (size_t I = 0; I < Expected.size(); ++I)
+    expectSameVerdict(Expected[I], After[I], I);
+
+  RegressorFixture &RF = regressorFixture();
+  PromRegressor RegSaved(RF.Model, RF.Cfg), RegLoader(RF.Model, RF.Cfg),
+      RegControl(RF.Model);
+  RF.calibrate(RegSaved);
+  RF.calibrate(RegLoader);
+  std::vector<RegressionVerdict> RegExpected =
+      RegLoader.assessBatch(RF.Probes);
+  ASSERT_TRUE(RegSaved.saveSnapshot(Path));
+  Payload = payloadOf(Path);
+  PayloadCursor RC{Payload};
+  RegressorTail Tail = RC.skipRegressorPayload();
+  ASSERT_EQ(RC.Pos + RegressorTrailerBytes, Payload.size())
+      << "fixture layout";
+  ExpectEachRejected(RegLoader, RegControl, Payload,
+                     {{"target -inf", Tail.Target, -Inf},
+                      {"centroid NaN", Tail.Centroid, NaN},
+                      {"residual IQR +inf", Tail.Iqr, Inf},
+                      {"residual IQR -1", Tail.Iqr, -1.0}});
+  std::vector<RegressionVerdict> RegAfter = RegLoader.assessBatch(RF.Probes);
+  ASSERT_EQ(RegAfter.size(), RegExpected.size());
+  for (size_t I = 0; I < RegExpected.size(); ++I)
+    expectSameRegressionVerdict(RegExpected[I], RegAfter[I], I);
   std::remove(Path.c_str());
 }
 
@@ -508,6 +708,58 @@ TEST(SnapshotTest, RotationPruneNeverDeletesPointedGeneration) {
   Left = support::listSnapshotGenerations(Dir);
   ASSERT_EQ(Left.size(), 1u);
   EXPECT_EQ(Left[0], 5u);
+}
+
+TEST(SnapshotTest, RotationKeepsLatestWhenASaveWouldNotLoad) {
+  // saveSnapshot refuses to write a value loadSnapshot would reject, so a
+  // rotation never commits an unloadable generation. Through the C ABI, a
+  // detector calibrated with one NaN probability row still finalizes, but
+  // prom_save fails: `latest` keeps naming the previous generation, no
+  // generation is added or pruned, and prom_open restores that one.
+  ClassifierFixture &F = classifierFixture();
+  std::string Dir = rotationDir("rotation_non_finite");
+  int NumClasses = 3;
+  int Dim = static_cast<int>(F.Calib[0].Features.size());
+  auto Calibrated = [&](bool PoisonFirstRow) {
+    prom_detector *D = prom_create(NumClasses, Dim, 0.1);
+    for (size_t I = 0; I < F.Calib.size(); ++I) {
+      std::vector<double> P = F.Model.predictProba(F.Calib[I]);
+      if (PoisonFirstRow && I == 0)
+        P.assign(P.size(), std::numeric_limits<double>::quiet_NaN());
+      EXPECT_EQ(prom_add_calibration(D, P.data(), F.Calib[I].Features.data(),
+                                     F.Calib[I].Label),
+                0);
+    }
+    EXPECT_EQ(prom_finalize(D), 0);
+    return D;
+  };
+
+  prom_detector *Good = Calibrated(false);
+  ASSERT_NE(Good, nullptr);
+  ASSERT_EQ(prom_save(Good, Dir.c_str()), 0);
+  uint64_t Committed = support::latestPointerGeneration(Dir);
+  std::vector<uint64_t> Generations = support::listSnapshotGenerations(Dir);
+
+  prom_detector *Poisoned = Calibrated(true);
+  ASSERT_NE(Poisoned, nullptr);
+  EXPECT_EQ(prom_save(Poisoned, Dir.c_str()), -1);
+  EXPECT_EQ(support::latestPointerGeneration(Dir), Committed);
+  EXPECT_EQ(support::listSnapshotGenerations(Dir), Generations);
+
+  prom_detector *Reopened = prom_open(NumClasses, Dim, 0.1, Dir.c_str());
+  ASSERT_NE(Reopened, nullptr);
+  for (const data::Sample &S : F.Probes.samples()) {
+    std::vector<double> P = F.Model.predictProba(S);
+    double CredGood = 0.0, CredReopened = 1.0;
+    EXPECT_EQ(prom_should_reject(Good, P.data(), S.Features.data(),
+                                 &CredGood, nullptr),
+              prom_should_reject(Reopened, P.data(), S.Features.data(),
+                                 &CredReopened, nullptr));
+    EXPECT_EQ(bits(CredGood), bits(CredReopened));
+  }
+  prom_destroy(Reopened);
+  prom_destroy(Poisoned);
+  prom_destroy(Good);
 }
 
 TEST(SnapshotTest, WrongKindRejected) {

@@ -245,9 +245,10 @@ void runPrunedProgram(uint64_t Seed) {
 
 /// Batch-prepared pruned scans must be a pure caching transformation: a
 /// selection served from a prepared BatchPrunedScan block is bit-identical
-/// — keys, partition, weights, and every pruning counter — to the same
-/// query's stand-alone selectForAssessment, and the per-query stats slots
-/// (plus their canonical aggregate) are deterministic at any thread count.
+/// — candidates, distances, cut, weights, and every pruning counter — to
+/// the same query's stand-alone selectForAssessment, and the per-query
+/// stats slots (plus their canonical aggregate) are deterministic at any
+/// thread count.
 void runBatchPreparedProgram(uint64_t Seed) {
   SCOPED_TRACE("failure seed " + std::to_string(Seed));
   support::Rng R(Seed);
@@ -297,18 +298,16 @@ void runBatchPreparedProgram(uint64_t Seed) {
     Live.selectForAssessment(Queries.rowPtr(Q), Cfg, Standalone);
 
     ASSERT_EQ(WithBatch.Keep, Standalone.Keep);
-    ASSERT_EQ(WithBatch.Keyed.size(), Standalone.Keyed.size());
-    for (size_t I = 0; I < WithBatch.Keyed.size(); ++I) {
-      EXPECT_EQ(prom::testing::bits(WithBatch.Keyed[I].first),
-                prom::testing::bits(Standalone.Keyed[I].first));
-      EXPECT_EQ(WithBatch.Keyed[I].second, Standalone.Keyed[I].second);
+    EXPECT_EQ(WithBatch.Cut, Standalone.Cut);
+    ASSERT_EQ(WithBatch.Candidates, Standalone.Candidates);
+    ASSERT_EQ(WithBatch.Dists.size(), Standalone.Dists.size());
+    for (size_t I = 0; I < WithBatch.Dists.size(); ++I) {
+      EXPECT_EQ(prom::testing::bits(WithBatch.Dists[I]),
+                prom::testing::bits(Standalone.Dists[I]));
+      ASSERT_EQ(WithBatch.selected(I), Standalone.selected(I));
+      EXPECT_EQ(prom::testing::bits(WithBatch.weight(I)),
+                prom::testing::bits(Standalone.weight(I)));
     }
-    ASSERT_EQ(WithBatch.SelectedMask, Standalone.SelectedMask);
-    ASSERT_EQ(WithBatch.WeightByEntry.size(),
-              Standalone.WeightByEntry.size());
-    for (size_t I = 0; I < WithBatch.WeightByEntry.size(); ++I)
-      EXPECT_EQ(prom::testing::bits(WithBatch.WeightByEntry[I]),
-                prom::testing::bits(Standalone.WeightByEntry[I]));
 
     EXPECT_NE(WithBatch.Pruned.ListsTotal, 0u);
     EXPECT_EQ(WithBatch.Pruned.ListsTotal, Standalone.Pruned.ListsTotal);

@@ -99,9 +99,9 @@ inline void expectStoresBitIdentical(const CalibrationStore &Live,
     Ref.selectForAssessment(Query.data(), Cfg, SRef);
     ASSERT_EQ(SLive.Keep, SRef.Keep);
     for (size_t I = 0; I < Ref.size(); ++I) {
-      ASSERT_EQ(SLive.SelectedMask[I], SRef.SelectedMask[I]) << "entry " << I;
-      if (SRef.SelectedMask[I]) {
-        ASSERT_EQ(bits(SLive.WeightByEntry[I]), bits(SRef.WeightByEntry[I]))
+      ASSERT_EQ(SLive.selected(I), SRef.selected(I)) << "entry " << I;
+      if (SRef.selected(I)) {
+        ASSERT_EQ(bits(SLive.weight(I)), bits(SRef.weight(I)))
             << "entry " << I;
       }
     }
