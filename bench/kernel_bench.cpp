@@ -17,7 +17,14 @@
 //  * the lossless cluster-pruned k-NN (support/ClusterIndex) against the
 //    exact flat scan at 10^5 and 10^6 rows, plus a sweep over smaller row
 //    counts that records the crossover point where pruning starts to win.
-//    Both paths are verified bit-identical before any timing.
+//    Both paths are verified bit-identical before any timing;
+//  * the calibration store's two passes after the distance scan, the
+//    selection cut and the Eq. (2) block fold, scalar reference against
+//    the dispatched kernel at 10^4 entries in two shapes: the default
+//    4-expert WeightedCount committee over a 50% selection, and the
+//    1-expert unweighted full selection of the baselines. Each query's
+//    outputs are checked bit for bit before timing, and the whole store
+//    pass (scan, cut, fold) is timed through the CalibrationStore API.
 //
 // Emits human-readable rows plus one JSON result line per metric (same
 // schema as the other benches; CI greps '^{' into BENCH_kernel_bench.json).
@@ -25,6 +32,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/CalibrationStore.h"
 #include "support/ClusterIndex.h"
 #include "support/Distance.h"
 #include "support/FeatureMatrix.h"
@@ -34,6 +42,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -435,6 +444,190 @@ void clusterScanStudy(double MinMillis, Rng &R) {
   jsonResult("cluster_knn_crossover_n", static_cast<double>(Crossover));
 }
 
+//===----------------------------------------------------------------------===//
+// Calibration-store passes: selection cut and Eq. (2) fold
+//===----------------------------------------------------------------------===//
+
+/// One store shape: \p NumExp experts scored over \p N blob-structured
+/// \p Dim-d entries with \p NumLabels labels, and the selection policy.
+struct StoreShape {
+  const char *Name;
+  size_t NumExp;
+  size_t NumLabels;
+  CalibrationWeightMode Mode;
+  double SelectFraction; ///< 1 selects every entry.
+};
+
+void storePassBench(const StoreShape &Shape, size_t N, size_t Dim,
+                    double MinMillis, Rng &R) {
+  const size_t NumQueries = 16;
+  const size_t NumBlobs = 12;
+  FeatureMatrix Rows = makeBlobRows(N, Dim, NumBlobs, R);
+  std::vector<int> Labels(N);
+  std::vector<std::vector<double>> Scores(Shape.NumExp,
+                                          std::vector<double>(N));
+  for (size_t I = 0; I < N; ++I) {
+    Labels[I] = static_cast<int>((I % NumBlobs) % Shape.NumLabels);
+    for (std::vector<double> &Column : Scores)
+      Column[I] = R.uniform(0.0, 1.0);
+  }
+  CalibrationStore Store;
+  for (size_t I = 0; I < N; ++I) {
+    CalibrationEntry E;
+    E.Embed.assign(Rows.rowPtr(I), Rows.rowPtr(I) + Dim);
+    E.Label = Labels[I];
+    for (const std::vector<double> &Column : Scores)
+      E.Scores.push_back(Column[I]);
+    Store.add(std::move(E));
+  }
+  Store.finalize();
+  PromConfig Cfg;
+  Cfg.WeightMode = Shape.Mode;
+  Cfg.SelectFraction = Shape.SelectFraction;
+  if (Shape.SelectFraction >= 1.0)
+    Cfg.SelectAllBelow = N + 1;
+  std::vector<const double *> Columns;
+  for (const std::vector<double> &Column : Scores)
+    Columns.push_back(Column.data());
+  std::vector<uint8_t> Scaling(Shape.NumExp, 0);
+  size_t Stride = kernels::foldStride(Shape.NumExp);
+  size_t Cells = Shape.NumLabels * Stride;
+  size_t Keep = selectionKeepCount(N, Cfg);
+  bool Weighted = Shape.Mode != CalibrationWeightMode::None;
+  double Tau = Cfg.TauScale * Store.medianNNDist(); // AutoTau.
+
+  // Per query: the scanned distances, the test scores and the fold inputs
+  // (the cut and the WeightedCount offset come from the scalar cut).
+  struct Query {
+    std::vector<double> Embed, Dists, TestScores;
+    kernels::FoldQuery Fold;
+  };
+  std::vector<Query> Queries(NumQueries);
+  std::vector<kernels::SelectKey> Bucket, DispatchedBucket;
+  for (Query &Q : Queries) {
+    const double *Base = Rows.rowPtr(R.bounded(N));
+    for (size_t D = 0; D < Dim; ++D)
+      Q.Embed.push_back(Base[D] + R.gaussian(0.0, 0.5));
+    Q.Dists.resize(N);
+    kernels::l2Sq1xN(Q.Embed.data(), Rows.data(), N, Dim, Rows.stride(),
+                     Q.Dists.data());
+    Q.TestScores.assign(Cells, 0.0);
+    for (size_t L = 0; L < Shape.NumLabels; ++L)
+      for (size_t E = 0; E < Shape.NumExp; ++E)
+        Q.TestScores[L * Stride + E] = R.uniform(0.0, 1.0);
+    kernels::SelectionCut Cut =
+        kernels::scalar::selectionCut(Q.Dists.data(), N, Keep, Bucket);
+    kernels::SelectionCut Dispatched =
+        kernels::selectionCut(Q.Dists.data(), N, Keep, DispatchedBucket);
+    if (Dispatched.Cut != Cut.Cut || Dispatched.MinBits != Cut.MinBits ||
+        DispatchedBucket != Bucket) {
+      std::fprintf(stderr, "FATAL: %s selection cut diverges from scalar\n",
+                   Shape.Name);
+      std::exit(1);
+    }
+    double MinDist;
+    std::memcpy(&MinDist, &Cut.MinBits, sizeof(MinDist));
+    kernels::FoldQuery &F = Q.Fold;
+    F.Dists = Q.Dists.data();
+    F.Cut = Cut.Cut;
+    F.Labels = Labels.data();
+    F.NumLabels = Shape.NumLabels;
+    F.Columns = Columns.data();
+    F.Scaling = Scaling.data();
+    F.NumExperts = Shape.NumExp;
+    F.TestScores = Q.TestScores.data();
+    F.Weighted = Weighted;
+    F.Offset = Shape.Mode == CalibrationWeightMode::WeightedCount
+                   ? std::sqrt(MinDist)
+                   : 0.0;
+    F.Tau = Tau;
+  }
+
+  // The fold of one query over every canonical block, into fresh sums.
+  std::vector<double> GE(Cells), Tot(Cells), Cnt(Shape.NumLabels);
+  auto FoldAll = [&](const kernels::FoldQuery &F, auto Fold) {
+    std::fill(GE.begin(), GE.end(), 0.0);
+    std::fill(Tot.begin(), Tot.end(), 0.0);
+    std::fill(Cnt.begin(), Cnt.end(), 0.0);
+    for (size_t B0 = 0; B0 < N; B0 += CalibrationAccumBlock)
+      Fold(F, B0, std::min(N, B0 + CalibrationAccumBlock), GE.data(),
+           Tot.data(), Cnt.data());
+    return GE[0] + Tot[0];
+  };
+  for (const Query &Q : Queries) {
+    FoldAll(Q.Fold, kernels::scalar::foldBlock);
+    std::vector<double> Want = GE;
+    Want.insert(Want.end(), Tot.begin(), Tot.end());
+    Want.insert(Want.end(), Cnt.begin(), Cnt.end());
+    FoldAll(Q.Fold, kernels::foldBlock);
+    std::vector<double> Got = GE;
+    Got.insert(Got.end(), Tot.begin(), Tot.end());
+    Got.insert(Got.end(), Cnt.begin(), Cnt.end());
+    if (std::memcmp(Got.data(), Want.data(), Got.size() * sizeof(double))) {
+      std::fprintf(stderr, "FATAL: %s Eq. (2) fold diverges from scalar\n",
+                   Shape.Name);
+      std::exit(1);
+    }
+  }
+
+  using Clock = std::chrono::steady_clock;
+  auto BestPerQueryUs = [&](auto &&Body) {
+    double Best = 1e300, SpentMs = 0.0;
+    do {
+      Clock::time_point T0 = Clock::now();
+      for (const Query &Q : Queries)
+        SinkAccum += Body(Q);
+      double Ms =
+          std::chrono::duration<double, std::milli>(Clock::now() - T0)
+              .count();
+      SpentMs += Ms;
+      Best = std::min(Best, Ms * 1e3 / static_cast<double>(NumQueries));
+    } while (SpentMs < MinMillis);
+    return Best;
+  };
+  double CutScalar = BestPerQueryUs([&](const Query &Q) {
+    return static_cast<double>(
+        kernels::scalar::selectionCut(Q.Dists.data(), N, Keep, Bucket)
+            .Cut.second);
+  });
+  double CutDispatched = BestPerQueryUs([&](const Query &Q) {
+    return static_cast<double>(
+        kernels::selectionCut(Q.Dists.data(), N, Keep, Bucket).Cut.second);
+  });
+  double FoldScalar = BestPerQueryUs([&](const Query &Q) {
+    return FoldAll(Q.Fold, kernels::scalar::foldBlock);
+  });
+  double FoldDispatched = BestPerQueryUs(
+      [&](const Query &Q) { return FoldAll(Q.Fold, kernels::foldBlock); });
+
+  // The whole store pass through the public API: distance scan, cut and
+  // fold, plus the engine's own set-up around them.
+  AssessmentScratch Scratch;
+  std::vector<double> TestScores(Shape.NumExp * Shape.NumLabels);
+  for (double &T : TestScores)
+    T = R.uniform(0.0, 1.0);
+  std::vector<double> PVals(TestScores.size());
+  double StorePass = BestPerQueryUs([&](const Query &Q) {
+    Store.selectForAssessment(Q.Embed.data(), Cfg, Scratch);
+    Store.pValuesAllExperts(Scratch, TestScores.data(), Shape.NumLabels, Cfg,
+                            nullptr, PVals.data());
+    return PVals[0];
+  });
+
+  std::printf("  %-8s: cut scalar %6.1f | %s %6.1f us/query | fold scalar "
+              "%6.1f | %s %6.1f us/query | store pass %6.1f us/query\n",
+              Shape.Name, CutScalar, kernels::activeIsaName(), CutDispatched,
+              FoldScalar, kernels::activeIsaName(), FoldDispatched,
+              StorePass);
+  std::string Tag = std::string("store_") + Shape.Name + "_n" +
+                    std::to_string(N);
+  jsonResult(Tag + "_cut_scalar_us", CutScalar);
+  jsonResult(Tag + "_cut_dispatched_us", CutDispatched);
+  jsonResult(Tag + "_fold_scalar_us", FoldScalar);
+  jsonResult(Tag + "_fold_dispatched_us", FoldDispatched);
+  jsonResult(Tag + "_pass_us", StorePass);
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -458,6 +651,16 @@ int main(int argc, char **argv) {
   matmulBench(512, 64, 8, MinMillis, R);
 
   clusterScanStudy(MinMillis, R);
+
+  // engine_10k's store (16-d, default committee, 6 labels, WeightedCount
+  // over 50%) and the baselines' (1 expert, unweighted, full selection).
+  std::printf("\ncalibration-store passes after the distance scan "
+              "(10^4 entries, 16-d)\n");
+  const StoreShape Shapes[] = {
+      {"engine", 4, 6, CalibrationWeightMode::WeightedCount, 0.5},
+      {"baseline", 1, 6, CalibrationWeightMode::None, 1.0}};
+  for (const StoreShape &Shape : Shapes)
+    storePassBench(Shape, 10000, 16, MinMillis, R);
 
   if (SinkAccum == 12345.6789) // Never true; keeps the sink observable.
     std::printf("sink %f\n", SinkAccum);

@@ -18,6 +18,7 @@
 #include <numeric>
 
 using namespace prom;
+using support::kernels::keyBits;
 
 namespace {
 
@@ -92,21 +93,28 @@ void CalibrationStore::computeMedianNNDist() {
     return;
   }
   // Median nearest-neighbour distance over a bounded subsample keeps this
-  // O(min(n,256)^2) even for large calibration sets.
+  // O(min(n,256)^2) even for large calibration sets. Non-finite distances
+  // (a NaN or inf feature) are no neighbours, and a row without a finite
+  // neighbour stays out of the median, so every value sorted is finite.
   size_t N = std::min<size_t>(Labels.size(), MedianNNSample);
   std::vector<double> NNDist;
   NNDist.reserve(N);
   for (size_t I = 0; I < N; ++I) {
-    double Best = -1.0;
+    double Best = std::numeric_limits<double>::infinity();
     for (size_t J = 0; J < N; ++J) {
       if (I == J)
         continue;
       double D = support::euclidean(Embeds.rowPtr(I), Embeds.rowPtr(J),
                                     Embeds.dim());
-      if (Best < 0.0 || D < Best)
+      if (std::isfinite(D) && D < Best)
         Best = D;
     }
-    NNDist.push_back(Best);
+    if (std::isfinite(Best))
+      NNDist.push_back(Best);
+  }
+  if (NNDist.empty()) {
+    MedianNNDist = 1.0;
+    return;
   }
   std::sort(NNDist.begin(), NNDist.end());
   MedianNNDist = std::max(NNDist[NNDist.size() / 2], 1e-9);
@@ -385,53 +393,6 @@ double AssessmentScratch::weight(size_t I) const {
                   : 1.0;
 }
 
-/// Sets the cut of \p S to the S.Keep-th smallest (distance bits, id) key
-/// of S.Dists and returns the smallest squared distance, in O(N) plus a
-/// selection within one bucket.
-///
-/// A histogram over range-adapted bit buckets finds the bucket that holds
-/// the cut in one pass; only its members (usually a handful) are collected
-/// and ordered by (bits, id). No double is compared, so the result is
-/// defined for every bit pattern.
-static double cutSmallestKeys(AssessmentScratch &S) {
-  const std::vector<double> &Dists = S.Dists;
-  size_t N = Dists.size(), Keep = S.Keep;
-  uint64_t MinBits = ~uint64_t(0), MaxBits = 0;
-  for (double D : Dists) {
-    MinBits = std::min(MinBits, keyBits(D));
-    MaxBits = std::max(MaxBits, keyBits(D));
-  }
-  S.Candidates.clear();
-  if (Keep == N || MinBits == MaxBits) {
-    // A full selection admits every key up to the largest; with all keys
-    // equal, the id tie-break alone decides.
-    S.Cut = {MaxBits, static_cast<uint32_t>(Keep - 1)};
-    return fromKeyBits(MinBits);
-  }
-
-  constexpr size_t NumBuckets = 2048;
-  int Shift = 0;
-  while (((MaxBits - MinBits) >> Shift) >= NumBuckets)
-    ++Shift;
-  auto Bucket = [&](double D) { return (keyBits(D) - MinBits) >> Shift; };
-  uint32_t Histogram[NumBuckets] = {0};
-  for (double D : Dists)
-    ++Histogram[Bucket(D)];
-
-  // The pivot bucket is the one where the cumulative count crosses Keep;
-  // every key below it is selected, every key above it is not.
-  size_t Cum = 0, Pivot = 0;
-  while (Cum + Histogram[Pivot] < Keep)
-    Cum += Histogram[Pivot++];
-  for (size_t I = 0; I < N; ++I)
-    if (Bucket(Dists[I]) == Pivot)
-      S.Candidates.push_back({keyBits(Dists[I]), static_cast<uint32_t>(I)});
-  auto Cut = S.Candidates.begin() + static_cast<long>(Keep - Cum - 1);
-  std::nth_element(S.Candidates.begin(), Cut, S.Candidates.end());
-  S.Cut = *Cut;
-  return fromKeyBits(MinBits);
-}
-
 support::ClusterScanStats
 CalibrationStore::BatchPrunedScan::aggregated() const {
   support::ClusterScanStats Agg;
@@ -535,7 +496,10 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
           });
     else
       ScanRange(0, N);
-    MinSq = cutSmallestKeys(Scratch);
+    support::kernels::SelectionCut C = support::kernels::selectionCut(
+        Scratch.Dists.data(), N, Scratch.Keep, Scratch.Candidates);
+    Scratch.Cut = C.Cut;
+    MinSq = fromKeyBits(C.MinBits);
   }
   // The Eq. (1) parameters. The closest entry is always selected, so the
   // root of MinSq is select()'s WeightedCount offset.
@@ -578,10 +542,12 @@ double CalibrationStore::selectForAssessmentPruned(
 
   // Phase 2 — rank every live index's lists globally by query-centroid
   // distance (the scan order only affects how fast the bound tightens,
-  // never the result). With a prepared batch, this query's centroid
-  // distances come straight out of the per-shard blocks — the same bits
-  // the per-query kernel calls would produce, with the MxN pass already
-  // amortized across the whole batch.
+  // never the result). The rank key is the distance's bit pattern: the
+  // numeric order for every non-NaN distance, and a defined one when a
+  // NaN query or centroid makes some distance NaN. With a prepared batch,
+  // this query's centroid distances come straight out of the per-shard
+  // blocks — the same bits the per-query kernel calls would produce, with
+  // the MxN pass already amortized across the whole batch.
   S.ListOrder.clear();
   if (Batch) {
     for (const BatchPrunedScan::ShardBlock &B : Batch->Blocks) {
@@ -591,7 +557,7 @@ double CalibrationStore::selectForAssessmentPruned(
       const double *Row = B.DistSq.data() + QueryIndex * B.NumLists;
       for (size_t L = 0; L < B.NumLists; ++L)
         S.ListOrder.push_back(
-            {Row[L], (static_cast<uint64_t>(B.Shard) << 32) | L});
+            {keyBits(Row[L]), (static_cast<uint64_t>(B.Shard) << 32) | L});
     }
   } else {
     S.CentroidDists.clear();
@@ -604,7 +570,7 @@ double CalibrationStore::selectForAssessmentPruned(
       S.CentroidDists.resize(Off + NumLists);
       Idx.centroidDistances(TestEmbed, S.CentroidDists.data() + Off);
       for (size_t L = 0; L < NumLists; ++L)
-        S.ListOrder.push_back({S.CentroidDists[Off + L],
+        S.ListOrder.push_back({keyBits(S.CentroidDists[Off + L]),
                                (static_cast<uint64_t>(SI) << 32) | L});
     }
   }
@@ -631,14 +597,15 @@ double CalibrationStore::selectForAssessmentPruned(
   };
   Tighten();
 
-  for (const std::pair<double, uint64_t> &Ranked : S.ListOrder) {
+  for (const std::pair<uint64_t, uint64_t> &Ranked : S.ListOrder) {
     size_t SI = static_cast<size_t>(Ranked.second >> 32);
     size_t L = static_cast<size_t>(Ranked.second & 0xffffffffu);
     const support::ClusterIndex &Idx = Shards[SI].Index;
     size_t LB = Idx.listBegin(L), LE = Idx.listEnd(L);
     if (LB == LE)
       continue;
-    if (HaveBound && Idx.listLowerBoundSq(Ranked.first, L) > BoundKey)
+    if (HaveBound &&
+        Idx.listLowerBoundSq(fromKeyBits(Ranked.first), L) > BoundKey)
       continue;
     ++S.Pruned.ListsScanned;
     S.Pruned.RowsScanned += LE - LB;
@@ -660,9 +627,11 @@ double CalibrationStore::selectForAssessmentPruned(
   if (S.Candidates.size() != LastTighten)
     Tighten();
   S.Cut = S.Candidates[Keep - 1];
-  // Only the selected entries carry their distance; +inf keeps every other
-  // entry past the cut.
-  S.Dists.assign(N, std::numeric_limits<double>::infinity());
+  // Only the selected entries carry their distance. Every other entry gets
+  // the largest bit pattern (a NaN), which keeps it past the cut even when
+  // the cut itself is +inf or NaN (a NaN query): below an all-ones cut the
+  // bits decide, and at one the unselected keys are (all-ones, id) anyway.
+  S.Dists.assign(N, fromKeyBits(~uint64_t(0)));
   uint64_t MinBits = ~uint64_t(0);
   for (size_t Pos = 0; Pos < Keep; ++Pos) {
     S.Dists[S.Candidates[Pos].second] = fromKeyBits(S.Candidates[Pos].first);
@@ -687,23 +656,26 @@ static CalibrationWeightMode resolveMode(const PromConfig &Cfg,
 }
 
 /// Shared final step of Eq. (2): p-values from the accumulated counts.
+/// Label L's sums sit at GreaterEq[L * Stride] and Total[L * Stride].
 static void finishPValues(const double *GreaterEq, const double *Total,
                           const double *Counts, size_t NumLabels,
-                          const PromConfig &Cfg, double *POut) {
+                          size_t Stride, const PromConfig &Cfg,
+                          double *POut) {
   for (size_t L = 0; L < NumLabels; ++L) {
     if (Counts[L] <= 0.0) {
       // No conformity evidence for this label among the selected samples.
       POut[L] = 0.0;
       continue;
     }
+    double GE = GreaterEq[L * Stride], Tot = Total[L * Stride];
     if (Cfg.SmoothedPValues) {
       // The pseudo-count is one *typical* observation (the mean weight),
       // so the minimum p-value stays ~1/(n+1) regardless of how sharply
       // the weights localize.
-      double MeanW = Total[L] / Counts[L];
-      POut[L] = (GreaterEq[L] + MeanW) / (Total[L] + MeanW);
+      double MeanW = Tot / Counts[L];
+      POut[L] = (GE + MeanW) / (Tot + MeanW);
     } else {
-      POut[L] = Total[L] > 0.0 ? GreaterEq[L] / Total[L] : 0.0;
+      POut[L] = Tot > 0.0 ? GE / Tot : 0.0;
     }
   }
 }
@@ -780,86 +752,8 @@ CalibrationStore::pValues(const CalibrationSelection &Sel, size_t Expert,
   }
 
   finishPValues(GreaterEq.data(), Total.data(), Counts.data(), NumLabels,
-                Cfg, P.data());
+                /*Stride=*/1, Cfg, P.data());
   return P;
-}
-
-void CalibrationStore::resolveExpertModes(const PromConfig &Cfg,
-                                          const uint8_t *DiscreteFlags,
-                                          AssessmentScratch &S) const {
-  size_t NumExp = numExperts();
-  bool AnyDiscrete = false;
-  if (DiscreteFlags)
-    for (size_t E = 0; E < NumExp; ++E)
-      AnyDiscrete |= DiscreteFlags[E] != 0;
-
-  S.Modes.resize(NumExp);
-  S.Columns.resize(NumExp);
-  S.UniformModes = true;
-  for (size_t E = 0; E < NumExp; ++E) {
-    S.Modes[E] = AnyDiscrete ? resolveMode(Cfg, DiscreteFlags[E] != 0)
-                             : Cfg.WeightMode;
-    S.UniformModes &= S.Modes[E] == S.Modes[0];
-    S.Columns[E] = ScoreColumns[E].data();
-  }
-}
-
-void CalibrationStore::accumulateBlock(const AssessmentScratch &S,
-                                       const double *TestScores,
-                                       size_t NumLabels, size_t Begin,
-                                       size_t End, double *GreaterEq,
-                                       double *Total, double *Counts) const {
-  size_t NumExp = numExperts();
-  const CalibrationWeightMode *Modes = S.Modes.data();
-  const double *const *Columns = S.Columns.data();
-
-  auto ForEachSelected = [&](auto &&Body) {
-    for (size_t I = Begin; I < End; ++I) {
-      if (!S.selected(I))
-        continue;
-      int Label = Labels[I];
-      if (Label < 0 || static_cast<size_t>(Label) >= NumLabels)
-        continue;
-      size_t L = static_cast<size_t>(Label);
-      Counts[L] += 1.0;
-      Body(I, L, S.weight(I));
-    }
-  };
-
-  if (S.UniformModes && Modes[0] == CalibrationWeightMode::WeightedCount) {
-    // The default configuration: branch-free weighted counting.
-    ForEachSelected([&](size_t I, size_t L, double W) {
-      for (size_t E = 0; E < NumExp; ++E) {
-        size_t Cell = E * NumLabels + L;
-        Total[Cell] += W;
-        if (Columns[E][I] >= TestScores[Cell])
-          GreaterEq[Cell] += W;
-      }
-    });
-  } else {
-    ForEachSelected([&](size_t I, size_t L, double W) {
-      for (size_t E = 0; E < NumExp; ++E) {
-        size_t Cell = E * NumLabels + L;
-        switch (Modes[E]) {
-        case CalibrationWeightMode::WeightedCount:
-          Total[Cell] += W;
-          if (Columns[E][I] >= TestScores[Cell])
-            GreaterEq[Cell] += W;
-          break;
-        case CalibrationWeightMode::ScoreScaling:
-          Total[Cell] += 1.0;
-          if (W * Columns[E][I] >= TestScores[Cell])
-            GreaterEq[Cell] += 1.0;
-          break;
-        case CalibrationWeightMode::None:
-          Total[Cell] += 1.0;
-          if (Columns[E][I] >= TestScores[Cell])
-            GreaterEq[Cell] += 1.0;
-          break;
-        }
-      }
-    });
-  }
 }
 
 void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
@@ -872,7 +766,8 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
   assert(S.Dists.size() == Labels.size() &&
          "scratch holds no selection over this store");
   size_t NumExp = numExperts();
-  size_t Cells = NumExp * NumLabels;
+  size_t Stride = support::kernels::foldStride(NumExp);
+  size_t Cells = NumLabels * Stride;
   size_t K = Shards.size();
   bool FanOut = K > 1 && Labels.size() >= MinEntriesForFanOut;
 
@@ -880,10 +775,36 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
   S.Total.assign(Cells, 0.0);
   S.Counts.assign(NumLabels, 0.0);
 
+  // The fold's per-lane rule: ScoreScaling experts scale the score, every
+  // other expert (WeightedCount, None with W = 1, and discrete experts
+  // that fell back to weighted counting) weights the count.
+  S.Columns.resize(NumExp);
+  S.Scaling.resize(NumExp);
+  S.TestScores.assign(Cells, 0.0);
+  for (size_t E = 0; E < NumExp; ++E) {
+    S.Columns[E] = ScoreColumns[E].data();
+    S.Scaling[E] = resolveMode(Cfg, DiscreteFlags && DiscreteFlags[E]) ==
+                   CalibrationWeightMode::ScoreScaling;
+    for (size_t L = 0; L < NumLabels; ++L)
+      S.TestScores[L * Stride + E] = TestScores[E * NumLabels + L];
+  }
+  support::kernels::FoldQuery Q;
+  Q.Dists = S.Dists.data();
+  Q.Cut = S.Cut;
+  Q.Labels = Labels.data();
+  Q.NumLabels = NumLabels;
+  Q.Columns = S.Columns.data();
+  Q.Scaling = S.Scaling.data();
+  Q.NumExperts = NumExp;
+  Q.TestScores = S.TestScores.data();
+  Q.Weighted = S.Weighted;
+  Q.Offset = S.Offset;
+  Q.Tau = S.Tau;
+  Q.NormPower = S.NormPower;
+
   // Every shard folds its own canonical blocks into per-block partials;
   // the merge walks the blocks in ascending order on this thread,
   // reproducing the serial block fold exactly.
-  resolveExpertModes(Cfg, DiscreteFlags, S);
   size_t NumBlocks = numAccumBlocks();
   S.BlockGreaterEq.assign(NumBlocks * Cells, 0.0);
   S.BlockTotal.assign(NumBlocks * Cells, 0.0);
@@ -893,11 +814,11 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
     const Shard &Sh = Shards[SI];
     for (size_t B0 = Sh.Begin; B0 < Sh.End; B0 += CalibrationAccumBlock) {
       size_t Block = B0 / CalibrationAccumBlock;
-      size_t B1 = std::min(Sh.End, B0 + CalibrationAccumBlock);
-      accumulateBlock(S, TestScores, NumLabels, B0, B1,
-                      S.BlockGreaterEq.data() + Block * Cells,
-                      S.BlockTotal.data() + Block * Cells,
-                      S.BlockCounts.data() + Block * NumLabels);
+      support::kernels::foldBlock(
+          Q, B0, std::min(Sh.End, B0 + CalibrationAccumBlock),
+          S.BlockGreaterEq.data() + Block * Cells,
+          S.BlockTotal.data() + Block * Cells,
+          S.BlockCounts.data() + Block * NumLabels);
     }
   };
   if (FanOut)
@@ -923,9 +844,9 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
   }
 
   for (size_t E = 0; E < NumExp; ++E)
-    finishPValues(S.GreaterEq.data() + E * NumLabels,
-                  S.Total.data() + E * NumLabels, S.Counts.data(), NumLabels,
-                  Cfg, PValsOut + E * NumLabels);
+    finishPValues(S.GreaterEq.data() + E, S.Total.data() + E,
+                  S.Counts.data(), NumLabels, Stride, Cfg,
+                  PValsOut + E * NumLabels);
 }
 
 double prom::confidenceFromSetSize(size_t Size, double C) {

@@ -51,10 +51,10 @@
 #include "core/PromConfig.h"
 #include "support/ClusterIndex.h"
 #include "support/FeatureMatrix.h"
+#include "support/Kernels.h"
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -86,14 +86,6 @@ struct CalibrationSelection {
   std::vector<double> Weights;  ///< Eq. (1) weight per selected entry.
 };
 
-/// Raw IEEE-754 bit pattern of \p V: the distance half of a selection key
-/// (see AssessmentScratch).
-inline uint64_t keyBits(double V) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  return Bits;
-}
-
 /// Reusable per-lane working state of the batched assessment engine: one
 /// instance per ThreadPool lane, recycled across the samples of a batch so
 /// the hot path performs no per-sample allocation.
@@ -104,14 +96,17 @@ inline uint64_t keyBits(double V) {
 /// index) order; entry I is selected when its key is at most the cut, the
 /// Keep-th smallest key (a full selection's cut admits every key). The
 /// Eq. (1) weight of a selected entry is a pure function of its distance,
-/// so the p-value fold computes it inline.
+/// so the p-value fold (support::kernels::foldBlock) computes it inline.
+/// The fold's sums are label-major: row L holds one lane per expert,
+/// padded to foldStride(numExperts()) lanes.
 struct AssessmentScratch {
   /// Squared distance per live entry. The exact scan fills every slot; the
-  /// pruned scan writes the Keep selected entries and +inf elsewhere.
+  /// pruned scan writes the Keep selected entries and, elsewhere, the NaN
+  /// whose bits are all ones (the largest key, so never selected).
   std::vector<double> Dists;
   size_t Keep = 0; ///< Number of selected entries.
   /// The cut: the Keep-th smallest (distance bits, entry id) key.
-  std::pair<uint64_t, uint32_t> Cut;
+  support::kernels::SelectKey Cut;
   bool Weighted = false; ///< Eq. (1) applies; false gives every weight 1.
   double Offset = 0.0;   ///< Closest distance under WeightedCount, else 0.
   double Tau = 1.0;      ///< Effective Eq. (1) temperature.
@@ -119,7 +114,8 @@ struct AssessmentScratch {
 
   /// True when entry \p I's key is at most the cut.
   bool selected(size_t I) const {
-    return std::make_pair(keyBits(Dists[I]), static_cast<uint32_t>(I)) <= Cut;
+    return support::kernels::SelectKey(support::kernels::keyBits(Dists[I]),
+                                       static_cast<uint32_t>(I)) <= Cut;
   }
   /// Eq. (1) weight of selected entry \p I, the same expression select()
   /// attaches to it.
@@ -128,17 +124,18 @@ struct AssessmentScratch {
   /// (distance bits, entry id) keys of the last selection: the pivot
   /// bucket of the exact cut (empty when the cut needs none), or the
   /// candidates of the pruned scan (the first Keep are the selection).
-  std::vector<std::pair<uint64_t, uint32_t>> Candidates;
-  /// Per-(expert, label) weighted ">= test score" sums of the fused pass.
-  std::vector<double> GreaterEq;
-  /// Per-(expert, label) weighted totals of the fused pass.
-  std::vector<double> Total;
-  std::vector<double> Counts; ///< Per-label selected counts.
-  /// Per-expert resolved weight modes of the fused pass.
-  std::vector<CalibrationWeightMode> Modes;
+  std::vector<support::kernels::SelectKey> Candidates;
   /// Per-expert score-column pointers of the fused pass.
   std::vector<const double *> Columns;
-  bool UniformModes = true; ///< Every expert resolved to the same mode.
+  /// Per expert: 1 when it resolved to ScoreScaling (see foldBlock()).
+  std::vector<uint8_t> Scaling;
+  /// The test scores, label-major like the sums.
+  std::vector<double> TestScores;
+  /// Weighted ">= test score" sums of the fused pass, label-major.
+  std::vector<double> GreaterEq;
+  /// Weighted totals of the fused pass, label-major.
+  std::vector<double> Total;
+  std::vector<double> Counts; ///< Per-label selected counts.
   /// Block-partial GreaterEq of the canonical block fold: one stripe per
   /// block, filled concurrently.
   std::vector<double> BlockGreaterEq;
@@ -151,9 +148,9 @@ struct AssessmentScratch {
   /// zero when the exact scan served it, so ListsTotal != 0 marks a
   /// pruned selection (every valid index holds at least one list).
   support::ClusterScanStats Pruned;
-  /// Pruned scan: (query-centroid distSq, (shard << 32) | list) ranking
-  /// pairs.
-  std::vector<std::pair<double, uint64_t>> ListOrder;
+  /// Pruned scan: (keyBits of the query-centroid distSq, (shard << 32) |
+  /// list) ranking pairs.
+  std::vector<std::pair<uint64_t, uint64_t>> ListOrder;
   /// Pruned scan: concatenated query-centroid distances of every shard
   /// index.
   std::vector<double> CentroidDists;
@@ -371,11 +368,14 @@ public:
   //
   // The engine entry points compute the same selection and Eq. (2)
   // p-values as select()/pValues() — bit-identically — but without the
-  // closest-first ordering contract. The selection is one cut over the
-  // scanned distances, found by an O(N) bit-pattern histogram instead of
-  // a full sort; the p-value pass tests membership against the cut,
-  // computes each selected entry's Eq. (1) weight inline, and scores
-  // every expert in a single pass over the calibration entries.
+  // closest-first ordering contract. Both passes after the distance scan
+  // are dispatched support/Kernels entry points (scalar reference or
+  // AVX2, bit-identical): the selection is one cut over the scanned
+  // distances, found by an O(N) bit-pattern histogram instead of a full
+  // sort (kernels::selectionCut); the p-value pass (kernels::foldBlock)
+  // compacts each block's selected entries, computes their Eq. (1)
+  // weights in one pass, and scores every expert at once, one vector lane
+  // per expert.
   //===--------------------------------------------------------------------===//
 
   /// Selection for one test embedding (length embedDim()): fills
@@ -410,9 +410,12 @@ public:
   ///        (may be null when no expert is discrete).
   /// \param PValsOut numExperts() x NumLabels row-major output block.
   ///
-  /// Every configuration runs the canonical block fold, testing each
-  /// entry against the cut and weighting the selected ones inline, so the
-  /// result is pValues()'s bit for bit.
+  /// Every configuration runs the canonical block fold (one
+  /// kernels::foldBlock call per block), testing each entry against the
+  /// cut and weighting the selected ones inline, so the result is
+  /// pValues()'s bit for bit. Each expert's resolved weight mode becomes
+  /// the fold's per-lane rule: a ScoreScaling expert scales the score, any
+  /// other weights the count (None with every weight 1).
   void pValuesAllExperts(AssessmentScratch &Scratch, const double *TestScores,
                          size_t NumLabels, const PromConfig &Cfg,
                          const uint8_t *DiscreteFlags,
@@ -512,21 +515,6 @@ private:
                                    AssessmentScratch &Scratch,
                                    const BatchPrunedScan *Batch,
                                    size_t QueryIndex) const;
-
-  /// Resolves every expert's effective weight mode and score column into
-  /// \p Scratch (Modes / Columns / UniformModes).
-  void resolveExpertModes(const PromConfig &Cfg, const uint8_t *DiscreteFlags,
-                          AssessmentScratch &Scratch) const;
-
-  /// Accumulates the Eq. (2) partial sums of entries [Begin, End) into the
-  /// caller-zeroed \p GreaterEq / \p Total (both numExperts() x NumLabels)
-  /// and \p Counts (NumLabels) buffers, using the selection and resolved
-  /// modes in \p Scratch. This is the canonical per-block accumulation the
-  /// engine's p-value fold merges.
-  void accumulateBlock(const AssessmentScratch &Scratch,
-                       const double *TestScores, size_t NumLabels,
-                       size_t Begin, size_t End, double *GreaterEq,
-                       double *Total, double *Counts) const;
 
   /// Entries added but not yet folded into the columns.
   std::vector<CalibrationEntry> Staged;

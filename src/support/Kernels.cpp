@@ -131,6 +131,56 @@ void kernels::scalar::matmul(const double *A, size_t N, size_t K,
   }
 }
 
+kernels::SelectionCut
+kernels::scalar::selectionCut(const double *Dists, size_t N, size_t Keep,
+                              std::vector<SelectKey> &Bucket) {
+  uint64_t MinBits = ~uint64_t(0), MaxBits = 0;
+  for (size_t I = 0; I < N; ++I) {
+    MinBits = std::min(MinBits, keyBits(Dists[I]));
+    MaxBits = std::max(MaxBits, keyBits(Dists[I]));
+  }
+  Bucket.clear();
+  if (Keep == N || MinBits == MaxBits)
+    return {{MaxBits, static_cast<uint32_t>(Keep - 1)}, MinBits};
+
+  int Shift = cutShift(MaxBits - MinBits);
+  uint32_t Histogram[CutBuckets] = {0};
+  for (size_t I = 0; I < N; ++I)
+    ++Histogram[(keyBits(Dists[I]) - MinBits) >> Shift];
+  size_t Below = 0;
+  size_t Pivot = pivotBucket(Histogram, Keep, Below);
+  for (size_t I = 0; I < N; ++I)
+    if (((keyBits(Dists[I]) - MinBits) >> Shift) == Pivot)
+      Bucket.push_back({keyBits(Dists[I]), static_cast<uint32_t>(I)});
+  return {cutInBucket(Bucket, Keep - Below - 1), MinBits};
+}
+
+void kernels::scalar::foldBlock(const FoldQuery &Q, size_t Begin, size_t End,
+                                double *GreaterEq, double *Total,
+                                double *Counts) {
+  size_t Stride = foldStride(Q.NumExperts);
+  for (size_t I = Begin; I < End; ++I) {
+    int Label = Q.Labels[I];
+    if (SelectKey(keyBits(Q.Dists[I]), static_cast<uint32_t>(I)) > Q.Cut ||
+        Label < 0 || static_cast<size_t>(Label) >= Q.NumLabels)
+      continue;
+    size_t Row = static_cast<size_t>(Label) * Stride;
+    Counts[Label] += 1.0;
+    double W = 1.0;
+    if (Q.Weighted) {
+      double D = std::max(0.0, std::sqrt(Q.Dists[I]) - Q.Offset);
+      W = expWeight((Q.NormPower == 2 ? D * D : D) / Q.Tau);
+    }
+    for (size_t E = 0; E < Q.NumExperts; ++E) {
+      double Score = Q.Columns[E][I];
+      double Add = Q.Scaling[E] ? 1.0 : W;
+      double Compared = Q.Scaling[E] ? W * Score : Score;
+      Total[Row + E] += Add;
+      GreaterEq[Row + E] += Compared >= Q.TestScores[Row + E] ? Add : 0.0;
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Runtime dispatch
 //===----------------------------------------------------------------------===//
@@ -148,6 +198,11 @@ struct DispatchTable {
       kernels::scalar::axpy;
   void (*Matmul)(const double *, size_t, size_t, const double *, size_t,
                  const double *, double *) = kernels::scalar::matmul;
+  kernels::SelectionCut (*Cut)(const double *, size_t, size_t,
+                               std::vector<kernels::SelectKey> &) =
+      kernels::scalar::selectionCut;
+  void (*Fold)(const kernels::FoldQuery &, size_t, size_t, double *,
+               double *, double *) = kernels::scalar::foldBlock;
   bool Avx2 = false;
 
   DispatchTable() {
@@ -162,6 +217,8 @@ struct DispatchTable {
       Dot = kernels::avx2::dot;
       Axpy = kernels::avx2::axpy;
       Matmul = kernels::avx2::matmul;
+      Cut = kernels::avx2::selectionCut;
+      Fold = kernels::avx2::foldBlock;
       Avx2 = true;
     }
 #endif
@@ -211,4 +268,15 @@ void kernels::axpy(double *A, const double *B, double Alpha, size_t N) {
 void kernels::matmul(const double *A, size_t N, size_t K, const double *B,
                      size_t M, const double *Bias, double *Out) {
   table().Matmul(A, N, K, B, M, Bias, Out);
+}
+
+kernels::SelectionCut kernels::selectionCut(const double *Dists, size_t N,
+                                            size_t Keep,
+                                            std::vector<SelectKey> &Bucket) {
+  return table().Cut(Dists, N, Keep, Bucket);
+}
+
+void kernels::foldBlock(const FoldQuery &Q, size_t Begin, size_t End,
+                        double *GreaterEq, double *Total, double *Counts) {
+  table().Fold(Q, Begin, End, GreaterEq, Total, Counts);
 }

@@ -7,9 +7,12 @@
 /// \file
 /// The single source of truth for the dense numeric inner loops of the
 /// assessment hot path: batched one-query-vs-many-rows squared Euclidean
-/// distance, dot/axpy, and the blocked row-major matmul behind the batched
-/// model forwards. Every entry point has a scalar reference implementation
-/// and (when the build enables it) a runtime-dispatched AVX2 variant.
+/// distance, dot/axpy, the blocked row-major matmul behind the batched
+/// model forwards, and the two calibration-store passes that follow the
+/// distance scan — the selection cut (selectionCut) and the per-block
+/// Eq. (2) fold (foldBlock). Every entry point has a scalar reference
+/// implementation and (when the build enables it) a runtime-dispatched
+/// AVX2 variant.
 ///
 /// Determinism contract
 /// --------------------
@@ -24,6 +27,13 @@
 ///  * The matmul accumulates each output element strictly in ascending-k
 ///    order; SIMD vectorizes across *independent* output columns, so no
 ///    sum is ever reassociated.
+///  * The selection cut compares integer keys only, so its min/max,
+///    histogram and bucket passes are exact in any order.
+///  * The fold gives each SIMD lane one (expert, label) cell and never sums
+///    across lanes: every step (sqrt, subtract, max, multiply, divide,
+///    compare, masked add) is a per-lane IEEE operation, the Eq. (1) exp
+///    is the same libm call per entry on both paths, and each cell adds
+///    its entries in ascending entry order. No lane-fold rule is needed.
 ///  * The kernel translation units are built with FP contraction disabled,
 ///    so no mul+add pair fuses into an FMA on one ISA but not the other.
 ///
@@ -36,6 +46,10 @@
 #define PROM_SUPPORT_KERNELS_H
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 namespace prom {
 namespace support {
@@ -44,6 +58,56 @@ namespace kernels {
 /// Width of the canonical lane fold (doubles per AVX2 register). Fixed by
 /// the determinism contract — it must not change with the build's ISA.
 constexpr size_t KernelLanes = 4;
+
+/// Raw IEEE-754 bit pattern of \p V: the distance half of a SelectKey.
+inline uint64_t keyBits(double V) {
+  uint64_t Bits;
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  return Bits;
+}
+
+/// A selection key: (keyBits of an entry's distance, entry id). Keys
+/// compare as unsigned integers, so the order is defined for every bit
+/// pattern (NaN and -0.0 included); for non-negative distances it is the
+/// (distance, id) order.
+using SelectKey = std::pair<uint64_t, uint32_t>;
+
+/// Result of selectionCut().
+struct SelectionCut {
+  SelectKey Cut;        ///< The Keep-th smallest key.
+  uint64_t MinBits = 0; ///< Smallest distance bit pattern of the array.
+};
+
+/// Inputs of one query's Eq. (2) fold (see foldBlock()). Every pointer is
+/// borrowed, and the arrays indexed by entry id cover every id foldBlock()
+/// visits.
+struct FoldQuery {
+  /// Squared distance per entry id.
+  const double *Dists = nullptr;
+  /// Entry I is selected when (keyBits(Dists[I]), I) <= Cut.
+  SelectKey Cut;
+  /// Label per entry id; labels outside [0, NumLabels) are skipped.
+  const int *Labels = nullptr;
+  size_t NumLabels = 0; ///< At most INT32_MAX.
+  /// NumExperts score columns, each indexed by entry id.
+  const double *const *Columns = nullptr;
+  /// Per expert: nonzero for a ScoreScaling lane (see foldBlock()).
+  const uint8_t *Scaling = nullptr;
+  size_t NumExperts = 0;
+  /// NumLabels x foldStride(NumExperts) label-major test scores: row L,
+  /// lane E holds expert E's test score for label L.
+  const double *TestScores = nullptr;
+  bool Weighted = false; ///< Eq. (1) applies; false makes every W 1.
+  double Offset = 0.0;   ///< Eq. (1) distance offset.
+  double Tau = 1.0;      ///< Eq. (1) temperature.
+  int NormPower = 1;     ///< Eq. (1) norm power (2 squares, else 1).
+};
+
+/// Accumulator lanes per label row of foldBlock(): the committee size
+/// rounded up to whole KernelLanes vectors.
+constexpr size_t foldStride(size_t NumExperts) {
+  return (NumExperts + KernelLanes - 1) & ~(KernelLanes - 1);
+}
 
 /// True when the dispatched entry points run the AVX2 variants (the build
 /// enabled them, the CPU supports AVX2, and PROM_KERNELS=scalar is not
@@ -105,6 +169,35 @@ void axpy(double *A, const double *B, double Alpha, size_t N);
 void matmul(const double *A, size_t N, size_t K, const double *B, size_t M,
             const double *Bias, double *Out);
 
+/// The cut of the Keep smallest of the N keys (keyBits(Dists[I]), I), for
+/// 1 <= Keep <= N < 2^32, plus the smallest bit pattern. The cut is the
+/// Keep-th smallest key, except that a full selection (Keep == N) takes
+/// (largest bits, N - 1), which admits the same keys without a search; an
+/// array of equal bit patterns needs no search either. Otherwise a
+/// histogram over 2048 range-adapted bit buckets finds the bucket that
+/// holds the cut, and only its keys are collected into \p Bucket (in
+/// ascending id order) and ordered with nth_element; Bucket is left empty
+/// when no search ran. No double is compared, so the result is defined
+/// for every bit pattern.
+SelectionCut selectionCut(const double *Dists, size_t N, size_t Keep,
+                          std::vector<SelectKey> &Bucket);
+
+/// Adds the Eq. (2) partial sums of entries [Begin, End) to the
+/// label-major \p GreaterEq and \p Total (NumLabels x
+/// foldStride(NumExperts)) and to \p Counts (NumLabels).
+///
+/// Each selected entry with a label L in range adds 1 to Counts[L] and
+/// has the Eq. (1) weight W = exp(-max(sqrt(d) - Offset, 0)^p / Tau)
+/// (0 once the exponent passes 746, where exp rounds to +0; W = 1 when
+/// not Weighted). Then every expert lane E follows one rule: a Scaling
+/// lane adds 1 to Total and compares W * score, every other lane adds W
+/// and compares the score; GreaterEq gains the same addend when the
+/// compared value is >= TestScores[L][E], and +0.0 otherwise. Padding
+/// lanes past NumExperts gain nothing but +0.0 (their test scores are
+/// read, never used). Each cell adds its entries in ascending id order.
+void foldBlock(const FoldQuery &Q, size_t Begin, size_t End,
+               double *GreaterEq, double *Total, double *Counts);
+
 //===----------------------------------------------------------------------===//
 // Scalar reference implementations
 //
@@ -124,6 +217,10 @@ double dot(const double *A, const double *B, size_t N);
 void axpy(double *A, const double *B, double Alpha, size_t N);
 void matmul(const double *A, size_t N, size_t K, const double *B, size_t M,
             const double *Bias, double *Out);
+SelectionCut selectionCut(const double *Dists, size_t N, size_t Keep,
+                          std::vector<SelectKey> &Bucket);
+void foldBlock(const FoldQuery &Q, size_t Begin, size_t End,
+               double *GreaterEq, double *Total, double *Counts);
 
 } // namespace scalar
 

@@ -9,7 +9,9 @@
 // per-shard state. These tests pin that shape: the footprint stays within
 // 1.05x of the raw payload after finalize, after a snapshot load and after
 // a bounded refresh, and the config-derived policy builds cluster indexes
-// only when the configured selection can route to them.
+// only when the configured selection can route to them. A calibration row
+// with a NaN feature stays out of the distance scale and leaves the pruned
+// selection equal to the exact one, for ordinary queries and a NaN query.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,11 +21,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 using namespace prom;
+using prom::testing::bits;
 using prom::testing::makeEntries;
 
 namespace {
@@ -136,4 +141,86 @@ TEST(CalibrationStoreTest, ClusterIndexFollowsTheConfiguredSelection) {
   PromConfig Off = Narrow;
   Off.ClusterIndex = false;
   EXPECT_EQ(Finalized(Off).indexedShards(), 0u);
+}
+
+TEST(CalibrationStoreTest, MedianNNDistLeavesNonFiniteRowsOut) {
+  // 100 entries, so the median samples the whole set: with the NaN row
+  // left out, it must equal the median of the set without that row.
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  for (size_t Pos : {0u, 7u}) {
+    SCOPED_TRACE("NaN row " + std::to_string(Pos));
+    support::Rng R(31);
+    std::vector<CalibrationEntry> Entries =
+        makeEntries(100, Dim, NumLabels, NumExperts, R);
+    Entries[Pos].Embed[3] = NaN;
+    CalibrationStore WithNaN = prom::testing::referenceStore(Entries, 1);
+    Entries.erase(Entries.begin() + static_cast<long>(Pos));
+    CalibrationStore Without = prom::testing::referenceStore(Entries, 1);
+    EXPECT_TRUE(std::isfinite(WithNaN.medianNNDist()));
+    EXPECT_EQ(bits(WithNaN.medianNNDist()), bits(Without.medianNNDist()));
+  }
+
+  // No row with a finite neighbour: the scale falls back to 1.
+  support::Rng R(32);
+  std::vector<CalibrationEntry> Entries =
+      makeEntries(10, Dim, NumLabels, NumExperts, R);
+  for (CalibrationEntry &E : Entries)
+    E.Embed[0] = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(prom::testing::referenceStore(Entries, 1).medianNNDist(), 1.0);
+}
+
+TEST(CalibrationStoreTest, PrunedSelectionMatchesExactWithANaNRow) {
+  support::Rng R(37);
+  std::vector<CalibrationEntry> Entries =
+      makeEntries(3000, Dim, NumLabels, NumExperts, R);
+  Entries[1234].Embed[0] = std::numeric_limits<double>::quiet_NaN();
+  PromConfig Cfg;
+  Cfg.SelectFraction = 0.1;
+  ClusterIndexPolicy Policy = ClusterIndexPolicy::fromConfig(Cfg);
+  Policy.MinEntries = 1024; // Both 1536-entry shards get an index.
+  CalibrationStore Pruned, Exact;
+  for (const CalibrationEntry &E : Entries) {
+    Pruned.add(E);
+    Exact.add(E);
+  }
+  Pruned.setIndexPolicy(Policy);
+  Pruned.finalize(2);
+  Exact.finalize(2);
+  ASSERT_EQ(Pruned.indexedShards(), 2u);
+  ASSERT_EQ(Exact.indexedShards(), 0u);
+
+  std::vector<std::vector<double>> Queries;
+  for (size_t Q = 0; Q < 6; ++Q) {
+    std::vector<double> Query(Dim);
+    for (double &X : Query)
+      X = R.gaussian(0.0, 2.0);
+    Queries.push_back(Query);
+  }
+  Queries.push_back(Entries[1234].Embed); // The NaN row: a NaN query.
+  std::vector<double> TestScores(NumExperts * NumLabels);
+  for (size_t QI = 0; QI < Queries.size(); ++QI) {
+    SCOPED_TRACE("query " + std::to_string(QI));
+    const std::vector<double> &Query = Queries[QI];
+    AssessmentScratch SP, SE;
+    Pruned.selectForAssessment(Query.data(), Cfg, SP);
+    Exact.selectForAssessment(Query.data(), Cfg, SE);
+    EXPECT_NE(SP.Pruned.ListsTotal, 0u) << "the pruned scan must serve";
+    EXPECT_EQ(SE.Pruned.ListsTotal, 0u);
+    EXPECT_EQ(SP.Cut, SE.Cut);
+    for (size_t I = 0; I < Entries.size(); ++I) {
+      ASSERT_EQ(SP.selected(I), SE.selected(I)) << "entry " << I;
+      if (SE.selected(I)) {
+        EXPECT_EQ(bits(SP.Dists[I]), bits(SE.Dists[I])) << "entry " << I;
+      }
+    }
+    for (double &T : TestScores)
+      T = R.uniform(0.0, 1.0);
+    std::vector<double> PP(TestScores.size()), PE(TestScores.size());
+    Pruned.pValuesAllExperts(SP, TestScores.data(), NumLabels, Cfg, nullptr,
+                             PP.data());
+    Exact.pValuesAllExperts(SE, TestScores.data(), NumLabels, Cfg, nullptr,
+                            PE.data());
+    for (size_t C = 0; C < PP.size(); ++C)
+      EXPECT_EQ(bits(PP[C]), bits(PE[C])) << "cell " << C;
+  }
 }

@@ -8,8 +8,9 @@
 // (AVX2 when the build + CPU provide it, otherwise the scalar reference
 // itself) must be bit-identical to the scalar reference on every input —
 // odd lengths, tail remainders, zero length, NaN propagation, zero-heavy
-// matmul operands. CI runs this suite in both the scalar-only and the
-// AVX2 build configuration.
+// matmul operands, selection keys of every bit class, and every lane
+// shape of the Eq. (2) fold. CI runs this suite in both the scalar-only
+// and the AVX2 build configuration.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -259,4 +262,243 @@ TEST(KernelTest, DistanceWrappersUseTheKernels) {
                  "euclidean wrapper");
   expectSameBits(dot(A, B), kernels::dot(A.data(), B.data(), A.size()),
                  "dot wrapper");
+}
+
+//===----------------------------------------------------------------------===//
+// Selection cut and Eq. (2) fold
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using kernels::SelectKey;
+
+constexpr double Inf = std::numeric_limits<double>::infinity();
+constexpr double NaN = std::numeric_limits<double>::quiet_NaN();
+
+/// \p N distances where about a quarter are edge values: both zeros, the
+/// smallest subnormals, +inf, NaN of both signs and exact repeats.
+std::vector<double> edgeDistances(size_t N, Rng &R) {
+  const double Specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             4.9e-320,
+                             Inf,
+                             NaN,
+                             -NaN,
+                             1.0,
+                             2.25};
+  std::vector<double> D(N);
+  for (double &X : D)
+    X = R.bernoulli(0.25) ? Specials[R.bounded(std::size(Specials))]
+                          : R.uniform(0.0, 9.0);
+  return D;
+}
+
+/// Every key of \p D in the unsigned (bits, id) order.
+std::vector<SelectKey> sortedKeys(const std::vector<double> &D) {
+  std::vector<SelectKey> Keys;
+  for (size_t I = 0; I < D.size(); ++I)
+    Keys.push_back({kernels::keyBits(D[I]), static_cast<uint32_t>(I)});
+  std::sort(Keys.begin(), Keys.end());
+  return Keys;
+}
+
+/// Runs the scalar and the dispatched cut and checks both against the
+/// sorted keys (a full selection's cut is the largest bits with id N - 1):
+/// same cut, same smallest bits, same pivot bucket.
+void expectCutsAgree(const std::vector<double> &D, size_t Keep) {
+  SCOPED_TRACE(::testing::Message() << "N=" << D.size() << " Keep=" << Keep);
+  std::vector<SelectKey> ScalarBucket, DispatchedBucket;
+  kernels::SelectionCut S =
+      kernels::scalar::selectionCut(D.data(), D.size(), Keep, ScalarBucket);
+  kernels::SelectionCut V =
+      kernels::selectionCut(D.data(), D.size(), Keep, DispatchedBucket);
+  std::vector<SelectKey> Keys = sortedKeys(D);
+  EXPECT_EQ(S.Cut, Keep == D.size()
+                       ? SelectKey(Keys.back().first, Keep - 1)
+                       : Keys[Keep - 1]);
+  EXPECT_EQ(S.MinBits, Keys.front().first);
+  EXPECT_EQ(V.Cut, S.Cut);
+  EXPECT_EQ(V.MinBits, S.MinBits);
+  EXPECT_EQ(DispatchedBucket, ScalarBucket);
+}
+
+/// One fold problem: N entries with edge distances, labels that include
+/// out-of-range values, NumExp score columns (every third expert a
+/// ScoreScaling lane, every third a discrete one with tie-heavy scores
+/// and a NaN), and label-major test scores.
+struct FoldFixture {
+  static constexpr size_t N = 600;
+  static constexpr size_t NumLabels = 5;
+  std::vector<double> Dists;
+  std::vector<int> Labels;
+  std::vector<std::vector<double>> Scores;
+  std::vector<const double *> Columns;
+  std::vector<uint8_t> Scaling;
+  std::vector<double> TestScores;
+
+  FoldFixture(size_t NumExp, Rng &R) : Dists(edgeDistances(N, R)) {
+    for (size_t I = 0; I < N; ++I)
+      Labels.push_back(R.intIn(-2, static_cast<int>(NumLabels) + 1));
+    Scores.resize(NumExp);
+    for (size_t E = 0; E < NumExp; ++E) {
+      for (size_t I = 0; I < N; ++I) {
+        double V = R.uniform(0.0, 1.0);
+        Scores[E].push_back(E % 3 == 2 ? std::floor(V * 4.0) / 4.0 : V);
+      }
+      Scores[E][R.bounded(N)] = NaN;
+      Columns.push_back(Scores[E].data());
+      Scaling.push_back(E % 3 == 1);
+    }
+    size_t Stride = kernels::foldStride(NumExp);
+    TestScores.assign(NumLabels * Stride, 0.0);
+    for (size_t L = 0; L < NumLabels; ++L)
+      for (size_t E = 0; E < NumExp; ++E)
+        TestScores[L * Stride + E] = E % 3 == 2
+                                         ? 0.25 * static_cast<double>(L % 4)
+                                         : R.uniform(0.0, 1.0);
+  }
+
+  kernels::FoldQuery query(SelectKey Cut) const {
+    kernels::FoldQuery Q;
+    Q.Dists = Dists.data();
+    Q.Cut = Cut;
+    Q.Labels = Labels.data();
+    Q.NumLabels = NumLabels;
+    Q.Columns = Columns.data();
+    Q.Scaling = Scaling.data();
+    Q.NumExperts = Columns.size();
+    Q.TestScores = TestScores.data();
+    return Q;
+  }
+};
+
+/// Folds [Begin, End) with both variants into zeroed buffers and compares
+/// every cell, padding lanes included, bit for bit.
+void expectFoldsAgree(const kernels::FoldQuery &Q, size_t Begin, size_t End) {
+  SCOPED_TRACE(::testing::Message()
+               << "experts=" << Q.NumExperts << " [" << Begin << ", " << End
+               << ") weighted=" << Q.Weighted << " p=" << Q.NormPower
+               << " tau=" << Q.Tau);
+  size_t Cells = Q.NumLabels * kernels::foldStride(Q.NumExperts);
+  std::vector<double> GES(Cells, 0.0), TotS(Cells, 0.0);
+  std::vector<double> CntS(Q.NumLabels, 0.0);
+  std::vector<double> GEV = GES, TotV = TotS, CntV = CntS;
+  kernels::scalar::foldBlock(Q, Begin, End, GES.data(), TotS.data(),
+                             CntS.data());
+  kernels::foldBlock(Q, Begin, End, GEV.data(), TotV.data(), CntV.data());
+  for (size_t C = 0; C < Cells; ++C) {
+    expectSameBits(GEV[C], GES[C], "foldBlock GreaterEq");
+    expectSameBits(TotV[C], TotS[C], "foldBlock Total");
+  }
+  for (size_t L = 0; L < Q.NumLabels; ++L)
+    expectSameBits(CntV[L], CntS[L], "foldBlock Counts");
+}
+
+} // namespace
+
+TEST(KernelTest, SelectionCutMatchesScalarAndSortedKeys) {
+  Rng R(19);
+  for (size_t N : {1u, 2u, 3u, 5u, 7u, 8u, 9u, 31u, 256u, 257u, 1000u,
+                   4099u}) {
+    // Edge values stretch the bit range (the subnormals sit far below the
+    // rest), so the pivot bucket holds most keys; plain uniform distances
+    // give the usual small bucket.
+    std::vector<double> Edge = edgeDistances(N, R);
+    std::vector<double> Plain(N);
+    for (double &X : Plain)
+      X = R.uniform(0.0, 9.0);
+    for (size_t Keep : {size_t(1), size_t(2), N / 3, N / 2, N - 1, N}) {
+      if (Keep == 0 || Keep > N)
+        continue;
+      expectCutsAgree(Edge, Keep);
+      expectCutsAgree(Plain, Keep);
+    }
+  }
+}
+
+TEST(KernelTest, SelectionCutBreaksEqualKeysById) {
+  for (double V : {2.5, 0.0, -0.0, Inf, NaN, -NaN}) {
+    std::vector<double> D(37, V);
+    for (size_t Keep : {1u, 5u, 36u, 37u}) {
+      expectCutsAgree(D, Keep);
+      std::vector<SelectKey> Bucket;
+      kernels::SelectionCut C =
+          kernels::selectionCut(D.data(), D.size(), Keep, Bucket);
+      EXPECT_EQ(C.Cut, SelectKey(kernels::keyBits(V), Keep - 1));
+      EXPECT_TRUE(Bucket.empty());
+    }
+  }
+  // One entry below a run of equal keys: only the id decides inside it.
+  std::vector<double> D(40, 3.0);
+  D[17] = 1.0;
+  expectCutsAgree(D, 6);
+  std::vector<SelectKey> Bucket;
+  EXPECT_EQ(kernels::selectionCut(D.data(), D.size(), 6, Bucket).Cut,
+            SelectKey(kernels::keyBits(3.0), 4));
+}
+
+TEST(KernelTest, FoldBlockMatchesScalarOnEveryLaneShape) {
+  Rng R(20);
+  for (size_t NumExp = 1; NumExp <= 9; ++NumExp) {
+    FoldFixture F(NumExp, R);
+    for (size_t Keep : {FoldFixture::N / 2, FoldFixture::N}) {
+      std::vector<SelectKey> Bucket;
+      kernels::FoldQuery Q = F.query(
+          kernels::scalar::selectionCut(F.Dists.data(), FoldFixture::N, Keep,
+                                        Bucket)
+              .Cut);
+      for (bool Weighted : {false, true})
+        for (int Power : {1, 2})
+          for (double Tau : {0.7, 1e-3}) { // 1e-3 pushes exponents past 746.
+            Q.Weighted = Weighted;
+            Q.NormPower = Power;
+            Q.Tau = Tau;
+            Q.Offset = Weighted ? 0.3 : 0.0;
+            // Whole blocks, a short last block, unaligned ranges and
+            // lengths that are not a multiple of 4, and an empty range.
+            const size_t Ranges[][2] = {{0, 256},  {256, 512}, {512, 600},
+                                        {3, 40},   {1, 2},     {5, 5},
+                                        {0, 600}};
+            for (const auto &Range : Ranges)
+              expectFoldsAgree(Q, Range[0], Range[1]);
+          }
+    }
+  }
+}
+
+TEST(KernelTest, FoldBlockWeighsANaNDistanceOneUnderFullSelection) {
+  // std::max(0.0, NaN) is 0.0, so a NaN distance gets exp(-0) = 1; the
+  // vector max must return its second operand (zero) for NaN to agree.
+  std::vector<double> Dists = {4.0, NaN, 1.0, -NaN, 9.0};
+  std::vector<int> Labels = {0, 1, 0, 2, 0};
+  std::vector<double> Scores = {0.9, 0.5, 0.1, 0.7, 0.3};
+  const double *Columns[] = {Scores.data()};
+  uint8_t Scaling[] = {0};
+  size_t Stride = kernels::foldStride(1);
+  std::vector<double> TestScores(3 * Stride, 0.4);
+  std::vector<SelectKey> Bucket;
+  kernels::FoldQuery Q;
+  Q.Dists = Dists.data();
+  Q.Cut = kernels::selectionCut(Dists.data(), Dists.size(), Dists.size(),
+                                Bucket)
+              .Cut;
+  Q.Labels = Labels.data();
+  Q.NumLabels = 3;
+  Q.Columns = Columns;
+  Q.Scaling = Scaling;
+  Q.NumExperts = 1;
+  Q.TestScores = TestScores.data();
+  Q.Weighted = true;
+  Q.Offset = 1.0;
+  Q.Tau = 2.0;
+  expectFoldsAgree(Q, 0, Dists.size());
+
+  std::vector<double> GE(3 * Stride, 0.0), Tot(3 * Stride, 0.0), Cnt(3, 0.0);
+  kernels::foldBlock(Q, 0, Dists.size(), GE.data(), Tot.data(), Cnt.data());
+  for (size_t L : {1u, 2u}) { // The +NaN and the -NaN entry.
+    EXPECT_EQ(Cnt[L], 1.0);
+    EXPECT_EQ(Tot[L * Stride], 1.0);
+    EXPECT_EQ(GE[L * Stride], 1.0);
+  }
 }
