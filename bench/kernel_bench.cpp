@@ -428,7 +428,8 @@ void clusterScanStudy(double MinMillis, Rng &R) {
   }
 
   // Crossover sweep: the smallest row count where the pruned scan beats
-  // the exact one — the number ClusterIndexMinEntries should sit past.
+  // the exact one — the number support::ClusterIndexMinEntries should sit
+  // past.
   size_t Crossover = 0;
   for (size_t N : {1000u, 2000u, 4000u, 8000u, 16000u, 32000u, 64000u}) {
     ClusterBenchResult Res =

@@ -10,9 +10,10 @@
 // Part 1 (custom timing, machine-readable JSON): end-to-end assessment
 // throughput of an MLP-backed PromClassifier over a >= 1,000-sample
 // deployment set, three ways:
-//   * serial   — assessSerial(), the reference per-sample implementation
-//                (two per-sample model forwards, sorted adaptive selection,
-//                one p-value scan per expert): the pre-batching path.
+//   * serial   — oracleAssess() from tests/SerialOracle.h, the serial
+//                reference the test suites check the engine against (two
+//                per-sample model forwards, sorted adaptive selection, one
+//                p-value scan per expert): the pre-batching path.
 //   * assess   — the public per-sample API, which delegates to the batch
 //                engine on size-1 batches.
 //   * batch    — assessBatch() over the whole deployment set.
@@ -26,8 +27,8 @@
 // experts that historically inherited the per-sample fallback — a
 // calibrated PromClassifier runs a 256-sample deployment batch three
 // ways: assessBatch() with the model's native batched forwards, the
-// retained assessSerial() per-sample reference path (the headline
-// baseline: per-sample forwards AND per-sample committee work), and
+// serial oracle's per-sample reference path (the headline baseline:
+// per-sample forwards AND per-sample committee work), and
 // assessBatch() through a shim that re-creates the pre-tentpole state by
 // inheriting the Model.h per-sample fallback loops (isolating the
 // forward-path change alone). All three are verified bit-identical before
@@ -40,9 +41,10 @@
 // A CalibrationStore at 10^5 and 10^6 entries serves selectForAssessment()
 // both ways — the exact flat scan (index policy disabled) and the lossless
 // cluster-pruned scan (support/ClusterIndex) — across selection fractions
-// 50%/10%/2%. Selections are verified bit-identical (mask + weights) per
-// query before timing; the JSON rows record both latencies, the speedup,
-// the scanned-lists/rows fractions, and the one-time index build cost.
+// 50%/10%/2%. Selections are verified bit-identical (mask, selected
+// distances and Eq. (1) parameters) per query before timing; the JSON
+// rows record both latencies, the speedup, the scanned-lists/rows
+// fractions, and the one-time index build cost.
 //
 // Part 4 (google-benchmark): the paper's original microbenchmarks —
 // committee assessment at increasing calibration sizes, bare model
@@ -62,6 +64,7 @@
 #include "ml/Knn.h"
 #include "ml/Mlp.h"
 #include "ml/RandomForest.h"
+#include "tests/SerialOracle.h"
 
 #include <benchmark/benchmark.h>
 
@@ -76,6 +79,7 @@
 
 using namespace prom;
 using namespace prom::bench;
+using prom::testing::oracleAssess;
 
 namespace {
 
@@ -151,7 +155,7 @@ void runThroughputStudy() {
   // the timing comparison is meaningless.
   std::vector<Verdict> Batched = S.Prom->assessBatch(Test);
   for (size_t I = 0; I < TestSize; I += 97) {
-    Verdict Serial = S.Prom->assessSerial(Test[I]);
+    Verdict Serial = oracleAssess(*S.Prom, Test[I]);
     Verdict Single = S.Prom->assess(Test[I]);
     if (!sameVerdict(Serial, Batched[I]) || !sameVerdict(Single, Batched[I])) {
       std::fprintf(stderr,
@@ -167,7 +171,7 @@ void runThroughputStudy() {
   for (int Rep = 0; Rep < 3; ++Rep) {
     auto T0 = std::chrono::steady_clock::now();
     for (size_t I = 0; I < TestSize; ++I)
-      benchmark::DoNotOptimize(S.Prom->assessSerial(Test[I]));
+      benchmark::DoNotOptimize(oracleAssess(*S.Prom, Test[I]));
     SerialSec = std::min(SerialSec, secondsSince(T0));
 
     auto T1 = std::chrono::steady_clock::now();
@@ -184,22 +188,21 @@ void runThroughputStudy() {
   std::printf("\n== micro_overhead: batched vs per-sample assessment "
               "(calib=%zu, test=%zu) ==\n",
               CalibSize, TestSize);
-  std::printf("serial reference : %8.1f samples/s (%.1f us/sample)\n",
+  std::printf("serial oracle    : %8.1f samples/s (%.1f us/sample)\n",
               N / SerialSec, 1e6 * SerialSec / N);
   std::printf("assess() loop    : %8.1f samples/s (%.1f us/sample)\n",
               N / AssessSec, 1e6 * AssessSec / N);
   std::printf("assessBatch()    : %8.1f samples/s (%.1f us/sample)\n",
               N / BatchSec, 1e6 * BatchSec / N);
-  std::printf("speedup batch vs serial reference: %.2fx\n",
+  std::printf("speedup batch vs serial oracle   : %.2fx\n",
               SerialSec / BatchSec);
   std::printf("speedup batch vs assess() loop   : %.2fx\n",
               AssessSec / BatchSec);
 
-  jsonResult("micro_overhead", "serial_reference_samples_per_sec",
-             N / SerialSec);
+  jsonResult("micro_overhead", "oracle_samples_per_sec", N / SerialSec);
   jsonResult("micro_overhead", "assess_loop_samples_per_sec", N / AssessSec);
   jsonResult("micro_overhead", "batch_samples_per_sec", N / BatchSec);
-  jsonResult("micro_overhead", "speedup_batch_vs_serial",
+  jsonResult("micro_overhead", "speedup_batch_vs_oracle",
              SerialSec / BatchSec);
   jsonResult("micro_overhead", "speedup_batch_vs_assess_loop",
              AssessSec / BatchSec);
@@ -271,7 +274,7 @@ void runExpertStudy(const char *Tag, const ml::Classifier &Model,
   std::vector<Verdict> VF = Fallback.assessBatch(Test);
   for (size_t I = 0; I < Test.size(); ++I) {
     if (!sameVerdict(VN[I], VF[I]) ||
-        !sameVerdict(VN[I], Native.assessSerial(Test[I]))) {
+        !sameVerdict(VN[I], oracleAssess(Native, Test[I]))) {
       std::fprintf(stderr,
                    "FATAL: %s batch/reference verdict divergence at %zu\n",
                    Tag, I);
@@ -285,12 +288,12 @@ void runExpertStudy(const char *Tag, const ml::Classifier &Model,
   for (int Rep = 0; Rep < 3; ++Rep) {
     auto T0 = std::chrono::steady_clock::now();
     for (size_t I = 0; I < Test.size(); ++I)
-      benchmark::DoNotOptimize(Native.assessSerial(Test[I]));
+      benchmark::DoNotOptimize(oracleAssess(Native, Test[I]));
     SerialSec = std::min(SerialSec, secondsSince(T0));
   }
 
   double N = static_cast<double>(Test.size());
-  std::printf("%-4s batch %zu : batch %8.1f/s, per-sample reference "
+  std::printf("%-4s batch %zu : batch %8.1f/s, per-sample oracle "
               "%8.1f/s (speedup %.2fx), forward-fallback batch %8.1f/s "
               "(speedup %.2fx)\n",
               Tag, Test.size(), N / NativeSec, N / SerialSec,
@@ -298,10 +301,9 @@ void runExpertStudy(const char *Tag, const ml::Classifier &Model,
               FallbackSec / NativeSec);
   std::string Prefix = std::string(Tag) + "_batch256_";
   jsonResult("micro_overhead", Prefix + "samples_per_sec", N / NativeSec);
-  jsonResult("micro_overhead",
-             std::string(Tag) + "_serial_reference_samples_per_sec",
+  jsonResult("micro_overhead", std::string(Tag) + "_oracle_samples_per_sec",
              N / SerialSec);
-  jsonResult("micro_overhead", Prefix + "speedup_vs_per_sample_reference",
+  jsonResult("micro_overhead", Prefix + "speedup_vs_oracle",
              SerialSec / NativeSec);
   jsonResult("micro_overhead", Prefix + "speedup_vs_forward_fallback",
              FallbackSec / NativeSec);
@@ -361,25 +363,32 @@ void runTreeKnnExpertStudy() {
 //===----------------------------------------------------------------------===//
 
 /// One selection's outputs, captured for the bit-identity check: the
-/// selected set and each selected entry's Eq. (1) weight (0 elsewhere).
+/// selected set, each selected entry's squared distance (0 elsewhere) and
+/// the Eq. (1) parameters, which with those distances fix every weight.
 struct SelectionSnapshot {
   size_t Keep = 0;
   std::vector<uint8_t> Mask;
-  std::vector<double> Weights;
+  std::vector<double> Dists;
+  double WeightParams[3] = {0.0, 0.0, 0.0}; ///< Offset, Tau, NormPower.
+  bool Weighted = false;
 
   explicit SelectionSnapshot(const AssessmentScratch &S)
-      : Keep(S.Keep), Mask(S.Dists.size(), 0), Weights(S.Dists.size(), 0.0) {
+      : Keep(S.Keep), Mask(S.Dists.size(), 0), Dists(S.Dists.size(), 0.0),
+        WeightParams{S.Offset, S.Tau, static_cast<double>(S.NormPower)},
+        Weighted(S.Weighted) {
     for (size_t I = 0; I < S.Dists.size(); ++I)
       if (S.selected(I)) {
         Mask[I] = 1;
-        Weights[I] = S.weight(I);
+        Dists[I] = S.Dists[I];
       }
   }
-  /// Same set and same weight bits.
+  /// Same set and same distance and parameter bits.
   bool sameBits(const SelectionSnapshot &O) const {
-    return Keep == O.Keep && Mask == O.Mask &&
-           std::memcmp(Weights.data(), O.Weights.data(),
-                       Weights.size() * sizeof(double)) == 0;
+    return Keep == O.Keep && Mask == O.Mask && Weighted == O.Weighted &&
+           std::memcmp(Dists.data(), O.Dists.data(),
+                       Dists.size() * sizeof(double)) == 0 &&
+           std::memcmp(WeightParams, O.WeightParams, sizeof(WeightParams)) ==
+               0;
   }
 };
 

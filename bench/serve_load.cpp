@@ -4,12 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Trace-driven open-loop load generator for the serving runtime. Unlike
-// serve_throughput's closed system (which measures the drain rate), this
-// harness emits requests on a precomputed arrival schedule — Poisson or
-// bursty — that never slows down when the service does, so it measures
-// what production traffic actually experiences under overload instead of
-// the coordinated-omission picture a closed loop paints.
+// Trace-driven open-loop load generator for the serving runtime. Unlike a
+// closed loop (which measures the drain rate, as saturationRps() below
+// and perfbench's workloads do), this harness emits requests on a
+// precomputed arrival schedule — Poisson or bursty — that never slows
+// down when the service does, so it measures what production traffic
+// actually experiences under overload instead of the coordinated-omission
+// picture a closed loop paints.
 //
 // The sweep: saturation throughput is measured first (closed-loop drain),
 // then offered load is swept from 0.5x to 2.0x of it under the
@@ -96,9 +97,8 @@ serve::ServiceConfig loadServiceConfig() {
   return Cfg;
 }
 
-/// Saturation throughput: closed-loop drain of a staged queue (the same
-/// measurement as serve_throughput's throughput run). This anchors the
-/// offered-load multipliers.
+/// Saturation throughput: closed-loop drain of a staged queue. This
+/// anchors the offered-load multipliers.
 double saturationRps(const LoadBenchState &S, size_t Requests, int Reps) {
   double Best = 1e300;
   for (int Rep = 0; Rep < Reps; ++Rep) {

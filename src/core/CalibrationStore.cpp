@@ -15,7 +15,6 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <numeric>
 
 using namespace prom;
 using support::kernels::keyBits;
@@ -319,78 +318,11 @@ static double effectiveTau(const PromConfig &Cfg, double MedianNNDist) {
   return Cfg.Tau;
 }
 
-/// The Eq. (1) weight of a selected entry at distance \p Dist.
-///
-/// WeightedCount emphasizes *locally relevant* calibration evidence, so
-/// distances are measured relative to the nearest selected sample (the
-/// \p Offset) — a far-away test input must not wash out every weight at
-/// once (that would leave the smoothing term dominating and report p ~ 1
-/// exactly when the input is most novel). ScoreScaling keeps absolute
-/// distances: its novelty mechanism is the global shrink itself.
-static double distanceWeight(double Dist, double Offset, double Tau,
-                             int NormPower) {
-  double D = std::max(0.0, Dist - Offset);
-  double Norm = NormPower == 2 ? D * D : D;
-  double Exponent = Norm / Tau;
-  // std::exp(-x) rounds to +0.0 for every x above 746 (the subnormal range
-  // ends at ln 2^-1075 ~ 745.13). Returning the 0.0 directly is therefore
-  // bit-identical, and it keeps far-away calibration samples from paying
-  // the libm underflow slow path — and from injecting subnormal weights
-  // into the p-value sums, where every add would hit a microcode assist.
-  if (Exponent > 746.0)
-    return 0.0;
-  return std::exp(-Exponent);
-}
-
-CalibrationSelection
-CalibrationStore::select(const std::vector<double> &TestEmbed,
-                         const PromConfig &Cfg) const {
-  size_t N = Labels.size();
-  assert(N > 0 && "empty calibration set");
-
-  std::vector<double> Dist(N);
-  for (size_t I = 0; I < N; ++I)
-    Dist[I] = support::euclidean(Embeds.rowPtr(I), TestEmbed.data(),
-                                 Embeds.dim());
-
-  std::vector<size_t> Order(N);
-  std::iota(Order.begin(), Order.end(), size_t(0));
-  std::sort(Order.begin(), Order.end(), [&Dist](size_t A, size_t B) {
-    if (Dist[A] != Dist[B])
-      return Dist[A] < Dist[B];
-    return A < B;
-  });
-
-  size_t Keep = selectionKeepCount(N, Cfg);
-  Order.resize(Keep);
-
-  CalibrationSelection Sel;
-  Sel.Indices = Order;
-  Sel.Weights.resize(Keep, 1.0);
-  if (Cfg.WeightMode != CalibrationWeightMode::None) {
-    double Tau = effectiveTau(Cfg, MedianNNDist);
-    double Offset = Cfg.WeightMode == CalibrationWeightMode::WeightedCount
-                        ? Dist[Sel.Indices.front()]
-                        : 0.0;
-    for (size_t I = 0; I < Keep; ++I)
-      Sel.Weights[I] = distanceWeight(Dist[Sel.Indices[I]], Offset, Tau,
-                                      Cfg.WeightNormPower);
-  }
-  return Sel;
-}
-
 /// The double whose bit pattern is \p Bits.
 static double fromKeyBits(uint64_t Bits) {
   double V;
   std::memcpy(&V, &Bits, sizeof(V));
   return V;
-}
-
-double AssessmentScratch::weight(size_t I) const {
-  // The deferred sqrt of the kernel's squared distance is select()'s
-  // support::euclidean value bit for bit.
-  return Weighted ? distanceWeight(std::sqrt(Dists[I]), Offset, Tau, NormPower)
-                  : 1.0;
 }
 
 support::ClusterScanStats
@@ -501,8 +433,12 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
     Scratch.Cut = C.Cut;
     MinSq = fromKeyBits(C.MinBits);
   }
-  // The Eq. (1) parameters. The closest entry is always selected, so the
-  // root of MinSq is select()'s WeightedCount offset.
+  // The Eq. (1) parameters. WeightedCount emphasizes *locally relevant*
+  // evidence, so distances count from the closest entry (always selected):
+  // a far-away input must not wash out every weight at once, which would
+  // leave the smoothing term dominating and report p ~ 1 exactly when the
+  // input is most novel. ScoreScaling keeps absolute distances; its
+  // novelty mechanism is the global shrink itself.
   Scratch.Weighted = Cfg.WeightMode != CalibrationWeightMode::None;
   Scratch.Offset = Cfg.WeightMode == CalibrationWeightMode::WeightedCount
                        ? std::sqrt(MinSq)
@@ -678,82 +614,6 @@ static void finishPValues(const double *GreaterEq, const double *Total,
       POut[L] = Tot > 0.0 ? GE / Tot : 0.0;
     }
   }
-}
-
-std::vector<double>
-CalibrationStore::pValues(const CalibrationSelection &Sel, size_t Expert,
-                          const std::vector<double> &TestScores,
-                          const PromConfig &Cfg, bool DiscreteScores) const {
-  assert(Expert < numExperts() && "expert index out of range");
-  size_t N = Labels.size();
-  size_t NumLabels = TestScores.size();
-  std::vector<double> GreaterEq(NumLabels, 0.0);
-  std::vector<double> Total(NumLabels, 0.0);
-  std::vector<double> Counts(NumLabels, 0.0);
-  std::vector<double> P(NumLabels, 0.0);
-
-  CalibrationWeightMode Mode = resolveMode(Cfg, DiscreteScores);
-  const std::vector<double> &Scores = ScoreColumns[Expert];
-
-  // Accumulation runs in ascending entry-index order inside each canonical
-  // block, and block partials fold in ascending block order — the scheme
-  // shared with pValuesAllExperts() — so the floating-point sums do not
-  // depend on how the selection was ordered or how the work was
-  // partitioned.
-  std::vector<uint8_t> Mask(N, 0);
-  std::vector<double> WeightByEntry(N, 0.0);
-  for (size_t Pos = 0; Pos < Sel.Indices.size(); ++Pos) {
-    Mask[Sel.Indices[Pos]] = 1;
-    WeightByEntry[Sel.Indices[Pos]] = Sel.Weights[Pos];
-  }
-
-  std::vector<double> BlockGE(NumLabels), BlockTot(NumLabels),
-      BlockCnt(NumLabels);
-  for (size_t B0 = 0; B0 < N; B0 += CalibrationAccumBlock) {
-    size_t B1 = std::min(N, B0 + CalibrationAccumBlock);
-    std::fill(BlockGE.begin(), BlockGE.end(), 0.0);
-    std::fill(BlockTot.begin(), BlockTot.end(), 0.0);
-    std::fill(BlockCnt.begin(), BlockCnt.end(), 0.0);
-    for (size_t I = B0; I < B1; ++I) {
-      if (!Mask[I])
-        continue;
-      int Label = Labels[I];
-      if (Label < 0 || static_cast<size_t>(Label) >= NumLabels)
-        continue;
-      size_t L = static_cast<size_t>(Label);
-      BlockCnt[L] += 1.0;
-      double W = WeightByEntry[I];
-      switch (Mode) {
-      case CalibrationWeightMode::WeightedCount:
-        // Weighted conformal counting: each calibration sample contributes
-        // its Eq. (1) weight to both counts.
-        BlockTot[L] += W;
-        if (Scores[I] >= TestScores[L])
-          BlockGE[L] += W;
-        break;
-      case CalibrationWeightMode::ScoreScaling:
-        // The paper's literal adjustment a_i = w_i * a_i with unit counts.
-        BlockTot[L] += 1.0;
-        if (W * Scores[I] >= TestScores[L])
-          BlockGE[L] += 1.0;
-        break;
-      case CalibrationWeightMode::None:
-        BlockTot[L] += 1.0;
-        if (Scores[I] >= TestScores[L])
-          BlockGE[L] += 1.0;
-        break;
-      }
-    }
-    for (size_t L = 0; L < NumLabels; ++L) {
-      GreaterEq[L] += BlockGE[L];
-      Total[L] += BlockTot[L];
-      Counts[L] += BlockCnt[L];
-    }
-  }
-
-  finishPValues(GreaterEq.data(), Total.data(), Counts.data(), NumLabels,
-                /*Stride=*/1, Cfg, P.data());
-  return P;
 }
 
 void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,

@@ -33,8 +33,9 @@
 ///
 /// Both merges reproduce the same floating-point arithmetic bit for bit,
 /// so verdicts are identical for every shard count and every thread
-/// count. select() and pValues() are the serial reference: a closest-first
-/// distance sort and one linear scan per expert over the same columns.
+/// count. The bit-identity suites check the engine against a serial
+/// oracle that re-derives selection, weights and p-values from the paper
+/// (tests/SerialOracle.h); the library ships only the engine.
 ///
 /// The store also supports *online refresh*: appendEntries() stages
 /// freshly relabeled deployment samples, and refinalize() folds them into
@@ -62,10 +63,10 @@ namespace prom {
 
 /// Entries per canonical accumulation block of the Eq. (2) sums.
 ///
-/// Every p-value path (the serial reference, the fused batch engine, and
-/// the per-shard folds) accumulates the weighted counts per fixed-size
-/// block of calibration entries — sequential in ascending entry order
-/// inside a block — and folds the block partials in ascending block order.
+/// The Eq. (2) pass (and every per-shard fold of it) accumulates the
+/// weighted counts per fixed-size block of calibration entries —
+/// sequential in ascending entry order inside a block — and folds the
+/// block partials in ascending block order.
 /// Block boundaries depend only on the calibration set size, never on the
 /// shard count or thread count, so the floating-point result is
 /// bit-identical no matter how the work is partitioned; sets smaller than
@@ -80,23 +81,18 @@ struct CalibrationEntry {
   std::vector<double> Scores; ///< One nonconformity score per expert.
 };
 
-/// The subset of calibration samples chosen for one test input.
-struct CalibrationSelection {
-  std::vector<size_t> Indices;  ///< Entries, closest first.
-  std::vector<double> Weights;  ///< Eq. (1) weight per selected entry.
-};
-
 /// Reusable per-lane working state of the batched assessment engine: one
 /// instance per ThreadPool lane, recycled across the samples of a batch so
 /// the hot path performs no per-sample allocation.
 ///
 /// A selection is one cut over Dists. Entries are ordered by the key
 /// (IEEE bit pattern of the squared distance, entry id), which for the
-/// non-negative distances the kernel returns is select()'s (distance,
-/// index) order; entry I is selected when its key is at most the cut, the
-/// Keep-th smallest key (a full selection's cut admits every key). The
-/// Eq. (1) weight of a selected entry is a pure function of its distance,
-/// so the p-value fold (support::kernels::foldBlock) computes it inline.
+/// non-negative distances the kernel returns is the (distance, id) order;
+/// entry I is selected when its key is at most the cut, the Keep-th
+/// smallest key (a full selection's cut admits every key). The
+/// Eq. (1) weight of a selected entry is a pure function of its distance
+/// and the four parameters below, so the p-value fold
+/// (support::kernels::foldBlock) computes it inline and nothing stores it.
 /// The fold's sums are label-major: row L holds one lane per expert,
 /// padded to foldStride(numExperts()) lanes.
 struct AssessmentScratch {
@@ -117,9 +113,6 @@ struct AssessmentScratch {
     return support::kernels::SelectKey(support::kernels::keyBits(Dists[I]),
                                        static_cast<uint32_t>(I)) <= Cut;
   }
-  /// Eq. (1) weight of selected entry \p I, the same expression select()
-  /// attaches to it.
-  double weight(size_t I) const;
 
   /// (distance bits, entry id) keys of the last selection: the pivot
   /// bucket of the exact cut (empty when the cut needs none), or the
@@ -175,27 +168,27 @@ double confidenceFromSetSize(size_t Size, double C);
 struct ClusterIndexPolicy {
   bool Enabled = false;        ///< Build and use shard indexes at all.
   size_t NumCentroids = 0;     ///< Per-shard lists; 0 = ~sqrt(shard rows).
-  size_t MinEntries = 8192;    ///< Smaller shards stay unindexed.
-  double MaxStaleFraction = 0.25; ///< Unindexed-tail share forcing rebuild.
+  /// Smaller shards stay unindexed.
+  size_t MinEntries = support::ClusterIndexMinEntries;
+  /// Unindexed-tail share that forces a rebuild: entries appended by
+  /// refinalize() leave an index covering only a prefix, and the pruned
+  /// scan reads the tail exactly until it outgrows this share.
+  double MaxStaleFraction = 0.25;
   /// Largest Keep/N the pruned scan serves; larger selections fall back to
-  /// the exact scan, which is faster there (the pruned path must visit at
-  /// least the kept rows anyway).
+  /// the exact scan, which is faster there (measured: pruning a 50%
+  /// selection scans ~90% of the rows and loses 10-30%, while 10%/2%
+  /// selections win 1.7x/6.5x at 10^6 entries).
   double MaxSelectFraction = 0.25;
   uint64_t Seed = 0x5851F42D4C957F2Dull; ///< Clustering seed base.
 
-  /// The policy the PromConfig knobs describe. Indexes are enabled only
-  /// when the config's own selection can route to them (SelectFraction <=
-  /// ClusterIndexMaxSelectFraction): at the default 50% selection an index
-  /// would be built and never read. The pruned scan is lossless, so this
-  /// decides cost, never a verdict.
+  /// The detectors' policy under \p Cfg: the defaults above, enabled only
+  /// when the config's own selection can route to the indexes
+  /// (SelectFraction <= MaxSelectFraction); at the default 50% selection
+  /// an index would be built and never read. The pruned scan is lossless,
+  /// so this decides cost, never a verdict.
   static ClusterIndexPolicy fromConfig(const PromConfig &Cfg) {
     ClusterIndexPolicy P;
-    P.Enabled = Cfg.ClusterIndex &&
-                Cfg.SelectFraction <= Cfg.ClusterIndexMaxSelectFraction;
-    P.NumCentroids = Cfg.ClusterIndexCentroids;
-    P.MinEntries = Cfg.ClusterIndexMinEntries;
-    P.MaxStaleFraction = Cfg.ClusterIndexMaxStale;
-    P.MaxSelectFraction = Cfg.ClusterIndexMaxSelectFraction;
+    P.Enabled = Cfg.SelectFraction <= P.MaxSelectFraction;
     return P;
   }
 };
@@ -364,11 +357,10 @@ public:
                               BatchPrunedScan &Scan) const;
 
   //===--------------------------------------------------------------------===//
-  // Batched assessment engine
+  // Assessment engine
   //
-  // The engine entry points compute the same selection and Eq. (2)
-  // p-values as select()/pValues() — bit-identically — but without the
-  // closest-first ordering contract. Both passes after the distance scan
+  // The adaptive selection (Sec. 5.1.2) with its Eq. (1) weights, and the
+  // Eq. (2) p-values of every expert. Both passes after the distance scan
   // are dispatched support/Kernels entry points (scalar reference or
   // AVX2, bit-identical): the selection is one cut over the scanned
   // distances, found by an O(N) bit-pattern histogram instead of a full
@@ -380,8 +372,11 @@ public:
 
   /// Selection for one test embedding (length embedDim()): fills
   /// \p Scratch with the squared distances, the cut and the Eq. (1)
-  /// parameters (see AssessmentScratch); the selected set and every
-  /// weight equal select()'s, for every shard count. The distance scan
+  /// parameters (see AssessmentScratch). The selection keeps
+  /// selectionKeepCount() entries, the smallest by (squared distance, id);
+  /// the set and every weight are the same for every shard count. Under
+  /// WeightedCount the Offset is the closest entry's distance, so weights
+  /// are relative to the nearest evidence; otherwise it is 0. The scan
   /// fans out over the shards when the store is sharded and the pool is
   /// not already saturated — or, when the index policy built cluster
   /// indexes and a small proper-subset selection is in force, runs the
@@ -410,48 +405,28 @@ public:
   ///        (may be null when no expert is discrete).
   /// \param PValsOut numExperts() x NumLabels row-major output block.
   ///
+  /// For label c, over the selected entries with label c: a ScoreScaling
+  /// expert adds 1 to Tot_c, and to GE_c when w_i * a_i >= TestScores[c];
+  /// any other expert adds its weight w_i (1 under None) to Tot_c, and to
+  /// GE_c when a_i >= TestScores[c]. A discrete expert under ScoreScaling
+  /// counts weights instead, since any shrink w_i < 1 flips every exact
+  /// tie against the test sample. Then p_c = GE_c / Tot_c, or with
+  /// Cfg.SmoothedPValues p_c = (GE_c + m) / (Tot_c + m), where m = Tot_c /
+  /// n_c is the label's mean selected weight (1 when every addend is 1).
+  /// A label with no selected entry gets p = 0 (no conformity evidence),
+  /// and so does an unsmoothed one whose Tot_c is 0; labels outside
+  /// [0, NumLabels) are skipped. A smoothed label whose selected weights
+  /// all round to +0 (Eq. (1) exponent past 746, e.g. every entry of the
+  /// label far beyond the closest one under WeightedCount) has n_c > 0 and
+  /// Tot_c = m = 0, so its p is 0/0 = NaN, a credibility that never flags.
+  ///
   /// Every configuration runs the canonical block fold (one
   /// kernels::foldBlock call per block), testing each entry against the
-  /// cut and weighting the selected ones inline, so the result is
-  /// pValues()'s bit for bit. Each expert's resolved weight mode becomes
-  /// the fold's per-lane rule: a ScoreScaling expert scales the score, any
-  /// other weights the count (None with every weight 1).
+  /// cut and weighting the selected ones inline.
   void pValuesAllExperts(AssessmentScratch &Scratch, const double *TestScores,
                          size_t NumLabels, const PromConfig &Cfg,
                          const uint8_t *DiscreteFlags,
                          double *PValsOut) const;
-
-  //===--------------------------------------------------------------------===//
-  // Serial reference
-  //===--------------------------------------------------------------------===//
-
-  /// Adaptive subset selection for \p TestEmbed (Sec. 5.1.2): sorts the
-  /// entries by Euclidean distance, keeps the closest Cfg.SelectFraction
-  /// (all when the set is smaller than Cfg.SelectAllBelow), and attaches
-  /// Eq. (1) weights (1.0 when weighting is disabled).
-  CalibrationSelection select(const std::vector<double> &TestEmbed,
-                              const PromConfig &Cfg) const;
-
-  /// Class-conditional p-values (Eq. 2) for every label in [0, NumLabels).
-  ///
-  /// For label c: p_c = #{ i in Sel : y_i = c and w_i * a_i^(s) >=
-  /// TestScores[c] } / #{ i in Sel : y_i = c }, with +1 smoothing on both
-  /// counts when Cfg.SmoothedPValues. Labels with no selected calibration
-  /// sample get p = 0 (no conformity evidence). One linear scan over the
-  /// score column, folded block by block like the engine.
-  ///
-  /// \param Sel the selection from select().
-  /// \param Expert which nonconformity function's stored scores to use.
-  /// \param TestScores the test sample's nonconformity score per label.
-  /// \param Cfg weighting and smoothing knobs.
-  /// \param DiscreteScores true when the expert's scores are tie-heavy
-  ///        (e.g. TopK ranks); the ScoreScaling mode then falls back to
-  ///        weighted counting, since any multiplicative shrink flips every
-  ///        exact tie against the test sample.
-  std::vector<double> pValues(const CalibrationSelection &Sel, size_t Expert,
-                              const std::vector<double> &TestScores,
-                              const PromConfig &Cfg,
-                              bool DiscreteScores = false) const;
 
 private:
   /// One contiguous, block-aligned slice of the entries with its derived

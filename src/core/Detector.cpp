@@ -146,11 +146,7 @@ template <class Task> struct TaskPolicy;
 /// the argmax as the predicted label.
 template <> struct TaskPolicy<ClassificationTask> {
   static constexpr uint32_t SnapshotKind = 1;
-
-  /// The fitted softening temperature.
-  struct Fitted {
-    double Temperature = 1.0;
-  };
+  using Fitted = ClassificationTask::Fitted;
 
   /// Softens the batch's raw probabilities in place.
   class Rows {
@@ -203,8 +199,7 @@ template <> struct TaskPolicy<ClassificationTask> {
   static bool validFit(const Fitted &Fit) {
     return std::isfinite(Fit.Temperature) && Fit.Temperature > 0.0;
   }
-  static void finishLoad(Fitted &, const CalibrationStore &,
-                         const PromConfig &) {}
+  static void finishLoad(Fitted &, const CalibrationStore &) {}
 };
 
 /// Regression: k-NN statistics against the calibration targets, one
@@ -212,82 +207,69 @@ template <> struct TaskPolicy<ClassificationTask> {
 /// centroid as the predicted label.
 template <> struct TaskPolicy<RegressionTask> {
   static constexpr uint32_t SnapshotKind = 2;
+  using Fitted = RegressionTask::Fitted;
 
-  /// The fitted regression state, aligned with the store's entries.
-  struct Fitted {
-    /// Lossless cluster index over the store's embedding block
-    /// (PromConfig::KnnClusterIndex): the k-NN ground-truth lookups run
-    /// the pruned scan through it.
-    support::ClusterIndex KnnIndex;
-    std::vector<double> Targets; ///< True target per store entry.
-    /// Pseudo-label centroids, one row per label (kMeansMatrix output).
-    support::FeatureMatrix Centroids;
-    double ResidualIqr = 0.0;
+  /// Reconciles Fit.KnnIndex with \p Embeds, which must hold the
+  /// calibration embeddings in store order: built over the whole block
+  /// once it has support::ClusterIndexMinEntries rows, dropped otherwise.
+  static void rebuildKnnIndex(Fitted &Fit,
+                              const support::FeatureMatrix &Embeds) {
+    Fit.KnnIndex.clear();
+    if (Embeds.rows() < support::ClusterIndexMinEntries)
+      return;
+    Fit.KnnIndex.build(Embeds, 0, Embeds.rows(), /*NumCentroids=*/0,
+                       RegKnnIndexSeed);
+  }
 
-    /// Reconciles KnnIndex with \p Cfg over \p Embeds, which must hold the
-    /// calibration embeddings in store order: built over the whole block
-    /// when PromConfig::KnnClusterIndex is set and the block has at least
-    /// ClusterIndexMinEntries rows, dropped otherwise.
-    void rebuildKnnIndex(const support::FeatureMatrix &Embeds,
-                         const PromConfig &Cfg) {
-      KnnIndex.clear();
-      if (!Cfg.KnnClusterIndex || Embeds.rows() < Cfg.ClusterIndexMinEntries)
-        return;
-      KnnIndex.build(Embeds, 0, Embeds.rows(), Cfg.ClusterIndexCentroids,
-                     RegKnnIndexSeed);
-    }
-
-    /// Fills the k-NN half of \p In (ResidualIqr, ApproxTarget,
-    /// KnnTargetSpread, KnnMeanDistance): the statistics of the \p K
-    /// nearest rows of \p Embeds to \p Embed (length Embeds.dim()),
-    /// excluding an optional \p SelfIndex (Sec. 5.1.1). \p Embeds is the
-    /// store's embedding block, or a block of the same rows at calibration
-    /// time. The neighbour search is one batched kernel scan over the
-    /// block — or, with a valid KnnIndex, the lossless cluster-pruned scan
-    /// (the same (distance, id) pairs in the same order, so the folds
-    /// below are bit-identical; sqrt of the scanned squared distance
-    /// equals the euclidean() recompute because the 1xN row fold matches
-    /// the per-pair kernel). \p CentDistSq, when non-null, supplies the
-    /// query's precomputed KnnIndex centroid distances (one row of a batch
-    /// block).
-    void knnStats(const support::FeatureMatrix &Embeds, const double *Embed,
-                  size_t K, long SelfIndex, const double *CentDistSq,
-                  RegressionScoreInput &In) const {
-      size_t Want = K + (SelfIndex >= 0 ? 1 : 0);
-      std::vector<double> NearTargets;
-      std::vector<double> Dists;
-      // Shared harvest of one neighbour (ascending (distance, id) order):
-      // skips the excluded self row, stops once K neighbours are in.
-      auto Take = [&](size_t Idx, double Dist) {
-        if (SelfIndex >= 0 && Idx == static_cast<size_t>(SelfIndex))
-          return true;
-        if (NearTargets.size() == K)
-          return false;
-        NearTargets.push_back(Targets[Idx]);
-        Dists.push_back(Dist);
+  /// Fills the k-NN half of \p In (ResidualIqr, ApproxTarget,
+  /// KnnTargetSpread, KnnMeanDistance): the statistics of the \p K
+  /// nearest rows of \p Embeds to \p Embed (length Embeds.dim()),
+  /// excluding an optional \p SelfIndex (Sec. 5.1.1). \p Embeds is the
+  /// store's embedding block, or a block of the same rows at calibration
+  /// time. The neighbour search is one batched kernel scan over the
+  /// block — or, with a valid Fit.KnnIndex, the lossless cluster-pruned
+  /// scan (the same (distance, id) pairs in the same order, so the folds
+  /// below are bit-identical; sqrt of the scanned squared distance equals
+  /// the euclidean() recompute because the 1xN row fold matches the
+  /// per-pair kernel). \p CentDistSq, when non-null, supplies the query's
+  /// precomputed KnnIndex centroid distances (one row of a batch block).
+  static void knnStats(const Fitted &Fit, const support::FeatureMatrix &Embeds,
+                       const double *Embed, size_t K, long SelfIndex,
+                       const double *CentDistSq, RegressionScoreInput &In) {
+    size_t Want = K + (SelfIndex >= 0 ? 1 : 0);
+    std::vector<double> NearTargets;
+    std::vector<double> Dists;
+    // Shared harvest of one neighbour (ascending (distance, id) order):
+    // skips the excluded self row, stops once K neighbours are in.
+    auto Take = [&](size_t Idx, double Dist) {
+      if (SelfIndex >= 0 && Idx == static_cast<size_t>(SelfIndex))
         return true;
-      };
-      if (KnnIndex.valid()) {
-        std::vector<std::pair<double, uint32_t>> Near =
-            CentDistSq
-                ? KnnIndex.nearestPrunedFromCentroids(Embed, CentDistSq, Want)
-                : KnnIndex.nearestPruned(Embed, Want);
-        for (const std::pair<double, uint32_t> &P : Near)
-          if (!Take(P.second, std::sqrt(P.first)))
-            break;
-      } else {
-        for (size_t Idx : support::kNearest(Embeds, Embed, Want))
-          if (!Take(Idx, support::euclidean(Embeds.rowPtr(Idx), Embed,
-                                            Embeds.dim())))
-            break;
-      }
-      assert(!NearTargets.empty() && "calibration set too small for k-NN");
-      In.ResidualIqr = ResidualIqr;
-      In.ApproxTarget = support::mean(NearTargets);
-      In.KnnTargetSpread = support::stddev(NearTargets);
-      In.KnnMeanDistance = support::mean(Dists);
+      if (NearTargets.size() == K)
+        return false;
+      NearTargets.push_back(Fit.Targets[Idx]);
+      Dists.push_back(Dist);
+      return true;
+    };
+    if (Fit.KnnIndex.valid()) {
+      std::vector<std::pair<double, uint32_t>> Near =
+          CentDistSq
+              ? Fit.KnnIndex.nearestPrunedFromCentroids(Embed, CentDistSq, Want)
+              : Fit.KnnIndex.nearestPruned(Embed, Want);
+      for (const std::pair<double, uint32_t> &P : Near)
+        if (!Take(P.second, std::sqrt(P.first)))
+          break;
+    } else {
+      for (size_t Idx : support::kNearest(Embeds, Embed, Want))
+        if (!Take(Idx, support::euclidean(Embeds.rowPtr(Idx), Embed,
+                                          Embeds.dim())))
+          break;
     }
-  };
+    assert(!NearTargets.empty() && "calibration set too small for k-NN");
+    In.ResidualIqr = Fit.ResidualIqr;
+    In.ApproxTarget = support::mean(NearTargets);
+    In.KnnTargetSpread = support::stddev(NearTargets);
+    In.KnnMeanDistance = support::mean(Dists);
+  }
 
   /// Precomputes the batch's KnnIndex centroid distances (one pass; each
   /// block row is bit-identical to the per-query kernel call).
@@ -325,11 +307,11 @@ template <> struct TaskPolicy<RegressionTask> {
           static_cast<int>(support::nearestCentroid(Fit.Centroids, Embed));
       RegressionScoreInput In;
       In.Prediction = V.Predicted;
-      Fit.knnStats(Store.embedMatrix(), Embed, K, /*SelfIndex=*/-1,
-                   KnnCentBlock.empty()
-                       ? nullptr
-                       : KnnCentBlock.data() + I * Fit.KnnIndex.numLists(),
-                   In);
+      knnStats(Fit, Store.embedMatrix(), Embed, K, /*SelfIndex=*/-1,
+               KnnCentBlock.empty()
+                   ? nullptr
+                   : KnnCentBlock.data() + I * Fit.KnnIndex.numLists(),
+               In);
       // The test score is label-independent for regression; the
       // conditioning happens through which cluster's calibration scores
       // it is compared to.
@@ -389,15 +371,9 @@ template <> struct TaskPolicy<RegressionTask> {
   static bool validFit(const Fitted &Fit) {
     return std::isfinite(Fit.ResidualIqr) && Fit.ResidualIqr >= 0.0;
   }
-  static void finishLoad(Fitted &Fit, const CalibrationStore &Store,
-                         const PromConfig &Cfg) {
-    Fit.rebuildKnnIndex(Store.embedMatrix(), Cfg);
+  static void finishLoad(Fitted &Fit, const CalibrationStore &Store) {
+    rebuildKnnIndex(Fit, Store.embedMatrix());
   }
-};
-
-template <class Task> struct CommitteeEngine<Task>::Generation {
-  CalibrationStore Store;
-  typename TaskPolicy<Task>::Fitted Fit;
 };
 
 } // namespace prom
@@ -659,29 +635,6 @@ std::vector<double> PromClassifier::pValues(const data::Sample &S,
                              PVals.begin() + (Expert + 1) * NumLabels);
 }
 
-Verdict PromClassifier::assessSerial(const data::Sample &S) const {
-  std::shared_ptr<const Generation> G = pin();
-  assert(G && !G->Store.empty() && "assess before calibrate");
-  Verdict V;
-  V.Probabilities =
-      applyTemperature(Model.predictProba(S), G->Fit.Temperature);
-  V.Predicted = static_cast<int>(support::argmax(V.Probabilities));
-
-  CalibrationSelection Sel = G->Store.select(Model.embed(S), Cfg);
-  size_t NumClasses = V.Probabilities.size();
-  std::vector<double> TestScores(NumClasses), PVals;
-  for (size_t E = 0; E < Scorers.size(); ++E) {
-    for (size_t C = 0; C < NumClasses; ++C)
-      TestScores[C] = Scorers[E]->score(V.Probabilities, static_cast<int>(C));
-    std::vector<double> Row = G->Store.pValues(Sel, E, TestScores, Cfg,
-                                               Scorers[E]->isDiscrete());
-    PVals.insert(PVals.end(), Row.begin(), Row.end());
-  }
-  judgeCommittee(PVals.data(), Scorers.size(), NumClasses,
-                 static_cast<size_t>(V.Predicted), Cfg, V);
-  return V;
-}
-
 //===----------------------------------------------------------------------===//
 // PromDriftDetector
 //===----------------------------------------------------------------------===//
@@ -744,8 +697,9 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
   // deployment-time k-NN scans stream, holds exactly these rows, so the
   // index built here is the one a snapshot load rebuilds over the store.
   size_t N = CalibSet.size();
+  using Policy = TaskPolicy<RegressionTask>;
   auto Fresh = std::make_shared<Generation>();
-  TaskPolicy<RegressionTask>::Fitted &Fit = Fresh->Fit;
+  RegressionTask::Fitted &Fit = Fresh->Fit;
   support::FeatureMatrix Block(N, Embeds.cols());
   std::vector<double> Residuals;
   for (size_t I = 0; I < N; ++I) {
@@ -753,7 +707,7 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
     Fit.Targets.push_back(CalibSet[I].Target);
     Residuals.push_back(std::fabs(Predictions[I] - CalibSet[I].Target));
   }
-  Fit.rebuildKnnIndex(Block, Cfg);
+  Policy::rebuildKnnIndex(Fit, Block);
   Fit.ResidualIqr = support::quantile(Residuals, 0.75) -
                     support::quantile(Residuals, 0.25);
 
@@ -778,8 +732,8 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
     // statistics pipeline as test samples (self excluded from the k-NN).
     RegressionScoreInput In;
     In.Prediction = Predictions[I];
-    Fit.knnStats(Block, Block.rowPtr(I), Cfg.KnnK, static_cast<long>(I),
-                 /*CentDistSq=*/nullptr, In);
+    Policy::knnStats(Fit, Block, Block.rowPtr(I), Cfg.KnnK,
+                     static_cast<long>(I), /*CentDistSq=*/nullptr, In);
     In.ApproxTarget = Fit.Targets[I];
 
     Entry.Scores.reserve(Scorers.size());
@@ -791,39 +745,12 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
   publish(std::move(Fresh));
 }
 
-RegressionVerdict PromRegressor::assessSerial(const data::Sample &S) const {
-  std::shared_ptr<const Generation> G = pin();
-  assert(G && !G->Store.empty() && "assess before calibrate");
-  RegressionVerdict V;
-  V.Predicted = Model.predict(S);
-
-  std::vector<double> Embed = Model.embed(S);
-  V.Cluster = static_cast<int>(
-      support::nearestCentroid(G->Fit.Centroids, Embed.data()));
-  RegressionScoreInput In;
-  In.Prediction = V.Predicted;
-  G->Fit.knnStats(G->Store.embedMatrix(), Embed.data(), Cfg.KnnK,
-                  /*SelfIndex=*/-1, /*CentDistSq=*/nullptr, In);
-  CalibrationSelection Sel = G->Store.select(Embed, Cfg);
-
-  size_t NumLabels = G->Fit.Centroids.rows();
-  std::vector<double> PVals;
-  for (size_t E = 0; E < Scorers.size(); ++E) {
-    std::vector<double> TestScores(NumLabels, Scorers[E]->score(In));
-    std::vector<double> Row = G->Store.pValues(Sel, E, TestScores, Cfg);
-    PVals.insert(PVals.end(), Row.begin(), Row.end());
-  }
-  judgeCommittee(PVals.data(), Scorers.size(), NumLabels,
-                 static_cast<size_t>(V.Cluster), Cfg, V);
-  return V;
-}
-
 //===----------------------------------------------------------------------===//
 // Snapshots
 //
 // Format version 3 (see support/Serialize.h for the envelope and
 // docs/SNAPSHOT_FORMAT.md for the full layout): a version and kind tag,
-// the persisted PromConfig fields, the task's head state (the classifier's
+// every PromConfig field, the task's head state (the classifier's
 // temperature), the committee by scorer name, the calibration entries,
 // the task's tail state (the regressor's targets, centroids and residual
 // IQR), the requested shard count, and the optional scaler. finalize()
@@ -831,8 +758,6 @@ RegressionVerdict PromRegressor::assessSerial(const data::Sample &S) const {
 // restored detector's verdicts are bit-identical to the saving one's.
 // loadSnapshot() stages a whole generation locally and commits only after
 // the payload validated, so a failed load leaves the detector untouched.
-// Config knobs the snapshot does not persist (the cluster-index
-// deployment knobs) keep the loading detector's values.
 //
 // Version history: v2 appended PromConfig::MaxCalibEntries to the config
 // block (the online-refresh store bound); v3 dropped the regressor's
@@ -1024,7 +949,7 @@ bool CommitteeEngine<Task>::loadSnapshot(const std::string &Path,
       R.readU32() != Policy::SnapshotKind)
     return false;
 
-  PromConfig NewCfg = Cfg; // Unpersisted knobs keep their current values.
+  PromConfig NewCfg; // The block holds every field.
   if (!readConfig(R, NewCfg,
                   /*NeedsKnn=*/std::is_same<Task, RegressionTask>::value))
     return false;
@@ -1058,7 +983,7 @@ bool CommitteeEngine<Task>::loadSnapshot(const std::string &Path,
 
   // Everything validated: build the generation, then commit.
   finalizeStore(Fresh->Store, NewCfg, Shards);
-  Policy::finishLoad(Fresh->Fit, Fresh->Store, NewCfg);
+  Policy::finishLoad(Fresh->Fit, Fresh->Store);
   Cfg = NewCfg;
   Scorers = std::move(NewScorers);
   publish(std::move(Fresh));

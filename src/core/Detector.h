@@ -103,6 +103,12 @@ struct ClassificationTask {
   using ScorerType = ClassificationScorer; ///< One committee expert.
   using VerdictType = Verdict;             ///< Per-input result.
   using OutputType = support::Matrix;      ///< Batched model output.
+
+  /// A generation's fitted state: the softening temperature (see
+  /// PromClassifier::calibrate(); 1 = untouched).
+  struct Fitted {
+    double Temperature = 1.0;
+  };
 };
 
 /// Task tag of the regression committee: k-NN-approximated residuals in,
@@ -112,6 +118,18 @@ struct RegressionTask {
   using ScorerType = RegressionScorer;     ///< One committee expert.
   using VerdictType = RegressionVerdict;   ///< Per-input result.
   using OutputType = std::vector<double>;  ///< Batched model output.
+
+  /// A generation's fitted state, aligned with the store's entries.
+  struct Fitted {
+    /// Lossless cluster index over the store's embedding block, built once
+    /// it has support::ClusterIndexMinEntries rows: the k-NN ground-truth
+    /// lookups then run the pruned scan through it.
+    support::ClusterIndex KnnIndex;
+    std::vector<double> Targets; ///< True target per store entry.
+    /// Pseudo-label centroids, one row per label (kMeansMatrix output).
+    support::FeatureMatrix Centroids;
+    double ResidualIqr = 0.0; ///< IQR of the calibration residuals.
+  };
 };
 
 /// The detector core both PROM detectors run on (Sec. 5.1: one conformal
@@ -139,8 +157,9 @@ public:
   /// (matmul batching, one-scan k-NN, level-by-level tree ensembles; see
   /// ml/Model.h) — then the per-sample committee work (selection, fused
   /// all-expert p-values, vote) runs across the ThreadPool with reusable
-  /// per-lane scratch, against one pinned generation. Element I is
-  /// bit-identical to assessSerial(Batch[I]).
+  /// per-lane scratch, against one pinned generation. A verdict depends
+  /// only on its own input and that generation, never on the batch
+  /// around it.
   std::vector<VerdictType> assessBatch(const data::Dataset &Batch) const;
 
   /// Live calibration entries (0 before calibration).
@@ -185,18 +204,24 @@ public:
   const ScorerType &scorer(size_t I) const { return *Scorers[I]; }
   const ModelType &model() const { return Model; } ///< Wrapped model.
 
-protected:
   /// One immutable calibration generation: the store plus the task's
-  /// fitted state (defined in Detector.cpp).
-  struct Generation;
+  /// fitted state.
+  struct Generation {
+    CalibrationStore Store;
+    typename Task::Fitted Fit;
+  };
 
+  /// Pins the live generation (atomic load; null before calibration): one
+  /// consistent store and fitted state, read-only. Writers publish a new
+  /// generation and never change a published one, so the pinned one stays
+  /// valid and unchanged for as long as the pointer is held.
+  std::shared_ptr<const Generation> pin() const;
+
+protected:
   /// Wraps \p Model with the committee \p Scorers (must be non-empty).
   CommitteeEngine(const ModelType &Model,
                   std::vector<std::unique_ptr<ScorerType>> Scorers,
                   PromConfig Cfg);
-
-  /// Pins the live generation (atomic load; null before calibration).
-  std::shared_ptr<const Generation> pin() const;
 
   /// Publishes \p Fresh as the live generation (atomic swap).
   void publish(std::shared_ptr<const Generation> Fresh);
@@ -287,17 +312,10 @@ public:
   assessBatchWithForwards(const support::Matrix &RawProbs,
                           const support::Matrix &Embeds) const;
 
-  /// Reference per-sample implementation (the pre-batching deployment
-  /// path): two per-sample model forwards, a sorted adaptive selection and
-  /// one p-value scan per expert. Retained as the independent oracle for
-  /// the batch/serial equivalence tests and as the serial baseline of the
-  /// overhead benches.
-  Verdict assessSerial(const data::Sample &S) const;
-
   /// Per-class p-values of \p S for expert \p Expert (used by the
   /// assessment, the baselines, and tests of the CP validity property).
-  /// Served by the batch engine's selection and fused p-value pass, so
-  /// every bit equals the assessSerial() reference's p-values.
+  /// Served by the engine's selection and fused p-value pass, so every bit
+  /// equals the p-values behind assess(S).
   std::vector<double> pValues(const data::Sample &S, size_t Expert) const;
 };
 
@@ -357,13 +375,10 @@ public:
   /// Offline processing: embeds the calibration samples, clusters them into
   /// pseudo-labels (k-means++, K by gap statistic unless fixed), and stores
   /// per-expert residual-based scores. \p R seeds the clustering. Safe
-  /// against concurrent assessments (one generation swap).
+  /// against concurrent assessments (one generation swap). At assessment
+  /// the ground truth of an input is approximated by its k nearest
+  /// calibration samples (Sec. 5.1.1).
   void calibrate(const data::Dataset &Calib, support::Rng &R);
-
-  /// Reference per-sample implementation retained for equivalence testing
-  /// and the serial bench baseline; the ground truth of \p S is
-  /// approximated by its k nearest calibration samples (Sec. 5.1.1).
-  RegressionVerdict assessSerial(const data::Sample &S) const;
 
   /// Pseudo-labels of the live generation (0 before calibration).
   size_t numClusters() const;

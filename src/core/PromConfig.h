@@ -30,9 +30,12 @@ namespace prom {
 /// default; ScoreScaling is the paper's literal equation, kept for
 /// ablation.
 enum class CalibrationWeightMode {
-  WeightedCount, ///< p = (sum w_i [a_i >= a_test] + 1) / (sum w_i + 1).
-  ScoreScaling,  ///< Compare w_i * a_i >= a_test with unit counts.
-  None,          ///< Unweighted counts (selection still applies).
+  /// p = (sum w_i [a_i >= a_test] + m) / (sum w_i + m), where m, the
+  /// smoothing pseudo-count, is the label's mean selected weight (1 only
+  /// when every weight is 1; see PromConfig::SmoothedPValues).
+  WeightedCount,
+  ScoreScaling, ///< Compare w_i * a_i >= a_test with unit counts.
+  None,         ///< Unweighted counts (selection still applies).
 };
 
 /// PROM detector configuration (paper defaults in comments).
@@ -81,7 +84,14 @@ struct PromConfig {
   /// How the Eq. (1) weights are applied (see CalibrationWeightMode).
   CalibrationWeightMode WeightMode = CalibrationWeightMode::WeightedCount;
 
-  /// Use the standard split-CP (count+1)/(n+1) smoothing in Eq. (2).
+  /// Smooth Eq. (2) with one pseudo-entry that carries the label's mean
+  /// selected weight m = Tot / n: p = (GE + m) / (Tot + m), where GE and
+  /// Tot are the label's summed ">= test score" and total addends and n its
+  /// selected count. When every addend is 1 (None, or a ScoreScaling
+  /// expert that is not discrete) m is 1 and this is the standard split-CP
+  /// (count+1)/(n+1); under weighted counting the minimum p-value stays
+  /// ~1/(n+1) however sharply the weights localize. A label whose selected
+  /// weights all round to +0 has Tot = m = 0 and gets p = 0/0 = NaN.
   bool SmoothedPValues = true;
 
   /// Committee votes needed to flag a sample; 0 means majority
@@ -113,41 +123,6 @@ struct PromConfig {
   /// continuously refreshed server's memory flat). 0 = unbounded.
   /// calibrate() itself never evicts — the bound governs refresh only.
   size_t MaxCalibEntries = 0;
-
-  /// Accelerate the per-query distance scan with the lossless
-  /// cluster-pruned index (support/ClusterIndex) once a shard is large
-  /// enough. Pruning is bit-identical to the exact scan by construction,
-  /// so this is purely a performance knob.
-  bool ClusterIndex = true;
-
-  /// Coarse centroids per shard index; 0 picks ~sqrt(shard rows),
-  /// clamped to [8, 4096].
-  size_t ClusterIndexCentroids = 0;
-
-  /// Shards below this entry count are never indexed — the flat scan wins
-  /// at small N, and the selection keeps >= SelectFraction of the rows
-  /// anyway. The default sits past the measured crossover.
-  size_t ClusterIndexMinEntries = 8192;
-
-  /// Appended-and-refinalized entries leave a shard's index covering only
-  /// a prefix; the uncovered tail is scanned exactly. Once the tail
-  /// exceeds this fraction of the shard, the index is rebuilt.
-  double ClusterIndexMaxStale = 0.25;
-
-  /// A lossless pruned scan must still visit at least the selected
-  /// fraction of the rows, so it only pays off when SelectFraction is
-  /// small; past this bound the exact flat scan serves instead (measured:
-  /// pruning at a 50% selection scans ~90% of the rows and loses ~10-30%,
-  /// while 10%/2% selections win 1.7x/6.5x at 10^6 entries).
-  double ClusterIndexMaxSelectFraction = 0.25;
-
-  /// Also build a cluster index over the regression calibration embedding
-  /// block at calibrate()/snapshot-load time, so the k-NN ground-truth
-  /// lookups (Sec. 5.1.1) run the lossless pruned scan instead of the
-  /// exact one. Gated by ClusterIndexMinEntries and sized by
-  /// ClusterIndexCentroids like the per-shard store indexes; bit-identical
-  /// by the same contract, so purely a performance knob.
-  bool KnnClusterIndex = true;
 
   /// Effective credibility threshold.
   double credThreshold() const {

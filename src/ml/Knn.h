@@ -38,13 +38,6 @@
 namespace prom {
 namespace ml {
 
-/// Default auto-index threshold of both k-NN models: fit() builds the
-/// lossless cluster index itself once the training block reaches this many
-/// rows (mirroring PromConfig::ClusterIndexMinEntries — below it the exact
-/// scan is already cheap and the build would dominate). setAutoIndex()
-/// overrides per model; 0 disables.
-constexpr size_t KnnAutoIndexMinPoints = 8192;
-
 /// Distance-weighted k-NN classifier. Training points live in one flat
 /// FeatureMatrix so every prediction is a single batched kernel scan.
 class KnnClassifier : public Classifier {
@@ -75,8 +68,8 @@ public:
 
   /// Auto-build policy: fit() calls buildClusterIndex(\p NumCentroids)
   /// itself whenever the training block has at least \p MinPoints rows
-  /// (0 disables). Defaults to KnnAutoIndexMinPoints, so large fits get
-  /// the pruned scan without a manual buildClusterIndex() call —
+  /// (0 disables). Defaults to support::ClusterIndexMinEntries, so large
+  /// fits get the pruned scan without a manual buildClusterIndex() call —
   /// losslessness makes this purely a speed knob.
   void setAutoIndex(size_t MinPoints, size_t NumCentroids = 0) {
     AutoIndexMinPoints = MinPoints;
@@ -109,7 +102,7 @@ private:
   /// Optional lossless index over Points (see buildClusterIndex()).
   support::ClusterIndex Index;
   /// Auto-index policy (see setAutoIndex()).
-  size_t AutoIndexMinPoints = KnnAutoIndexMinPoints;
+  size_t AutoIndexMinPoints = support::ClusterIndexMinEntries;
   size_t AutoIndexCentroids = 0;
 };
 
@@ -148,7 +141,7 @@ private:
   /// Optional lossless index over Points (see buildClusterIndex()).
   support::ClusterIndex Index;
   /// Auto-index policy (see setAutoIndex()).
-  size_t AutoIndexMinPoints = KnnAutoIndexMinPoints;
+  size_t AutoIndexMinPoints = support::ClusterIndexMinEntries;
   size_t AutoIndexCentroids = 0;
 };
 

@@ -70,6 +70,13 @@ namespace support {
 /// rounding of the exact arithmetic could have let a member survive.
 constexpr double PruneSlack = 4e-9;
 
+/// Rows below which no cluster index is built: the calibration store's
+/// shard indexes, the regressor's k-NN ground-truth index and the k-NN
+/// models' auto index all keep the exact scan there, which is already
+/// cheap and cheaper than the build. Sits past the measured ~2k-row
+/// crossover.
+constexpr size_t ClusterIndexMinEntries = 8192;
+
 /// Counters of one pruned query, for benches and tests. A calibration
 /// store's pruned selection fills them across all of its shards: the lists
 /// of every shard index, every entry (RowsTotal) and every row it scanned,

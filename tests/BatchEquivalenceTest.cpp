@@ -18,10 +18,12 @@
 //    thread count.
 //
 //  * Committee level — assessBatch() over a whole deployment set, the
-//    delegating per-sample assess(), and the retained assessSerial()
-//    reference implementation have to produce bit-identical verdicts,
-//    including over the tree-ensemble and k-NN experts that exercise the
-//    canonical ascending-tree merge and the shared k-NN tie-break rule.
+//    delegating per-sample assess(), and the serial oracle of
+//    tests/SerialOracle.h (which re-derives each verdict from the paper)
+//    have to produce bit-identical verdicts, including over the
+//    tree-ensemble and k-NN experts that exercise the canonical
+//    ascending-tree merge and the shared k-NN tie-break rule, and over the
+//    cluster-pruned store and k-NN indexes at their shipped threshold.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +38,7 @@
 #include "ml/Mlp.h"
 #include "ml/RandomForest.h"
 #include "support/Rng.h"
+#include "tests/SerialOracle.h"
 #include "tests/TestHelpers.h"
 
 #include <gtest/gtest.h>
@@ -49,6 +52,8 @@ using prom::testing::expectSameRegressionVerdict;
 using prom::testing::expectSameVerdict;
 using prom::testing::gaussianBlobs;
 using prom::testing::linearRegression;
+using prom::testing::oracleAssess;
+using prom::testing::oracleCalibrationScores;
 using prom::testing::tokenBlobs;
 
 namespace {
@@ -60,7 +65,7 @@ void checkClassifierEquivalence(const PromClassifier &Prom,
   std::vector<Verdict> Batched = Prom.assessBatch(Test);
   ASSERT_EQ(Batched.size(), Test.size());
   for (size_t I = 0; I < Test.size(); ++I) {
-    Verdict Serial = Prom.assessSerial(Test[I]);
+    Verdict Serial = oracleAssess(Prom, Test[I]);
     Verdict Single = Prom.assess(Test[I]);
     expectSameVerdict(Serial, Batched[I], I);
     expectSameVerdict(Single, Batched[I], I);
@@ -461,22 +466,27 @@ TEST(BatchEquivalenceTest, KnnClassifierCommitteeBitIdentical) {
 TEST(BatchEquivalenceTest, IndexedKnnPrunedStoreCommitteeBitIdentical) {
   // Batch-native pruned path end to end: the expert's forwards go through
   // nearestPrunedBatch (auto-index at MinPoints=1) AND the store's
-  // selection routes through the batch-prepared cluster-pruned scan
-  // (MinEntries lowered so the fixture-sized store builds shard indexes;
-  // SelectFraction <= MaxSelectFraction so routing actually fires).
+  // selection routes through the batch-prepared cluster-pruned scan (the
+  // calibration set is past support::ClusterIndexMinEntries, so the
+  // shard index is built at the shipped threshold; SelectFraction <=
+  // MaxSelectFraction so routing actually fires). The oracle's exact scan
+  // is the reference.
   support::Rng R(57);
-  data::Dataset Full = gaussianBlobs(3, 260, 4.0, 0.8, R);
-  auto [Train, Calib] = data::calibrationPartition(Full, R, 0.4);
+  data::Dataset Train = gaussianBlobs(3, 160, 4.0, 0.8, R);
+  data::Dataset Calib = gaussianBlobs(3, 2800, 4.0, 0.8, R);
+  ASSERT_GE(Calib.size(), support::ClusterIndexMinEntries);
   ml::KnnClassifier Model(5);
   Model.setAutoIndex(1);
   Model.fit(Train, R);
+  ASSERT_TRUE(Model.hasClusterIndex());
 
   PromConfig Cfg;
-  Cfg.ClusterIndexMinEntries = 64;
   Cfg.SelectFraction = 0.2;
   Cfg.SelectAllBelow = 16;
   PromClassifier Prom(Model, Cfg);
   Prom.calibrate(Calib);
+  // A fixture under the threshold would silently test the exact scan.
+  ASSERT_GT(Prom.pin()->Store.indexedShards(), 0u);
   checkClassifierEquivalence(Prom, mixedTestSet(100, R));
 }
 
@@ -615,7 +625,7 @@ TEST(BatchEquivalenceTest, MlpRegressorBitIdentical) {
   std::vector<RegressionVerdict> Batched = Prom.assessBatch(Test);
   ASSERT_EQ(Batched.size(), Test.size());
   for (size_t I = 0; I < Test.size(); ++I) {
-    RegressionVerdict Serial = Prom.assessSerial(Test[I]);
+    RegressionVerdict Serial = oracleAssess(Prom, Test[I]);
     RegressionVerdict Single = Prom.assess(Test[I]);
     expectSameRegressionVerdict(Serial, Batched[I], I);
     expectSameRegressionVerdict(Single, Batched[I], I);
@@ -635,42 +645,54 @@ TEST(BatchEquivalenceTest, KnnRegressorBatchPathBitIdentical) {
 
   std::vector<RegressionVerdict> Batched = Prom.assessBatch(Test);
   for (size_t I = 0; I < Test.size(); ++I)
-    expectSameRegressionVerdict(Prom.assessSerial(Test[I]), Batched[I], I);
+    expectSameRegressionVerdict(oracleAssess(Prom, Test[I]), Batched[I], I);
 }
 
 TEST(BatchEquivalenceTest, IndexedRegressorLosslessAgainstUnindexed) {
-  // Three-way regressor check with the calibration-side k-NN index live:
-  // (a) batch vs serial bit-identity with the index on (both the knnStats
-  // reuse of the index and the batch-prepared pruned store selection), and
-  // (b) the indexed detector's verdicts are bit-identical to a detector
-  // with the index disabled — losslessness at the committee level.
+  // Regressor check with both indexes live at the shipped threshold: the
+  // calibration-side k-NN index (knnStats at calibrate and in the batch)
+  // and the batch-prepared pruned store selection. The oracle's exact
+  // scan and exact k-NN are the unindexed reference: re-deriving every
+  // stored calibration score checks the self-excluded indexed k-NN at
+  // calibrate, and batch == oracle is losslessness at the committee
+  // level; the delegating assess() must agree as well.
   support::Rng R(58);
   data::Dataset Train = linearRegression(300, 0.1, R);
-  data::Dataset Calib = linearRegression(160, 0.1, R);
+  data::Dataset Calib = linearRegression(8400, 0.1, R);
   ml::MlpRegressor Model;
   Model.fit(Train, R);
 
   PromConfig Indexed;
-  Indexed.ClusterIndexMinEntries = 64;
+  Indexed.FixedClusters = 4; // The gap statistic would dominate the run.
   Indexed.SelectFraction = 0.2;
   Indexed.SelectAllBelow = 16;
-  PromConfig Unindexed = Indexed;
-  Unindexed.ClusterIndex = false;
-  Unindexed.KnnClusterIndex = false;
 
-  support::Rng RIdx(77), RRef(77);
+  support::Rng RIdx(77);
   PromRegressor PromIdx(Model, Indexed);
   PromIdx.calibrate(Calib, RIdx);
-  PromRegressor PromRef(Model, Unindexed);
-  PromRef.calibrate(Calib, RRef);
+  // A fixture under the threshold would silently test the exact scans.
+  std::shared_ptr<const PromRegressor::Generation> G = PromIdx.pin();
+  ASSERT_TRUE(G->Fit.KnnIndex.valid());
+  ASSERT_GT(G->Store.indexedShards(), 0u);
+
+  std::vector<std::vector<double>> Scores =
+      oracleCalibrationScores(PromIdx, Calib);
+  ASSERT_EQ(Scores.size(), PromIdx.numExperts());
+  for (size_t E = 0; E < Scores.size(); ++E) {
+    const std::vector<double> &Stored = G->Store.scoreColumn(E);
+    ASSERT_EQ(Stored.size(), Calib.size());
+    for (size_t I = 0; I < Calib.size(); ++I)
+      ASSERT_EQ(bits(Scores[E][I]), bits(Stored[I]))
+          << "expert " << E << " calibration row " << I;
+  }
 
   data::Dataset Test = linearRegression(90, 0.1, R);
   std::vector<RegressionVerdict> Batched = PromIdx.assessBatch(Test);
-  std::vector<RegressionVerdict> Reference = PromRef.assessBatch(Test);
   ASSERT_EQ(Batched.size(), Test.size());
   for (size_t I = 0; I < Test.size(); ++I) {
-    expectSameRegressionVerdict(PromIdx.assessSerial(Test[I]), Batched[I], I);
-    expectSameRegressionVerdict(Reference[I], Batched[I], I);
+    expectSameRegressionVerdict(oracleAssess(PromIdx, Test[I]), Batched[I],
+                                I);
+    expectSameRegressionVerdict(PromIdx.assess(Test[I]), Batched[I], I);
   }
 }
 
@@ -687,7 +709,7 @@ TEST(BatchEquivalenceTest, GbrRegressorCommitteeBitIdentical) {
 
   std::vector<RegressionVerdict> Batched = Prom.assessBatch(Test);
   for (size_t I = 0; I < Test.size(); ++I)
-    expectSameRegressionVerdict(Prom.assessSerial(Test[I]), Batched[I], I);
+    expectSameRegressionVerdict(oracleAssess(Prom, Test[I]), Batched[I], I);
 }
 
 //===----------------------------------------------------------------------===//

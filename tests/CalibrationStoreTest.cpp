@@ -137,10 +137,6 @@ TEST(CalibrationStoreTest, ClusterIndexFollowsTheConfiguredSelection) {
   CalibrationStore Indexed = Finalized(Narrow);
   EXPECT_GT(Indexed.indexedShards(), 0u);
   EXPECT_EQ(Indexed.unindexedEntries(), 0u);
-
-  PromConfig Off = Narrow;
-  Off.ClusterIndex = false;
-  EXPECT_EQ(Finalized(Off).indexedShards(), 0u);
 }
 
 TEST(CalibrationStoreTest, MedianNNDistLeavesNonFiniteRowsOut) {

@@ -11,6 +11,7 @@
 #include "ml/Mlp.h"
 #include "support/Matrix.h"
 #include "support/Rng.h"
+#include "tests/SerialOracle.h"
 #include "tests/TestHelpers.h"
 
 #include <gtest/gtest.h>
@@ -262,8 +263,9 @@ std::vector<double> softened(std::vector<double> Probs, double T) {
 
 TEST(PValueProperty, EnginePValuesMatchSerialReferenceBitForBit) {
   // pValues(S, E) runs the batch engine; every p-value bit must equal the
-  // serial reference (sorted select() + one linear pValues() scan per
-  // expert) on a store rebuilt from the same calibration outputs.
+  // serial oracle's (tests/SerialOracle.h: a sorted selection + one linear
+  // p-value scan per expert) on a store rebuilt from the same calibration
+  // outputs.
   support::Rng R(4242);
   data::Dataset Full = gaussianBlobs(3, 300, 4.0, 0.9, R);
   auto Split = data::calibrationPartition(Full, R, 0.5);
@@ -317,13 +319,15 @@ TEST(PValueProperty, EnginePValuesMatchSerialReferenceBitForBit) {
       const data::Sample &S = Probes[I];
       std::vector<double> P =
           softened(Model.predictProba(S), Prom.temperature());
-      CalibrationSelection Sel = Ref.select(Model.embed(S), Cfg);
+      std::vector<double> Embed = Model.embed(S);
+      prom::testing::OracleSelection Sel =
+          prom::testing::oracleSelect(Ref, Embed.data(), Cfg);
       std::vector<double> TestScores(P.size());
       for (size_t E = 0; E < Prom.numExperts(); ++E) {
         for (size_t C = 0; C < P.size(); ++C)
           TestScores[C] = Prom.scorer(E).score(P, static_cast<int>(C));
-        std::vector<double> Expected = Ref.pValues(
-            Sel, E, TestScores, Cfg, Prom.scorer(E).isDiscrete());
+        std::vector<double> Expected = prom::testing::oraclePValues(
+            Ref, Sel, E, TestScores, Cfg, Prom.scorer(E).isDiscrete());
         std::vector<double> Got = Prom.pValues(S, E);
         ASSERT_EQ(Got.size(), Expected.size());
         for (size_t C = 0; C < Got.size(); ++C)

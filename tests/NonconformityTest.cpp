@@ -8,12 +8,14 @@
 #include "core/DriftMetrics.h"
 #include "core/Nonconformity.h"
 #include "support/Rng.h"
+#include "tests/StoreTestHelpers.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 using namespace prom;
+using prom::testing::enginePValues;
 
 //===----------------------------------------------------------------------===//
 // Classification scorers
@@ -184,52 +186,104 @@ CalibrationStore makeCalib(const std::vector<int> &Labels,
   return Calib;
 }
 
+/// The engine's selection for the 1-D test embedding \p X.
+AssessmentScratch engineSelect(const CalibrationStore &Calib, double X,
+                               const PromConfig &Cfg) {
+  AssessmentScratch S;
+  Calib.selectForAssessment(&X, Cfg, S);
+  return S;
+}
+
+/// Ids of the entries \p S selected, ascending.
+std::vector<size_t> selectedIds(const AssessmentScratch &S) {
+  std::vector<size_t> Ids;
+  for (size_t I = 0; I < S.Dists.size(); ++I)
+    if (S.selected(I))
+      Ids.push_back(I);
+  return Ids;
+}
+
+/// The scores 0, 1, ..., N-1: each entry's score is its id.
+std::vector<double> idScores(size_t N) {
+  std::vector<double> Scores(N);
+  for (size_t I = 0; I < N; ++I)
+    Scores[I] = static_cast<double>(I);
+  return Scores;
+}
+
+/// Each entry's share of the selected Eq. (1) weight for the 1-D test
+/// embedding \p X, as the engine's p-value fold applies it, on a
+/// one-label store scored by idScores(). Unsmoothed, p(t) is the selected
+/// weight at scores >= t over the total, so p(J) - p(J + 1) is entry J's
+/// share (0 when it is not selected).
+std::vector<double> engineWeightShares(const CalibrationStore &Calib,
+                                       double X, PromConfig Cfg) {
+  Cfg.SmoothedPValues = false;
+  std::vector<double> Share(Calib.size());
+  double AtLeast = enginePValues(Calib, X, {0.0}, Cfg)[0];
+  for (size_t J = 0; J < Share.size(); ++J) {
+    double Above =
+        enginePValues(Calib, X, {static_cast<double>(J + 1)}, Cfg)[0];
+    Share[J] = AtLeast - Above;
+    AtLeast = Above;
+  }
+  return Share;
+}
+
 } // namespace
 
 TEST(CalibrationTest, SelectAllBelowThreshold) {
   CalibrationStore Calib = makeCalib({0, 0, 0, 0}, {1, 2, 3, 4});
   PromConfig Cfg;
   Cfg.SelectAllBelow = 200;
-  CalibrationSelection Sel = Calib.select({0.0}, Cfg);
-  EXPECT_EQ(Sel.Indices.size(), 4u); // Fewer than 200: keep all.
+  AssessmentScratch S = engineSelect(Calib, 0.0, Cfg);
+  EXPECT_EQ(selectedIds(S).size(), 4u); // Fewer than 200: keep all.
 }
 
 TEST(CalibrationTest, SelectsNearestFraction) {
   std::vector<int> Labels(300, 0);
-  std::vector<double> Scores(300, 1.0);
-  CalibrationStore Calib = makeCalib(Labels, Scores);
+  CalibrationStore Calib = makeCalib(Labels, idScores(300));
   PromConfig Cfg;
   Cfg.SelectFraction = 0.5;
   Cfg.SelectAllBelow = 200;
-  CalibrationSelection Sel = Calib.select({0.0}, Cfg);
-  EXPECT_EQ(Sel.Indices.size(), 150u);
+  AssessmentScratch S = engineSelect(Calib, 0.0, Cfg);
+  std::vector<size_t> Ids = selectedIds(S);
+  EXPECT_EQ(Ids.size(), 150u);
   // The nearest entries are those with the smallest ids (x = index).
-  for (size_t Idx : Sel.Indices)
+  for (size_t Idx : Ids)
     EXPECT_LT(Idx, 150u);
-  // Closest-first ordering.
-  EXPECT_EQ(Sel.Indices.front(), 0u);
+  // The closest entry is selected and carries the largest weight.
+  ASSERT_TRUE(S.selected(0));
+  std::vector<double> Share = engineWeightShares(Calib, 0.0, Cfg);
+  for (size_t Idx : Ids)
+    EXPECT_GE(Share[0], Share[Idx]) << "entry " << Idx;
 }
 
 TEST(CalibrationTest, WeightsDecayWithDistance) {
   std::vector<int> Labels(300, 0);
-  std::vector<double> Scores(300, 1.0);
-  CalibrationStore Calib = makeCalib(Labels, Scores);
+  CalibrationStore Calib = makeCalib(Labels, idScores(300));
   PromConfig Cfg;
   Cfg.AutoTau = false;
   Cfg.Tau = 50.0;
-  CalibrationSelection Sel = Calib.select({0.0}, Cfg);
-  ASSERT_GE(Sel.Indices.size(), 2u);
-  EXPECT_GT(Sel.Weights.front(), Sel.Weights.back());
-  EXPECT_NEAR(Sel.Weights.front(), 1.0, 0.05);
+  std::vector<size_t> Ids = selectedIds(engineSelect(Calib, 0.0, Cfg));
+  ASSERT_GE(Ids.size(), 2u);
+  // x = index, so the smallest selected id is the closest entry and the
+  // largest the farthest.
+  std::vector<double> Share = engineWeightShares(Calib, 0.0, Cfg);
+  EXPECT_GT(Share[Ids.front()], Share[Ids.back()]);
+  // Eq. (2) sees the weights only up to a common scale, and the closest
+  // entry's is the unit: at Tau 50 the next one keeps ~1 of it.
+  EXPECT_NEAR(Share[Ids[1]] / Share[Ids.front()], 1.0, 0.05);
 }
 
 TEST(CalibrationTest, NoneModeGivesUnitWeights) {
-  CalibrationStore Calib = makeCalib({0, 0, 0}, {1, 2, 3});
+  CalibrationStore Calib = makeCalib({0, 0, 0}, idScores(3));
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::None;
-  CalibrationSelection Sel = Calib.select({0.0}, Cfg);
-  for (double W : Sel.Weights)
-    EXPECT_DOUBLE_EQ(W, 1.0);
+  std::vector<size_t> Ids = selectedIds(engineSelect(Calib, 0.0, Cfg));
+  std::vector<double> Share = engineWeightShares(Calib, 0.0, Cfg);
+  for (size_t Idx : Ids)
+    EXPECT_DOUBLE_EQ(Share[Idx], 1.0 / static_cast<double>(Ids.size()));
 }
 
 TEST(CalibrationTest, PValueCountsGreaterEqual) {
@@ -238,8 +292,7 @@ TEST(CalibrationTest, PValueCountsGreaterEqual) {
   CalibrationStore Calib = makeCalib({0, 0, 0, 0, 0}, {1, 2, 3, 4, 5});
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::None;
-  CalibrationSelection Sel = Calib.select({2.0}, Cfg);
-  std::vector<double> P = Calib.pValues(Sel, 0, {3.0}, Cfg);
+  std::vector<double> P = enginePValues(Calib, 2.0, {3.0}, Cfg);
   EXPECT_NEAR(P[0], 4.0 / 6.0, 1e-12);
 }
 
@@ -248,8 +301,7 @@ TEST(CalibrationTest, PValueUnsmoothed) {
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::None;
   Cfg.SmoothedPValues = false;
-  CalibrationSelection Sel = Calib.select({2.0}, Cfg);
-  std::vector<double> P = Calib.pValues(Sel, 0, {3.0}, Cfg);
+  std::vector<double> P = enginePValues(Calib, 2.0, {3.0}, Cfg);
   EXPECT_NEAR(P[0], 3.0 / 5.0, 1e-12);
 }
 
@@ -259,8 +311,7 @@ TEST(CalibrationTest, ClassConditionalCounting) {
       makeCalib({0, 0, 1, 1}, {0.1, 0.2, 10.0, 20.0});
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::None;
-  CalibrationSelection Sel = Calib.select({0.0}, Cfg);
-  std::vector<double> P = Calib.pValues(Sel, 0, {0.15, 15.0}, Cfg);
+  std::vector<double> P = enginePValues(Calib, 0.0, {0.15, 15.0}, Cfg);
   EXPECT_NEAR(P[0], (1.0 + 1.0) / 3.0, 1e-12); // One of two >= 0.15.
   EXPECT_NEAR(P[1], (1.0 + 1.0) / 3.0, 1e-12); // One of two >= 15.
 }
@@ -268,8 +319,7 @@ TEST(CalibrationTest, ClassConditionalCounting) {
 TEST(CalibrationTest, MissingLabelGetsZeroPValue) {
   CalibrationStore Calib = makeCalib({0, 0}, {1.0, 2.0});
   PromConfig Cfg;
-  CalibrationSelection Sel = Calib.select({0.0}, Cfg);
-  std::vector<double> P = Calib.pValues(Sel, 0, {1.0, 1.0}, Cfg);
+  std::vector<double> P = enginePValues(Calib, 0.0, {1.0, 1.0}, Cfg);
   EXPECT_DOUBLE_EQ(P[1], 0.0); // No label-1 calibration evidence.
 }
 
@@ -285,10 +335,8 @@ TEST(CalibrationTest, ScoreScalingShrinksDistantEvidence) {
   Cfg.AutoTau = false;
   Cfg.Tau = 200.0;
 
-  CalibrationSelection Near = Calib.select({0.0}, Cfg);
-  CalibrationSelection Far = Calib.select({500.0}, Cfg);
-  std::vector<double> PNear = Calib.pValues(Near, 0, {0.7}, Cfg);
-  std::vector<double> PFar = Calib.pValues(Far, 0, {0.7}, Cfg);
+  std::vector<double> PNear = enginePValues(Calib, 0.0, {0.7}, Cfg);
+  std::vector<double> PFar = enginePValues(Calib, 500.0, {0.7}, Cfg);
   EXPECT_GT(PNear[0], 0.9);
   EXPECT_LT(PFar[0], 0.1);
 }
@@ -301,9 +349,8 @@ TEST(CalibrationTest, DiscreteFallbackPreservesTies) {
   CalibrationStore Calib = makeCalib(Labels, Scores);
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::ScoreScaling;
-  CalibrationSelection Sel = Calib.select({25.0}, Cfg);
   std::vector<double> P =
-      Calib.pValues(Sel, 0, {1.0}, Cfg, /*DiscreteScores=*/true);
+      enginePValues(Calib, 25.0, {1.0}, Cfg, /*DiscreteScores=*/true);
   EXPECT_GT(P[0], 0.9);
 }
 

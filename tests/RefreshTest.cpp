@@ -23,6 +23,7 @@
 #include "data/Split.h"
 #include "ml/Knn.h"
 #include "ml/Linear.h"
+#include "tests/SerialOracle.h"
 #include "tests/StoreTestHelpers.h"
 #include "tests/TestHelpers.h"
 
@@ -213,9 +214,10 @@ TEST(RefreshTest, DetectorRefreshMatchesFullRebuildReference) {
     for (size_t I = 0; I < VInc.size(); ++I)
       expectSameVerdict(VInc[I], VRef[I], I);
     // The refreshed store must also agree with the per-sample serial
-    // oracle (flat select + per-expert p-value scans).
+    // oracle (sorted selection + per-expert p-value scans).
     for (size_t I = 0; I < Probes.size(); I += 11)
-      expectSameVerdict(Incremental.assessSerial(Probes[I]), VInc[I], I);
+      expectSameVerdict(prom::testing::oracleAssess(Incremental, Probes[I]),
+                        VInc[I], I);
   }
 
   // Sanity: the refresh actually changed the calibration evidence.

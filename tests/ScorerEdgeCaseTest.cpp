@@ -7,15 +7,16 @@
 // Edge-case behaviour of the LAC/TopK/APS/RAPS committee on degenerate
 // probability vectors — uniform, one-hot, and tie-heavy distributions —
 // plus the isDiscrete() weighted-counting fallback those tie-heavy scores
-// force inside CalibrationStore::pValues. scoreAll() must agree with
-// score() bit-for-bit on every edge case, since the batched engine uses
-// the fused form.
+// force inside the store's Eq. (2) pass (pValuesAllExperts). scoreAll()
+// must agree with score() bit-for-bit on every edge case, since the
+// batched engine uses the fused form.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/CalibrationStore.h"
 #include "core/Nonconformity.h"
 #include "support/Rng.h"
+#include "tests/StoreTestHelpers.h"
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include <vector>
 
 using namespace prom;
+using prom::testing::enginePValues;
 
 namespace {
 
@@ -168,12 +170,10 @@ TEST(DiscreteFallbackTest, ScoreScalingCollapsesTiedPValuesWithoutFallback) {
   Cfg.WeightMode = CalibrationWeightMode::ScoreScaling;
   Cfg.AutoTau = false;
   Cfg.Tau = 10.0;
-  CalibrationSelection Sel = Calib.select({50.0}, Cfg);
-
   std::vector<double> NoFallback =
-      Calib.pValues(Sel, 0, {1.0}, Cfg, /*DiscreteScores=*/false);
+      enginePValues(Calib, 50.0, {1.0}, Cfg, /*DiscreteScores=*/false);
   std::vector<double> WithFallback =
-      Calib.pValues(Sel, 0, {1.0}, Cfg, /*DiscreteScores=*/true);
+      enginePValues(Calib, 50.0, {1.0}, Cfg, /*DiscreteScores=*/true);
   EXPECT_LT(NoFallback[0], 0.1);  // Ties flipped: spurious novelty.
   EXPECT_GT(WithFallback[0], 0.9); // Weighted counting keeps the ties.
 }
@@ -182,9 +182,8 @@ TEST(DiscreteFallbackTest, FallbackOnlyAffectsScoreScaling) {
   CalibrationStore Calib = tiedCalib(50, 2.0);
   PromConfig Cfg;
   Cfg.WeightMode = CalibrationWeightMode::WeightedCount;
-  CalibrationSelection Sel = Calib.select({10.0}, Cfg);
-  std::vector<double> A = Calib.pValues(Sel, 0, {2.0}, Cfg, false);
-  std::vector<double> B = Calib.pValues(Sel, 0, {2.0}, Cfg, true);
+  std::vector<double> A = enginePValues(Calib, 10.0, {2.0}, Cfg, false);
+  std::vector<double> B = enginePValues(Calib, 10.0, {2.0}, Cfg, true);
   EXPECT_EQ(A[0], B[0]); // WeightedCount is already tie-safe.
 }
 
@@ -212,8 +211,7 @@ TEST(DiscreteFallbackTest, HardRankCommitteeSurvivesConfidentModel) {
   std::vector<double> TestScores = {Scorer.score(Probs, 0),
                                     Scorer.score(Probs, 1),
                                     Scorer.score(Probs, 2)};
-  CalibrationSelection Sel = Calib.select({0.2}, Cfg);
   std::vector<double> P =
-      Calib.pValues(Sel, 0, TestScores, Cfg, Scorer.isDiscrete());
+      enginePValues(Calib, 0.2, TestScores, Cfg, Scorer.isDiscrete());
   EXPECT_GT(P[0], 0.5) << "tied rank-1 scores must stay conforming";
 }

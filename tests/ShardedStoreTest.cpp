@@ -6,10 +6,11 @@
 //
 // The sharded CalibrationStore must be a pure work-partitioning
 // transformation: for any shard count, verdicts are bit-identical to the
-// unsharded (K=1) path and to the assessSerial() oracle — exact
-// floating-point equality on every expert score. Covers the block-partial
-// merge under weighted partial and unweighted full selections, the
-// regressor, and reshard().
+// unsharded (K=1) path and to the serial oracle of tests/SerialOracle.h —
+// exact floating-point equality on every expert score. Covers the
+// block-partial merge under weighted partial and unweighted full
+// selections, the regressor, reshard(), and the selection's order at a
+// tie between rooted distances.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,17 +20,21 @@
 #include "ml/Mlp.h"
 #include "support/Kernels.h"
 #include "support/ThreadPool.h"
+#include "tests/SerialOracle.h"
 #include "tests/TestHelpers.h"
 
 #include <gtest/gtest.h>
 
 #include <cassert>
+#include <cmath>
+#include <limits>
 
 using namespace prom;
 using prom::testing::expectSameRegressionVerdict;
 using prom::testing::expectSameVerdict;
 using prom::testing::gaussianBlobs;
 using prom::testing::linearRegression;
+using prom::testing::oracleAssess;
 
 namespace {
 
@@ -94,9 +99,9 @@ TEST(ShardedStoreTest, WeightedPathShardCountInvariant) {
   std::vector<Verdict> V8 = P8.assessBatch(F.Test);
   expectSameVerdicts(V1, V8);
 
-  // Both must also match the retained per-sample oracle.
+  // Both must also match the per-sample serial oracle.
   for (size_t I = 0; I < F.Test.size(); I += 7)
-    expectSameVerdict(P8.assessSerial(F.Test[I]), V8[I], I);
+    expectSameVerdict(oracleAssess(P8, F.Test[I]), V8[I], I);
 }
 
 TEST(ShardedStoreTest, UnweightedFullSelectionShardCountInvariant) {
@@ -119,8 +124,7 @@ TEST(ShardedStoreTest, UnweightedFullSelectionShardCountInvariant) {
 
   expectSameVerdicts(P1.assessBatch(F.Test), P8.assessBatch(F.Test));
   for (size_t I = 0; I < F.Test.size(); I += 9)
-    expectSameVerdict(P8.assessSerial(F.Test[I]),
-                      P8.assess(F.Test[I]), I);
+    expectSameVerdict(oracleAssess(P8, F.Test[I]), P8.assess(F.Test[I]), I);
 }
 
 TEST(ShardedStoreTest, ReshardLeavesVerdictsUnchanged) {
@@ -163,9 +167,10 @@ TEST(ShardedStoreTest, FeatureMatrixScanMatchesPerRowVectorScan) {
   // be bit-identical to scanning the original per-row entry vectors (the
   // pre-refactor vector<vector<double>> path) with the same kernel — so
   // moving the storage cannot change a single verdict. The selection cut
-  // over those distances must match the serial oracle's select() set and
-  // weights, including when several entries share the cut distance and
-  // only the id tie-break decides.
+  // over those distances must match the serial oracle's selected set, and
+  // the p-values its weights give must match the oracle's, including when
+  // several entries share the cut distance and only the id tie-break
+  // decides.
   using prom::testing::bits;
   auto Check = [](const char *Tag, const std::vector<CalibrationEntry> &Entries,
                   const std::vector<std::vector<double>> &Queries,
@@ -198,13 +203,22 @@ TEST(ShardedStoreTest, FeatureMatrixScanMatchesPerRowVectorScan) {
             UnselectedAtCut |=
                 !S.selected(I) && bits(S.Dists[I]) == S.Cut.first;
           }
-          CalibrationSelection Sel = Scores.select(Query, Cfg);
+          prom::testing::OracleSelection Sel =
+              prom::testing::oracleSelect(Scores, Query.data(), Cfg);
           ASSERT_EQ(Sel.Indices.size(), S.Keep);
           ASSERT_EQ(Selected, S.Keep);
-          for (size_t Pos = 0; Pos < Sel.Indices.size(); ++Pos) {
+          for (size_t Pos = 0; Pos < Sel.Indices.size(); ++Pos)
             EXPECT_TRUE(S.selected(Sel.Indices[Pos]));
-            EXPECT_EQ(bits(S.weight(Sel.Indices[Pos])), bits(Sel.Weights[Pos]));
-          }
+          // The fold weights the selection inline, so its weights show in
+          // the p-values.
+          const std::vector<double> TestScores = {0.3, 0.5, 0.7};
+          std::vector<double> P(TestScores.size());
+          Scores.pValuesAllExperts(S, TestScores.data(), TestScores.size(),
+                                   Cfg, /*DiscreteFlags=*/nullptr, P.data());
+          std::vector<double> OracleP = prom::testing::oraclePValues(
+              Scores, Sel, 0, TestScores, Cfg, /*DiscreteScores=*/false);
+          for (size_t L = 0; L < P.size(); ++L)
+            EXPECT_EQ(bits(P[L]), bits(OracleP[L])) << "label " << L;
           // The tie fixtures must keep their ties at the cut, or they
           // would silently stop testing the tie-break.
           if (TiesAtCut) {
@@ -246,6 +260,52 @@ TEST(ShardedStoreTest, FeatureMatrixScanMatchesPerRowVectorScan) {
   Check("grid", Grid, GridQueries, /*TiesAtCut=*/true);
   Check("equal", Equal, {{0.5, -1.0, 2.0}, {1.0, 1.0, 1.0}},
         /*TiesAtCut=*/true);
+}
+
+TEST(ShardedStoreTest, SelectionOrdersBySquaredDistanceBits) {
+  // Two squared distances one ulp apart can round to the same root: from
+  // the origin, ids 1 and 2 sit at squared distances 0x3ff7d70a3d70a3d8
+  // and 0x3ff7d70a3d70a3d7 with equal roots. The selection ranks the
+  // squared distance, so a Keep of 2 takes ids {0, 2}; ranking the root
+  // with an id tie-break would take {0, 1}. Their scores differ, so taking
+  // the wrong one moves the p-value as well.
+  using prom::testing::bits;
+  const double Up =
+      std::nextafter(0.7, std::numeric_limits<double>::infinity());
+  std::vector<CalibrationEntry> Entries = {{{0.0, 0.1}, 0, {0.5}},
+                                           {{1.0, Up}, 0, {0.9}},
+                                           {{1.0, 0.7}, 0, {0.1}},
+                                           {{5.0, 5.0}, 0, {0.3}}};
+  CalibrationStore Store;
+  for (const CalibrationEntry &E : Entries)
+    Store.add(E);
+  Store.finalize();
+  const double Query[2] = {0.0, 0.0};
+  double D1 = support::kernels::l2Sq(Entries[1].Embed.data(), Query, 2);
+  double D2 = support::kernels::l2Sq(Entries[2].Embed.data(), Query, 2);
+  ASSERT_EQ(bits(D1), 0x3ff7d70a3d70a3d8ull);
+  ASSERT_EQ(bits(D2), 0x3ff7d70a3d70a3d7ull);
+  ASSERT_EQ(bits(std::sqrt(D1)), bits(std::sqrt(D2)));
+
+  PromConfig Cfg;
+  Cfg.SelectAllBelow = 0;
+  Cfg.SelectFraction = 0.5;
+  AssessmentScratch S;
+  Store.selectForAssessment(Query, Cfg, S);
+  ASSERT_EQ(S.Keep, 2u);
+  prom::testing::OracleSelection Sel =
+      prom::testing::oracleSelect(Store, Query, Cfg);
+  EXPECT_EQ(Sel.Indices, (std::vector<size_t>{0, 2}));
+  for (size_t I = 0; I < Entries.size(); ++I)
+    EXPECT_EQ(S.selected(I), I == 0 || I == 2) << "entry " << I;
+
+  const std::vector<double> TestScores = {0.4};
+  double Engine = 0.0;
+  Store.pValuesAllExperts(S, TestScores.data(), 1, Cfg,
+                          /*DiscreteFlags=*/nullptr, &Engine);
+  std::vector<double> Oracle = prom::testing::oraclePValues(
+      Store, Sel, 0, TestScores, Cfg, /*DiscreteScores=*/false);
+  EXPECT_EQ(bits(Engine), bits(Oracle[0]));
 }
 
 TEST(ShardedStoreTest, RegressorShardCountInvariant) {

@@ -280,45 +280,98 @@ TEST(SnapshotTest, RegressorRoundTripBitIdentical) {
   std::remove(Path.c_str());
 }
 
-TEST(SnapshotTest, LoadKeepsUnpersistedDeploymentKnobs) {
-  // The snapshot persists the calibration-relevant config; the deployment
-  // knobs it does not persist must keep the loading detector's values
-  // instead of resetting to their defaults on every restart.
+namespace {
+
+/// A valid config that differs from the default in every field.
+PromConfig nonDefaultConfig() {
+  PromConfig Cfg;
+  Cfg.Epsilon = 0.3;
+  Cfg.CredThreshold = 0.25;
+  Cfg.ConfThreshold = 0.8;
+  Cfg.ConfidenceC = 2.0;
+  Cfg.Tau = 100.0;
+  Cfg.AutoTau = false;
+  Cfg.TauScale = 20.0;
+  Cfg.WeightNormPower = 2;
+  Cfg.SelectFraction = 0.3;
+  Cfg.SelectAllBelow = 50;
+  Cfg.WeightMode = CalibrationWeightMode::ScoreScaling;
+  Cfg.SmoothedPValues = false;
+  Cfg.MinVotesToFlag = 3;
+  Cfg.KnnK = 5;
+  Cfg.MinClusters = 3;
+  Cfg.MaxClusters = 10;
+  Cfg.FixedClusters = 5;
+  Cfg.NumShards = 2;
+  Cfg.MaxCalibEntries = 5000;
+  return Cfg;
+}
+
+/// Every PromConfig field of \p A equals \p B's.
+void expectSameConfig(const PromConfig &A, const PromConfig &B) {
+  EXPECT_EQ(A.Epsilon, B.Epsilon);
+  EXPECT_EQ(A.CredThreshold, B.CredThreshold);
+  EXPECT_EQ(A.ConfThreshold, B.ConfThreshold);
+  EXPECT_EQ(A.ConfidenceC, B.ConfidenceC);
+  EXPECT_EQ(A.Tau, B.Tau);
+  EXPECT_EQ(A.AutoTau, B.AutoTau);
+  EXPECT_EQ(A.TauScale, B.TauScale);
+  EXPECT_EQ(A.WeightNormPower, B.WeightNormPower);
+  EXPECT_EQ(A.SelectFraction, B.SelectFraction);
+  EXPECT_EQ(A.SelectAllBelow, B.SelectAllBelow);
+  EXPECT_EQ(A.WeightMode, B.WeightMode);
+  EXPECT_EQ(A.SmoothedPValues, B.SmoothedPValues);
+  EXPECT_EQ(A.MinVotesToFlag, B.MinVotesToFlag);
+  EXPECT_EQ(A.KnnK, B.KnnK);
+  EXPECT_EQ(A.MinClusters, B.MinClusters);
+  EXPECT_EQ(A.MaxClusters, B.MaxClusters);
+  EXPECT_EQ(A.FixedClusters, B.FixedClusters);
+  EXPECT_EQ(A.NumShards, B.NumShards);
+  EXPECT_EQ(A.MaxCalibEntries, B.MaxCalibEntries);
+}
+
+} // namespace
+
+TEST(SnapshotTest, LoadTakesTheWholeConfigFromTheSnapshot) {
+  // The config block holds every PromConfig field, so a load replaces the
+  // loading detector's config wholesale: the persisted values win over a
+  // loader configured differently in every field, and the restored
+  // verdicts are the saved ones.
   ClassifierFixture &F = classifierFixture();
   PromConfig Cfg;
   Cfg.Epsilon = 0.2;
   PromClassifier Saved(F.Model, Cfg);
   Saved.calibrate(F.Calib);
-  std::string Path = tempPath("knobs_classifier.promsnap");
+  std::vector<Verdict> Expected = Saved.assessBatch(F.Probes);
+  std::string Path = tempPath("config_classifier.promsnap");
   ASSERT_TRUE(Saved.saveSnapshot(Path));
 
-  PromConfig NoIndex;
-  NoIndex.ClusterIndex = false;
-  PromClassifier Loaded(F.Model, NoIndex);
+  PromClassifier Loaded(F.Model, nonDefaultConfig());
   ASSERT_TRUE(Loaded.loadSnapshot(Path));
-  EXPECT_FALSE(Loaded.config().ClusterIndex);
   EXPECT_EQ(Loaded.config().Epsilon, 0.2); // Persisted: the snapshot wins.
+  expectSameConfig(Loaded.config(), Saved.config());
+  std::vector<Verdict> Restored = Loaded.assessBatch(F.Probes);
+  ASSERT_EQ(Restored.size(), Expected.size());
+  for (size_t I = 0; I < Expected.size(); ++I)
+    expectSameVerdict(Expected[I], Restored[I], I);
   std::remove(Path.c_str());
 
-  support::Rng R(93);
-  data::Dataset Train = linearRegression(200, 0.1, R);
-  data::Dataset Calib = linearRegression(100, 0.1, R);
-  ml::MlpRegressor Model;
-  Model.fit(Train, R);
-  PromConfig RegCfg;
-  RegCfg.FixedClusters = 3;
-  PromRegressor RegSaved(Model, RegCfg);
-  support::Rng CalR(3);
-  RegSaved.calibrate(Calib, CalR);
-  Path = tempPath("knobs_regressor.promsnap");
+  RegressorFixture &RF = regressorFixture();
+  ASSERT_EQ(RF.Cfg.FixedClusters, 3u);
+  PromRegressor RegSaved(RF.Model, RF.Cfg);
+  RF.calibrate(RegSaved);
+  std::vector<RegressionVerdict> RegExpected = RegSaved.assessBatch(RF.Probes);
+  Path = tempPath("config_regressor.promsnap");
   ASSERT_TRUE(RegSaved.saveSnapshot(Path));
 
-  PromConfig NoKnnIndex;
-  NoKnnIndex.KnnClusterIndex = false;
-  PromRegressor RegLoaded(Model, NoKnnIndex);
+  PromRegressor RegLoaded(RF.Model, nonDefaultConfig());
   ASSERT_TRUE(RegLoaded.loadSnapshot(Path));
-  EXPECT_FALSE(RegLoaded.config().KnnClusterIndex);
   EXPECT_EQ(RegLoaded.config().FixedClusters, 3u);
+  expectSameConfig(RegLoaded.config(), RegSaved.config());
+  std::vector<RegressionVerdict> RegRestored = RegLoaded.assessBatch(RF.Probes);
+  ASSERT_EQ(RegRestored.size(), RegExpected.size());
+  for (size_t I = 0; I < RegExpected.size(); ++I)
+    expectSameRegressionVerdict(RegExpected[I], RegRestored[I], I);
   std::remove(Path.c_str());
 }
 

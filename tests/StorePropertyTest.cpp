@@ -300,13 +300,13 @@ void runBatchPreparedProgram(uint64_t Seed) {
     ASSERT_EQ(WithBatch.Keep, Standalone.Keep);
     EXPECT_EQ(WithBatch.Cut, Standalone.Cut);
     ASSERT_EQ(WithBatch.Candidates, Standalone.Candidates);
+    // With the distances below, these fix every Eq. (1) weight.
+    prom::testing::expectSameWeightParameters(WithBatch, Standalone);
     ASSERT_EQ(WithBatch.Dists.size(), Standalone.Dists.size());
     for (size_t I = 0; I < WithBatch.Dists.size(); ++I) {
       EXPECT_EQ(prom::testing::bits(WithBatch.Dists[I]),
                 prom::testing::bits(Standalone.Dists[I]));
       ASSERT_EQ(WithBatch.selected(I), Standalone.selected(I));
-      EXPECT_EQ(prom::testing::bits(WithBatch.weight(I)),
-                prom::testing::bits(Standalone.weight(I)));
     }
 
     EXPECT_NE(WithBatch.Pruned.ListsTotal, 0u);

@@ -9,7 +9,8 @@
 /// and the randomized StorePropertyTest): synthetic entry builders, the
 /// from-scratch reference store, and the exhaustive engine-level
 /// comparison that drives both stores through the exact entry points the
-/// batched assessment uses.
+/// batched assessment uses; plus the engine p-value call the p-value
+/// semantics suites (NonconformityTest, ScorerEdgeCaseTest) assert on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,6 +69,15 @@ inline int maxLiveLabel(const CalibrationStore &Store) {
   return Max;
 }
 
+/// Expects the same Eq. (1) parameters in two selections, bit for bit.
+inline void expectSameWeightParameters(const AssessmentScratch &A,
+                                       const AssessmentScratch &B) {
+  EXPECT_EQ(A.Weighted, B.Weighted);
+  EXPECT_EQ(bits(A.Offset), bits(B.Offset));
+  EXPECT_EQ(bits(A.Tau), bits(B.Tau));
+  EXPECT_EQ(A.NormPower, B.NormPower);
+}
+
 /// Drives both stores through the exact engine entry points the batched
 /// assessment uses (selection + fused all-expert p-values) and demands
 /// bit-equality on everything a verdict is computed from.
@@ -98,10 +108,13 @@ inline void expectStoresBitIdentical(const CalibrationStore &Live,
     Live.selectForAssessment(Query.data(), Cfg, SLive);
     Ref.selectForAssessment(Query.data(), Cfg, SRef);
     ASSERT_EQ(SLive.Keep, SRef.Keep);
+    expectSameWeightParameters(SLive, SRef);
     for (size_t I = 0; I < Ref.size(); ++I) {
       ASSERT_EQ(SLive.selected(I), SRef.selected(I)) << "entry " << I;
+      // A selected entry's weight is a pure function of its distance and
+      // the parameters above.
       if (SRef.selected(I)) {
-        ASSERT_EQ(bits(SLive.weight(I)), bits(SRef.weight(I)))
+        ASSERT_EQ(bits(SLive.Dists[I]), bits(SRef.Dists[I]))
             << "entry " << I;
       }
     }
@@ -113,6 +126,23 @@ inline void expectStoresBitIdentical(const CalibrationStore &Live,
     for (size_t C = 0; C < Cells; ++C)
       ASSERT_EQ(bits(PLive[C]), bits(PRef[C])) << "cell " << C;
   }
+}
+
+/// The engine's p-values (selectForAssessment + pValuesAllExperts) of a
+/// one-expert store of 1-D embeddings for the test embedding \p X, one
+/// label per test score.
+inline std::vector<double> enginePValues(const CalibrationStore &Store,
+                                         double X,
+                                         const std::vector<double> &TestScores,
+                                         const PromConfig &Cfg,
+                                         bool DiscreteScores = false) {
+  AssessmentScratch S;
+  Store.selectForAssessment(&X, Cfg, S);
+  uint8_t Discrete = DiscreteScores ? 1 : 0;
+  std::vector<double> P(TestScores.size());
+  Store.pValuesAllExperts(S, TestScores.data(), TestScores.size(), Cfg,
+                          &Discrete, P.data());
+  return P;
 }
 
 /// Runs the comparison under two regimes of the canonical block fold: the
