@@ -307,12 +307,11 @@ ClusterBenchResult clusterKnnBench(size_t N, size_t Dim, size_t Centroids,
 }
 
 /// Batched pruned scan (nearestPrunedBatch) against the per-query pruned
-/// loop on the same index: one shared MxN centroid block per query tile
-/// plus the ThreadPool fan-out over queries, verified bit-identical —
-/// pairs and stats — before timing. The speedup has two components: the
-/// amortized centroid block (visible even single-core) and the fan-out
-/// (scales with pool lanes, reported separately so artifacts from 1-core
-/// and 4-core runners stay comparable).
+/// loop on the same index, verified bit-identical — pairs and stats —
+/// before timing. The batch runs the same per-query walk, so these rows
+/// measure only its ThreadPool fan-out over queries: about 1x on one
+/// lane, scaling with pool lanes (reported separately so artifacts from
+/// 1-core and 4-core runners stay comparable).
 void clusterBatchBench(size_t N, size_t Dim, size_t Centroids, size_t K,
                        double MinMillis, Rng &R) {
   const size_t NumBlobs = 64;

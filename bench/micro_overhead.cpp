@@ -427,12 +427,6 @@ void runStoreScaleStudy(size_t N) {
     for (size_t D = 0; D < Dim; ++D)
       Q[D] = C[D] + R.gaussian(0.0, 1.0);
   }
-  // The same queries as one contiguous block, for the batch-prepared scan.
-  std::vector<double> QueryBlock(NumQueries * Dim);
-  for (size_t Q = 0; Q < NumQueries; ++Q)
-    std::copy(Queries[Q].begin(), Queries[Q].end(),
-              QueryBlock.data() + Q * Dim);
-
   auto Snapshot = [&](const PromConfig &Cfg, std::vector<SelectionSnapshot> &Out) {
     AssessmentScratch S;
     Out.clear();
@@ -513,71 +507,18 @@ void runStoreScaleStudy(size_t N) {
 
     double PrunedUs = TimePerQueryUs(Cfg);
 
-    // Batch-prepared variant: one prepareBatchPrunedScan() computes the
-    // centroid blocks for all queries (shared MxN kernel pass + ThreadPool
-    // fan-out), then each selection reads its cached row. Verified
-    // bit-identical to the exact reference first, like the per-query path.
-    CalibrationStore::BatchPrunedScan Scan;
-    Store.prepareBatchPrunedScan(QueryBlock.data(), NumQueries, Dim, Cfg,
-                                 Scan);
-    if (!Scan.Active) {
-      std::fprintf(stderr, "FATAL: batch pruned scan not routed at N=%zu\n",
-                   N);
-      std::exit(1);
-    }
-    AssessmentScratch BS;
-    for (size_t Q = 0; Q < NumQueries; ++Q) {
-      Store.selectForAssessment(QueryBlock.data() + Q * Dim, Cfg, BS, &Scan,
-                                Q);
-      const SelectionSnapshot &Ref = Reference[F][Q];
-      if (BS.Pruned.ListsTotal == 0 ||
-          !SelectionSnapshot(BS).sameBits(Ref)) {
-        std::fprintf(stderr,
-                     "FATAL: batch-prepared pruned selection diverges from "
-                     "the exact scan (N=%zu, fraction %.2f, query %zu)\n",
-                     N, Fractions[F], Q);
-        std::exit(1);
-      }
-    }
-    support::ClusterScanStats Agg = Scan.aggregated();
-    double BatchRowsFrac = static_cast<double>(Agg.RowsScanned) /
-                           static_cast<double>(Agg.RowsTotal);
-
-    double BatchUs = 1e300;
-    for (int Rep = 0; Rep < 3; ++Rep) {
-      auto T0 = std::chrono::steady_clock::now();
-      Store.prepareBatchPrunedScan(QueryBlock.data(), NumQueries, Dim, Cfg,
-                                   Scan);
-      for (size_t Q = 0; Q < NumQueries; ++Q) {
-        Store.selectForAssessment(QueryBlock.data() + Q * Dim, Cfg, S,
-                                  &Scan, Q);
-        benchmark::DoNotOptimize(S.Keep);
-      }
-      BatchUs = std::min(BatchUs, 1e6 * secondsSince(T0) /
-                                      static_cast<double>(NumQueries));
-    }
-
     int KeepPct = static_cast<int>(Fractions[F] * 100.0 + 0.5);
     std::printf("select %2d%% : exact %9.1f us/query | pruned %8.1f "
-                "us/query | speedup %5.2fx | batch-prepared %8.1f us/query "
-                "(%5.2fx vs exact) | lists scanned %4.1f%% | rows scanned "
-                "%4.1f%%\n",
+                "us/query | speedup %5.2fx | lists scanned %4.1f%% | rows "
+                "scanned %4.1f%%\n",
                 KeepPct, ExactUs[F], PrunedUs, ExactUs[F] / PrunedUs,
-                BatchUs, ExactUs[F] / BatchUs, 100.0 * ListsFrac,
-                100.0 * RowsFrac);
+                100.0 * ListsFrac, 100.0 * RowsFrac);
     std::string Tag = NTag + "_keep" + std::to_string(KeepPct);
     jsonResult("micro_overhead", Tag + "_exact_us_per_query", ExactUs[F]);
     jsonResult("micro_overhead", Tag + "_pruned_us_per_query", PrunedUs);
     jsonResult("micro_overhead", Tag + "_speedup", ExactUs[F] / PrunedUs);
-    jsonResult("micro_overhead", Tag + "_batch_us_per_query", BatchUs);
-    jsonResult("micro_overhead", Tag + "_batch_speedup_vs_exact",
-               ExactUs[F] / BatchUs);
-    jsonResult("micro_overhead", Tag + "_batch_speedup_vs_perquery",
-               PrunedUs / BatchUs);
     jsonResult("micro_overhead", Tag + "_lists_scanned_fraction", ListsFrac);
     jsonResult("micro_overhead", Tag + "_rows_scanned_fraction", RowsFrac);
-    jsonResult("micro_overhead", Tag + "_batch_rows_scanned_fraction",
-               BatchRowsFrac);
   }
 }
 
@@ -607,7 +548,7 @@ BENCHMARK(BM_ModelInference);
 static void BM_SingleExpertPValues(benchmark::State &BState) {
   MicroState &S = state(static_cast<size_t>(BState.range(0)));
   for (auto _ : BState) {
-    std::vector<double> P = S.Prom->pValues(S.Probe, 0);
+    std::vector<double> P = S.Prom->pValues(S.Probe)[0];
     benchmark::DoNotOptimize(P);
   }
 }

@@ -68,7 +68,7 @@ NaiveCpDetector::isDriftingBatch(const data::Dataset &Batch) const {
 //===----------------------------------------------------------------------===//
 
 std::vector<double> RiseDetector::cpFeatures(const data::Sample &S) const {
-  std::vector<double> PVals = Impl->pValues(S, /*Expert=*/0);
+  std::vector<double> PVals = Impl->pValues(S)[0];
   size_t Pred = support::argmax(Impl->model().predictProba(S));
   double Cred = PVals[Pred];
   double SecondBest = 0.0;
@@ -141,7 +141,7 @@ void TesseractDetector::fit(const ml::Classifier &Model,
     int Pred = Model.predict(S);
     if (Pred != S.Label)
       continue;
-    std::vector<double> PVals = Impl->pValues(S, /*Expert=*/0);
+    std::vector<double> PVals = Impl->pValues(S)[0];
     PerClass[static_cast<size_t>(Pred)].push_back(
         PVals[static_cast<size_t>(Pred)]);
   }
@@ -155,7 +155,7 @@ void TesseractDetector::fit(const ml::Classifier &Model,
 bool TesseractDetector::isDrifting(const data::Sample &S) const {
   assert(Impl && "fit() not called");
   int Pred = Impl->model().predict(S);
-  std::vector<double> PVals = Impl->pValues(S, /*Expert=*/0);
+  std::vector<double> PVals = Impl->pValues(S)[0];
   return PVals[static_cast<size_t>(Pred)] <
          ClassThresholds[static_cast<size_t>(Pred)];
 }

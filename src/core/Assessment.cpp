@@ -34,11 +34,11 @@ AssessmentResult prom::assessInitialization(const ml::Classifier &Model,
     Prom.calibrate(Internal);
 
     // Eq. (3): fraction of validation samples whose true label lies in the
-    // epsilon-level prediction region, averaged across the experts.
+    // epsilon-level prediction region, averaged across the experts. One
+    // engine pass per sample yields every expert's row.
     double Covered = 0.0, Total = 0.0;
     for (const data::Sample &S : Val.samples()) {
-      for (size_t E = 0; E < Prom.numExperts(); ++E) {
-        std::vector<double> PVals = Prom.pValues(S, E);
+      for (const std::vector<double> &PVals : Prom.pValues(S)) {
         bool InRegion =
             PVals[static_cast<size_t>(S.Label)] > Cfg.Epsilon;
         Covered += InRegion ? 1.0 : 0.0;

@@ -12,11 +12,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <iterator>
 #include <limits>
 
 using namespace prom;
+using support::kernels::fromKeyBits;
 using support::kernels::keyBits;
 
 namespace {
@@ -318,81 +318,9 @@ static double effectiveTau(const PromConfig &Cfg, double MedianNNDist) {
   return Cfg.Tau;
 }
 
-/// The double whose bit pattern is \p Bits.
-static double fromKeyBits(uint64_t Bits) {
-  double V;
-  std::memcpy(&V, &Bits, sizeof(V));
-  return V;
-}
-
-support::ClusterScanStats
-CalibrationStore::BatchPrunedScan::aggregated() const {
-  support::ClusterScanStats Agg;
-  for (const support::ClusterScanStats &S : PerQuery)
-    Agg += S;
-  return Agg;
-}
-
-bool CalibrationStore::prunedRouting(size_t Keep) const {
-  // The pruned scan pays off only when the selection is a proper subset
-  // (a full selection must touch every entry anyway) — and a small one:
-  // pruning can never skip the kept rows themselves, so large selections
-  // are served faster by the exact scan (MaxSelectFraction bounds the
-  // routing). Losslessness makes this purely a routing choice.
-  size_t N = Labels.size();
-  if (!IndexPolicy.Enabled || indexedShards() == 0)
-    return false;
-  return Keep < N && static_cast<double>(Keep) <=
-                         IndexPolicy.MaxSelectFraction *
-                             static_cast<double>(N);
-}
-
-void CalibrationStore::prepareBatchPrunedScan(const double *Queries,
-                                              size_t NumQueries,
-                                              size_t QueryStride,
-                                              const PromConfig &Cfg,
-                                              BatchPrunedScan &Scan) const {
-  Scan.Active = false;
-  Scan.NumQueries = NumQueries;
-  Scan.Blocks.clear();
-  Scan.PerQuery.assign(NumQueries, support::ClusterScanStats());
-  if (Labels.empty() || NumQueries == 0 ||
-      !prunedRouting(selectionKeepCount(Labels.size(), Cfg)))
-    return;
-  Scan.Active = true;
-
-  for (size_t SI = 0; SI < Shards.size(); ++SI) {
-    const support::ClusterIndex &Idx = Shards[SI].Index;
-    if (!Idx.valid())
-      continue;
-    BatchPrunedScan::ShardBlock B;
-    B.Shard = SI;
-    B.NumLists = Idx.numLists();
-    B.DistSq.resize(NumQueries * B.NumLists);
-    Scan.Blocks.push_back(std::move(B));
-  }
-  // One blocked MxN pass per (query chunk, indexed shard) fills the
-  // distance blocks: chunks are disjoint query rows and block row Q is
-  // bit-identical to centroidDistances(query Q), so neither the fan-out
-  // nor the batching can change a selection bit.
-  for (BatchPrunedScan::ShardBlock &B : Scan.Blocks) {
-    const support::ClusterIndex &Idx = Shards[B.Shard].Index;
-    support::ThreadPool::global().parallelFor(
-        NumQueries, [&](size_t Begin, size_t End) {
-          if (Begin >= End)
-            return;
-          Idx.centroidDistancesBatch(Queries + Begin * QueryStride,
-                                     End - Begin, QueryStride,
-                                     B.DistSq.data() + Begin * B.NumLists);
-        });
-  }
-}
-
 void CalibrationStore::selectForAssessment(const double *TestEmbed,
                                            const PromConfig &Cfg,
-                                           AssessmentScratch &Scratch,
-                                           BatchPrunedScan *Batch,
-                                           size_t QueryIndex) const {
+                                           AssessmentScratch &Scratch) const {
   assert(!Labels.empty() && "empty calibration store");
   assert(Staged.empty() &&
          "assessing a store with staged (unfinalized) entries");
@@ -401,14 +329,15 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
 
   double MinSq = 0.0;
   Scratch.Keep = selectionKeepCount(N, Cfg);
-  if (prunedRouting(Scratch.Keep)) {
-    assert((!Batch || (Batch->Active && QueryIndex < Batch->NumQueries)) &&
-           "batch scan prepared under a different store or config");
-    MinSq = selectForAssessmentPruned(TestEmbed, Scratch,
-                                      Batch && Batch->Active ? Batch : nullptr,
-                                      QueryIndex);
-    if (Batch && Batch->Active)
-      Batch->PerQuery[QueryIndex] = Scratch.Pruned;
+  // The pruned scan pays off only when the selection is a proper subset
+  // (a full selection must touch every entry anyway) — and a small one:
+  // pruning can never skip the kept rows themselves, so large selections
+  // are served faster by the exact scan (MaxSelectFraction bounds the
+  // routing). Losslessness makes this purely a routing choice.
+  if (IndexPolicy.Enabled && indexedShards() > 0 && Scratch.Keep < N &&
+      static_cast<double>(Scratch.Keep) <=
+          IndexPolicy.MaxSelectFraction * static_cast<double>(N)) {
+    MinSq = selectForAssessmentPruned(TestEmbed, Scratch);
   } else {
     // One batched kernel scan over the contiguous embedding block, the
     // same lane-folded l2Sq behind support::euclidean. Sharded stores fill
@@ -447,127 +376,46 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
   Scratch.NormPower = Cfg.WeightNormPower;
 }
 
-double CalibrationStore::selectForAssessmentPruned(
-    const double *TestEmbed, AssessmentScratch &S,
-    const BatchPrunedScan *Batch, size_t QueryIndex) const {
+double
+CalibrationStore::selectForAssessmentPruned(const double *TestEmbed,
+                                            AssessmentScratch &S) const {
   size_t N = Labels.size(), Keep = S.Keep;
   S.Pruned.RowsTotal = N;
   S.Candidates.clear();
+  S.Indexes.clear();
+  S.Dists.resize(N);
 
-  // Exact scan of one contiguous row range into the candidate list. Rows
-  // come straight out of the embedding block, so the kernel fold is the
-  // very one the unpruned path runs.
-  auto ScanRange = [&](size_t Begin, size_t End) {
-    if (Begin >= End)
-      return;
-    S.RowScratch.resize(End - Begin);
-    support::kernels::l2Sq1xN(TestEmbed, Embeds.rowPtr(Begin), End - Begin,
+  // The rows no index covers (unindexed shards and the stale tails
+  // appended after each index was built) are scanned exactly, straight
+  // out of the embedding block into their own Dists slots, so the kernel
+  // fold is the very one the exact path runs. Their keys seed the walk's
+  // candidates, which gives it a bound before it visits any list.
+  for (const Shard &Sh : Shards) {
+    size_t Begin = Sh.Begin;
+    if (Sh.Index.valid()) {
+      S.Indexes.push_back(&Sh.Index);
+      Begin = Sh.Index.endRow();
+    }
+    if (Begin >= Sh.End)
+      continue;
+    support::kernels::l2Sq1xN(TestEmbed, Embeds.rowPtr(Begin), Sh.End - Begin,
                               Embeds.dim(), Embeds.stride(),
-                              S.RowScratch.data());
-    for (size_t I = Begin; I < End; ++I)
-      S.Candidates.push_back(
-          {keyBits(S.RowScratch[I - Begin]), static_cast<uint32_t>(I)});
-    S.Pruned.RowsScanned += End - Begin;
-  };
-
-  // Phase 1 — mandatory exact rows: unindexed shards and the stale tails
-  // appended after each index was built. Scanning them first also seeds
-  // the pruning bound before any list is visited.
-  for (const Shard &Sh : Shards)
-    ScanRange(Sh.Index.valid() ? Sh.Index.endRow() : Sh.Begin, Sh.End);
-
-  // Phase 2 — rank every live index's lists globally by query-centroid
-  // distance (the scan order only affects how fast the bound tightens,
-  // never the result). The rank key is the distance's bit pattern: the
-  // numeric order for every non-NaN distance, and a defined one when a
-  // NaN query or centroid makes some distance NaN. With a prepared batch,
-  // this query's centroid distances come straight out of the per-shard
-  // blocks — the same bits the per-query kernel calls would produce, with
-  // the MxN pass already amortized across the whole batch.
-  S.ListOrder.clear();
-  if (Batch) {
-    for (const BatchPrunedScan::ShardBlock &B : Batch->Blocks) {
-      assert(B.Shard < Shards.size() && Shards[B.Shard].Index.valid() &&
-             B.NumLists == Shards[B.Shard].Index.numLists() &&
-             "stale batch scan: the store changed after prepare");
-      const double *Row = B.DistSq.data() + QueryIndex * B.NumLists;
-      for (size_t L = 0; L < B.NumLists; ++L)
-        S.ListOrder.push_back(
-            {keyBits(Row[L]), (static_cast<uint64_t>(B.Shard) << 32) | L});
-    }
-  } else {
-    S.CentroidDists.clear();
-    for (size_t SI = 0; SI < Shards.size(); ++SI) {
-      const support::ClusterIndex &Idx = Shards[SI].Index;
-      if (!Idx.valid())
-        continue;
-      size_t Off = S.CentroidDists.size();
-      size_t NumLists = Idx.numLists();
-      S.CentroidDists.resize(Off + NumLists);
-      Idx.centroidDistances(TestEmbed, S.CentroidDists.data() + Off);
-      for (size_t L = 0; L < NumLists; ++L)
-        S.ListOrder.push_back({keyBits(S.CentroidDists[Off + L]),
-                               (static_cast<uint64_t>(SI) << 32) | L});
-    }
+                              S.Dists.data() + Begin);
+    for (size_t I = Begin; I < Sh.End; ++I)
+      S.Candidates.push_back({keyBits(S.Dists[I]), static_cast<uint32_t>(I)});
+    S.Pruned.RowsScanned += Sh.End - Begin;
   }
-  S.Pruned.ListsTotal = S.ListOrder.size();
-  std::sort(S.ListOrder.begin(), S.ListOrder.end());
+  support::ClusterIndex::walk(S.Indexes.data(), S.Indexes.size(), TestEmbed,
+                              Keep, S.Candidates, S.Walk, S.Pruned);
 
-  // Phase 3/4 — walk the ranked lists under a lazily tightened k-th
-  // candidate bound. The bound is over *candidate* keys, hence >= the
-  // global k-th key; with the strict > comparison (and ClusterIndex's
-  // slackened lower bounds) a pruned member can never belong to the
-  // selection — see support/ClusterIndex.h for the full argument.
-  bool HaveBound = false;
-  double BoundKey = 0.0;
-  size_t LastTighten = 0;
-  auto Tighten = [&] {
-    if (S.Candidates.size() < Keep)
-      return;
-    std::nth_element(S.Candidates.begin(),
-                     S.Candidates.begin() + static_cast<long>(Keep - 1),
-                     S.Candidates.end());
-    BoundKey = fromKeyBits(S.Candidates[Keep - 1].first);
-    HaveBound = true;
-    LastTighten = S.Candidates.size();
-  };
-  Tighten();
-
-  for (const std::pair<uint64_t, uint64_t> &Ranked : S.ListOrder) {
-    size_t SI = static_cast<size_t>(Ranked.second >> 32);
-    size_t L = static_cast<size_t>(Ranked.second & 0xffffffffu);
-    const support::ClusterIndex &Idx = Shards[SI].Index;
-    size_t LB = Idx.listBegin(L), LE = Idx.listEnd(L);
-    if (LB == LE)
-      continue;
-    if (HaveBound &&
-        Idx.listLowerBoundSq(fromKeyBits(Ranked.first), L) > BoundKey)
-      continue;
-    ++S.Pruned.ListsScanned;
-    S.Pruned.RowsScanned += LE - LB;
-    const support::FeatureMatrix &Rows = Idx.listRows();
-    S.RowScratch.resize(LE - LB);
-    support::kernels::l2Sq1xN(TestEmbed, Rows.rowPtr(LB), LE - LB,
-                              Rows.dim(), Rows.stride(), S.RowScratch.data());
-    for (size_t I = LB; I < LE; ++I)
-      S.Candidates.push_back({keyBits(S.RowScratch[I - LB]), Idx.rowId(I)});
-    if (!HaveBound || S.Candidates.size() >= 2 * LastTighten)
-      Tighten();
-  }
-
-  // Every entry is either a candidate or provably farther than the bound,
-  // so the Keep smallest candidates are the exact path's selection and the
-  // last nth_element at Keep - 1 puts its cut in that slot.
-  assert(Keep < N && S.Candidates.size() >= Keep &&
-         "pruned candidates cannot cover the selection");
-  if (S.Candidates.size() != LastTighten)
-    Tighten();
+  // The walk leaves exactly the Keep smallest keys, the cut in the last
+  // slot. Only the selected entries carry their distance. Every
+  // other entry gets the largest bit pattern (a NaN), which keeps it past
+  // the cut even when the cut itself is +inf or NaN (a NaN query): below
+  // an all-ones cut the bits decide, and at one the unselected keys are
+  // (all-ones, id) anyway.
   S.Cut = S.Candidates[Keep - 1];
-  // Only the selected entries carry their distance. Every other entry gets
-  // the largest bit pattern (a NaN), which keeps it past the cut even when
-  // the cut itself is +inf or NaN (a NaN query): below an all-ones cut the
-  // bits decide, and at one the unselected keys are (all-ones, id) anyway.
-  S.Dists.assign(N, fromKeyBits(~uint64_t(0)));
+  std::fill(S.Dists.begin(), S.Dists.end(), fromKeyBits(~uint64_t(0)));
   uint64_t MinBits = ~uint64_t(0);
   for (size_t Pos = 0; Pos < Keep; ++Pos) {
     S.Dists[S.Candidates[Pos].second] = fromKeyBits(S.Candidates[Pos].first);

@@ -20,13 +20,16 @@
 ///
 /// Everything else is derived per shard. The entries are partitioned into
 /// K contiguous, accumulation-block-aligned shards (K = 1 is the unsharded
-/// case). A shard may carry a lossless cluster index for the pruned
-/// distance scan, built only when the ClusterIndexPolicy enables it. The
-/// engine entry points fan out shard-parallel over support::ThreadPool:
+/// case). A shard may carry a lossless support::ClusterIndex, built only
+/// when the ClusterIndexPolicy enables it. A small selection then runs
+/// the pruned scan, per query: the store scans the rows no index covers
+/// exactly and hands their keys to support::ClusterIndex::walk(), the one
+/// pruned walk, over all shard indexes at once. The engine entry points
+/// fan out shard-parallel over support::ThreadPool:
 ///
-///  * the squared-distance scan of selectForAssessment() fills disjoint
-///    slices of the distance array per shard (per-entry independent, so
-///    the values cannot depend on the partitioning);
+///  * the exact squared-distance scan of selectForAssessment() fills
+///    disjoint slices of the distance array per shard (per-entry
+///    independent, so the values cannot depend on the partitioning);
 ///  * the Eq. (2) p-values have each shard fold its own canonical
 ///    accumulation blocks (see CalibrationAccumBlock) into per-block
 ///    partials that are merged in ascending block order on one thread.
@@ -115,8 +118,8 @@ struct AssessmentScratch {
   }
 
   /// (distance bits, entry id) keys of the last selection: the pivot
-  /// bucket of the exact cut (empty when the cut needs none), or the
-  /// candidates of the pruned scan (the first Keep are the selection).
+  /// bucket of the exact cut (empty when the cut needs none), or the Keep
+  /// selected keys of the pruned scan.
   std::vector<support::kernels::SelectKey> Candidates;
   /// Per-expert score-column pointers of the fused pass.
   std::vector<const double *> Columns;
@@ -141,14 +144,10 @@ struct AssessmentScratch {
   /// zero when the exact scan served it, so ListsTotal != 0 marks a
   /// pruned selection (every valid index holds at least one list).
   support::ClusterScanStats Pruned;
-  /// Pruned scan: (keyBits of the query-centroid distSq, (shard << 32) |
-  /// list) ranking pairs.
-  std::vector<std::pair<uint64_t, uint64_t>> ListOrder;
-  /// Pruned scan: concatenated query-centroid distances of every shard
-  /// index.
-  std::vector<double> CentroidDists;
-  /// Pruned scan: per-list kernel output staging area.
-  std::vector<double> RowScratch;
+  /// Pruned scan: the valid shard indexes, in shard order.
+  std::vector<const support::ClusterIndex *> Indexes;
+  /// Pruned scan: the buffers of support::ClusterIndex::walk().
+  support::ClusterIndex::WalkScratch Walk;
 };
 
 /// How many of \p N calibration entries the Sec. 5.1.2 policy selects
@@ -311,51 +310,6 @@ public:
   /// always scans these exactly, which is what keeps staleness lossless.
   size_t unindexedEntries() const;
 
-  /// Precomputed per-batch state of the cluster-pruned selection: one
-  /// query-to-centroid squared-distance block per indexed shard, computed
-  /// with blocked l2SqMxN passes over the whole query batch instead of one
-  /// l2Sq1xN per (query, shard) — the centroid-ranking cost the per-query
-  /// path repays on every call. Block row Q carries the bits
-  /// centroidDistances(query Q) would produce (the MxN kernel contract),
-  /// so selections served from the batch are bit-identical to the
-  /// per-query pruned path. Also collects each query's pruning counters
-  /// (every selection writes only its own PerQuery slot, so the aggregate
-  /// is deterministic at any thread count).
-  struct BatchPrunedScan {
-    /// Pruned routing holds for this (store, config) and the blocks below
-    /// are filled; when false, selectForAssessment() ignores the scan.
-    bool Active = false;
-    size_t NumQueries = 0; ///< Rows of the prepared query block.
-    /// The centroid-distance block of one indexed shard.
-    struct ShardBlock {
-      size_t Shard = 0;    ///< Index into the store's shard array.
-      size_t NumLists = 0; ///< Lists of that shard's cluster index.
-      /// NumQueries x NumLists squared distances, row-major by query.
-      std::vector<double> DistSq;
-    };
-    /// One block per indexed shard, ascending shard order (matching the
-    /// per-query path's shard walk).
-    std::vector<ShardBlock> Blocks;
-    /// Per-query counters of the selections served from this batch; slot
-    /// Q is written by the selection of query Q (all zero when the exact
-    /// path served it).
-    std::vector<support::ClusterScanStats> PerQuery;
-    /// Canonical ascending-query fold of PerQuery — the batch's aggregate
-    /// lists/rows-scanned counters, identical at any thread count.
-    support::ClusterScanStats aggregated() const;
-  };
-
-  /// Fills \p Scan for a batch of \p NumQueries query embeddings (rows of
-  /// stride \p QueryStride starting at \p Queries) under \p Cfg. When the
-  /// pruned routing would not fire (policy disabled, no indexed shards, or
-  /// the selection is not a small proper subset), Scan.Active stays false
-  /// and per-query selection proceeds exactly as without a batch. The
-  /// per-shard blocks fan out over the ThreadPool in deterministic
-  /// disjoint query chunks.
-  void prepareBatchPrunedScan(const double *Queries, size_t NumQueries,
-                              size_t QueryStride, const PromConfig &Cfg,
-                              BatchPrunedScan &Scan) const;
-
   //===--------------------------------------------------------------------===//
   // Assessment engine
   //
@@ -382,17 +336,8 @@ public:
   /// indexes and a small proper-subset selection is in force, runs the
   /// lossless pruned scan instead (Scratch.Pruned carries its pruning
   /// counters, all zero when the exact scan served the call).
-  ///
-  /// \p Batch, when non-null and Active, must have been prepared by
-  /// prepareBatchPrunedScan() on this store with the same config;
-  /// \p QueryIndex names this query's row of the prepared block, and the
-  /// pruned scan reads its centroid distances from the block instead of
-  /// recomputing them (same bits, so the selection is unchanged). The
-  /// query's pruning counters land in Batch->PerQuery[QueryIndex].
   void selectForAssessment(const double *TestEmbed, const PromConfig &Cfg,
-                           AssessmentScratch &Scratch,
-                           BatchPrunedScan *Batch = nullptr,
-                           size_t QueryIndex = 0) const;
+                           AssessmentScratch &Scratch) const;
 
   /// Class-conditional p-values of every expert in one fused pass.
   ///
@@ -472,24 +417,13 @@ private:
   /// The decide-and-build step of updateShardIndexes() for \p Sh.
   void updateShardIndex(Shard &Sh);
 
-  /// The shared routing predicate of the pruned scan: true when the policy
-  /// is enabled, at least one shard is indexed, and a selection of \p Keep
-  /// entries is a small proper subset (MaxSelectFraction).
-  /// prepareBatchPrunedScan() and selectForAssessment() both route through
-  /// this, so a prepared batch can never disagree with the per-query
-  /// decision.
-  bool prunedRouting(size_t Keep) const;
-
   /// The cluster-pruned selection path: exact scan of every unindexed
-  /// row, bound-pruned scan of the indexed lists, then the cut at the
-  /// Scratch.Keep-th smallest candidate; returns the smallest squared
-  /// distance. Bit-identical to the exact path. \p Batch, when non-null,
-  /// supplies the precomputed centroid-distance rows of query
-  /// \p QueryIndex (see selectForAssessment()).
+  /// row, which seeds support::ClusterIndex::walk() over the shard
+  /// indexes, then the cut at the Scratch.Keep-th smallest candidate;
+  /// returns the smallest squared distance. Bit-identical to the exact
+  /// path.
   double selectForAssessmentPruned(const double *TestEmbed,
-                                   AssessmentScratch &Scratch,
-                                   const BatchPrunedScan *Batch,
-                                   size_t QueryIndex) const;
+                                   AssessmentScratch &Scratch) const;
 
   /// Entries added but not yet folded into the columns.
   std::vector<CalibrationEntry> Staged;

@@ -231,11 +231,10 @@ template <> struct TaskPolicy<RegressionTask> {
   /// scan (the same (distance, id) pairs in the same order, so the folds
   /// below are bit-identical; sqrt of the scanned squared distance equals
   /// the euclidean() recompute because the 1xN row fold matches the
-  /// per-pair kernel). \p CentDistSq, when non-null, supplies the query's
-  /// precomputed KnnIndex centroid distances (one row of a batch block).
+  /// per-pair kernel).
   static void knnStats(const Fitted &Fit, const support::FeatureMatrix &Embeds,
                        const double *Embed, size_t K, long SelfIndex,
-                       const double *CentDistSq, RegressionScoreInput &In) {
+                       RegressionScoreInput &In) {
     size_t Want = K + (SelfIndex >= 0 ? 1 : 0);
     std::vector<double> NearTargets;
     std::vector<double> Dists;
@@ -252,9 +251,7 @@ template <> struct TaskPolicy<RegressionTask> {
     };
     if (Fit.KnnIndex.valid()) {
       std::vector<std::pair<double, uint32_t>> Near =
-          CentDistSq
-              ? Fit.KnnIndex.nearestPrunedFromCentroids(Embed, CentDistSq, Want)
-              : Fit.KnnIndex.nearestPruned(Embed, Want);
+          Fit.KnnIndex.nearestPruned(Embed, Want);
       for (const std::pair<double, uint32_t> &P : Near)
         if (!Take(P.second, std::sqrt(P.first)))
           break;
@@ -271,28 +268,15 @@ template <> struct TaskPolicy<RegressionTask> {
     In.KnnMeanDistance = support::mean(Dists);
   }
 
-  /// Precomputes the batch's KnnIndex centroid distances (one pass; each
-  /// block row is bit-identical to the per-query kernel call).
+  /// Scores each row from its k-NN statistics over the store's embeddings
+  /// and its nearest pseudo-label centroid.
   class Rows {
   public:
     Rows(const CalibrationStore &Store, const Fitted &Fit,
          const std::vector<double> &Predictions, const Matrix &Embeds,
          const PromConfig &Cfg)
         : Store(Store), Fit(Fit), Predictions(Predictions), Embeds(Embeds),
-          K(Cfg.KnnK) {
-      if (!Fit.KnnIndex.valid())
-        return;
-      size_t NumLists = Fit.KnnIndex.numLists();
-      KnnCentBlock.resize(Embeds.rows() * NumLists);
-      support::ThreadPool::global().parallelFor(
-          Embeds.rows(), [&](size_t Begin, size_t End) {
-            if (Begin >= End)
-              return;
-            Fit.KnnIndex.centroidDistancesBatch(
-                Embeds.rowPtr(Begin), End - Begin, Embeds.cols(),
-                KnnCentBlock.data() + Begin * NumLists);
-          });
-    }
+          K(Cfg.KnnK) {}
 
     size_t numLabels() const { return Fit.Centroids.rows(); }
 
@@ -307,11 +291,7 @@ template <> struct TaskPolicy<RegressionTask> {
           static_cast<int>(support::nearestCentroid(Fit.Centroids, Embed));
       RegressionScoreInput In;
       In.Prediction = V.Predicted;
-      knnStats(Fit, Store.embedMatrix(), Embed, K, /*SelfIndex=*/-1,
-               KnnCentBlock.empty()
-                   ? nullptr
-                   : KnnCentBlock.data() + I * Fit.KnnIndex.numLists(),
-               In);
+      knnStats(Fit, Store.embedMatrix(), Embed, K, /*SelfIndex=*/-1, In);
       // The test score is label-independent for regression; the
       // conditioning happens through which cluster's calibration scores
       // it is compared to.
@@ -327,7 +307,6 @@ template <> struct TaskPolicy<RegressionTask> {
     const std::vector<double> &Predictions;
     const Matrix &Embeds;
     size_t K;
-    std::vector<double> KnnCentBlock;
   };
 
   static bool discrete(const RegressionScorer &) { return false; }
@@ -438,13 +417,6 @@ CommitteeEngine<Task>::assessRows(const Generation &Gen,
     return Verdicts;
   typename TaskPolicy<Task>::Rows Rows(Gen.Store, Gen.Fit, Out, Embeds, Cfg);
 
-  // One batched centroid-distance pass for the whole batch (inactive when
-  // the pruned routing is not in force) — the per-query selections then
-  // read their own rows instead of re-ranking the lists from scratch.
-  CalibrationStore::BatchPrunedScan Scan;
-  Gen.Store.prepareBatchPrunedScan(Embeds.rowPtr(0), Embeds.rows(),
-                                   Embeds.cols(), Cfg, Scan);
-
   size_t NumExp = Scorers.size(), NumLabels = Rows.numLabels();
   std::vector<uint8_t> Discrete(NumExp);
   for (size_t E = 0; E < NumExp; ++E)
@@ -452,16 +424,15 @@ CommitteeEngine<Task>::assessRows(const Generation &Gen,
 
   support::ThreadPool::global().parallelFor(
       Verdicts.size(), [&](size_t Begin, size_t End) {
-        // Per-lane scratch, reused across every row of the range; each
-        // row reads its own Scan slice, so ranges never share state.
+        // Per-lane scratch, reused across every row of the range, so
+        // ranges never share state.
         AssessmentScratch Scratch;
         std::vector<double> TestScores(NumExp * NumLabels);
         std::vector<double> PVals(NumExp * NumLabels);
         for (size_t I = Begin; I < End; ++I) {
           VerdictType &V = Verdicts[I];
           size_t Label = Rows.score(I, Scorers, V, TestScores.data());
-          Gen.Store.selectForAssessment(Embeds.rowPtr(I), Cfg, Scratch,
-                                        &Scan, I);
+          Gen.Store.selectForAssessment(Embeds.rowPtr(I), Cfg, Scratch);
           Gen.Store.pValuesAllExperts(Scratch, TestScores.data(), NumLabels,
                                       Cfg, Discrete.data(), PVals.data());
           judgeCommittee(PVals.data(), NumExp, NumLabels, Label, Cfg, V);
@@ -609,14 +580,10 @@ PromClassifier::assessBatchWithForwards(const Matrix &RawProbs,
   return assessRows(*G, Probs, Embeds);
 }
 
-std::vector<double> PromClassifier::pValues(const data::Sample &S,
-                                            size_t Expert) const {
+std::vector<std::vector<double>>
+PromClassifier::pValues(const data::Sample &S) const {
   std::shared_ptr<const Generation> G = pin();
   assert(G && !G->Store.empty() && "assess before calibrate");
-  assert(Expert < Scorers.size() && "expert index out of range");
-  // The engine path (selection + fused all-expert p-values), so callers
-  // that want one expert's row per sample never pay the reference path's
-  // full distance sort.
   std::vector<double> Probs =
       applyTemperature(Model.predictProba(S), G->Fit.Temperature);
   std::vector<double> Embed = Model.embed(S);
@@ -631,8 +598,11 @@ std::vector<double> PromClassifier::pValues(const data::Sample &S,
   G->Store.selectForAssessment(Embed.data(), Cfg, Scratch);
   G->Store.pValuesAllExperts(Scratch, TestScores.data(), NumLabels, Cfg,
                              Discrete.data(), PVals.data());
-  return std::vector<double>(PVals.begin() + Expert * NumLabels,
-                             PVals.begin() + (Expert + 1) * NumLabels);
+  std::vector<std::vector<double>> PerExpert(NumExp);
+  for (size_t E = 0; E < NumExp; ++E)
+    PerExpert[E].assign(PVals.begin() + E * NumLabels,
+                        PVals.begin() + (E + 1) * NumLabels);
+  return PerExpert;
 }
 
 //===----------------------------------------------------------------------===//
@@ -733,7 +703,7 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
     RegressionScoreInput In;
     In.Prediction = Predictions[I];
     Policy::knnStats(Fit, Block, Block.rowPtr(I), Cfg.KnnK,
-                     static_cast<long>(I), /*CentDistSq=*/nullptr, In);
+                     static_cast<long>(I), In);
     In.ApproxTarget = Fit.Targets[I];
 
     Entry.Scores.reserve(Scorers.size());

@@ -312,11 +312,12 @@ public:
   assessBatchWithForwards(const support::Matrix &RawProbs,
                           const support::Matrix &Embeds) const;
 
-  /// Per-class p-values of \p S for expert \p Expert (used by the
-  /// assessment, the baselines, and tests of the CP validity property).
-  /// Served by the engine's selection and fused p-value pass, so every bit
-  /// equals the p-values behind assess(S).
-  std::vector<double> pValues(const data::Sample &S, size_t Expert) const;
+  /// Per-class p-values of \p S, one row per expert in committee order
+  /// (used by the initialization assessment, the baselines, and tests of
+  /// the CP validity property). One run of the engine's selection and
+  /// fused all-expert p-value pass serves every row, so every bit equals
+  /// the p-values behind assess(S).
+  std::vector<std::vector<double>> pValues(const data::Sample &S) const;
 };
 
 /// Adapter exposing PromClassifier through the DriftDetector interface.

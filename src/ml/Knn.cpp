@@ -96,8 +96,8 @@ KnnClassifier::predictProbaBatch(const data::Dataset &Batch) const {
   if (Batch.empty())
     return Out;
   if (Index.valid()) {
-    // Batch-native pruned scan: the same pairs the serial indexed path
-    // gets per query, with the centroid ranking amortized over the batch.
+    // The serial indexed path's pruned scan per query, fanned out over
+    // the ThreadPool: the same pairs.
     std::vector<std::vector<std::pair<double, uint32_t>>> Near =
         Index.nearestPrunedBatch(Batch.featureBlock(), K);
     for (size_t Q = 0; Q < Near.size(); ++Q)

@@ -20,11 +20,11 @@
 /// Both models can additionally opt into a support::ClusterIndex over the
 /// training block (buildClusterIndex(), or automatically at fit() time
 /// past the setAutoIndex() point threshold): the serial predict paths then
-/// run the lossless cluster-pruned scan and the batch paths its
-/// batch-native form (ClusterIndex::nearestPrunedBatch), which amortizes
-/// the centroid ranking across the whole query batch. Pruning is
-/// bit-identical to the exact scan by the ClusterIndex contract, so the
-/// serial/batch equivalence above survives unchanged.
+/// run the lossless cluster-pruned scan, and the batch paths fan the same
+/// per-query scan out over the ThreadPool
+/// (ClusterIndex::nearestPrunedBatch). Pruning is bit-identical to the
+/// exact scan by the ClusterIndex contract, so the serial/batch
+/// equivalence above survives unchanged.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -14,13 +14,41 @@
 #include <cassert>
 #include <cmath>
 
-/// Query-tile height of nearestPrunedBatch: bounds the materialized
-/// query-to-centroid block to this many rows regardless of batch size
-/// (matching the KnnQueryTile convention of the exact batched scans).
-/// Per-query work is independent, so tiling cannot change any result.
-static constexpr size_t ClusterQueryTile = 256;
-
 using namespace prom::support;
+using kernels::fromKeyBits;
+using kernels::keyBits;
+
+// Losslessness of the pruned walk, in full:
+//  * A list is pruned only when its *safe* lower bound strictly exceeds
+//    the K-th smallest key among the rows scanned so far, which is itself
+//    >= the K-th smallest key of all rows walked (those rows are a
+//    subset). Every
+//    pruned member therefore has a squared distance strictly greater than
+//    that key's, so it cannot displace any of the K smallest keys — not
+//    even on ties, which compare equal on the distance and are never
+//    pruned (strict inequality). A NaN bound or NaN lower bound compares
+//    false, so it never prunes either.
+//  * The scanned distances are computed by the same kernels on copies of
+//    the same rows: a kernel fold depends only on the row values and
+//    dim(), both preserved by the copy, so every surviving candidate
+//    carries exactly the bits the flat scan would have produced.
+//  * The bound arithmetic runs in floating point, so every quantity is
+//    slackened in the safe direction by PruneSlack before it is allowed to
+//    prune; the slack dominates the kernels' relative rounding error by
+//    orders of magnitude at every supported dim.
+//  * Every sort in the walk compares integers: lists by (centroid-distance
+//    bits, index, list), candidates by (distance bits, row id). For the
+//    non-negative distances the kernels return this is the numeric order,
+//    and a NaN sorts after +inf, so no comparison ever sees a NaN double.
+
+/// Relative safety margin of the pruning bounds. The lane-folded l2Sq
+/// kernels carry a relative error of at most about (dim + 2) * u with
+/// u = 2^-53 ~ 1.1e-16 (a standard dot-product bound), and each sqrt adds
+/// half an ulp. 4e-9 dominates that chain for every dim up to ~10^7, so
+/// shrinking lower bounds and growing radii by this factor makes
+/// "provably exceeds" robust: a list is pruned only when no rounding of
+/// the exact arithmetic could have let a member survive.
+static constexpr double PruneSlack = 4e-9;
 
 /// Default coarse cell count for \p N rows: ~sqrt(N) in [8, 4096] — the
 /// standard IVF balance point where centroid ranking and list scanning
@@ -84,32 +112,12 @@ void ClusterIndex::build(const FeatureMatrix &Source, size_t Begin,
     ListRMax[C] = std::sqrt(MaxDistSq[C]) * (1.0 + PruneSlack);
 }
 
-void ClusterIndex::centroidDistances(const double *Query,
-                                     double *OutDistSq) const {
-  assert(valid() && "querying an empty index");
-  kernels::l2Sq1xN(Query, Centroids.data(), Centroids.rows(),
-                   Centroids.dim(), Centroids.stride(), OutDistSq);
-}
-
-void ClusterIndex::centroidDistancesBatch(const double *Queries,
-                                          size_t NumQueries,
-                                          size_t QueryStride,
-                                          double *OutDistSq) const {
-  assert(valid() && "querying an empty index");
-  // l2SqMxN's row Q is bit-identical to l2Sq1xN on query Q alone (the
-  // kernel contract), so this block is exactly NumQueries stacked
-  // centroidDistances() calls.
-  kernels::l2SqMxN(Queries, NumQueries, QueryStride, Centroids.data(),
-                   Centroids.rows(), Centroids.dim(), Centroids.stride(),
-                   OutDistSq);
-}
-
 double ClusterIndex::listLowerBoundSq(double CentroidDistSq,
                                       size_t L) const {
   // Every quantity is slackened toward "do not prune": the query-centroid
   // distance shrinks, the radius already grew at build time, and the final
   // square shrinks once more. A non-positive gap yields 0.0, which the
-  // caller's strict > comparison never prunes on.
+  // walk's strict > comparison never prunes on.
   double Cd = std::sqrt(CentroidDistSq) * (1.0 - PruneSlack);
   double Gap = Cd - ListRMax[L];
   if (Gap <= 0.0)
@@ -117,80 +125,97 @@ double ClusterIndex::listLowerBoundSq(double CentroidDistSq,
   return Gap * Gap * (1.0 - PruneSlack);
 }
 
+void ClusterIndex::walk(const ClusterIndex *const *Indexes,
+                        size_t NumIndexes, const double *Query, size_t K,
+                        std::vector<kernels::SelectKey> &Cand,
+                        WalkScratch &W, ClusterScanStats &Stats) {
+  assert(K > 0 && "walking for an empty selection");
+  // Rank the lists of every index together by query-centroid distance; the
+  // order only affects how fast the bound tightens, never the result.
+  W.Order.clear();
+  for (size_t X = 0; X < NumIndexes; ++X) {
+    const ClusterIndex &Idx = *Indexes[X];
+    assert(Idx.valid() && "walking an empty index");
+    const FeatureMatrix &C = Idx.Centroids;
+    W.Dists.resize(C.rows());
+    kernels::l2Sq1xN(Query, C.data(), C.rows(), C.dim(), C.stride(),
+                     W.Dists.data());
+    for (size_t L = 0; L < C.rows(); ++L)
+      W.Order.push_back(
+          {keyBits(W.Dists[L]), (static_cast<uint64_t>(X) << 32) | L});
+  }
+  Stats.ListsTotal += W.Order.size();
+  std::sort(W.Order.begin(), W.Order.end());
+
+  // The bound is the K-th smallest key seen, re-taken whenever the rows
+  // seen have doubled since the last nth_element. Keys past the K-th can
+  // never return to the K smallest, so each nth_element drops them.
+  bool HaveBound = false;
+  double Bound = 0.0;
+  size_t Seen = Cand.size(), LastTighten = 0;
+  auto Tighten = [&] {
+    if (Cand.size() < K)
+      return;
+    std::nth_element(Cand.begin(), Cand.begin() + static_cast<long>(K - 1),
+                     Cand.end());
+    Cand.resize(K);
+    Bound = fromKeyBits(Cand[K - 1].first);
+    HaveBound = true;
+    LastTighten = Seen;
+  };
+  Tighten();
+
+  for (const std::pair<uint64_t, uint64_t> &Ranked : W.Order) {
+    const ClusterIndex &Idx = *Indexes[Ranked.second >> 32];
+    size_t L = static_cast<size_t>(Ranked.second & 0xffffffffu);
+    size_t LB = Idx.ListOffsets[L], LE = Idx.ListOffsets[L + 1];
+    if (LB == LE)
+      continue;
+    // Strict >: a member at exactly the bound could still carry a lower
+    // id than the current K-th key, so ties are always scanned.
+    if (HaveBound &&
+        Idx.listLowerBoundSq(fromKeyBits(Ranked.first), L) > Bound)
+      continue;
+    ++Stats.ListsScanned;
+    Stats.RowsScanned += LE - LB;
+    W.Dists.resize(LE - LB);
+    kernels::l2Sq1xN(Query, Idx.Rows.rowPtr(LB), LE - LB, Idx.Rows.dim(),
+                     Idx.Rows.stride(), W.Dists.data());
+    for (size_t I = LB; I < LE; ++I)
+      Cand.push_back({keyBits(W.Dists[I - LB]), Idx.RowIds[I]});
+    Seen += LE - LB;
+    if (!HaveBound || Seen >= 2 * LastTighten)
+      Tighten();
+  }
+
+  // Every row walked was a candidate or is provably past the bound, so
+  // the K smallest candidates are the K smallest keys; the last
+  // nth_element at K - 1 keeps exactly them.
+  assert(Cand.size() >= K && "the walk covers fewer than K rows");
+  if (Seen != LastTighten)
+    Tighten();
+}
+
 std::vector<std::pair<double, uint32_t>>
 ClusterIndex::nearestPruned(const double *Query, size_t K,
                             ClusterScanStats *Stats) const {
   assert(valid() && "querying an empty index");
-  std::vector<double> CentDistSq(numLists());
-  centroidDistances(Query, CentDistSq.data());
-  return nearestPrunedFromCentroids(Query, CentDistSq.data(), K, Stats);
-}
-
-std::vector<std::pair<double, uint32_t>>
-ClusterIndex::nearestPrunedFromCentroids(const double *Query,
-                                         const double *CentDistSq, size_t K,
-                                         ClusterScanStats *Stats) const {
-  assert(valid() && "querying an empty index");
-  size_t NumLists = numLists();
-  size_t N = coveredRows();
-  K = std::min(K, N);
+  K = std::min(K, coveredRows());
   if (K == 0)
     return {};
-
-  // Rank the lists by (query-centroid distance, list id) — the scan order
-  // only affects how fast the bound tightens, never the result.
-  std::vector<std::pair<double, uint32_t>> Order(NumLists);
-  for (size_t L = 0; L < NumLists; ++L)
-    Order[L] = {CentDistSq[L], static_cast<uint32_t>(L)};
-  std::sort(Order.begin(), Order.end());
-
-  std::vector<std::pair<double, uint32_t>> Cand;
-  Cand.reserve(2 * K + 64);
-  std::vector<double> DistBuf;
-  size_t LastTighten = 0;
-  bool HaveBound = false;
-  double BoundKey = 0.0;
-  auto Tighten = [&] {
-    if (Cand.size() < K)
-      return;
-    std::nth_element(Cand.begin(),
-                     Cand.begin() + static_cast<long>(K - 1), Cand.end());
-    BoundKey = Cand[K - 1].first;
-    HaveBound = true;
-    LastTighten = Cand.size();
-  };
-
   ClusterScanStats S;
-  S.ListsTotal = NumLists;
-  S.RowsTotal = N;
-  for (const auto &Ranked : Order) {
-    size_t L = Ranked.second;
-    size_t LB = listBegin(L), LE = listEnd(L);
-    if (LB == LE)
-      continue;
-    // Strict >: a member at exactly the bound key could still carry a
-    // lower id than the current k-th pair, so ties are always scanned.
-    if (HaveBound && listLowerBoundSq(Ranked.first, L) > BoundKey)
-      continue;
-    ++S.ListsScanned;
-    S.RowsScanned += LE - LB;
-    DistBuf.resize(LE - LB);
-    kernels::l2Sq1xN(Query, Rows.rowPtr(LB), LE - LB, Rows.dim(),
-                     Rows.stride(), DistBuf.data());
-    for (size_t I = LB; I < LE; ++I)
-      Cand.push_back({DistBuf[I - LB], RowIds[I]});
-    if (!HaveBound || Cand.size() >= 2 * LastTighten)
-      Tighten();
-  }
-
-  // The candidates provably contain the K smallest (distSq, id) pairs of
-  // the covered range; partial-sort them into selectNearest()'s order.
-  std::partial_sort(Cand.begin(), Cand.begin() + static_cast<long>(K),
-                    Cand.end());
-  Cand.resize(K);
+  S.RowsTotal = coveredRows();
+  std::vector<kernels::SelectKey> Cand;
+  WalkScratch W;
+  const ClusterIndex *Self = this;
+  walk(&Self, 1, Query, K, Cand, W, S);
+  std::sort(Cand.begin(), Cand.end());
+  std::vector<std::pair<double, uint32_t>> Near(K);
+  for (size_t I = 0; I < K; ++I)
+    Near[I] = {fromKeyBits(Cand[I].first), Cand[I].second};
   if (Stats)
     *Stats = S;
-  return Cand;
+  return Near;
 }
 
 std::vector<std::vector<std::pair<double, uint32_t>>>
@@ -199,30 +224,17 @@ ClusterIndex::nearestPrunedBatch(const FeatureMatrix &Queries, size_t K,
   assert(valid() && "querying an empty index");
   assert((Queries.empty() || Queries.dim() == Centroids.dim()) &&
          "query/index dim mismatch");
-  size_t NumQ = Queries.rows();
-  std::vector<std::vector<std::pair<double, uint32_t>>> Out(NumQ);
+  std::vector<std::vector<std::pair<double, uint32_t>>> Out(Queries.rows());
   if (Stats)
-    Stats->assign(NumQ, ClusterScanStats());
-  if (NumQ == 0)
-    return Out;
-
-  size_t NumLists = numLists();
-  std::vector<double> CentBlock(std::min(NumQ, ClusterQueryTile) * NumLists);
-  for (size_t Q0 = 0; Q0 < NumQ; Q0 += ClusterQueryTile) {
-    size_t Tile = std::min(ClusterQueryTile, NumQ - Q0);
-    // One blocked pass ranks the whole tile against the centroids; each
-    // block row carries the bits centroidDistances() would have produced.
-    centroidDistancesBatch(Queries.rowPtr(Q0), Tile, Queries.stride(),
-                           CentBlock.data());
-    // Per-query walks are independent (each bound tightens only on its own
-    // candidates) and every lane writes only its own queries' Out/Stats
-    // slots, so the fan-out cannot change a bit at any thread count.
-    ThreadPool::global().parallelFor(Tile, [&](size_t Begin, size_t End) {
-      for (size_t Q = Begin; Q < End; ++Q)
-        Out[Q0 + Q] = nearestPrunedFromCentroids(
-            Queries.rowPtr(Q0 + Q), CentBlock.data() + Q * NumLists, K,
-            Stats ? Stats->data() + (Q0 + Q) : nullptr);
-    });
-  }
+    Stats->assign(Queries.rows(), ClusterScanStats());
+  // Per-query walks are independent (each bound tightens only on its own
+  // candidates) and every lane writes only its own queries' Out/Stats
+  // slots, so the fan-out cannot change a bit at any thread count.
+  ThreadPool::global().parallelFor(
+      Queries.rows(), [&](size_t Begin, size_t End) {
+        for (size_t Q = Begin; Q < End; ++Q)
+          Out[Q] = nearestPruned(Queries.rowPtr(Q), K,
+                                 Stats ? Stats->data() + Q : nullptr);
+      });
   return Out;
 }

@@ -16,34 +16,21 @@
 /// the flat scan uses), alongside the original row ids and the list radius
 /// r_max(c) = max member-to-centroid distance.
 ///
-/// Query protocol (driven by the caller, e.g. CalibrationStore's pruned
-/// selection or nearestPruned() below): rank the lists by query-to-centroid
-/// distance, maintain the current k-th-nearest candidate bound, and skip
+/// Query protocol: ClusterIndex::walk() is the one pruned walk, shared by
+/// nearestPruned() and the calibration store's pruned selection. It ranks
+/// the lists of every index it is given by query-to-centroid distance,
+/// keeps the current k-th smallest candidate key as a bound, and skips
 /// every list whose lower bound
 ///
 ///     |q - c| - r_max(c)   <=   |q - x|   for every member x   (triangle)
 ///
 /// provably exceeds the bound. Only surviving lists are scanned — with the
-/// exact kernels — so the candidate set always contains every true k-NN
-/// and the final selection is bit-identical to the full scan under the
-/// (distance, index) tie-break total order.
-///
-/// Losslessness argument, in full:
-///  * A list is pruned only when its *safe* lower bound strictly exceeds
-///    the current k-th smallest candidate key, which is itself >= the
-///    global k-th smallest key (candidates are a subset). Every pruned
-///    member therefore has a squared distance strictly greater than the
-///    global k-th key, so it cannot displace any selected pair — not even
-///    on ties, which compare equal on the key and are never pruned
-///    (strict inequality).
-///  * The scanned distances are computed by the same kernels on copies of
-///    the same rows: a kernel fold depends only on the row values and
-///    dim(), both preserved by the copy, so every surviving candidate
-///    carries exactly the bits the flat scan would have produced.
-///  * The bound arithmetic runs in floating point, so every quantity is
-///    slackened in the safe direction by PruneSlack (see below) before it
-///    is allowed to prune; the slack dominates the kernels' relative
-///    rounding error by orders of magnitude at every supported dim.
+/// exact kernels — so the candidates always contain the K smallest
+/// (squared-distance bits, row id) keys of the rows walked, and the result
+/// is bit-identical to the full scan under that order (for the
+/// non-negative distances the kernels return, the (distance, id) order).
+/// ClusterIndex.cpp states the losslessness argument in full, next to the
+/// walk and its rounding slack.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +38,7 @@
 #define PROM_SUPPORT_CLUSTERINDEX_H
 
 #include "support/FeatureMatrix.h"
+#include "support/Kernels.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -59,16 +47,6 @@
 
 namespace prom {
 namespace support {
-
-/// Relative safety margin of the pruning bounds.
-///
-/// The lane-folded l2Sq kernels carry a relative error of at most about
-/// (dim + 2) * u with u = 2^-53 ~ 1.1e-16 (a standard dot-product bound),
-/// and each sqrt adds half an ulp. 4e-9 dominates that chain for every
-/// dim up to ~10^7, so shrinking lower bounds and growing radii by this
-/// factor makes "provably exceeds" robust: a list is pruned only when no
-/// rounding of the exact arithmetic could have let a member survive.
-constexpr double PruneSlack = 4e-9;
 
 /// Rows below which no cluster index is built: the calibration store's
 /// shard indexes, the regressor's k-NN ground-truth index and the k-NN
@@ -88,8 +66,7 @@ struct ClusterScanStats {
   size_t RowsScanned = 0;  ///< Rows of the surviving lists.
 
   /// Merges another query's counters in. Pure integer sums, so any merge
-  /// order yields the same totals — batch callers still fold in canonical
-  /// ascending-query order so the aggregate is reproducible by eye.
+  /// order yields the same totals.
   ClusterScanStats &operator+=(const ClusterScanStats &O) {
     ListsTotal += O.ListsTotal;
     ListsScanned += O.ListsScanned;
@@ -132,63 +109,47 @@ public:
            ListRMax.capacity() * sizeof(double);
   }
 
-  /// The K x dim centroid block (kernel-scannable).
-  const FeatureMatrix &centroids() const { return Centroids; }
-  /// The grouped member-embedding block; rows of list L occupy
-  /// [listBegin(L), listEnd(L)).
-  const FeatureMatrix &listRows() const { return Rows; }
-  /// First grouped row of list \p L.
-  size_t listBegin(size_t L) const { return ListOffsets[L]; }
-  /// One past the last grouped row of list \p L.
-  size_t listEnd(size_t L) const { return ListOffsets[L + 1]; }
-  /// Original row id of grouped row \p GroupedRow.
-  uint32_t rowId(size_t GroupedRow) const { return RowIds[GroupedRow]; }
+  /// Reusable buffers of walk(), one per lane: recycled across queries,
+  /// so the walk allocates nothing once they have grown.
+  struct WalkScratch {
+    /// (keyBits of the query-centroid squared distance, (position of the
+    /// index in the walked array << 32) | list): the walk order.
+    std::vector<std::pair<uint64_t, uint64_t>> Order;
+    /// Kernel output of the centroid block or the list being scanned.
+    std::vector<double> Dists;
+  };
 
-  /// Writes the kernel squared distance of \p Query to every centroid into
-  /// \p OutDistSq (numLists() slots).
-  void centroidDistances(const double *Query, double *OutDistSq) const;
-
-  /// Batched form: one blocked l2SqMxN pass writes the centroid distances
-  /// of \p NumQueries query rows (stride \p QueryStride) into consecutive
-  /// numLists()-slot rows of \p OutDistSq. Row Q is bit-identical to
-  /// centroidDistances(query Q) — the MxN kernel's per-row contract — so
-  /// batch callers can amortize the centroid ranking without perturbing
-  /// a single pruning decision.
-  void centroidDistancesBatch(const double *Queries, size_t NumQueries,
-                              size_t QueryStride, double *OutDistSq) const;
-
-  /// Safe lower bound on the *kernel-computed* squared distance of \p Query
-  /// to any member of list \p L, given the kernel squared distance
-  /// \p CentroidDistSq of the query to that list's centroid. Slackened by
-  /// PruneSlack in the safe direction; 0.0 (which never prunes under the
-  /// strict comparison) whenever the radius reaches past the query.
-  double listLowerBoundSq(double CentroidDistSq, size_t L) const;
+  /// The one cluster-pruned walk. \p Candidates may arrive pre-seeded
+  /// with the (squared-distance bits, row id) keys of rows no index in
+  /// \p Indexes covers; the walk leaves in it exactly the \p K smallest
+  /// keys of the seeded rows and the rows of the \p NumIndexes valid
+  /// indexes, the K-th smallest at position K - 1 (unordered otherwise).
+  /// The lists of all indexes are ranked together by (centroid-distance
+  /// bits, position in \p Indexes, list), scanned in that order under the
+  /// lazily tightened K-th smallest key seen, and a list is skipped only
+  /// when its lower bound strictly exceeds that bound. \p Stats gains the
+  /// lists of every index (ListsTotal) and the lists and rows scanned;
+  /// RowsTotal is the caller's. Requires 0 < K <= seeded rows + indexed
+  /// rows.
+  static void walk(const ClusterIndex *const *Indexes, size_t NumIndexes,
+                   const double *Query, size_t K,
+                   std::vector<kernels::SelectKey> &Candidates,
+                   WalkScratch &Scratch, ClusterScanStats &Stats);
 
   /// Exact k-nearest rows of the covered range: the \p K smallest
-  /// (kernel squared distance, original row id) pairs in ascending pair
-  /// order — bit-identical, pair for pair, to a full l2Sq1xN scan followed
-  /// by selectNearest(). Fewer than \p K pairs when the index covers fewer
-  /// rows. \p Stats, when non-null, receives the pruning counters.
+  /// (kernel squared distance, original row id) pairs in ascending
+  /// (distance bits, id) order — bit-identical, pair for pair, to a full
+  /// l2Sq1xN scan followed by selectNearest(). Fewer than \p K pairs when
+  /// the index covers fewer rows. \p Stats, when non-null, receives the
+  /// pruning counters (left untouched when K is 0).
   std::vector<std::pair<double, uint32_t>>
   nearestPruned(const double *Query, size_t K,
                 ClusterScanStats *Stats = nullptr) const;
 
-  /// nearestPruned() with the query-to-centroid squared distances already
-  /// computed (\p CentDistSq, numLists() values — e.g. one row of a
-  /// centroidDistancesBatch() block). The walk, the bounds, and the result
-  /// are exactly nearestPruned()'s; only the centroid scan is skipped.
-  std::vector<std::pair<double, uint32_t>>
-  nearestPrunedFromCentroids(const double *Query, const double *CentDistSq,
-                             size_t K,
-                             ClusterScanStats *Stats = nullptr) const;
-
-  /// Batch-native pruned k-NN: element Q is bit-identical — pair for pair,
-  /// and counter for counter in \p Stats — to nearestPruned(row Q of
-  /// \p Queries, K). The batch amortizes what the per-query loop repays
-  /// every call: the centroid distances of a whole query tile come from
-  /// one blocked l2SqMxN pass, and the per-query pruned walks (which are
-  /// independent — each query's bound tightens only on its own
-  /// candidates) fan out over the ThreadPool in deterministic chunks,
+  /// nearestPruned() for every row of \p Queries: element Q is
+  /// bit-identical — pair for pair, and counter for counter in \p Stats —
+  /// to nearestPruned(row Q of \p Queries, K). The per-query walks are
+  /// independent and fan out over the ThreadPool in deterministic chunks,
   /// each lane writing only its own queries' slots. \p Stats, when
   /// non-null, is resized to the batch and carries each query's counters
   /// in ascending query order. \p Queries.dim() must match the index.
@@ -207,8 +168,13 @@ private:
   std::vector<uint32_t> RowIds;
   /// Prefix offsets into Rows/RowIds, numLists() + 1 entries.
   std::vector<size_t> ListOffsets;
-  /// Per-list radius: sqrt(max member AssignDistSq) * (1 + PruneSlack).
+  /// Per-list radius: sqrt(max member AssignDistSq), slackened outward.
   std::vector<double> ListRMax;
+
+  /// Safe lower bound on the kernel squared distance of a query to any
+  /// member of list \p L, given the kernel squared distance
+  /// \p CentroidDistSq of the query to that list's centroid.
+  double listLowerBoundSq(double CentroidDistSq, size_t L) const;
 };
 
 } // namespace support

@@ -52,15 +52,19 @@ std::vector<size_t> prom::support::selectNearest(const double *Dist, size_t N,
   size_t Keep = std::min(K, N);
   if (Keep == 0)
     return {};
+  // Ranks by (distance bits, index), the calibration store's key order:
+  // the (distance, index) order for non-negative distances, and a NaN
+  // ranks after +inf instead of comparing false both ways.
   auto Cmp = [Dist](size_t L, size_t R) {
-    if (Dist[L] != Dist[R])
-      return Dist[L] < Dist[R];
+    uint64_t A = kernels::keyBits(Dist[L]), B = kernels::keyBits(Dist[R]);
+    if (A != B)
+      return A < B;
     return L < R;
   };
 
-  // The (distance, index) order is a strict total order (indices are
-  // unique), so the K smallest — and their ascending arrangement — are
-  // uniquely determined; any selection algorithm returns the same answer.
+  // The key order is a strict total order (indices are unique), so the K
+  // smallest — and their ascending arrangement — are uniquely determined;
+  // any selection algorithm returns the same answer.
   // Small K (every k-NN use in this codebase): one pass with a bounded
   // sorted insertion buffer — O(N) compares against the current worst,
   // no O(N) index array, no nth_element. Scanning in ascending index

@@ -47,8 +47,11 @@ double cosineDistance(const std::vector<double> &A,
 
 /// The single k-NN tie-break rule: indices of the \p K smallest entries of
 /// \p Dist (length \p N), closest first, equal distances broken by
-/// ascending index. The lexicographic (distance, index) order is a strict
-/// total order, so the answer is unique whatever selection algorithm runs:
+/// ascending index. Callers pass non-negative (squared) distances, and
+/// entries rank by (IEEE bit pattern, index), the order of the calibration
+/// store's selection keys: for non-negative values it is the (distance,
+/// index) order, and a NaN ranks after every number. It is a strict total
+/// order, so the answer is unique whatever selection algorithm runs:
 /// small K (<= 64, every k-NN use in this codebase) takes one O(N) pass
 /// with a bounded sorted insertion buffer; larger K falls back to
 /// nth_element + a sort of the kept prefix. Every nearest-neighbour path

@@ -66,6 +66,13 @@ inline uint64_t keyBits(double V) {
   return Bits;
 }
 
+/// The double whose bit pattern is \p Bits (the inverse of keyBits).
+inline double fromKeyBits(uint64_t Bits) {
+  double V;
+  std::memcpy(&V, &Bits, sizeof(V));
+  return V;
+}
+
 /// A selection key: (keyBits of an entry's distance, entry id). Keys
 /// compare as unsigned integers, so the order is defined for every bit
 /// pattern (NaN and -0.0 included); for non-negative distances it is the

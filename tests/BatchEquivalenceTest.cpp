@@ -44,6 +44,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <memory>
 
 using namespace prom;
@@ -464,9 +465,9 @@ TEST(BatchEquivalenceTest, KnnClassifierCommitteeBitIdentical) {
 }
 
 TEST(BatchEquivalenceTest, IndexedKnnPrunedStoreCommitteeBitIdentical) {
-  // Batch-native pruned path end to end: the expert's forwards go through
+  // Pruned paths end to end: the expert's forwards go through
   // nearestPrunedBatch (auto-index at MinPoints=1) AND the store's
-  // selection routes through the batch-prepared cluster-pruned scan (the
+  // selection routes through the cluster-pruned scan (the
   // calibration set is past support::ClusterIndexMinEntries, so the
   // shard index is built at the shipped threshold; SelectFraction <=
   // MaxSelectFraction so routing actually fires). The oracle's exact scan
@@ -648,10 +649,32 @@ TEST(BatchEquivalenceTest, KnnRegressorBatchPathBitIdentical) {
     expectSameRegressionVerdict(oracleAssess(Prom, Test[I]), Batched[I], I);
 }
 
+TEST(BatchEquivalenceTest, KnnRegressorWithANaNCalibrationRowMatchesOracle) {
+  // Calibration row 0 has a NaN feature, so its distance to every query is
+  // NaN. The exact k-NN ranks by (distance bits, id), as the oracle and the
+  // store's cut do, so the NaN row ranks last and stays out of every
+  // query's neighbours.
+  support::Rng R(59);
+  data::Dataset Train = linearRegression(300, 0.1, R);
+  data::Dataset Calib = linearRegression(150, 0.1, R);
+  Calib.samples()[0].Features[0] = std::numeric_limits<double>::quiet_NaN();
+  ml::KnnRegressor Model(5);
+  Model.fit(Train, R);
+
+  PromRegressor Prom(Model);
+  Prom.calibrate(Calib, R);
+  data::Dataset Test = linearRegression(60, 0.1, R);
+
+  std::vector<RegressionVerdict> Batched = Prom.assessBatch(Test);
+  ASSERT_EQ(Batched.size(), Test.size());
+  for (size_t I = 0; I < Test.size(); ++I)
+    expectSameRegressionVerdict(oracleAssess(Prom, Test[I]), Batched[I], I);
+}
+
 TEST(BatchEquivalenceTest, IndexedRegressorLosslessAgainstUnindexed) {
   // Regressor check with both indexes live at the shipped threshold: the
   // calibration-side k-NN index (knnStats at calibrate and in the batch)
-  // and the batch-prepared pruned store selection. The oracle's exact
+  // and the pruned store selection. The oracle's exact
   // scan and exact k-NN are the unindexed reference: re-deriving every
   // stored calibration score checks the self-excluded indexed k-NN at
   // calibrate, and batch == oracle is losslessness at the committee

@@ -362,6 +362,48 @@ TEST(ClusterIndexTest, PruningActuallySkipsListsOnClusteredData) {
   EXPECT_LT(Stats.RowsScanned, Stats.RowsTotal / 2);
 }
 
+TEST(ClusterIndexTest, NaNRowAndNaNQueryFollowTheKeyOrder) {
+  // Row 0 has a NaN feature, so its distance to every query is NaN, and a
+  // NaN query makes every distance NaN. The walk ranks lists and
+  // candidates by distance bits, so the answer is the first K keys of the
+  // exact scan sorted by (distance bits, id): the NaN row last, and for
+  // the NaN query the ids in ascending order.
+  Rng R(29);
+  FeatureMatrix Rows = randomRows(1200, 6, R);
+  Rows.rowPtr(0)[0] = std::numeric_limits<double>::quiet_NaN();
+  ClusterIndex Index;
+  Index.build(Rows, 0, Rows.rows(), /*NumCentroids=*/0, 13);
+  ASSERT_TRUE(Index.valid());
+
+  auto KeySorted = [&](const double *Query, size_t K) {
+    std::vector<double> DistSq(Rows.rows());
+    kernels::l2Sq1xN(Query, Rows.data(), Rows.rows(), Rows.dim(),
+                     Rows.stride(), DistSq.data());
+    std::vector<kernels::SelectKey> Keys(Rows.rows());
+    for (size_t I = 0; I < Rows.rows(); ++I)
+      Keys[I] = {kernels::keyBits(DistSq[I]), static_cast<uint32_t>(I)};
+    std::sort(Keys.begin(), Keys.end());
+    std::vector<std::pair<double, uint32_t>> Out;
+    for (size_t I = 0; I < K; ++I)
+      Out.push_back({DistSq[Keys[I].second], Keys[I].second});
+    return Out;
+  };
+
+  std::vector<double> Finite(Rows.dim());
+  for (double &V : Finite)
+    V = R.gaussian(0.0, 4.0);
+  std::vector<double> NaNQuery = Finite;
+  NaNQuery[2] = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<double> *Query : {&Finite, &NaNQuery}) {
+    SCOPED_TRACE(Query == &Finite ? "finite query" : "NaN query");
+    for (size_t K : {size_t(1), size_t(10), Rows.rows()}) {
+      SCOPED_TRACE("K " + std::to_string(K));
+      expectSamePairs(Index.nearestPruned(Query->data(), K),
+                      KeySorted(Query->data(), K));
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // nearestPrunedBatch: batch-native pruned k-NN
 //===----------------------------------------------------------------------===//

@@ -188,7 +188,7 @@ TEST_P(CoverageProperty, MarginalCoverageNearTarget) {
   double Covered = 0.0, Total = 0.0;
   for (const data::Sample &S : Test.samples()) {
     // LAC expert (continuous scores): the canonical coverage check.
-    std::vector<double> P = Prom.pValues(S, 0);
+    std::vector<double> P = Prom.pValues(S)[0];
     Covered += P[static_cast<size_t>(S.Label)] > Epsilon ? 1.0 : 0.0;
     Total += 1.0;
   }
@@ -218,7 +218,7 @@ TEST(PValueProperty, RoughlyUniformUnderExchangeability) {
   data::Dataset Test = gaussianBlobs(3, 200, 4.0, 0.8, F.R);
   std::vector<double> PVals;
   for (const data::Sample &S : Test.samples())
-    PVals.push_back(Prom.pValues(S, 0)[static_cast<size_t>(S.Label)]);
+    PVals.push_back(Prom.pValues(S)[0][static_cast<size_t>(S.Label)]);
 
   // Quartile occupancy within generous bounds.
   size_t Buckets[4] = {0, 0, 0, 0};
@@ -262,7 +262,7 @@ std::vector<double> softened(std::vector<double> Probs, double T) {
 } // namespace
 
 TEST(PValueProperty, EnginePValuesMatchSerialReferenceBitForBit) {
-  // pValues(S, E) runs the batch engine; every p-value bit must equal the
+  // pValues(S)[E] runs the batch engine; every p-value bit must equal the
   // serial oracle's (tests/SerialOracle.h: a sorted selection + one linear
   // p-value scan per expert) on a store rebuilt from the same calibration
   // outputs.
@@ -323,12 +323,14 @@ TEST(PValueProperty, EnginePValuesMatchSerialReferenceBitForBit) {
       prom::testing::OracleSelection Sel =
           prom::testing::oracleSelect(Ref, Embed.data(), Cfg);
       std::vector<double> TestScores(P.size());
+      std::vector<std::vector<double>> Engine = Prom.pValues(S);
+      ASSERT_EQ(Engine.size(), Prom.numExperts());
       for (size_t E = 0; E < Prom.numExperts(); ++E) {
         for (size_t C = 0; C < P.size(); ++C)
           TestScores[C] = Prom.scorer(E).score(P, static_cast<int>(C));
         std::vector<double> Expected = prom::testing::oraclePValues(
             Ref, Sel, E, TestScores, Cfg, Prom.scorer(E).isDiscrete());
-        std::vector<double> Got = Prom.pValues(S, E);
+        const std::vector<double> &Got = Engine[E];
         ASSERT_EQ(Got.size(), Expected.size());
         for (size_t C = 0; C < Got.size(); ++C)
           EXPECT_EQ(prom::testing::bits(Got[C]),

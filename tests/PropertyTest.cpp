@@ -77,7 +77,7 @@ TEST_P(WeightModeCoverage, CoverageHolds) {
 
   double Covered = 0.0, Total = 0.0;
   for (const data::Sample &Smp : S.Test.samples()) {
-    std::vector<double> P = Prom.pValues(Smp, 0); // LAC expert.
+    std::vector<double> P = Prom.pValues(Smp)[0]; // LAC expert.
     Covered += P[static_cast<size_t>(Smp.Label)] > Cfg.Epsilon ? 1 : 0;
     Total += 1.0;
   }
@@ -118,7 +118,7 @@ TEST_P(PerExpertProperty, PValuesAreProbabilities) {
   size_t Expert = static_cast<size_t>(GetParam());
   for (int I = 0; I < 60; ++I) {
     std::vector<double> P =
-        Prom.pValues(S.Test[static_cast<size_t>(I)], Expert);
+        Prom.pValues(S.Test[static_cast<size_t>(I)])[Expert];
     ASSERT_EQ(P.size(), 4u);
     for (double V : P) {
       EXPECT_GE(V, 0.0);
@@ -137,7 +137,7 @@ TEST_P(PerExpertProperty, TrueLabelPValueNotDegenerate) {
   double Sum = 0.0;
   for (int I = 0; I < 100; ++I) {
     const data::Sample &Smp = S.Test[static_cast<size_t>(I)];
-    Sum += Prom.pValues(Smp, Expert)[static_cast<size_t>(Smp.Label)];
+    Sum += Prom.pValues(Smp)[Expert][static_cast<size_t>(Smp.Label)];
   }
   EXPECT_GT(Sum / 100.0, 0.2);
 }

@@ -243,111 +243,6 @@ void runPrunedProgram(uint64_t Seed) {
   }
 }
 
-/// Batch-prepared pruned scans must be a pure caching transformation: a
-/// selection served from a prepared BatchPrunedScan block is bit-identical
-/// — candidates, distances, cut, weights, and every pruning counter — to
-/// the same query's stand-alone selectForAssessment, and the per-query
-/// stats slots (plus their canonical aggregate) are deterministic at any
-/// thread count.
-void runBatchPreparedProgram(uint64_t Seed) {
-  SCOPED_TRACE("failure seed " + std::to_string(Seed));
-  support::Rng R(Seed);
-
-  size_t K = 1 + R.bounded(6);
-  size_t PDim = 3 + R.bounded(9);
-  bool TieHeavy = R.bounded(2) == 0;
-  auto Make = [&](size_t N) {
-    return TieHeavy ? makeTieHeavyEntries(N, PDim, R)
-                    : makeEntries(N, PDim, NumLabels, NumExperts, R);
-  };
-
-  std::vector<CalibrationEntry> Mirror = Make(400 + R.bounded(400));
-  CalibrationStore Live;
-  Live.reserve(Mirror.size());
-  for (const CalibrationEntry &E : Mirror)
-    Live.add(E);
-  ClusterIndexPolicy Policy;
-  Policy.Enabled = true;
-  Policy.MinEntries = 32;
-  Policy.MaxSelectFraction = 1.0;
-  Live.setIndexPolicy(Policy);
-  Live.finalize(K);
-  ASSERT_GT(Live.indexedShards(), 0u);
-  // Stale tail: the prepared scan must coexist with the exact tail rows.
-  Live.appendEntries(Make(1 + R.bounded(40)));
-  Live.refinalize();
-
-  PromConfig Cfg;
-  const size_t NumQ = 1 + R.bounded(24);
-  support::FeatureMatrix Queries(NumQ, Live.embedDim());
-  for (size_t Q = 0; Q < NumQ; ++Q)
-    for (size_t D = 0; D < Live.embedDim(); ++D)
-      Queries.rowPtr(Q)[D] = TieHeavy ? static_cast<double>(R.bounded(3))
-                                      : R.gaussian(0.0, 2.0);
-
-  CalibrationStore::BatchPrunedScan Scan;
-  Live.prepareBatchPrunedScan(Queries.rowPtr(0), NumQ, Queries.stride(),
-                              Cfg, Scan);
-  ASSERT_TRUE(Scan.Active);
-  ASSERT_EQ(Scan.PerQuery.size(), NumQ);
-
-  for (size_t Q = 0; Q < NumQ; ++Q) {
-    SCOPED_TRACE("query " + std::to_string(Q));
-    AssessmentScratch WithBatch, Standalone;
-    Live.selectForAssessment(Queries.rowPtr(Q), Cfg, WithBatch, &Scan, Q);
-    Live.selectForAssessment(Queries.rowPtr(Q), Cfg, Standalone);
-
-    ASSERT_EQ(WithBatch.Keep, Standalone.Keep);
-    EXPECT_EQ(WithBatch.Cut, Standalone.Cut);
-    ASSERT_EQ(WithBatch.Candidates, Standalone.Candidates);
-    // With the distances below, these fix every Eq. (1) weight.
-    prom::testing::expectSameWeightParameters(WithBatch, Standalone);
-    ASSERT_EQ(WithBatch.Dists.size(), Standalone.Dists.size());
-    for (size_t I = 0; I < WithBatch.Dists.size(); ++I) {
-      EXPECT_EQ(prom::testing::bits(WithBatch.Dists[I]),
-                prom::testing::bits(Standalone.Dists[I]));
-      ASSERT_EQ(WithBatch.selected(I), Standalone.selected(I));
-    }
-
-    EXPECT_NE(WithBatch.Pruned.ListsTotal, 0u);
-    EXPECT_EQ(WithBatch.Pruned.ListsTotal, Standalone.Pruned.ListsTotal);
-    EXPECT_EQ(WithBatch.Pruned.ListsScanned,
-              Standalone.Pruned.ListsScanned);
-    EXPECT_EQ(WithBatch.Pruned.RowsTotal, Standalone.Pruned.RowsTotal);
-    EXPECT_EQ(WithBatch.Pruned.RowsScanned,
-              Standalone.Pruned.RowsScanned);
-    // The scan records each query's stats in its own slot.
-    EXPECT_EQ(Scan.PerQuery[Q].RowsScanned,
-              Standalone.Pruned.RowsScanned);
-    EXPECT_EQ(Scan.PerQuery[Q].ListsScanned,
-              Standalone.Pruned.ListsScanned);
-  }
-
-  // The aggregate is the ascending-slot fold of the per-query counters.
-  support::ClusterScanStats Fold;
-  for (const support::ClusterScanStats &S : Scan.PerQuery)
-    Fold += S;
-  support::ClusterScanStats Agg = Scan.aggregated();
-  EXPECT_NE(Agg.ListsTotal, 0u);
-  EXPECT_EQ(Agg.ListsTotal, Fold.ListsTotal);
-  EXPECT_EQ(Agg.ListsScanned, Fold.ListsScanned);
-  EXPECT_EQ(Agg.RowsTotal, Fold.RowsTotal);
-  EXPECT_EQ(Agg.RowsScanned, Fold.RowsScanned);
-
-  // A store whose routing is off prepares an inactive scan, and the
-  // selection entry point must then behave exactly as if no batch existed.
-  CalibrationStore::BatchPrunedScan Off;
-  ClusterIndexPolicy Disabled;
-  Disabled.Enabled = false;
-  Live.setIndexPolicy(Disabled);
-  Live.prepareBatchPrunedScan(Queries.rowPtr(0), NumQ, Queries.stride(),
-                              Cfg, Off);
-  EXPECT_FALSE(Off.Active);
-  AssessmentScratch S;
-  Live.selectForAssessment(Queries.rowPtr(0), Cfg, S, &Off, 0);
-  EXPECT_EQ(S.Pruned.ListsTotal, 0u);
-}
-
 } // namespace
 
 TEST(StorePropertyTest, RandomLifecyclesMatchFromScratchRebuild) {
@@ -360,12 +255,6 @@ TEST(StorePropertyTest, PrunedLifecyclesMatchExactScan) {
   for (uint64_t Seed : {20260801ull, 20260802ull, 20260803ull, 20260804ull,
                         20260805ull, 20260806ull, 20260807ull, 20260808ull})
     runPrunedProgram(Seed);
-}
-
-TEST(StorePropertyTest, BatchPreparedScansMatchPerQuerySelection) {
-  for (uint64_t Seed : {20260811ull, 20260812ull, 20260813ull, 20260814ull,
-                        20260815ull, 20260816ull})
-    runBatchPreparedProgram(Seed);
 }
 
 TEST(StorePropertyTest, ReplaySeedFromEnvironment) {

@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 using namespace prom::support;
@@ -386,6 +388,34 @@ TEST(DistanceTest, SelectNearestIsTheSharedTieBreakRule) {
   EXPECT_EQ(Sel[3], 0u); // 2.0, lower index wins the boundary tie.
   EXPECT_EQ(selectNearest(Dist.data(), Dist.size(), 99).size(), 5u);
   EXPECT_TRUE(selectNearest(Dist.data(), 0, 3).empty());
+}
+
+TEST(DistanceTest, SelectNearestRanksANaNLast) {
+  // A NaN compares false both ways, so under a double comparator a NaN at
+  // index 0 can stay in the selection. The (bits, index) order ranks it
+  // after every number, as the calibration store's cut and the pruned
+  // walk do, in both the bounded-buffer path (K <= 64) and the
+  // nth_element path.
+  std::vector<double> Dist(100);
+  Dist[0] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<size_t> Finite;
+  for (size_t I = 1; I < Dist.size(); ++I) {
+    Dist[I] = static_cast<double>(I % 7); // Tie-heavy.
+    Finite.push_back(I);
+  }
+  // The (distance, index) order of the finite entries alone.
+  std::stable_sort(Finite.begin(), Finite.end(),
+                   [&](size_t A, size_t B) { return Dist[A] < Dist[B]; });
+  for (size_t K : {size_t(2), size_t(65)}) {
+    SCOPED_TRACE("K " + std::to_string(K));
+    EXPECT_EQ(selectNearest(Dist.data(), Dist.size(), K),
+              std::vector<size_t>(Finite.begin(),
+                                  Finite.begin() + static_cast<long>(K)));
+  }
+  std::vector<size_t> All =
+      selectNearest(Dist.data(), Dist.size(), Dist.size());
+  ASSERT_EQ(All.size(), Dist.size());
+  EXPECT_EQ(All.back(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
