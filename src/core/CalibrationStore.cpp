@@ -29,6 +29,10 @@ constexpr size_t MinEntriesForFanOut = 512;
 /// MedianNNSample entries; bounded so finalize stays O(min(n,256)^2)).
 constexpr size_t MedianNNSample = 256;
 
+/// Largest K for which nearestRows() seeds the walk with only the K
+/// nearest of each exactly scanned range instead of every key.
+constexpr size_t MaxPreselectK = 64;
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -202,6 +206,14 @@ void CalibrationStore::refinalizeFull() {
   finalize(TargetShards);
 }
 
+void CalibrationStore::setScoreColumns(
+    std::vector<std::vector<double>> Columns) {
+  assert(Staged.empty() && (Columns.empty() ||
+                            Columns.front().size() == Labels.size()) &&
+         "scores for a finalized store, one per live entry");
+  ScoreColumns = std::move(Columns);
+}
+
 size_t CalibrationStore::memoryBytes() const {
   size_t Bytes = Embeds.memoryBytes() + Labels.capacity() * sizeof(int);
   for (const std::vector<double> &Column : ScoreColumns)
@@ -337,7 +349,22 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
   if (IndexPolicy.Enabled && indexedShards() > 0 && Scratch.Keep < N &&
       static_cast<double>(Scratch.Keep) <=
           IndexPolicy.MaxSelectFraction * static_cast<double>(N)) {
-    MinSq = selectForAssessmentPruned(TestEmbed, Scratch);
+    // The query leaves exactly the Keep smallest keys, the cut in the last
+    // slot. Only the selected entries carry their distance. Every other
+    // entry gets the largest bit pattern (a NaN), which keeps it past the
+    // cut even when the cut itself is +inf or NaN (a NaN query): below an
+    // all-ones cut the bits decide, and at one the unselected keys are
+    // (all-ones, id) anyway.
+    nearestRows(TestEmbed, Scratch.Keep, Scratch);
+    Scratch.Cut = Scratch.Candidates[Scratch.Keep - 1];
+    std::fill(Scratch.Dists.begin(), Scratch.Dists.end(),
+              fromKeyBits(~uint64_t(0)));
+    uint64_t MinBits = ~uint64_t(0);
+    for (const support::kernels::SelectKey &Key : Scratch.Candidates) {
+      Scratch.Dists[Key.second] = fromKeyBits(Key.first);
+      MinBits = std::min(MinBits, Key.first);
+    }
+    MinSq = fromKeyBits(MinBits);
   } else {
     // One batched kernel scan over the contiguous embedding block, the
     // same lane-folded l2Sq behind support::euclidean. Sharded stores fill
@@ -376,20 +403,28 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
   Scratch.NormPower = Cfg.WeightNormPower;
 }
 
-double
-CalibrationStore::selectForAssessmentPruned(const double *TestEmbed,
-                                            AssessmentScratch &S) const {
-  size_t N = Labels.size(), Keep = S.Keep;
+void CalibrationStore::nearestRows(const double *Query, size_t K,
+                                   AssessmentScratch &S) const {
+  assert(!Labels.empty() && "empty calibration store");
+  assert(Staged.empty() && "querying a store with staged entries");
+  size_t N = Labels.size();
+  K = std::min(K, N);
+  S.Pruned = support::ClusterScanStats();
   S.Pruned.RowsTotal = N;
   S.Candidates.clear();
   S.Indexes.clear();
   S.Dists.resize(N);
+  if (K == 0)
+    return;
 
   // The rows no index covers (unindexed shards and the stale tails
   // appended after each index was built) are scanned exactly, straight
   // out of the embedding block into their own Dists slots, so the kernel
   // fold is the very one the exact path runs. Their keys seed the walk's
-  // candidates, which gives it a bound before it visits any list.
+  // candidates, which gives it a bound before it visits any list. A small
+  // K seeds only a range's K nearest, which support::selectNearest finds
+  // in one pass under the same key order; keys past them can never return
+  // to the K smallest. Without an index, that scan and pass are the query.
   for (const Shard &Sh : Shards) {
     size_t Begin = Sh.Begin;
     if (Sh.Index.valid()) {
@@ -398,30 +433,23 @@ CalibrationStore::selectForAssessmentPruned(const double *TestEmbed,
     }
     if (Begin >= Sh.End)
       continue;
-    support::kernels::l2Sq1xN(TestEmbed, Embeds.rowPtr(Begin), Sh.End - Begin,
+    support::kernels::l2Sq1xN(Query, Embeds.rowPtr(Begin), Sh.End - Begin,
                               Embeds.dim(), Embeds.stride(),
                               S.Dists.data() + Begin);
-    for (size_t I = Begin; I < Sh.End; ++I)
+    auto Seed = [&](size_t I) {
       S.Candidates.push_back({keyBits(S.Dists[I]), static_cast<uint32_t>(I)});
+    };
+    if (K <= MaxPreselectK)
+      for (size_t Off : support::selectNearest(S.Dists.data() + Begin,
+                                               Sh.End - Begin, K))
+        Seed(Begin + Off);
+    else
+      for (size_t I = Begin; I < Sh.End; ++I)
+        Seed(I);
     S.Pruned.RowsScanned += Sh.End - Begin;
   }
-  support::ClusterIndex::walk(S.Indexes.data(), S.Indexes.size(), TestEmbed,
-                              Keep, S.Candidates, S.Walk, S.Pruned);
-
-  // The walk leaves exactly the Keep smallest keys, the cut in the last
-  // slot. Only the selected entries carry their distance. Every
-  // other entry gets the largest bit pattern (a NaN), which keeps it past
-  // the cut even when the cut itself is +inf or NaN (a NaN query): below
-  // an all-ones cut the bits decide, and at one the unselected keys are
-  // (all-ones, id) anyway.
-  S.Cut = S.Candidates[Keep - 1];
-  std::fill(S.Dists.begin(), S.Dists.end(), fromKeyBits(~uint64_t(0)));
-  uint64_t MinBits = ~uint64_t(0);
-  for (size_t Pos = 0; Pos < Keep; ++Pos) {
-    S.Dists[S.Candidates[Pos].second] = fromKeyBits(S.Candidates[Pos].first);
-    MinBits = std::min(MinBits, S.Candidates[Pos].first);
-  }
-  return fromKeyBits(MinBits);
+  support::ClusterIndex::walk(S.Indexes.data(), S.Indexes.size(), Query, K,
+                              S.Candidates, S.Walk, S.Pruned);
 }
 
 //===----------------------------------------------------------------------===//
@@ -446,12 +474,13 @@ static void finishPValues(const double *GreaterEq, const double *Total,
                           size_t Stride, const PromConfig &Cfg,
                           double *POut) {
   for (size_t L = 0; L < NumLabels; ++L) {
-    if (Counts[L] <= 0.0) {
-      // No conformity evidence for this label among the selected samples.
+    double GE = GreaterEq[L * Stride], Tot = Total[L * Stride];
+    if (Counts[L] <= 0.0 || Tot == 0.0) {
+      // No conformity evidence for this label among the selected samples:
+      // none is selected, or every selected weight rounded to +0.
       POut[L] = 0.0;
       continue;
     }
-    double GE = GreaterEq[L * Stride], Tot = Total[L * Stride];
     if (Cfg.SmoothedPValues) {
       // The pseudo-count is one *typical* observation (the mean weight),
       // so the minimum p-value stays ~1/(n+1) regardless of how sharply
@@ -459,7 +488,7 @@ static void finishPValues(const double *GreaterEq, const double *Total,
       double MeanW = Tot / Counts[L];
       POut[L] = (GE + MeanW) / (Tot + MeanW);
     } else {
-      POut[L] = Tot > 0.0 ? GE / Tot : 0.0;
+      POut[L] = GE / Tot;
     }
   }
 }

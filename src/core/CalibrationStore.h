@@ -21,11 +21,12 @@
 /// Everything else is derived per shard. The entries are partitioned into
 /// K contiguous, accumulation-block-aligned shards (K = 1 is the unsharded
 /// case). A shard may carry a lossless support::ClusterIndex, built only
-/// when the ClusterIndexPolicy enables it. A small selection then runs
-/// the pruned scan, per query: the store scans the rows no index covers
-/// exactly and hands their keys to support::ClusterIndex::walk(), the one
-/// pruned walk, over all shard indexes at once. The engine entry points
-/// fan out shard-parallel over support::ThreadPool:
+/// when the ClusterIndexPolicy enables it. nearestRows() is the store's
+/// one nearest-rows query: it scans the rows no index covers exactly and
+/// hands their keys to support::ClusterIndex::walk(), the one pruned walk,
+/// over all shard indexes at once. A small selection runs its pruned scan
+/// through it, and so does the regressor's k-NN ground truth. The engine
+/// entry points fan out shard-parallel over support::ThreadPool:
 ///
 ///  * the exact squared-distance scan of selectForAssessment() fills
 ///    disjoint slices of the distance array per shard (per-entry
@@ -117,9 +118,9 @@ struct AssessmentScratch {
                                        static_cast<uint32_t>(I)) <= Cut;
   }
 
-  /// (distance bits, entry id) keys of the last selection: the pivot
-  /// bucket of the exact cut (empty when the cut needs none), or the Keep
-  /// selected keys of the pruned scan.
+  /// (distance bits, entry id) keys of the last call: the pivot bucket of
+  /// the exact cut (empty when the cut needs none), or the K keys of a
+  /// nearestRows() query (the Keep selected keys of the pruned scan).
   std::vector<support::kernels::SelectKey> Candidates;
   /// Per-expert score-column pointers of the fused pass.
   std::vector<const double *> Columns;
@@ -139,10 +140,10 @@ struct AssessmentScratch {
   std::vector<double> BlockTotal;
   /// Block-partial Counts, one NumLabels stripe per block.
   std::vector<double> BlockCounts;
-  /// Counters of the last selection's cluster-pruned scan: RowsTotal is
-  /// the store size, ListsTotal the lists across all shard indexes. All
-  /// zero when the exact scan served it, so ListsTotal != 0 marks a
-  /// pruned selection (every valid index holds at least one list).
+  /// Counters of the last nearestRows() query (the pruned scan): RowsTotal
+  /// is the store size, ListsTotal the lists across all shard indexes. A
+  /// selection the exact scan served leaves them zero, so ListsTotal != 0
+  /// marks a pruned selection (every valid index holds at least one list).
   support::ClusterScanStats Pruned;
   /// Pruned scan: the valid shard indexes, in shard order.
   std::vector<const support::ClusterIndex *> Indexes;
@@ -180,11 +181,12 @@ struct ClusterIndexPolicy {
   double MaxSelectFraction = 0.25;
   uint64_t Seed = 0x5851F42D4C957F2Dull; ///< Clustering seed base.
 
-  /// The detectors' policy under \p Cfg: the defaults above, enabled only
-  /// when the config's own selection can route to the indexes
+  /// The classifier's policy under \p Cfg: the defaults above, enabled
+  /// only when the config's own selection can route to the indexes
   /// (SelectFraction <= MaxSelectFraction); at the default 50% selection
-  /// an index would be built and never read. The pruned scan is lossless,
-  /// so this decides cost, never a verdict.
+  /// its index would be built and never read. (The regressor's k-NN reads
+  /// them at any selection.) The pruned scan is lossless, so this decides
+  /// cost, never a verdict.
   static ClusterIndexPolicy fromConfig(const PromConfig &Cfg) {
     ClusterIndexPolicy P;
     P.Enabled = Cfg.SelectFraction <= P.MaxSelectFraction;
@@ -282,6 +284,10 @@ public:
   const std::vector<double> &scoreColumn(size_t Expert) const {
     return ScoreColumns[Expert];
   }
+  /// Installs the score columns of a finalized store whose entries were
+  /// added without scores: \p Columns[E][I] is expert E's score of live
+  /// entry I (the regressor scores its entries with nearestRows()).
+  void setScoreColumns(std::vector<std::vector<double>> Columns);
 
   /// Estimated heap footprint of the store: the columns, the staging
   /// buffer, and every per-shard cluster index. The fleet
@@ -310,6 +316,15 @@ public:
   /// always scans these exactly, which is what keeps staleness lossless.
   size_t unindexedEntries() const;
 
+  /// The nearest-rows query: leaves in Scratch.Candidates the
+  /// (squared-distance bits, entry id) keys of the \p K live entries
+  /// nearest to \p Query (K clamped to the entry count), the K-th smallest
+  /// at position K - 1, and the scan counters in Scratch.Pruned. The rows
+  /// no shard index covers are scanned exactly and seed
+  /// support::ClusterIndex::walk(), so the keys are the exact scan's.
+  void nearestRows(const double *Query, size_t K,
+                   AssessmentScratch &Scratch) const;
+
   //===--------------------------------------------------------------------===//
   // Assessment engine
   //
@@ -333,9 +348,10 @@ public:
   /// are relative to the nearest evidence; otherwise it is 0. The scan
   /// fans out over the shards when the store is sharded and the pool is
   /// not already saturated — or, when the index policy built cluster
-  /// indexes and a small proper-subset selection is in force, runs the
-  /// lossless pruned scan instead (Scratch.Pruned carries its pruning
-  /// counters, all zero when the exact scan served the call).
+  /// indexes and a small proper-subset selection is in force, takes the
+  /// cut from a nearestRows() query for the Keep nearest entries instead
+  /// (Scratch.Pruned carries its pruning counters, all zero when the
+  /// exact scan served the call).
   void selectForAssessment(const double *TestEmbed, const PromConfig &Cfg,
                            AssessmentScratch &Scratch) const;
 
@@ -359,11 +375,10 @@ public:
   /// Cfg.SmoothedPValues p_c = (GE_c + m) / (Tot_c + m), where m = Tot_c /
   /// n_c is the label's mean selected weight (1 when every addend is 1).
   /// A label with no selected entry gets p = 0 (no conformity evidence),
-  /// and so does an unsmoothed one whose Tot_c is 0; labels outside
-  /// [0, NumLabels) are skipped. A smoothed label whose selected weights
-  /// all round to +0 (Eq. (1) exponent past 746, e.g. every entry of the
-  /// label far beyond the closest one under WeightedCount) has n_c > 0 and
-  /// Tot_c = m = 0, so its p is 0/0 = NaN, a credibility that never flags.
+  /// and so does one whose Tot_c is 0, smoothed or not: its selected
+  /// weights all rounded to +0 (Eq. (1) exponent past 746, e.g. every
+  /// entry of the label far beyond the closest one under WeightedCount).
+  /// Labels outside [0, NumLabels) are skipped.
   ///
   /// Every configuration runs the canonical block fold (one
   /// kernels::foldBlock call per block), testing each entry against the
@@ -416,14 +431,6 @@ private:
 
   /// The decide-and-build step of updateShardIndexes() for \p Sh.
   void updateShardIndex(Shard &Sh);
-
-  /// The cluster-pruned selection path: exact scan of every unindexed
-  /// row, which seeds support::ClusterIndex::walk() over the shard
-  /// indexes, then the cut at the Scratch.Keep-th smallest candidate;
-  /// returns the smallest squared distance. Bit-identical to the exact
-  /// path.
-  double selectForAssessmentPruned(const double *TestEmbed,
-                                   AssessmentScratch &Scratch) const;
 
   /// Entries added but not yet folded into the columns.
   std::vector<CalibrationEntry> Staged;

@@ -88,11 +88,15 @@ size_t effectiveShards(const PromConfig &Cfg) {
 }
 
 /// Folds a privately built generation's staged entries into \p Store under
-/// \p Cfg (store bound, cluster-index policy, \p Shards shards).
+/// \p Cfg (store bound, cluster-index policy, \p Shards shards). A store
+/// whose k-NN ground truth queries it (\p KnnQueries, the regressor's)
+/// indexes its shards whatever the selection routes to.
 void finalizeStore(CalibrationStore &Store, const PromConfig &Cfg,
-                   size_t Shards) {
+                   bool KnnQueries, size_t Shards) {
+  ClusterIndexPolicy Index = ClusterIndexPolicy::fromConfig(Cfg);
+  Index.Enabled = Index.Enabled || KnnQueries;
   Store.setMaxEntries(Cfg.MaxCalibEntries);
-  Store.setIndexPolicy(ClusterIndexPolicy::fromConfig(Cfg));
+  Store.setIndexPolicy(Index);
   Store.finalize(Shards);
 }
 
@@ -119,11 +123,6 @@ void applyTemperatureRows(Matrix &Probs, double T) {
     support::softmaxRowInPlace(Row, Probs.cols());
   }
 }
-
-/// Seed of the regressor's k-NN ground-truth index: fixed, so calibrating
-/// twice on the same set yields the same index (losslessness makes the
-/// value irrelevant to verdicts — it only shapes the pruning).
-constexpr uint64_t RegKnnIndexSeed = 0x8D2F4A6E1B97C35Dull;
 
 } // namespace
 
@@ -162,7 +161,7 @@ template <> struct TaskPolicy<ClassificationTask> {
     size_t
     score(size_t I,
           const std::vector<std::unique_ptr<ClassificationScorer>> &Scorers,
-          Verdict &V, double *TestScores) const {
+          Verdict &V, double *TestScores, AssessmentScratch &) const {
       size_t NumLabels = Probs.cols();
       V.Probabilities.assign(Probs.rowPtr(I), Probs.rowPtr(I) + NumLabels);
       V.Predicted = static_cast<int>(support::argmaxRow(Probs, I));
@@ -199,7 +198,6 @@ template <> struct TaskPolicy<ClassificationTask> {
   static bool validFit(const Fitted &Fit) {
     return std::isfinite(Fit.Temperature) && Fit.Temperature > 0.0;
   }
-  static void finishLoad(Fitted &, const CalibrationStore &) {}
 };
 
 /// Regression: k-NN statistics against the calibration targets, one
@@ -209,57 +207,28 @@ template <> struct TaskPolicy<RegressionTask> {
   static constexpr uint32_t SnapshotKind = 2;
   using Fitted = RegressionTask::Fitted;
 
-  /// Reconciles Fit.KnnIndex with \p Embeds, which must hold the
-  /// calibration embeddings in store order: built over the whole block
-  /// once it has support::ClusterIndexMinEntries rows, dropped otherwise.
-  static void rebuildKnnIndex(Fitted &Fit,
-                              const support::FeatureMatrix &Embeds) {
-    Fit.KnnIndex.clear();
-    if (Embeds.rows() < support::ClusterIndexMinEntries)
-      return;
-    Fit.KnnIndex.build(Embeds, 0, Embeds.rows(), /*NumCentroids=*/0,
-                       RegKnnIndexSeed);
-  }
-
   /// Fills the k-NN half of \p In (ResidualIqr, ApproxTarget,
   /// KnnTargetSpread, KnnMeanDistance): the statistics of the \p K
-  /// nearest rows of \p Embeds to \p Embed (length Embeds.dim()),
-  /// excluding an optional \p SelfIndex (Sec. 5.1.1). \p Embeds is the
-  /// store's embedding block, or a block of the same rows at calibration
-  /// time. The neighbour search is one batched kernel scan over the
-  /// block — or, with a valid Fit.KnnIndex, the lossless cluster-pruned
-  /// scan (the same (distance, id) pairs in the same order, so the folds
-  /// below are bit-identical; sqrt of the scanned squared distance equals
-  /// the euclidean() recompute because the 1xN row fold matches the
-  /// per-pair kernel).
-  static void knnStats(const Fitted &Fit, const support::FeatureMatrix &Embeds,
+  /// entries of \p Store nearest to \p Embed (length embedDim()),
+  /// excluding an optional \p SelfIndex (Sec. 5.1.1). One
+  /// CalibrationStore::nearestRows() query on \p Scratch finds them, and
+  /// they are folded in ascending (distance bits, id) order. The sqrt of a
+  /// key's squared distance equals the euclidean() recompute, because the
+  /// 1xN row fold matches the per-pair kernel.
+  static void knnStats(const Fitted &Fit, const CalibrationStore &Store,
                        const double *Embed, size_t K, long SelfIndex,
-                       RegressionScoreInput &In) {
-    size_t Want = K + (SelfIndex >= 0 ? 1 : 0);
+                       AssessmentScratch &Scratch, RegressionScoreInput &In) {
+    Store.nearestRows(Embed, K + (SelfIndex >= 0 ? 1 : 0), Scratch);
+    std::sort(Scratch.Candidates.begin(), Scratch.Candidates.end());
     std::vector<double> NearTargets;
     std::vector<double> Dists;
-    // Shared harvest of one neighbour (ascending (distance, id) order):
-    // skips the excluded self row, stops once K neighbours are in.
-    auto Take = [&](size_t Idx, double Dist) {
-      if (SelfIndex >= 0 && Idx == static_cast<size_t>(SelfIndex))
-        return true;
+    for (const support::kernels::SelectKey &Key : Scratch.Candidates) {
+      if (SelfIndex >= 0 && Key.second == static_cast<size_t>(SelfIndex))
+        continue;
       if (NearTargets.size() == K)
-        return false;
-      NearTargets.push_back(Fit.Targets[Idx]);
-      Dists.push_back(Dist);
-      return true;
-    };
-    if (Fit.KnnIndex.valid()) {
-      std::vector<std::pair<double, uint32_t>> Near =
-          Fit.KnnIndex.nearestPruned(Embed, Want);
-      for (const std::pair<double, uint32_t> &P : Near)
-        if (!Take(P.second, std::sqrt(P.first)))
-          break;
-    } else {
-      for (size_t Idx : support::kNearest(Embeds, Embed, Want))
-        if (!Take(Idx, support::euclidean(Embeds.rowPtr(Idx), Embed,
-                                          Embeds.dim())))
-          break;
+        break;
+      NearTargets.push_back(Fit.Targets[Key.second]);
+      Dists.push_back(std::sqrt(support::kernels::fromKeyBits(Key.first)));
     }
     assert(!NearTargets.empty() && "calibration set too small for k-NN");
     In.ResidualIqr = Fit.ResidualIqr;
@@ -283,7 +252,8 @@ template <> struct TaskPolicy<RegressionTask> {
     size_t
     score(size_t I,
           const std::vector<std::unique_ptr<RegressionScorer>> &Scorers,
-          RegressionVerdict &V, double *TestScores) const {
+          RegressionVerdict &V, double *TestScores,
+          AssessmentScratch &Scratch) const {
       size_t NumLabels = Fit.Centroids.rows();
       V.Predicted = Predictions[I];
       const double *Embed = Embeds.rowPtr(I);
@@ -291,7 +261,7 @@ template <> struct TaskPolicy<RegressionTask> {
           static_cast<int>(support::nearestCentroid(Fit.Centroids, Embed));
       RegressionScoreInput In;
       In.Prediction = V.Predicted;
-      knnStats(Fit, Store.embedMatrix(), Embed, K, /*SelfIndex=*/-1, In);
+      knnStats(Fit, Store, Embed, K, /*SelfIndex=*/-1, Scratch, In);
       // The test score is label-independent for regression; the
       // conditioning happens through which cluster's calibration scores
       // it is compared to.
@@ -349,9 +319,6 @@ template <> struct TaskPolicy<RegressionTask> {
   /// centroids are f64vecs, which the codec keeps finite.)
   static bool validFit(const Fitted &Fit) {
     return std::isfinite(Fit.ResidualIqr) && Fit.ResidualIqr >= 0.0;
-  }
-  static void finishLoad(Fitted &Fit, const CalibrationStore &Store) {
-    rebuildKnnIndex(Fit, Store.embedMatrix());
   }
 };
 
@@ -431,7 +398,8 @@ CommitteeEngine<Task>::assessRows(const Generation &Gen,
         std::vector<double> PVals(NumExp * NumLabels);
         for (size_t I = Begin; I < End; ++I) {
           VerdictType &V = Verdicts[I];
-          size_t Label = Rows.score(I, Scorers, V, TestScores.data());
+          size_t Label =
+              Rows.score(I, Scorers, V, TestScores.data(), Scratch);
           Gen.Store.selectForAssessment(Embeds.rowPtr(I), Cfg, Scratch);
           Gen.Store.pValuesAllExperts(Scratch, TestScores.data(), NumLabels,
                                       Cfg, Discrete.data(), PVals.data());
@@ -526,7 +494,7 @@ void PromClassifier::calibrate(const data::Dataset &CalibSet) {
 
   Fresh->Store.appendEntries(classificationEntries(
       Scorers, Fresh->Fit.Temperature, RawProbs, Embeds, CalibSet));
-  finalizeStore(Fresh->Store, Cfg, effectiveShards(Cfg));
+  finalizeStore(Fresh->Store, Cfg, /*KnnQueries=*/false, effectiveShards(Cfg));
   publish(std::move(Fresh));
 }
 
@@ -662,10 +630,7 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
   Matrix Embeds;
   Model.predictWithEmbedBatch(CalibSet, Predictions, Embeds);
 
-  // A transient block of the embeddings for the calibration-time
-  // clustering and k-NN. The store's embedding block, which the
-  // deployment-time k-NN scans stream, holds exactly these rows, so the
-  // index built here is the one a snapshot load rebuilds over the store.
+  // A transient block of the embeddings for the pseudo-label clustering.
   size_t N = CalibSet.size();
   using Policy = TaskPolicy<RegressionTask>;
   auto Fresh = std::make_shared<Generation>();
@@ -677,7 +642,6 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
     Fit.Targets.push_back(CalibSet[I].Target);
     Residuals.push_back(std::fabs(Predictions[I] - CalibSet[I].Target));
   }
-  Policy::rebuildKnnIndex(Fit, Block);
   Fit.ResidualIqr = support::quantile(Residuals, 0.75) -
                     support::quantile(Residuals, 0.25);
 
@@ -692,26 +656,33 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
       Block, 0, N, K, R, /*MaxIters=*/50, /*SampleCap=*/N);
   Fit.Centroids = std::move(Clusters.Centroids);
 
-  Fresh->Store.reserve(N);
+  // The store is finalized before it is scored: its shard indexes then
+  // serve the calibration rows' k-NN exactly as they serve every input's.
+  CalibrationStore &Store = Fresh->Store;
+  Store.reserve(N);
   for (size_t I = 0; I < N; ++I) {
     CalibrationEntry Entry;
     Entry.Embed = Block.row(I);
     Entry.Label = static_cast<int>(Clusters.Assignments[I]);
+    Store.add(std::move(Entry));
+  }
+  finalizeStore(Store, Cfg, /*KnnQueries=*/true, effectiveShards(Cfg));
 
-    // Calibration samples use their true targets but the same local
-    // statistics pipeline as test samples (self excluded from the k-NN).
+  // Calibration samples use their true targets but the same local
+  // statistics pipeline as test samples (self excluded from the k-NN).
+  std::vector<std::vector<double>> Columns(Scorers.size(),
+                                           std::vector<double>(N));
+  AssessmentScratch Scratch;
+  for (size_t I = 0; I < N; ++I) {
     RegressionScoreInput In;
     In.Prediction = Predictions[I];
-    Policy::knnStats(Fit, Block, Block.rowPtr(I), Cfg.KnnK,
-                     static_cast<long>(I), In);
+    Policy::knnStats(Fit, Store, Store.embedMatrix().rowPtr(I), Cfg.KnnK,
+                     static_cast<long>(I), Scratch, In);
     In.ApproxTarget = Fit.Targets[I];
-
-    Entry.Scores.reserve(Scorers.size());
-    for (const auto &Scorer : Scorers)
-      Entry.Scores.push_back(Scorer->score(In));
-    Fresh->Store.add(std::move(Entry));
+    for (size_t E = 0; E < Scorers.size(); ++E)
+      Columns[E][I] = Scorers[E]->score(In);
   }
-  finalizeStore(Fresh->Store, Cfg, effectiveShards(Cfg));
+  Store.setScoreColumns(std::move(Columns));
   publish(std::move(Fresh));
 }
 
@@ -952,8 +923,9 @@ bool CommitteeEngine<Task>::loadSnapshot(const std::string &Path,
     return false;
 
   // Everything validated: build the generation, then commit.
-  finalizeStore(Fresh->Store, NewCfg, Shards);
-  Policy::finishLoad(Fresh->Fit, Fresh->Store);
+  finalizeStore(Fresh->Store, NewCfg,
+                /*KnnQueries=*/std::is_same<Task, RegressionTask>::value,
+                Shards);
   Cfg = NewCfg;
   Scorers = std::move(NewScorers);
   publish(std::move(Fresh));

@@ -119,12 +119,9 @@ struct RegressionTask {
   using VerdictType = RegressionVerdict;   ///< Per-input result.
   using OutputType = std::vector<double>;  ///< Batched model output.
 
-  /// A generation's fitted state, aligned with the store's entries.
+  /// A generation's fitted state, aligned with the store's entries (the
+  /// k-NN ground truth queries the store itself).
   struct Fitted {
-    /// Lossless cluster index over the store's embedding block, built once
-    /// it has support::ClusterIndexMinEntries rows: the k-NN ground-truth
-    /// lookups then run the pruned scan through it.
-    support::ClusterIndex KnnIndex;
     std::vector<double> Targets; ///< True target per store entry.
     /// Pseudo-label centroids, one row per label (kMeansMatrix output).
     support::FeatureMatrix Centroids;
@@ -359,9 +356,10 @@ private:
 };
 
 /// PROM wrapper around a trained regressor (Sec. 5.1.2 regression scheme).
-/// Its generation adds the per-entry targets, the pseudo-label centroids,
-/// the residual IQR and the k-NN cluster index. It has no online refresh:
-/// its scores depend on the whole calibration set.
+/// Its generation adds the per-entry targets, the pseudo-label centroids
+/// and the residual IQR; its k-NN ground truth queries the store's shard
+/// indexes, built at any selection. It has no online refresh: its scores
+/// depend on the whole calibration set.
 class PromRegressor : public CommitteeEngine<RegressionTask> {
 public:
   /// Uses the default regression committee.
@@ -374,11 +372,11 @@ public:
                 PromConfig Cfg);
 
   /// Offline processing: embeds the calibration samples, clusters them into
-  /// pseudo-labels (k-means++, K by gap statistic unless fixed), and stores
-  /// per-expert residual-based scores. \p R seeds the clustering. Safe
-  /// against concurrent assessments (one generation swap). At assessment
-  /// the ground truth of an input is approximated by its k nearest
-  /// calibration samples (Sec. 5.1.1).
+  /// pseudo-labels (k-means++, K by gap statistic unless fixed), finalizes
+  /// the store, and stores per-expert residual-based scores from its
+  /// k-NN. \p R seeds the clustering. Safe against concurrent assessments
+  /// (one generation swap). At assessment the ground truth of an input is
+  /// approximated by its k nearest calibration samples (Sec. 5.1.1).
   void calibrate(const data::Dataset &Calib, support::Rng &R);
 
   /// Pseudo-labels of the live generation (0 before calibration).

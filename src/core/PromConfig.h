@@ -91,7 +91,8 @@ struct PromConfig {
   /// expert that is not discrete) m is 1 and this is the standard split-CP
   /// (count+1)/(n+1); under weighted counting the minimum p-value stays
   /// ~1/(n+1) however sharply the weights localize. A label whose selected
-  /// weights all round to +0 has Tot = m = 0 and gets p = 0/0 = NaN.
+  /// weights all round to +0 has Tot = m = 0 and gets p = 0, like a label
+  /// with no selected entry.
   bool SmoothedPValues = true;
 
   /// Committee votes needed to flag a sample; 0 means majority

@@ -18,7 +18,7 @@ using namespace prom::ml;
 /// Seed of the optional training-block cluster indexes: fixed, so an
 /// indexed model is deterministic run to run (losslessness makes the
 /// value irrelevant to predictions — it only shapes the pruning).
-static constexpr uint64_t KnnIndexSeed = 0xA24BAED4963EE407ull;
+static constexpr uint64_t TrainingIndexSeed = 0xA24BAED4963EE407ull;
 
 void KnnClassifier::fit(const data::Dataset &Train, support::Rng &) {
   assert(!Train.empty() && Train.numClasses() > 1 && "bad training set");
@@ -35,7 +35,7 @@ void KnnClassifier::fit(const data::Dataset &Train, support::Rng &) {
 
 void KnnClassifier::buildClusterIndex(size_t NumCentroids) {
   assert(!Points.empty() && "indexing an unfitted classifier");
-  Index.build(Points, 0, Points.rows(), NumCentroids, KnnIndexSeed);
+  Index.build(Points, 0, Points.rows(), NumCentroids, TrainingIndexSeed);
 }
 
 void KnnClassifier::finishVote(double *Out) const {
@@ -129,7 +129,7 @@ void KnnRegressor::fit(const data::Dataset &Train, support::Rng &) {
 
 void KnnRegressor::buildClusterIndex(size_t NumCentroids) {
   assert(!Points.empty() && "indexing an unfitted regressor");
-  Index.build(Points, 0, Points.rows(), NumCentroids, KnnIndexSeed);
+  Index.build(Points, 0, Points.rows(), NumCentroids, TrainingIndexSeed);
 }
 
 double KnnRegressor::predict(const data::Sample &S) const {

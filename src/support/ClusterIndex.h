@@ -17,7 +17,8 @@
 /// r_max(c) = max member-to-centroid distance.
 ///
 /// Query protocol: ClusterIndex::walk() is the one pruned walk, shared by
-/// nearestPruned() and the calibration store's pruned selection. It ranks
+/// nearestPruned() and the calibration store's nearest-rows query (its
+/// pruned selection and the regressor's k-NN ground truth). It ranks
 /// the lists of every index it is given by query-to-centroid distance,
 /// keeps the current k-th smallest candidate key as a bound, and skips
 /// every list whose lower bound
@@ -49,10 +50,10 @@ namespace prom {
 namespace support {
 
 /// Rows below which no cluster index is built: the calibration store's
-/// shard indexes, the regressor's k-NN ground-truth index and the k-NN
-/// models' auto index all keep the exact scan there, which is already
-/// cheap and cheaper than the build. Sits past the measured ~2k-row
-/// crossover.
+/// shard indexes (which also serve the regressor's k-NN ground truth) and
+/// the k-NN models' auto index keep the exact scan there, which is
+/// already cheap and cheaper than the build. Sits past the measured
+/// ~2k-row crossover.
 constexpr size_t ClusterIndexMinEntries = 8192;
 
 /// Counters of one pruned query, for benches and tests. A calibration

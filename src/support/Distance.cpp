@@ -96,17 +96,6 @@ std::vector<size_t> prom::support::selectNearest(const double *Dist, size_t N,
   return Order;
 }
 
-std::vector<size_t>
-prom::support::kNearest(const std::vector<std::vector<double>> &Points,
-                        const std::vector<double> &Query, size_t K) {
-  if (Points.empty())
-    return {};
-  std::vector<double> Dist(Points.size());
-  for (size_t I = 0; I < Points.size(); ++I)
-    Dist[I] = kernels::l2Sq(Points[I].data(), Query.data(), Query.size());
-  return selectNearest(Dist.data(), Dist.size(), K);
-}
-
 std::vector<size_t> prom::support::kNearest(const FeatureMatrix &Points,
                                             const double *Query, size_t K) {
   if (Points.empty())

@@ -55,10 +55,10 @@ double cosineDistance(const std::vector<double> &A,
 /// small K (<= 64, every k-NN use in this codebase) takes one O(N) pass
 /// with a bounded sorted insertion buffer; larger K falls back to
 /// nth_element + a sort of the kept prefix. Every nearest-neighbour path
-/// (both kNearest overloads, kNearestBatch, and the serial and batched
-/// ml::Knn forwards) routes through this one function, so no two paths can
-/// ever disagree on how duplicate distances rank (regression-pinned by
-/// DistanceTest).
+/// of the k-NN models (kNearest, kNearestBatch, and the serial and
+/// batched ml::Knn forwards) routes through this one function, so no two
+/// paths can ever disagree on how duplicate distances rank
+/// (regression-pinned by DistanceTest).
 std::vector<size_t> selectNearest(const double *Dist, size_t N, size_t K);
 
 /// Query-tile height of the batched k-NN scans: forEachQueryScan
@@ -80,15 +80,10 @@ void forEachQueryScan(const FeatureMatrix &Points,
                       const FeatureMatrix &Queries,
                       const std::function<void(size_t, const double *)> &Fn);
 
-/// Indices of the \p K nearest rows of \p Points to \p Query under
-/// Euclidean distance, ordered by the selectNearest() contract. Returns
-/// fewer when Points has < K rows.
-std::vector<size_t> kNearest(const std::vector<std::vector<double>> &Points,
-                             const std::vector<double> &Query, size_t K);
-
-/// FeatureMatrix overload: one batched l2Sq1xN kernel scan over the
-/// contiguous block instead of a per-row pointer chase. Same selection
-/// contract (and the same bits) as the row-vector overload.
+/// Indices of the \p K nearest rows of \p Points to \p Query (length
+/// Points.dim()) under Euclidean distance, ordered by the selectNearest()
+/// contract: one batched l2Sq1xN kernel scan over the contiguous block.
+/// Returns fewer when Points has < K rows.
 std::vector<size_t> kNearest(const FeatureMatrix &Points, const double *Query,
                              size_t K);
 

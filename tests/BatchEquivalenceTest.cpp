@@ -23,7 +23,7 @@
 //    have to produce bit-identical verdicts, including over the
 //    tree-ensemble and k-NN experts that exercise the canonical
 //    ascending-tree merge and the shared k-NN tie-break rule, and over the
-//    cluster-pruned store and k-NN indexes at their shipped threshold.
+//    store's cluster-pruned shard index at its shipped threshold.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,6 +46,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 
 using namespace prom;
 using prom::testing::bits;
@@ -672,9 +673,10 @@ TEST(BatchEquivalenceTest, KnnRegressorWithANaNCalibrationRowMatchesOracle) {
 }
 
 TEST(BatchEquivalenceTest, IndexedRegressorLosslessAgainstUnindexed) {
-  // Regressor check with both indexes live at the shipped threshold: the
-  // calibration-side k-NN index (knnStats at calibrate and in the batch)
-  // and the pruned store selection. The oracle's exact
+  // Regressor check with the store's shard index live at the shipped
+  // threshold. It serves the k-NN ground truth (knnStats at calibrate and
+  // in the batch) at every selection, and the store selection too at
+  // 20%; at 50% the selection takes the exact scan. The oracle's exact
   // scan and exact k-NN are the unindexed reference: re-deriving every
   // stored calibration score checks the self-excluded indexed k-NN at
   // calibrate, and batch == oracle is losslessness at the committee
@@ -685,37 +687,39 @@ TEST(BatchEquivalenceTest, IndexedRegressorLosslessAgainstUnindexed) {
   ml::MlpRegressor Model;
   Model.fit(Train, R);
 
-  PromConfig Indexed;
-  Indexed.FixedClusters = 4; // The gap statistic would dominate the run.
-  Indexed.SelectFraction = 0.2;
-  Indexed.SelectAllBelow = 16;
+  for (double Fraction : {0.2, 0.5}) {
+    SCOPED_TRACE("SelectFraction " + std::to_string(Fraction));
+    PromConfig Indexed;
+    Indexed.FixedClusters = 4; // The gap statistic would dominate the run.
+    Indexed.SelectFraction = Fraction;
+    Indexed.SelectAllBelow = 16;
 
-  support::Rng RIdx(77);
-  PromRegressor PromIdx(Model, Indexed);
-  PromIdx.calibrate(Calib, RIdx);
-  // A fixture under the threshold would silently test the exact scans.
-  std::shared_ptr<const PromRegressor::Generation> G = PromIdx.pin();
-  ASSERT_TRUE(G->Fit.KnnIndex.valid());
-  ASSERT_GT(G->Store.indexedShards(), 0u);
+    support::Rng RIdx(77);
+    PromRegressor PromIdx(Model, Indexed);
+    PromIdx.calibrate(Calib, RIdx);
+    // A fixture under the threshold would silently test the exact scans.
+    std::shared_ptr<const PromRegressor::Generation> G = PromIdx.pin();
+    ASSERT_GT(G->Store.indexedShards(), 0u);
 
-  std::vector<std::vector<double>> Scores =
-      oracleCalibrationScores(PromIdx, Calib);
-  ASSERT_EQ(Scores.size(), PromIdx.numExperts());
-  for (size_t E = 0; E < Scores.size(); ++E) {
-    const std::vector<double> &Stored = G->Store.scoreColumn(E);
-    ASSERT_EQ(Stored.size(), Calib.size());
-    for (size_t I = 0; I < Calib.size(); ++I)
-      ASSERT_EQ(bits(Scores[E][I]), bits(Stored[I]))
-          << "expert " << E << " calibration row " << I;
-  }
+    std::vector<std::vector<double>> Scores =
+        oracleCalibrationScores(PromIdx, Calib);
+    ASSERT_EQ(Scores.size(), PromIdx.numExperts());
+    for (size_t E = 0; E < Scores.size(); ++E) {
+      const std::vector<double> &Stored = G->Store.scoreColumn(E);
+      ASSERT_EQ(Stored.size(), Calib.size());
+      for (size_t I = 0; I < Calib.size(); ++I)
+        ASSERT_EQ(bits(Scores[E][I]), bits(Stored[I]))
+            << "expert " << E << " calibration row " << I;
+    }
 
-  data::Dataset Test = linearRegression(90, 0.1, R);
-  std::vector<RegressionVerdict> Batched = PromIdx.assessBatch(Test);
-  ASSERT_EQ(Batched.size(), Test.size());
-  for (size_t I = 0; I < Test.size(); ++I) {
-    expectSameRegressionVerdict(oracleAssess(PromIdx, Test[I]), Batched[I],
-                                I);
-    expectSameRegressionVerdict(PromIdx.assess(Test[I]), Batched[I], I);
+    data::Dataset Test = linearRegression(90, 0.1, R);
+    std::vector<RegressionVerdict> Batched = PromIdx.assessBatch(Test);
+    ASSERT_EQ(Batched.size(), Test.size());
+    for (size_t I = 0; I < Test.size(); ++I) {
+      expectSameRegressionVerdict(oracleAssess(PromIdx, Test[I]), Batched[I],
+                                  I);
+      expectSameRegressionVerdict(PromIdx.assess(Test[I]), Batched[I], I);
+    }
   }
 }
 

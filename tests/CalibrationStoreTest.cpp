@@ -11,7 +11,8 @@
 // a bounded refresh, and the config-derived policy builds cluster indexes
 // only when the configured selection can route to them. A calibration row
 // with a NaN feature stays out of the distance scale and leaves the pruned
-// selection equal to the exact one, for ordinary queries and a NaN query.
+// selection and the nearest-rows query equal to the exact ones, for
+// ordinary queries and a NaN query.
 //
 //===----------------------------------------------------------------------===//
 
@@ -218,5 +219,10 @@ TEST(CalibrationStoreTest, PrunedSelectionMatchesExactWithANaNRow) {
                             PE.data());
     for (size_t C = 0; C < PP.size(); ++C)
       EXPECT_EQ(bits(PP[C]), bits(PE[C])) << "cell " << C;
+
+    for (size_t K : {size_t(1), size_t(4), size_t(300), Entries.size()}) {
+      prom::testing::expectNearestRowsMatchExactScan(Pruned, Query.data(), K);
+      prom::testing::expectNearestRowsMatchExactScan(Exact, Query.data(), K);
+    }
   }
 }

@@ -323,6 +323,31 @@ TEST(CalibrationTest, MissingLabelGetsZeroPValue) {
   EXPECT_DOUBLE_EQ(P[1], 0.0); // No label-1 calibration evidence.
 }
 
+TEST(CalibrationTest, AllZeroWeightLabelGetsZeroPValue) {
+  // Label 0 sits within 0.04 of the test point and label 1 near distance
+  // 10. At Tau 1e-3 every label-1 weight has an Eq. (1) exponent near
+  // 10^4 and rounds to +0, so label 1 has selected entries but no weight:
+  // its smoothed p must be 0, not 0/0.
+  CalibrationStore Calib;
+  const double Xs[] = {0.0, 0.01, 0.02, 0.04, 10.0, 10.01, 10.02, 10.04};
+  for (size_t I = 0; I < 8; ++I) {
+    CalibrationEntry E;
+    E.Embed = {Xs[I]};
+    E.Label = I < 4 ? 0 : 1;
+    E.Scores = {0.5};
+    Calib.add(std::move(E));
+  }
+  Calib.finalize();
+  PromConfig Cfg;
+  Cfg.AutoTau = false;
+  Cfg.Tau = 1e-3;
+  Cfg.SelectAllBelow = 1000;
+  ASSERT_TRUE(Cfg.SmoothedPValues);
+  std::vector<double> P = enginePValues(Calib, 0.0, {0.1, 0.1}, Cfg);
+  EXPECT_EQ(P[0], 1.0);
+  EXPECT_EQ(P[1], 0.0);
+}
+
 TEST(CalibrationTest, ScoreScalingShrinksDistantEvidence) {
   // With score scaling, a distant test point sees all calibration scores
   // shrunk, so a moderate test score tops them -> low p-value. Near test

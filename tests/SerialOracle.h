@@ -30,9 +30,8 @@
 ///    within canonical 256-entry blocks and in ascending block order
 ///    across them. Smoothing adds one pseudo-entry of the label's mean
 ///    selected weight m to both sums: p = (GE + m) / (Tot + m). A label
-///    with no selected entry gets p = 0, and so does an unsmoothed one
-///    whose Tot is 0. A smoothed label whose selected weights are all +0
-///    has Tot = m = 0, and its p is 0/0 = NaN, as in the engine.
+///    with no selected entry gets p = 0, and so does one whose Tot is 0,
+///    smoothed or not: its selected weights are all +0.
 ///  * The vote (Sec. 5.3): credibility is the p-value of the predicted
 ///    label, confidence exp(-(s - 1)^2 / (2 c^2)) of the prediction-set
 ///    size s, and an expert flags when both fall below their thresholds;
@@ -180,12 +179,12 @@ oraclePValues(const CalibrationStore &Store, const OracleSelection &Sel,
   }
   std::vector<double> P(NumLabels, 0.0);
   for (size_t L = 0; L < NumLabels; ++L) {
-    if (Count[L] == 0.0)
+    if (Count[L] == 0.0 || Tot[L] == 0.0)
       continue;
     if (Cfg.SmoothedPValues) {
       double MeanWeight = Tot[L] / Count[L];
       P[L] = (GE[L] + MeanWeight) / (Tot[L] + MeanWeight);
-    } else if (Tot[L] > 0.0) {
+    } else {
       P[L] = GE[L] / Tot[L];
     }
   }

@@ -11,7 +11,9 @@
 // assessment uses — to a brand-new store finalized from scratch on the
 // mirrored surviving entries. This is the generalization of RefreshTest's
 // hand-picked scenarios: whatever sequence deployment throws at the store,
-// the incremental indexes may never drift from the rebuild semantics.
+// the incremental indexes may never drift from the rebuild semantics. The
+// pruned program also checks the nearest-rows query against an exact scan
+// after every step.
 //
 // Every program is seeded and the failing seed is printed on mismatch;
 // replay one seed with PROM_STORE_PROP_SEED=<seed> (runs in addition to
@@ -29,6 +31,7 @@
 
 using namespace prom;
 using prom::testing::expectBothRegimesMatch;
+using prom::testing::expectNearestRowsMatchExactScan;
 using prom::testing::makeEntries;
 using prom::testing::referenceStore;
 
@@ -212,8 +215,24 @@ void runPrunedProgram(uint64_t Seed) {
     }
     }
 
+    // The nearest-rows query in whatever multi-shard or stale-tail state
+    // the step left, for a random K and for a small one (the preselected
+    // seeds); the unindexed reference store answers it at every
+    // comparison. Its own generator leaves the program's sequence as it
+    // was.
+    support::Rng QR(Seed ^ (0x51ED27ull * static_cast<uint64_t>(Op + 1)));
+    std::vector<double> Query(Live.embedDim());
+    for (double &V : Query)
+      V = QR.gaussian(0.0, 2.0);
+    size_t AnyK = 1 + QR.bounded(Live.size());
+    size_t SmallK = 1 + QR.bounded(std::min<size_t>(Live.size(), 64));
+    expectNearestRowsMatchExactScan(Live, Query.data(), AnyK);
+    expectNearestRowsMatchExactScan(Live, Query.data(), SmallK);
+
     if (Op % 3 == 2 || Op == NumOps - 1) {
       CalibrationStore Ref = referenceStore(Mirror, K);
+      expectNearestRowsMatchExactScan(Ref, Query.data(), AnyK);
+      expectNearestRowsMatchExactScan(Ref, Query.data(), SmallK);
       expectBothRegimesMatch(Live, Ref, Seed ^ static_cast<uint64_t>(Op),
                              ("after op " + std::to_string(Op)).c_str());
       if (::testing::Test::HasFailure()) {

@@ -7,10 +7,11 @@
 /// \file
 /// Shared oracles of the CalibrationStore bit-identity suites (RefreshTest
 /// and the randomized StorePropertyTest): synthetic entry builders, the
-/// from-scratch reference store, and the exhaustive engine-level
-/// comparison that drives both stores through the exact entry points the
-/// batched assessment uses; plus the engine p-value call the p-value
-/// semantics suites (NonconformityTest, ScorerEdgeCaseTest) assert on.
+/// from-scratch reference store, the exhaustive engine-level comparison
+/// that drives both stores through the exact entry points the batched
+/// assessment uses, and the exact-scan check of the nearest-rows query;
+/// plus the engine p-value call the p-value semantics suites
+/// (NonconformityTest, ScorerEdgeCaseTest) assert on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 
 #include "core/CalibrationStore.h"
 #include "core/PromConfig.h"
+#include "support/Distance.h"
 #include "support/Rng.h"
 #include "tests/TestHelpers.h"
 
@@ -126,6 +128,33 @@ inline void expectStoresBitIdentical(const CalibrationStore &Live,
     for (size_t C = 0; C < Cells; ++C)
       ASSERT_EQ(bits(PLive[C]), bits(PRef[C])) << "cell " << C;
   }
+}
+
+/// Expects CalibrationStore::nearestRows() for \p Query and \p K to leave
+/// the first min(K, size) keys of a key-sorted exact scan of \p Store's
+/// live rows, the K-th of them at position K - 1.
+inline void expectNearestRowsMatchExactScan(const CalibrationStore &Store,
+                                            const double *Query, size_t K) {
+  SCOPED_TRACE("nearestRows K = " + std::to_string(K));
+  using support::kernels::SelectKey;
+  const support::FeatureMatrix &Rows = Store.embedMatrix();
+  std::vector<SelectKey> Exact;
+  for (size_t I = 0; I < Rows.rows(); ++I)
+    Exact.emplace_back(support::kernels::keyBits(support::squaredEuclidean(
+                           Rows.rowPtr(I), Query, Rows.dim())),
+                       static_cast<uint32_t>(I));
+  std::sort(Exact.begin(), Exact.end());
+  Exact.resize(std::min(K, Exact.size()));
+
+  AssessmentScratch S;
+  Store.nearestRows(Query, K, S);
+  std::vector<SelectKey> Got = S.Candidates;
+  ASSERT_EQ(Got.size(), Exact.size());
+  if (!Got.empty()) {
+    EXPECT_EQ(Got.back(), Exact.back());
+  }
+  std::sort(Got.begin(), Got.end());
+  EXPECT_EQ(Got, Exact);
 }
 
 /// The engine's p-values (selectForAssessment + pValuesAllExperts) of a

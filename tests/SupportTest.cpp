@@ -324,16 +324,19 @@ TEST(DistanceTest, CosineDistance) {
 }
 
 TEST(DistanceTest, KNearestOrdersByDistance) {
-  std::vector<std::vector<double>> Points = {{0, 0}, {5, 0}, {1, 0}, {3, 0}};
-  std::vector<size_t> Near = kNearest(Points, {0.4, 0.0}, 2);
+  FeatureMatrix Points =
+      FeatureMatrix::fromRows({{0, 0}, {5, 0}, {1, 0}, {3, 0}});
+  std::vector<double> Query = {0.4, 0.0};
+  std::vector<size_t> Near = kNearest(Points, Query.data(), 2);
   ASSERT_EQ(Near.size(), 2u);
   EXPECT_EQ(Near[0], 0u);
   EXPECT_EQ(Near[1], 2u);
 }
 
 TEST(DistanceTest, KNearestClampsK) {
-  std::vector<std::vector<double>> Points = {{0, 0}, {1, 1}};
-  EXPECT_EQ(kNearest(Points, {0, 0}, 10).size(), 2u);
+  FeatureMatrix Points = FeatureMatrix::fromRows({{0, 0}, {1, 1}});
+  std::vector<double> Query = {0, 0};
+  EXPECT_EQ(kNearest(Points, Query.data(), 10).size(), 2u);
 }
 
 TEST(DistanceTest, KNearestBreaksDistanceTiesByAscendingIndex) {
@@ -344,22 +347,18 @@ TEST(DistanceTest, KNearestBreaksDistanceTiesByAscendingIndex) {
   for (int I = 0; I < 8; ++I)
     Points.push_back({1.0, 0.0}); // All at distance 1 from the origin.
   Points.push_back({0.5, 0.0});   // Index 8: strictly closer.
-  std::vector<size_t> Near = kNearest(Points, {0.0, 0.0}, 4);
+  FeatureMatrix Flat = FeatureMatrix::fromRows(Points);
+  std::vector<double> Query = {0.0, 0.0};
+  std::vector<size_t> Near = kNearest(Flat, Query.data(), 4);
   ASSERT_EQ(Near.size(), 4u);
   EXPECT_EQ(Near[0], 8u); // Closest first.
   EXPECT_EQ(Near[1], 0u); // Then tied rows by ascending index.
   EXPECT_EQ(Near[2], 1u);
   EXPECT_EQ(Near[3], 2u);
 
-  // The FeatureMatrix overload makes the same selection from the flat
-  // block scan.
-  FeatureMatrix Flat = FeatureMatrix::fromRows(Points);
-  std::vector<double> Query = {0.0, 0.0};
-  EXPECT_EQ(kNearest(Flat, Query.data(), 4), Near);
   EXPECT_EQ(kNearest(Flat, Query.data(), Points.size() + 3).size(),
             Points.size());
   // K = 0 on a non-empty set is well-defined: empty selection.
-  EXPECT_TRUE(kNearest(Points, {0.0, 0.0}, 0).empty());
   EXPECT_TRUE(kNearest(Flat, Query.data(), 0).empty());
 
   // The batched overload must make the SAME selection per query — the one
