@@ -227,7 +227,7 @@ ClusterBenchResult clusterKnnBench(size_t N, size_t Dim, size_t Centroids,
   using Clock = std::chrono::steady_clock;
   Clock::time_point B0 = Clock::now();
   ClusterIndex Index;
-  Index.build(Rows, 0, N, Centroids, /*Seed=*/20250301ull);
+  Index.build(Rows, N, Centroids, /*Seed=*/20250301ull);
   ClusterBenchResult Res;
   Res.BuildSec =
       std::chrono::duration<double>(Clock::now() - B0).count();
@@ -318,7 +318,7 @@ void clusterBatchBench(size_t N, size_t Dim, size_t Centroids, size_t K,
   const size_t NumQueries = 64;
   FeatureMatrix Rows = makeBlobRows(N, Dim, NumBlobs, R);
   ClusterIndex Index;
-  Index.build(Rows, 0, N, Centroids, /*Seed=*/20250301ull);
+  Index.build(Rows, N, Centroids, /*Seed=*/20250301ull);
 
   FeatureMatrix Queries(NumQueries, Dim);
   std::vector<double> Q(Dim);

@@ -418,7 +418,7 @@ void runStoreScaleStudy(size_t N) {
     E.Scores = {R.uniform(0.0, 1.0), R.uniform(0.0, 1.0)};
     Store.add(std::move(E));
   }
-  Store.finalize(/*NumShards=*/1);
+  Store.finalize();
 
   std::vector<std::vector<double>> Queries(NumQueries,
                                            std::vector<double>(Dim));

@@ -18,7 +18,8 @@
 //                           path of the bit-identity contract).
 //   refresh_incremental   - refreshCalibration(Incremental=true): the
 //                           incremental CalibrationStore::refinalize()
-//                           (column append + last-shard extend).
+//                           (column append; the cluster index, if any,
+//                           keeps its rows and scans the tail exactly).
 //
 // Verdict equality across all three is asserted before timing, so every
 // row is a pure cost comparison. The bounded variant repeats the
@@ -120,9 +121,7 @@ int main(int argc, char **argv) {
   const int Reps = Ci ? 3 : 5;
 
   RefreshBenchState S(CalibSize, RefreshSize);
-  PromConfig Cfg;
-  Cfg.NumShards = 4;
-  PromClassifier Prom(S.Model, Cfg);
+  PromClassifier Prom(S.Model);
   Prom.calibrate(S.Calib);
 
   // Stage the calibrated baseline once; each timed rep restores it so
@@ -151,8 +150,8 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  std::printf("== refresh_bench (calib=%zu, refresh=%zu, shards=%zu) ==\n",
-              CalibSize, RefreshSize, Prom.numShards());
+  std::printf("== refresh_bench (calib=%zu, refresh=%zu) ==\n", CalibSize,
+              RefreshSize);
 
   double FullRecal = 1e300, FullRebuild = 1e300, Incremental = 1e300,
          BoundedIncremental = 1e300;

@@ -70,7 +70,6 @@ struct LoadBenchState {
     Model.fit(Train, R);
     Prom = std::make_unique<PromClassifier>(Model);
     Prom->calibrate(Calib);
-    Prom->reshard(4);
     Pool.reserve(PoolSize);
     for (size_t I = 0; I < PoolSize; ++I)
       Pool.push_back(makeSample(static_cast<int>(I % 6)));
@@ -241,7 +240,7 @@ int main(int argc, char **argv) {
   LoadBenchState S(4096);
 
   double SatRps = saturationRps(S, SatRequests, Ci ? 2 : 3);
-  std::printf("== serve_load (calib=1000, shards=4, queue=1024, "
+  std::printf("== serve_load (calib=1000, queue=1024, "
               "deadline=%lldms, duration=%.1fs) ==\n",
               static_cast<long long>(Deadline.count()), DurationSec);
   std::printf("saturation (closed-loop drain): %9.1f req/s\n", SatRps);

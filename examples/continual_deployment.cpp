@@ -73,9 +73,7 @@ int main() {
     // Deployment pass through the serving runtime: the detector is
     // rebuilt on the current model/calibration state, the test years
     // arrive as individual requests.
-    PromConfig Cfg = Tuned.Best;
-    Cfg.NumShards = 4;
-    PromClassifier Prom(*Model, Cfg);
+    PromClassifier Prom(*Model, Tuned.Best);
     Prom.calibrate(Calib);
 
     serve::ServiceConfig SvcCfg;

@@ -76,12 +76,11 @@ int main() {
   Model->fit(Train, R);
 
   PromConfig Cfg;
-  Cfg.NumShards = 4;             // Shard the calibration store for serving.
   Cfg.MaxCalibEntries = Calib.size() + 256; // Bounded under refresh.
   PromClassifier Prom(*Model, Cfg);
   Prom.calibrate(Calib);
-  std::printf("calibrated on %zu samples (%zu shards, store bound %zu)\n",
-              Calib.size(), Prom.numShards(), Cfg.MaxCalibEntries);
+  std::printf("calibrated on %zu samples (store bound %zu)\n", Calib.size(),
+              Cfg.MaxCalibEntries);
 
   // The serving stack: async service + streaming drift alarm + the
   // controller that turns alarms into automatic calibration refreshes.
@@ -142,7 +141,7 @@ int main() {
     Scaler.transformInPlace(Stream);
 
     // Submit the year's arrivals as individual requests; the service
-    // micro-batches them through the sharded batch engine. Refreshes may
+    // micro-batches them through the batch engine. Refreshes may
     // swap the store mid-year — requests never fail or block on it.
     std::vector<std::future<Verdict>> Futures;
     Futures.reserve(Stream.size());

@@ -7,7 +7,6 @@
 #include "core/CalibrationStore.h"
 #include "support/Distance.h"
 #include "support/Kernels.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -20,10 +19,6 @@ using support::kernels::fromKeyBits;
 using support::kernels::keyBits;
 
 namespace {
-
-/// Below this many entries the shard fan-out costs more than the work; the
-/// threshold only gates parallelism, never the arithmetic.
-constexpr size_t MinEntriesForFanOut = 512;
 
 /// Entries the median-NN-distance measurement samples (the first
 /// MedianNNSample entries; bounded so finalize stays O(min(n,256)^2)).
@@ -123,17 +118,10 @@ void CalibrationStore::computeMedianNNDist() {
   MedianNNDist = std::max(NNDist[NNDist.size() / 2], 1e-9);
 }
 
-void CalibrationStore::finalize(size_t NumShards) {
+void CalibrationStore::finalize() {
   foldStaged();
   computeMedianNNDist();
-  TargetShards = NumShards == 0 ? 1 : NumShards;
-  buildShards(TargetShards);
-}
-
-void CalibrationStore::reshard(size_t NumShards) {
-  assert(Staged.empty() && "reshard before finalize");
-  TargetShards = NumShards == 0 ? 1 : NumShards;
-  buildShards(NumShards);
+  updateIndex(/*Force=*/true);
 }
 
 void CalibrationStore::appendEntries(std::vector<CalibrationEntry> NewEntries) {
@@ -167,43 +155,17 @@ void CalibrationStore::refinalize() {
   if (Evict > 0 || Live < MedianNNSample)
     computeMedianNNDist();
 
-  if (Evict > 0) {
-    // Eviction re-blocks every surviving entry (block membership is
-    // positional), so the shard partition and its indexes are stale
-    // wholesale.
-    buildShards(TargetShards);
-    return;
-  }
-  if (NumStaged == 0)
-    return;
-  assert(!Shards.empty() && "finalized non-empty store without shards");
-
-  // Append-only refresh: the new entries extend the last shard (filling
-  // its trailing partial block first — the block-aligned insert). Once
-  // that shard drifts past twice the even share, rebalance to the
-  // requested partition; any block-aligned contiguous layout yields
-  // bit-identical verdicts, so the rebalance point is pure load-balancing.
-  size_t NumBlocks = numAccumBlocks();
-  size_t Ideal = std::min(TargetShards, NumBlocks);
-  size_t IdealBlocksPerShard = (NumBlocks + Ideal - 1) / Ideal;
-  Shard &Last = Shards.back();
-  size_t LastShardBlocks = NumBlocks - Last.Begin / CalibrationAccumBlock;
-  if (LastShardBlocks > 2 * IdealBlocksPerShard) {
-    buildShards(TargetShards);
-    return;
-  }
-  assert(Last.End == Live && "extending past staged entries");
-  Last.End = Labels.size();
-  // The extension left the last shard's cluster index covering only a
-  // prefix; the staleness policy decides whether the exact tail scan is
-  // still cheap enough or the index re-clusters now. Every other shard is
-  // untouched and already reconciled.
-  updateShardIndex(Last);
+  // Eviction shifts every surviving row, so the index is stale wholesale.
+  // An append leaves it covering a prefix; the staleness policy decides
+  // whether the exact tail scan is still cheap enough or the index
+  // re-clusters now.
+  if (Evict > 0 || NumStaged > 0)
+    updateIndex(/*Force=*/Evict > 0);
 }
 
 void CalibrationStore::refinalizeFull() {
   dropOldest(evictionCount());
-  finalize(TargetShards);
+  finalize();
 }
 
 void CalibrationStore::setScoreColumns(
@@ -221,94 +183,35 @@ size_t CalibrationStore::memoryBytes() const {
   Bytes += Staged.capacity() * sizeof(CalibrationEntry);
   for (const CalibrationEntry &E : Staged)
     Bytes += (E.Embed.capacity() + E.Scores.capacity()) * sizeof(double);
-  for (const Shard &Sh : Shards)
-    Bytes += Sh.Index.memoryBytes();
-  return Bytes;
+  return Bytes + Index.memoryBytes();
 }
 
 //===----------------------------------------------------------------------===//
-// Shards and their derived indexes
+// The derived cluster index
 //===----------------------------------------------------------------------===//
-
-void CalibrationStore::buildShards(size_t NumShards) {
-  Shards.clear();
-  size_t N = Labels.size();
-  size_t NumBlocks = numAccumBlocks();
-  if (NumBlocks == 0)
-    return;
-  if (NumShards == 0)
-    NumShards = 1;
-  // A shard owns whole accumulation blocks, so block partials never
-  // straddle shards and the block-partial merge stays K-invariant.
-  NumShards = std::min(NumShards, NumBlocks);
-  size_t BlocksPerShard = (NumBlocks + NumShards - 1) / NumShards;
-  for (size_t S = 0; S < NumShards; ++S) {
-    size_t FirstBlock = S * BlocksPerShard;
-    if (FirstBlock >= NumBlocks)
-      break;
-    size_t LastBlock = std::min(NumBlocks, FirstBlock + BlocksPerShard);
-    Shard Sh;
-    Sh.Begin = FirstBlock * CalibrationAccumBlock;
-    Sh.End = std::min(N, LastBlock * CalibrationAccumBlock);
-    Shards.push_back(std::move(Sh));
-  }
-  updateShardIndexes(/*Force=*/false);
-}
 
 void CalibrationStore::setIndexPolicy(const ClusterIndexPolicy &Policy) {
   IndexPolicy = Policy;
-  updateShardIndexes(/*Force=*/true);
+  updateIndex(/*Force=*/true);
 }
 
-size_t CalibrationStore::indexedShards() const {
-  size_t Count = 0;
-  for (const Shard &Sh : Shards)
-    Count += Sh.Index.valid() ? 1 : 0;
-  return Count;
-}
-
-size_t CalibrationStore::unindexedEntries() const {
-  size_t Count = 0;
-  for (const Shard &Sh : Shards)
-    Count += (Sh.End - Sh.Begin) - (Sh.Index.valid() ? Sh.Index.coveredRows()
-                                                     : 0);
-  return Count;
-}
-
-void CalibrationStore::updateShardIndexes(bool Force) {
-  if (Force)
-    for (Shard &Sh : Shards)
-      Sh.Index.clear();
-  // Per-shard builds touch disjoint state and kMeansMatrix is thread-count
-  // deterministic, so the fan-out cannot change any index bit (and runs
-  // inline when nested under an active pool region).
-  support::ThreadPool::global().parallelFor(
-      Shards.size(), [&](size_t Begin, size_t End) {
-        for (size_t S = Begin; S < End; ++S)
-          updateShardIndex(Shards[S]);
-      });
-}
-
-void CalibrationStore::updateShardIndex(Shard &Sh) {
-  support::ClusterIndex &Idx = Sh.Index;
-  size_t Size = Sh.End - Sh.Begin;
-  if (!IndexPolicy.Enabled || Size < IndexPolicy.MinEntries) {
-    Idx.clear();
+void CalibrationStore::updateIndex(bool Force) {
+  size_t N = Labels.size();
+  if (!IndexPolicy.Enabled || N < IndexPolicy.MinEntries) {
+    Index.clear();
     return;
   }
-  if (Idx.valid() && Idx.beginRow() == Sh.Begin && Idx.endRow() <= Sh.End) {
-    // Entries [endRow, Sh.End) were appended after the build; they are
-    // scanned exactly by the pruned path, so the index stays lossless —
-    // it just prunes less. Rebuild once the tail stops being cheap.
-    size_t Tail = Sh.End - Idx.endRow();
-    if (static_cast<double>(Tail) <=
-        IndexPolicy.MaxStaleFraction * static_cast<double>(Size))
-      return;
-  }
-  // Seed per shard position: deterministic across rebuilds and thread
-  // counts, decorrelated between shards.
-  Idx.build(Embeds, Sh.Begin, Sh.End, IndexPolicy.NumCentroids,
-            IndexPolicy.Seed ^ (0x9E3779B97F4A7C15ull * (Sh.Begin + 1)));
+  assert((Force || Index.coveredRows() <= N) && "index past the live rows");
+  // Rows appended after the build are scanned exactly by nearestRows(), so
+  // a kept index stays lossless; it just prunes less. Rebuild once the
+  // tail stops being cheap.
+  if (!Force && Index.valid() &&
+      static_cast<double>(N - Index.coveredRows()) <=
+          IndexPolicy.MaxStaleFraction * static_cast<double>(N))
+    return;
+  // A fixed seed: deterministic across rebuilds and thread counts.
+  Index.build(Embeds, N, IndexPolicy.NumCentroids,
+              IndexPolicy.Seed ^ 0x9E3779B97F4A7C15ull);
 }
 
 //===----------------------------------------------------------------------===//
@@ -346,7 +249,7 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
   // pruning can never skip the kept rows themselves, so large selections
   // are served faster by the exact scan (MaxSelectFraction bounds the
   // routing). Losslessness makes this purely a routing choice.
-  if (IndexPolicy.Enabled && indexedShards() > 0 && Scratch.Keep < N &&
+  if (Index.valid() && Scratch.Keep < N &&
       static_cast<double>(Scratch.Keep) <=
           IndexPolicy.MaxSelectFraction * static_cast<double>(N)) {
     // The query leaves exactly the Keep smallest keys, the cut in the last
@@ -367,23 +270,10 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
     MinSq = fromKeyBits(MinBits);
   } else {
     // One batched kernel scan over the contiguous embedding block, the
-    // same lane-folded l2Sq behind support::euclidean. Sharded stores fill
-    // disjoint slices from worker threads (per-entry independent, so the
-    // values match the serial scan), hence Dists is sized up front.
+    // same lane-folded l2Sq behind support::euclidean.
     Scratch.Dists.resize(N);
-    auto ScanRange = [&](size_t Begin, size_t End) {
-      support::kernels::l2Sq1xN(TestEmbed, Embeds.rowPtr(Begin), End - Begin,
-                                Embeds.dim(), Embeds.stride(),
-                                Scratch.Dists.data() + Begin);
-    };
-    if (Shards.size() > 1 && N >= MinEntriesForFanOut)
-      support::ThreadPool::global().parallelFor(
-          Shards.size(), [&](size_t Begin, size_t End) {
-            for (size_t S = Begin; S < End; ++S)
-              ScanRange(Shards[S].Begin, Shards[S].End);
-          });
-    else
-      ScanRange(0, N);
+    support::kernels::l2Sq1xN(TestEmbed, Embeds.rowPtr(0), N, Embeds.dim(),
+                              Embeds.stride(), Scratch.Dists.data());
     support::kernels::SelectionCut C = support::kernels::selectionCut(
         Scratch.Dists.data(), N, Scratch.Keep, Scratch.Candidates);
     Scratch.Cut = C.Cut;
@@ -412,44 +302,37 @@ void CalibrationStore::nearestRows(const double *Query, size_t K,
   S.Pruned = support::ClusterScanStats();
   S.Pruned.RowsTotal = N;
   S.Candidates.clear();
-  S.Indexes.clear();
   S.Dists.resize(N);
   if (K == 0)
     return;
 
-  // The rows no index covers (unindexed shards and the stale tails
-  // appended after each index was built) are scanned exactly, straight
+  // The rows the index does not cover (all of them without an index, else
+  // the stale tail appended after the build) are scanned exactly, straight
   // out of the embedding block into their own Dists slots, so the kernel
   // fold is the very one the exact path runs. Their keys seed the walk's
   // candidates, which gives it a bound before it visits any list. A small
-  // K seeds only a range's K nearest, which support::selectNearest finds
+  // K seeds only the tail's K nearest, which support::selectNearest finds
   // in one pass under the same key order; keys past them can never return
-  // to the K smallest. Without an index, that scan and pass are the query.
-  for (const Shard &Sh : Shards) {
-    size_t Begin = Sh.Begin;
-    if (Sh.Index.valid()) {
-      S.Indexes.push_back(&Sh.Index);
-      Begin = Sh.Index.endRow();
-    }
-    if (Begin >= Sh.End)
-      continue;
-    support::kernels::l2Sq1xN(Query, Embeds.rowPtr(Begin), Sh.End - Begin,
+  // to the K smallest. Without an index the walk visits no list and only
+  // trims the seeded keys to K.
+  size_t Begin = Index.coveredRows();
+  if (Begin < N) {
+    support::kernels::l2Sq1xN(Query, Embeds.rowPtr(Begin), N - Begin,
                               Embeds.dim(), Embeds.stride(),
                               S.Dists.data() + Begin);
     auto Seed = [&](size_t I) {
       S.Candidates.push_back({keyBits(S.Dists[I]), static_cast<uint32_t>(I)});
     };
     if (K <= MaxPreselectK)
-      for (size_t Off : support::selectNearest(S.Dists.data() + Begin,
-                                               Sh.End - Begin, K))
+      for (size_t Off :
+           support::selectNearest(S.Dists.data() + Begin, N - Begin, K))
         Seed(Begin + Off);
     else
-      for (size_t I = Begin; I < Sh.End; ++I)
+      for (size_t I = Begin; I < N; ++I)
         Seed(I);
-    S.Pruned.RowsScanned += Sh.End - Begin;
+    S.Pruned.RowsScanned += N - Begin;
   }
-  support::ClusterIndex::walk(S.Indexes.data(), S.Indexes.size(), Query, K,
-                              S.Candidates, S.Walk, S.Pruned);
+  Index.walk(Query, K, S.Candidates, S.Walk, S.Pruned);
 }
 
 //===----------------------------------------------------------------------===//
@@ -499,14 +382,12 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
                                          const PromConfig &Cfg,
                                          const uint8_t *DiscreteFlags,
                                          double *PValsOut) const {
-  assert(!Shards.empty() && "pValuesAllExperts before finalize");
   assert(S.Dists.size() == Labels.size() &&
          "scratch holds no selection over this store");
+  size_t N = Labels.size();
   size_t NumExp = numExperts();
   size_t Stride = support::kernels::foldStride(NumExp);
   size_t Cells = NumLabels * Stride;
-  size_t K = Shards.size();
-  bool FanOut = K > 1 && Labels.size() >= MinEntriesForFanOut;
 
   S.GreaterEq.assign(Cells, 0.0);
   S.Total.assign(Cells, 0.0);
@@ -539,45 +420,24 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
   Q.Tau = S.Tau;
   Q.NormPower = S.NormPower;
 
-  // Every shard folds its own canonical blocks into per-block partials;
-  // the merge walks the blocks in ascending order on this thread,
-  // reproducing the serial block fold exactly.
-  size_t NumBlocks = numAccumBlocks();
-  S.BlockGreaterEq.assign(NumBlocks * Cells, 0.0);
-  S.BlockTotal.assign(NumBlocks * Cells, 0.0);
-  S.BlockCounts.assign(NumBlocks * NumLabels, 0.0);
-
-  auto AccumulateShard = [&](size_t SI) {
-    const Shard &Sh = Shards[SI];
-    for (size_t B0 = Sh.Begin; B0 < Sh.End; B0 += CalibrationAccumBlock) {
-      size_t Block = B0 / CalibrationAccumBlock;
-      support::kernels::foldBlock(
-          Q, B0, std::min(Sh.End, B0 + CalibrationAccumBlock),
-          S.BlockGreaterEq.data() + Block * Cells,
-          S.BlockTotal.data() + Block * Cells,
-          S.BlockCounts.data() + Block * NumLabels);
-    }
-  };
-  if (FanOut)
-    support::ThreadPool::global().parallelFor(
-        K, [&](size_t Begin, size_t End) {
-          for (size_t SI = Begin; SI < End; ++SI)
-            AccumulateShard(SI);
-        });
-  else
-    for (size_t SI = 0; SI < K; ++SI)
-      AccumulateShard(SI);
-
-  for (size_t Block = 0; Block < NumBlocks; ++Block) {
-    const double *GE = S.BlockGreaterEq.data() + Block * Cells;
-    const double *Tot = S.BlockTotal.data() + Block * Cells;
-    const double *Cnt = S.BlockCounts.data() + Block * NumLabels;
+  // The canonical block fold: each block sums into a zeroed partial, which
+  // is added to the totals before the next block, in ascending block order.
+  S.BlockGreaterEq.resize(Cells);
+  S.BlockTotal.resize(Cells);
+  S.BlockCounts.resize(NumLabels);
+  for (size_t B0 = 0; B0 < N; B0 += CalibrationAccumBlock) {
+    std::fill(S.BlockGreaterEq.begin(), S.BlockGreaterEq.end(), 0.0);
+    std::fill(S.BlockTotal.begin(), S.BlockTotal.end(), 0.0);
+    std::fill(S.BlockCounts.begin(), S.BlockCounts.end(), 0.0);
+    support::kernels::foldBlock(Q, B0, std::min(N, B0 + CalibrationAccumBlock),
+                                S.BlockGreaterEq.data(), S.BlockTotal.data(),
+                                S.BlockCounts.data());
     for (size_t Cell = 0; Cell < Cells; ++Cell) {
-      S.GreaterEq[Cell] += GE[Cell];
-      S.Total[Cell] += Tot[Cell];
+      S.GreaterEq[Cell] += S.BlockGreaterEq[Cell];
+      S.Total[Cell] += S.BlockTotal[Cell];
     }
     for (size_t L = 0; L < NumLabels; ++L)
-      S.Counts[L] += Cnt[L];
+      S.Counts[L] += S.BlockCounts[L];
   }
 
   for (size_t E = 0; E < NumExp; ++E)

@@ -18,28 +18,19 @@
 /// staging buffer until finalize() or refinalize() moves them onto the
 /// columns.
 ///
-/// Everything else is derived per shard. The entries are partitioned into
-/// K contiguous, accumulation-block-aligned shards (K = 1 is the unsharded
-/// case). A shard may carry a lossless support::ClusterIndex, built only
-/// when the ClusterIndexPolicy enables it. nearestRows() is the store's
-/// one nearest-rows query: it scans the rows no index covers exactly and
-/// hands their keys to support::ClusterIndex::walk(), the one pruned walk,
-/// over all shard indexes at once. A small selection runs its pruned scan
-/// through it, and so does the regressor's k-NN ground truth. The engine
-/// entry points fan out shard-parallel over support::ThreadPool:
-///
-///  * the exact squared-distance scan of selectForAssessment() fills
-///    disjoint slices of the distance array per shard (per-entry
-///    independent, so the values cannot depend on the partitioning);
-///  * the Eq. (2) p-values have each shard fold its own canonical
-///    accumulation blocks (see CalibrationAccumBlock) into per-block
-///    partials that are merged in ascending block order on one thread.
-///
-/// Both merges reproduce the same floating-point arithmetic bit for bit,
-/// so verdicts are identical for every shard count and every thread
-/// count. The bit-identity suites check the engine against a serial
-/// oracle that re-derives selection, weights and p-values from the paper
-/// (tests/SerialOracle.h); the library ships only the engine.
+/// Everything else is derived. Once the store holds
+/// ClusterIndexPolicy::MinEntries rows (and the policy enables it), one
+/// lossless support::ClusterIndex covers its leading rows. nearestRows()
+/// is the store's one nearest-rows query: it scans the rows the index does
+/// not cover exactly and hands their keys to support::ClusterIndex::walk(),
+/// the one pruned walk. A small selection runs its pruned scan through it,
+/// and so does the regressor's k-NN ground truth. Every other selection
+/// runs one exact kernel scan over the embedding block, and the Eq. (2)
+/// p-values fold the canonical accumulation blocks (see
+/// CalibrationAccumBlock) in ascending order. Verdicts are identical for
+/// every thread count; the bit-identity suites check the engine against a
+/// serial oracle that re-derives selection, weights and p-values from the
+/// paper (tests/SerialOracle.h), and the library ships only the engine.
 ///
 /// The store also supports *online refresh*: appendEntries() stages
 /// freshly relabeled deployment samples, and refinalize() folds them into
@@ -67,14 +58,12 @@ namespace prom {
 
 /// Entries per canonical accumulation block of the Eq. (2) sums.
 ///
-/// The Eq. (2) pass (and every per-shard fold of it) accumulates the
-/// weighted counts per fixed-size block of calibration entries —
-/// sequential in ascending entry order inside a block — and folds the
-/// block partials in ascending block order.
-/// Block boundaries depend only on the calibration set size, never on the
-/// shard count or thread count, so the floating-point result is
-/// bit-identical no matter how the work is partitioned; sets smaller than
-/// one block reduce to the plain sequential sum.
+/// The Eq. (2) pass accumulates the weighted counts per fixed-size block of
+/// calibration entries — sequential in ascending entry order inside a
+/// block — and adds each block partial to the totals in ascending block
+/// order. Block boundaries depend only on the entry position, so the
+/// floating-point result is a pure function of the calibration set; sets
+/// smaller than one block reduce to the plain sequential sum.
 constexpr size_t CalibrationAccumBlock = 256;
 
 /// One calibration sample as handed to the store. The store keeps only the
@@ -133,20 +122,18 @@ struct AssessmentScratch {
   /// Weighted totals of the fused pass, label-major.
   std::vector<double> Total;
   std::vector<double> Counts; ///< Per-label selected counts.
-  /// Block-partial GreaterEq of the canonical block fold: one stripe per
-  /// block, filled concurrently.
+  /// GreaterEq of the block being folded, laid out like GreaterEq: the
+  /// canonical block fold zeroes it per block and adds it to GreaterEq.
   std::vector<double> BlockGreaterEq;
-  /// Block-partial Total, laid out like BlockGreaterEq.
+  /// Total of the block being folded, laid out like Total.
   std::vector<double> BlockTotal;
-  /// Block-partial Counts, one NumLabels stripe per block.
+  /// Counts of the block being folded.
   std::vector<double> BlockCounts;
   /// Counters of the last nearestRows() query (the pruned scan): RowsTotal
-  /// is the store size, ListsTotal the lists across all shard indexes. A
+  /// is the store size, ListsTotal the lists of the store's index. A
   /// selection the exact scan served leaves them zero, so ListsTotal != 0
-  /// marks a pruned selection (every valid index holds at least one list).
+  /// marks a pruned selection (a valid index holds at least one list).
   support::ClusterScanStats Pruned;
-  /// Pruned scan: the valid shard indexes, in shard order.
-  std::vector<const support::ClusterIndex *> Indexes;
   /// Pruned scan: the buffers of support::ClusterIndex::walk().
   support::ClusterIndex::WalkScratch Walk;
 };
@@ -161,14 +148,14 @@ size_t selectionKeepCount(size_t N, const PromConfig &Cfg);
 /// give lower confidence.
 double confidenceFromSetSize(size_t Size, double C);
 
-/// Policy governing the per-shard cluster indexes of the pruned distance
-/// scan (see support/ClusterIndex.h for the losslessness contract). The
+/// Policy governing the store's cluster index of the pruned distance scan
+/// (see support/ClusterIndex.h for the losslessness contract). The
 /// store-level default is *disabled*; detectors install the
 /// config-derived policy at calibrate / snapshot-load time.
 struct ClusterIndexPolicy {
-  bool Enabled = false;        ///< Build and use shard indexes at all.
-  size_t NumCentroids = 0;     ///< Per-shard lists; 0 = ~sqrt(shard rows).
-  /// Smaller shards stay unindexed.
+  bool Enabled = false;        ///< Build and use the index at all.
+  size_t NumCentroids = 0;     ///< Index lists; 0 = ~sqrt(covered rows).
+  /// Smaller stores stay unindexed.
   size_t MinEntries = support::ClusterIndexMinEntries;
   /// Unindexed-tail share that forces a rebuild: entries appended by
   /// refinalize() leave an index covering only a prefix, and the pruned
@@ -182,10 +169,10 @@ struct ClusterIndexPolicy {
   uint64_t Seed = 0x5851F42D4C957F2Dull; ///< Clustering seed base.
 
   /// The classifier's policy under \p Cfg: the defaults above, enabled
-  /// only when the config's own selection can route to the indexes
+  /// only when the config's own selection can route to the index
   /// (SelectFraction <= MaxSelectFraction); at the default 50% selection
   /// its index would be built and never read. (The regressor's k-NN reads
-  /// them at any selection.) The pruned scan is lossless, so this decides
+  /// it at any selection.) The pruned scan is lossless, so this decides
   /// cost, never a verdict.
   static ClusterIndexPolicy fromConfig(const PromConfig &Cfg) {
     ClusterIndexPolicy P;
@@ -194,8 +181,8 @@ struct ClusterIndexPolicy {
   }
 };
 
-/// Columnar, shardable calibration store; see the file comment for the
-/// layout and the exactness contract.
+/// Columnar calibration store; see the file comment for the layout and the
+/// exactness contract.
 class CalibrationStore {
 public:
   /// Reserves staging room for \p N entries.
@@ -204,15 +191,16 @@ public:
   void add(CalibrationEntry Entry) { Staged.push_back(std::move(Entry)); }
 
   /// Moves every staged entry onto the columns, measures the distance
-  /// scale, and partitions the entries into \p NumShards block-aligned
-  /// shards with their derived indexes. Sets with fewer accumulation
-  /// blocks than requested shards get one shard per block.
-  void finalize(size_t NumShards = 1);
+  /// scale, and rebuilds the cluster index under the policy in force.
+  void finalize();
 
-  /// Re-partitions an already-finalized store into \p NumShards shards
-  /// without touching the entries — verdicts are unchanged by contract, so
-  /// a serving process can re-shard to its core count at load time.
-  void reshard(size_t NumShards);
+  /// finalize(), ignoring its argument (the store has no shards). Its only
+  /// caller is perfbench/Bench.cpp:709, Store.finalize(Engine.numShards());
+  /// delete it with that call.
+  [[deprecated("the store has no shards: call finalize()")]] void
+  finalize(size_t) {
+    finalize();
+  }
 
   //===--------------------------------------------------------------------===//
   // Online refresh (see the file comment for the exactness contract)
@@ -234,16 +222,16 @@ public:
 
   /// Folds the staged entries into the store incrementally: oldest-first
   /// eviction down to maxEntries(), appended embedding rows, labels and
-  /// score columns. Without eviction the new entries extend the last shard
-  /// and its cluster index is reconciled (the partition rebalances when
-  /// that shard drifts past 2x the even share). Eviction shifts every
-  /// entry's block, so it rebuilds the shard partition and its indexes.
-  /// Either way none of the model forwards a detector-level recalibration
-  /// would redo are needed.
+  /// score columns. Without eviction the cluster index keeps covering its
+  /// rows and the appended tail is scanned exactly, until the tail
+  /// outgrows ClusterIndexPolicy::MaxStaleFraction and the index is
+  /// rebuilt. Eviction shifts every row, so it clears and rebuilds the
+  /// index. Either way none of the model forwards a detector-level
+  /// recalibration would redo are needed.
   ///
   /// Verdicts afterwards are bit-identical to refinalizeFull() — and to a
-  /// brand-new store finalized on the surviving entries — for every shard
-  /// and thread count.
+  /// brand-new store finalized on the surviving entries — for every thread
+  /// count.
   void refinalize();
 
   /// Reference path for the same staged entries and eviction policy: a
@@ -252,13 +240,6 @@ public:
   /// baseline.
   void refinalizeFull();
 
-  size_t numShards() const { return Shards.size(); } ///< Built shards.
-  /// Shard count requested by the last finalize()/reshard() — what
-  /// refinalize() rebalances toward as the store grows. numShards()
-  /// reports the built partition, which clamps to the accumulation-block
-  /// count; snapshots persist this value so a restored small store still
-  /// scales back out under online refresh.
-  size_t targetShards() const { return TargetShards; }
   /// Total entries, live and staged.
   size_t size() const { return Labels.size() + Staged.size(); }
   bool empty() const { return size() == 0; } ///< No entries yet.
@@ -290,37 +271,39 @@ public:
   void setScoreColumns(std::vector<std::vector<double>> Columns);
 
   /// Estimated heap footprint of the store: the columns, the staging
-  /// buffer, and every per-shard cluster index. The fleet
-  /// registry meters a tenant's detector with this when enforcing its LRU
-  /// memory budget, so it only needs to be proportional, not
-  /// allocator-exact.
+  /// buffer, and the cluster index. The fleet registry meters a tenant's
+  /// detector with this when enforcing its LRU memory budget, so it only
+  /// needs to be proportional, not allocator-exact.
   size_t memoryBytes() const;
 
   //===--------------------------------------------------------------------===//
   // Cluster-pruned distance scan (lossless; support/ClusterIndex.h)
   //===--------------------------------------------------------------------===//
 
-  /// Installs \p Policy and immediately rebuilds or drops the per-shard
-  /// indexes to match. Indexes are *derived* state: snapshots never
-  /// persist them, loaders re-install the policy before finalize().
+  /// Installs \p Policy and immediately rebuilds or drops the cluster index
+  /// to match. The index is *derived* state: snapshots never persist it,
+  /// loaders re-install the policy before finalize().
   void setIndexPolicy(const ClusterIndexPolicy &Policy);
 
-  /// The per-shard cluster-index policy currently in force.
+  /// The cluster-index policy currently in force.
   const ClusterIndexPolicy &indexPolicy() const { return IndexPolicy; }
 
-  /// Shards currently carrying a valid cluster index.
-  size_t indexedShards() const;
+  /// True when the store carries a valid cluster index.
+  bool indexed() const { return Index.valid(); }
 
-  /// Entries not covered by any valid shard index — unindexed shards plus
-  /// the stale tails appended since each index was built. The pruned scan
-  /// always scans these exactly, which is what keeps staleness lossless.
-  size_t unindexedEntries() const;
+  /// Entries the cluster index does not cover: every entry without an
+  /// index, else the stale tail appended since it was built. The pruned
+  /// scan always scans these exactly, which is what keeps staleness
+  /// lossless.
+  size_t unindexedEntries() const {
+    return Labels.size() - Index.coveredRows();
+  }
 
   /// The nearest-rows query: leaves in Scratch.Candidates the
   /// (squared-distance bits, entry id) keys of the \p K live entries
   /// nearest to \p Query (K clamped to the entry count), the K-th smallest
   /// at position K - 1, and the scan counters in Scratch.Pruned. The rows
-  /// no shard index covers are scanned exactly and seed
+  /// the index does not cover are scanned exactly and seed
   /// support::ClusterIndex::walk(), so the keys are the exact scan's.
   void nearestRows(const double *Query, size_t K,
                    AssessmentScratch &Scratch) const;
@@ -342,16 +325,14 @@ public:
   /// Selection for one test embedding (length embedDim()): fills
   /// \p Scratch with the squared distances, the cut and the Eq. (1)
   /// parameters (see AssessmentScratch). The selection keeps
-  /// selectionKeepCount() entries, the smallest by (squared distance, id);
-  /// the set and every weight are the same for every shard count. Under
-  /// WeightedCount the Offset is the closest entry's distance, so weights
-  /// are relative to the nearest evidence; otherwise it is 0. The scan
-  /// fans out over the shards when the store is sharded and the pool is
-  /// not already saturated — or, when the index policy built cluster
-  /// indexes and a small proper-subset selection is in force, takes the
-  /// cut from a nearestRows() query for the Keep nearest entries instead
-  /// (Scratch.Pruned carries its pruning counters, all zero when the
-  /// exact scan served the call).
+  /// selectionKeepCount() entries, the smallest by (squared distance, id).
+  /// Under WeightedCount the Offset is the closest entry's distance, so
+  /// weights are relative to the nearest evidence; otherwise it is 0. One
+  /// exact kernel scan fills every distance — or, when the store carries a
+  /// cluster index and a small proper-subset selection is in force, the
+  /// cut comes from a nearestRows() query for the Keep nearest entries
+  /// instead (Scratch.Pruned carries its pruning counters, all zero when
+  /// the exact scan served the call).
   void selectForAssessment(const double *TestEmbed, const PromConfig &Cfg,
                            AssessmentScratch &Scratch) const;
 
@@ -381,24 +362,15 @@ public:
   /// Labels outside [0, NumLabels) are skipped.
   ///
   /// Every configuration runs the canonical block fold (one
-  /// kernels::foldBlock call per block), testing each entry against the
-  /// cut and weighting the selected ones inline.
+  /// kernels::foldBlock call per block, added to the totals in ascending
+  /// block order), testing each entry against the cut and weighting the
+  /// selected ones inline.
   void pValuesAllExperts(AssessmentScratch &Scratch, const double *TestScores,
                          size_t NumLabels, const PromConfig &Cfg,
                          const uint8_t *DiscreteFlags,
                          double *PValsOut) const;
 
 private:
-  /// One contiguous, block-aligned slice of the entries with its derived
-  /// cluster index.
-  struct Shard {
-    size_t Begin = 0; ///< First entry (multiple of CalibrationAccumBlock).
-    size_t End = 0;   ///< One past the last entry.
-    /// Cluster index over [Begin, End); invalid (cleared) when the shard
-    /// is too small or the policy is disabled.
-    support::ClusterIndex Index;
-  };
-
   /// Moves every staged entry onto the end of the columns and empties the
   /// staging buffer.
   void foldStaged();
@@ -410,27 +382,17 @@ private:
   /// Entries refinalize() must evict to honour maxEntries().
   size_t evictionCount() const;
 
-  /// Number of canonical accumulation blocks covering the live entries.
-  size_t numAccumBlocks() const {
-    return (Labels.size() + CalibrationAccumBlock - 1) /
-           CalibrationAccumBlock;
-  }
-
   /// The distance-scale measurement (median nearest-neighbour distance
   /// over the first min(N, 256) entries), shared by finalize() and
   /// refinalize() so both land on identical bits.
   void computeMedianNNDist();
 
-  void buildShards(size_t NumShards);
-
-  /// Reconciles every shard's cluster index with the policy and the
-  /// current partition: builds missing indexes on shards past MinEntries,
-  /// rebuilds indexes whose stale tail outgrew MaxStaleFraction, drops
-  /// the rest. \p Force clears first (policy changed).
-  void updateShardIndexes(bool Force);
-
-  /// The decide-and-build step of updateShardIndexes() for \p Sh.
-  void updateShardIndex(Shard &Sh);
+  /// Reconciles the cluster index with the policy and the live entries:
+  /// drops it below MinEntries or when the policy is disabled, builds it
+  /// when missing, and rebuilds it once its stale tail outgrew
+  /// MaxStaleFraction. \p Force rebuilds in any case (the entries moved or
+  /// the policy changed).
+  void updateIndex(bool Force);
 
   /// Entries added but not yet folded into the columns.
   std::vector<CalibrationEntry> Staged;
@@ -442,12 +404,11 @@ private:
   std::vector<std::vector<double>> ScoreColumns;
   double MedianNNDist = 0.0;
 
-  std::vector<Shard> Shards;
+  /// Cluster index over the leading live rows; cleared (no lists) while
+  /// the store is too small or the policy is disabled.
+  support::ClusterIndex Index;
   /// Policy in force; see setIndexPolicy().
   ClusterIndexPolicy IndexPolicy;
-  /// Shard count requested by the last finalize()/reshard(); refinalize()
-  /// rebalances toward it.
-  size_t TargetShards = 1;
   size_t MaxEntries = 0; ///< Live-entry bound (0 = unbounded).
 };
 

@@ -81,23 +81,17 @@ void judgeCommittee(const double *PVals, size_t NumExperts, size_t NumLabels,
   V.Drifted = V.VotesToFlag >= Needed;
 }
 
-/// Effective shard count of the calibration store under \p Cfg.
-size_t effectiveShards(const PromConfig &Cfg) {
-  return Cfg.NumShards != 0 ? Cfg.NumShards
-                            : support::ThreadPool::global().numThreads();
-}
-
 /// Folds a privately built generation's staged entries into \p Store under
-/// \p Cfg (store bound, cluster-index policy, \p Shards shards). A store
-/// whose k-NN ground truth queries it (\p KnnQueries, the regressor's)
-/// indexes its shards whatever the selection routes to.
+/// \p Cfg (store bound, cluster-index policy). A store whose k-NN ground
+/// truth queries it (\p KnnQueries, the regressor's) is indexed whatever
+/// the selection routes to.
 void finalizeStore(CalibrationStore &Store, const PromConfig &Cfg,
-                   bool KnnQueries, size_t Shards) {
+                   bool KnnQueries) {
   ClusterIndexPolicy Index = ClusterIndexPolicy::fromConfig(Cfg);
   Index.Enabled = Index.Enabled || KnnQueries;
   Store.setMaxEntries(Cfg.MaxCalibEntries);
   Store.setIndexPolicy(Index);
-  Store.finalize(Shards);
+  Store.finalize();
 }
 
 /// Applies temperature \p T to a probability vector: softmax(log(p) / T).
@@ -357,21 +351,6 @@ template <class Task> size_t CommitteeEngine<Task>::calibrationSize() const {
   return G ? G->Store.size() : 0;
 }
 
-template <class Task> size_t CommitteeEngine<Task>::numShards() const {
-  std::shared_ptr<const Generation> G = pin();
-  return G && G->Store.numShards() ? G->Store.numShards() : 1;
-}
-
-template <class Task> void CommitteeEngine<Task>::reshard(size_t NumShards) {
-  std::shared_ptr<const Generation> Old = pin();
-  assert(Old && "reshard before calibrate");
-  // Copy-modify-publish: in-flight batches keep reading the generation
-  // they pinned; new batches see the re-partitioned copy.
-  auto Fresh = std::make_shared<Generation>(*Old);
-  Fresh->Store.reshard(NumShards);
-  publish(std::move(Fresh));
-}
-
 template <class Task>
 std::vector<typename Task::VerdictType>
 CommitteeEngine<Task>::assessRows(const Generation &Gen,
@@ -494,7 +473,7 @@ void PromClassifier::calibrate(const data::Dataset &CalibSet) {
 
   Fresh->Store.appendEntries(classificationEntries(
       Scorers, Fresh->Fit.Temperature, RawProbs, Embeds, CalibSet));
-  finalizeStore(Fresh->Store, Cfg, /*KnnQueries=*/false, effectiveShards(Cfg));
+  finalizeStore(Fresh->Store, Cfg, /*KnnQueries=*/false);
   publish(std::move(Fresh));
 }
 
@@ -656,8 +635,8 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
       Block, 0, N, K, R, /*MaxIters=*/50, /*SampleCap=*/N);
   Fit.Centroids = std::move(Clusters.Centroids);
 
-  // The store is finalized before it is scored: its shard indexes then
-  // serve the calibration rows' k-NN exactly as they serve every input's.
+  // The store is finalized before it is scored: its index then serves the
+  // calibration rows' k-NN exactly as it serves every input's.
   CalibrationStore &Store = Fresh->Store;
   Store.reserve(N);
   for (size_t I = 0; I < N; ++I) {
@@ -666,7 +645,7 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
     Entry.Label = static_cast<int>(Clusters.Assignments[I]);
     Store.add(std::move(Entry));
   }
-  finalizeStore(Store, Cfg, /*KnnQueries=*/true, effectiveShards(Cfg));
+  finalizeStore(Store, Cfg, /*KnnQueries=*/true);
 
   // Calibration samples use their true targets but the same local
   // statistics pipeline as test samples (self excluded from the k-NN).
@@ -689,28 +668,30 @@ void PromRegressor::calibrate(const data::Dataset &CalibSet,
 //===----------------------------------------------------------------------===//
 // Snapshots
 //
-// Format version 3 (see support/Serialize.h for the envelope and
+// Format version 4 (see support/Serialize.h for the envelope and
 // docs/SNAPSHOT_FORMAT.md for the full layout): a version and kind tag,
 // every PromConfig field, the task's head state (the classifier's
 // temperature), the committee by scorer name, the calibration entries,
 // the task's tail state (the regressor's targets, centroids and residual
-// IQR), the requested shard count, and the optional scaler. finalize()
-// rebuilds every derived index deterministically from the entries, so a
-// restored detector's verdicts are bit-identical to the saving one's.
-// loadSnapshot() stages a whole generation locally and commits only after
-// the payload validated, so a failed load leaves the detector untouched.
+// IQR), and the optional scaler. finalize() rebuilds every derived index
+// deterministically from the entries, so a restored detector's verdicts
+// are bit-identical to the saving one's. loadSnapshot() stages a whole
+// generation locally and commits only after the payload validated, so a
+// failed load leaves the detector untouched.
 //
 // Version history: v2 appended PromConfig::MaxCalibEntries to the config
 // block (the online-refresh store bound); v3 dropped the regressor's
 // second copy of the calibration embeddings (its k-NN lookups read the
-// store's embedding block). Loaders accept exactly the current version —
-// snapshots are restart artifacts, not archives; the self-healing server
-// simply writes a fresh generation after an upgrade.
+// store's embedding block); v4 dropped the shard count from the config
+// block and from the end of both payloads (the store has no shards).
+// Loaders accept exactly the current version — snapshots are restart
+// artifacts, not archives; the self-healing server simply writes a fresh
+// generation after an upgrade.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-constexpr uint32_t SnapshotFormatVersion = 3;
+constexpr uint32_t SnapshotFormatVersion = 4;
 
 void writeConfig(support::ByteWriter &W, const PromConfig &Cfg) {
   W.writeF64(Cfg.Epsilon);
@@ -730,7 +711,6 @@ void writeConfig(support::ByteWriter &W, const PromConfig &Cfg) {
   W.writeU64(Cfg.MinClusters);
   W.writeU64(Cfg.MaxClusters);
   W.writeU64(Cfg.FixedClusters);
-  W.writeU64(Cfg.NumShards);
   W.writeU64(Cfg.MaxCalibEntries); // Appended in format version 2.
 }
 
@@ -762,7 +742,6 @@ bool readConfig(support::ByteReader &R, PromConfig &Cfg, bool NeedsKnn) {
   Cfg.MinClusters = static_cast<size_t>(R.readU64());
   Cfg.MaxClusters = static_cast<size_t>(R.readU64());
   Cfg.FixedClusters = static_cast<size_t>(R.readU64());
-  Cfg.NumShards = static_cast<size_t>(R.readU64());
   Cfg.MaxCalibEntries = static_cast<size_t>(R.readU64());
   if (R.failed())
     return false;
@@ -871,10 +850,6 @@ bool CommitteeEngine<Task>::saveSnapshot(
     W.writeString(Scorer->name());
   writeEntries(W, G->Store);
   Policy::writeTail(W, G->Fit);
-  // The *requested* shard count, not the built (block-clamped) one: a
-  // restored store must keep rebalancing toward the configured
-  // parallelism as online refreshes grow it past the clamp.
-  W.writeU64(G->Store.targetShards());
   writeScaler(W, Scaler);
   return W.writeFile(Path);
 }
@@ -914,7 +889,6 @@ bool CommitteeEngine<Task>::loadSnapshot(const std::string &Path,
       !Policy::readTail(R, Fresh->Fit, Fresh->Store.size(), EmbedDim) ||
       !Policy::validFit(Fresh->Fit))
     return false;
-  size_t Shards = static_cast<size_t>(R.readU64());
 
   data::StandardScaler StagedScaler;
   if (!readScaler(R, StagedScaler))
@@ -924,8 +898,7 @@ bool CommitteeEngine<Task>::loadSnapshot(const std::string &Path,
 
   // Everything validated: build the generation, then commit.
   finalizeStore(Fresh->Store, NewCfg,
-                /*KnnQueries=*/std::is_same<Task, RegressionTask>::value,
-                Shards);
+                /*KnnQueries=*/std::is_same<Task, RegressionTask>::value);
   Cfg = NewCfg;
   Scorers = std::move(NewScorers);
   publish(std::move(Fresh));

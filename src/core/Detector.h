@@ -165,14 +165,13 @@ public:
   /// True once calibrate() (or a snapshot load) has run.
   bool isCalibrated() const;
 
-  /// Shard count of the calibration store (1 before calibration).
-  size_t numShards() const;
-
-  /// Re-partitions the calibration store into \p NumShards shards without
-  /// recalibrating; verdicts are unchanged by contract. Publishes the
-  /// re-partitioned copy as a new generation, so it is safe against
-  /// concurrent assessments.
-  void reshard(size_t NumShards);
+  /// Always 1: the calibration store has no shards. Its only caller is
+  /// perfbench/Bench.cpp:709, Store.finalize(Engine.numShards()); delete
+  /// it with that call.
+  [[deprecated("the calibration store has no shards")]] size_t
+  numShards() const {
+    return 1;
+  }
 
   /// Writes a versioned binary snapshot of the live generation — config,
   /// the task's fitted state, committee (by scorer name), calibration
@@ -281,10 +280,10 @@ public:
   /// entries must be exchangeable with the retained ones, and re-fitting
   /// the temperature would silently rescore every retained entry.
   ///
-  /// calibrate(), refreshCalibration() and reshard() are each safe
-  /// against concurrent assessments; concurrent *writers* must be
-  /// serialized by the caller — the serve::RecalibrationController runs
-  /// all refreshes on one background thread.
+  /// calibrate() and refreshCalibration() are each safe against concurrent
+  /// assessments; concurrent *writers* must be serialized by the caller —
+  /// the serve::RecalibrationController runs all refreshes on one
+  /// background thread.
   ///
   /// Returns the live store size after the refresh.
   size_t refreshCalibration(const data::Dataset &NewlyLabeled,
@@ -357,9 +356,9 @@ private:
 
 /// PROM wrapper around a trained regressor (Sec. 5.1.2 regression scheme).
 /// Its generation adds the per-entry targets, the pseudo-label centroids
-/// and the residual IQR; its k-NN ground truth queries the store's shard
-/// indexes, built at any selection. It has no online refresh: its scores
-/// depend on the whole calibration set.
+/// and the residual IQR; its k-NN ground truth queries the store's index,
+/// built at any selection. It has no online refresh: its scores depend on
+/// the whole calibration set.
 class PromRegressor : public CommitteeEngine<RegressionTask> {
 public:
   /// Uses the default regression committee.

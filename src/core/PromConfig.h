@@ -111,13 +111,6 @@ struct PromConfig {
   /// Overrides the gap statistic with a fixed cluster count when non-zero.
   size_t FixedClusters = 0;
 
-  /// Shard count of the calibration store built by calibrate(): the
-  /// deployment-scaling knob of the serving runtime. Verdicts are
-  /// shard-count-invariant by contract (test-enforced), so this only
-  /// affects how assessment work is partitioned; 0 means one shard per
-  /// ThreadPool lane. Detectors can also reshard() after calibration.
-  size_t NumShards = 1;
-
   /// Upper bound on live calibration entries under online refresh
   /// (refreshCalibration() folds relabeled deployment samples into the
   /// store and evicts oldest-first beyond this bound, keeping a

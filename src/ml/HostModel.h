@@ -16,7 +16,7 @@
 /// is the packed concatenation [probabilities..., embedding...], and the
 /// "forward pass" is a pure unpack. Because the unpack is bit-exact and
 /// per-sample independent, every bit-identity contract of the stack
-/// (batch/serial, sharded, served, snapshot round-trip) holds for
+/// (batch/serial, thread count, served, snapshot round-trip) holds for
 /// host-fed detectors exactly as for native ones.
 ///
 //===----------------------------------------------------------------------===//

@@ -35,7 +35,7 @@ void KnnClassifier::fit(const data::Dataset &Train, support::Rng &) {
 
 void KnnClassifier::buildClusterIndex(size_t NumCentroids) {
   assert(!Points.empty() && "indexing an unfitted classifier");
-  Index.build(Points, 0, Points.rows(), NumCentroids, TrainingIndexSeed);
+  Index.build(Points, Points.rows(), NumCentroids, TrainingIndexSeed);
 }
 
 void KnnClassifier::finishVote(double *Out) const {
@@ -129,7 +129,7 @@ void KnnRegressor::fit(const data::Dataset &Train, support::Rng &) {
 
 void KnnRegressor::buildClusterIndex(size_t NumCentroids) {
   assert(!Points.empty() && "indexing an unfitted regressor");
-  Index.build(Points, 0, Points.rows(), NumCentroids, TrainingIndexSeed);
+  Index.build(Points, Points.rows(), NumCentroids, TrainingIndexSeed);
 }
 
 double KnnRegressor::predict(const data::Sample &S) const {

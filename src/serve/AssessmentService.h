@@ -11,7 +11,7 @@
 /// a bounded MPMC request queue feeds batcher threads that micro-batch
 /// the stream — flushing when a batch reaches MaxBatch or when the oldest
 /// queued request has waited FlushDeadline — and drive the whole batch
-/// through the sharded batched assessment engine. Because the engine is a
+/// through the batched assessment engine. Because the engine is a
 /// pure performance transformation, a verdict served this way is
 /// bit-identical to a direct assess() call for the same sample; the
 /// runtime only changes *when* work happens, never what it computes.

@@ -37,7 +37,7 @@ using kernels::keyBits;
 //    prune; the slack dominates the kernels' relative rounding error by
 //    orders of magnitude at every supported dim.
 //  * Every sort in the walk compares integers: lists by (centroid-distance
-//    bits, index, list), candidates by (distance bits, row id). For the
+//    bits, list), candidates by (distance bits, row id). For the
 //    non-negative distances the kernels return this is the numeric order,
 //    and a NaN sorts after +inf, so no comparison ever sees a NaN double.
 
@@ -59,7 +59,7 @@ static size_t autoCentroids(size_t N) {
 }
 
 void ClusterIndex::clear() {
-  BeginRow = EndRow = 0;
+  Covered = 0;
   Centroids.clear();
   Rows.clear();
   RowIds.clear();
@@ -67,22 +67,20 @@ void ClusterIndex::clear() {
   ListRMax.clear();
 }
 
-void ClusterIndex::build(const FeatureMatrix &Source, size_t Begin,
-                         size_t End, size_t NumCentroids, uint64_t Seed) {
+void ClusterIndex::build(const FeatureMatrix &Source, size_t N,
+                         size_t NumCentroids, uint64_t Seed) {
   clear();
-  assert(End <= Source.rows() && Begin <= End && "bad covered range");
-  if (Begin == End || Source.dim() == 0)
+  assert(N <= Source.rows() && "covering rows past the matrix");
+  if (N == 0 || Source.dim() == 0)
     return;
-  size_t N = End - Begin;
   size_t K = NumCentroids == 0 ? autoCentroids(N) : NumCentroids;
   K = std::min(K, N);
 
   Rng R(Seed);
-  KMeansMatrixResult Q = kMeansMatrix(Source, Begin, End, K, R);
+  KMeansMatrixResult Q = kMeansMatrix(Source, 0, N, K, R);
   K = Q.Centroids.rows();
 
-  BeginRow = Begin;
-  EndRow = End;
+  Covered = N;
   Centroids = std::move(Q.Centroids);
 
   // Counting sort of the members into grouped lists, ascending row id
@@ -104,8 +102,8 @@ void ClusterIndex::build(const FeatureMatrix &Source, size_t Begin,
     size_t Slot = Write[C]++;
     // The copy preserves every row value and dim(), so a kernel fold over
     // the grouped row produces the flat scan's bits exactly.
-    Rows.setRow(Slot, Source.rowPtr(Begin + I));
-    RowIds[Slot] = static_cast<uint32_t>(Begin + I);
+    Rows.setRow(Slot, Source.rowPtr(I));
+    RowIds[Slot] = static_cast<uint32_t>(I);
     MaxDistSq[C] = std::max(MaxDistSq[C], Q.AssignDistSq[I]);
   }
   for (size_t C = 0; C < K; ++C)
@@ -125,26 +123,20 @@ double ClusterIndex::listLowerBoundSq(double CentroidDistSq,
   return Gap * Gap * (1.0 - PruneSlack);
 }
 
-void ClusterIndex::walk(const ClusterIndex *const *Indexes,
-                        size_t NumIndexes, const double *Query, size_t K,
-                        std::vector<kernels::SelectKey> &Cand,
-                        WalkScratch &W, ClusterScanStats &Stats) {
+void ClusterIndex::walk(const double *Query, size_t K,
+                        std::vector<kernels::SelectKey> &Cand, WalkScratch &W,
+                        ClusterScanStats &Stats) const {
   assert(K > 0 && "walking for an empty selection");
-  // Rank the lists of every index together by query-centroid distance; the
-  // order only affects how fast the bound tightens, never the result.
+  // Rank the lists by query-centroid distance; the order only affects how
+  // fast the bound tightens, never the result.
+  size_t NumLists = numLists();
+  W.Dists.resize(NumLists);
+  kernels::l2Sq1xN(Query, Centroids.data(), NumLists, Centroids.dim(),
+                   Centroids.stride(), W.Dists.data());
   W.Order.clear();
-  for (size_t X = 0; X < NumIndexes; ++X) {
-    const ClusterIndex &Idx = *Indexes[X];
-    assert(Idx.valid() && "walking an empty index");
-    const FeatureMatrix &C = Idx.Centroids;
-    W.Dists.resize(C.rows());
-    kernels::l2Sq1xN(Query, C.data(), C.rows(), C.dim(), C.stride(),
-                     W.Dists.data());
-    for (size_t L = 0; L < C.rows(); ++L)
-      W.Order.push_back(
-          {keyBits(W.Dists[L]), (static_cast<uint64_t>(X) << 32) | L});
-  }
-  Stats.ListsTotal += W.Order.size();
+  for (size_t L = 0; L < NumLists; ++L)
+    W.Order.push_back({keyBits(W.Dists[L]), L});
+  Stats.ListsTotal += NumLists;
   std::sort(W.Order.begin(), W.Order.end());
 
   // The bound is the K-th smallest key seen, re-taken whenever the rows
@@ -165,24 +157,22 @@ void ClusterIndex::walk(const ClusterIndex *const *Indexes,
   };
   Tighten();
 
-  for (const std::pair<uint64_t, uint64_t> &Ranked : W.Order) {
-    const ClusterIndex &Idx = *Indexes[Ranked.second >> 32];
-    size_t L = static_cast<size_t>(Ranked.second & 0xffffffffu);
-    size_t LB = Idx.ListOffsets[L], LE = Idx.ListOffsets[L + 1];
+  for (const std::pair<uint64_t, size_t> &Ranked : W.Order) {
+    size_t L = Ranked.second;
+    size_t LB = ListOffsets[L], LE = ListOffsets[L + 1];
     if (LB == LE)
       continue;
     // Strict >: a member at exactly the bound could still carry a lower
     // id than the current K-th key, so ties are always scanned.
-    if (HaveBound &&
-        Idx.listLowerBoundSq(fromKeyBits(Ranked.first), L) > Bound)
+    if (HaveBound && listLowerBoundSq(fromKeyBits(Ranked.first), L) > Bound)
       continue;
     ++Stats.ListsScanned;
     Stats.RowsScanned += LE - LB;
     W.Dists.resize(LE - LB);
-    kernels::l2Sq1xN(Query, Idx.Rows.rowPtr(LB), LE - LB, Idx.Rows.dim(),
-                     Idx.Rows.stride(), W.Dists.data());
+    kernels::l2Sq1xN(Query, Rows.rowPtr(LB), LE - LB, Rows.dim(),
+                     Rows.stride(), W.Dists.data());
     for (size_t I = LB; I < LE; ++I)
-      Cand.push_back({keyBits(W.Dists[I - LB]), Idx.RowIds[I]});
+      Cand.push_back({keyBits(W.Dists[I - LB]), RowIds[I]});
     Seen += LE - LB;
     if (!HaveBound || Seen >= 2 * LastTighten)
       Tighten();
@@ -207,8 +197,7 @@ ClusterIndex::nearestPruned(const double *Query, size_t K,
   S.RowsTotal = coveredRows();
   std::vector<kernels::SelectKey> Cand;
   WalkScratch W;
-  const ClusterIndex *Self = this;
-  walk(&Self, 1, Query, K, Cand, W, S);
+  walk(Query, K, Cand, W, S);
   std::sort(Cand.begin(), Cand.end());
   std::vector<std::pair<double, uint32_t>> Near(K);
   for (size_t I = 0; I < K; ++I)

@@ -19,9 +19,9 @@
 /// Query protocol: ClusterIndex::walk() is the one pruned walk, shared by
 /// nearestPruned() and the calibration store's nearest-rows query (its
 /// pruned selection and the regressor's k-NN ground truth). It ranks
-/// the lists of every index it is given by query-to-centroid distance,
-/// keeps the current k-th smallest candidate key as a bound, and skips
-/// every list whose lower bound
+/// the index's lists by query-to-centroid distance, keeps the current
+/// k-th smallest candidate key as a bound, and skips every list whose
+/// lower bound
 ///
 ///     |q - c| - r_max(c)   <=   |q - x|   for every member x   (triangle)
 ///
@@ -50,16 +50,16 @@ namespace prom {
 namespace support {
 
 /// Rows below which no cluster index is built: the calibration store's
-/// shard indexes (which also serve the regressor's k-NN ground truth) and
-/// the k-NN models' auto index keep the exact scan there, which is
-/// already cheap and cheaper than the build. Sits past the measured
-/// ~2k-row crossover.
+/// index (which also serves the regressor's k-NN ground truth) and the
+/// k-NN models' auto index keep the exact scan there, which is already
+/// cheap and cheaper than the build. Sits past the measured ~2k-row
+/// crossover.
 constexpr size_t ClusterIndexMinEntries = 8192;
 
 /// Counters of one pruned query, for benches and tests. A calibration
-/// store's pruned selection fills them across all of its shards: the lists
-/// of every shard index, every entry (RowsTotal) and every row it scanned,
-/// indexed or not (RowsScanned).
+/// store's pruned selection fills them for the whole store: the lists of
+/// its index, every entry (RowsTotal) and every row it scanned, indexed or
+/// not (RowsScanned).
 struct ClusterScanStats {
   size_t ListsTotal = 0;   ///< Lists the index holds.
   size_t ListsScanned = 0; ///< Lists that survived the bound test.
@@ -77,27 +77,26 @@ struct ClusterScanStats {
   }
 };
 
-/// Coarse-quantized inverted-list index over a contiguous row range of a
+/// Coarse-quantized inverted-list index over the leading rows of a
 /// FeatureMatrix; see the file comment for the losslessness contract.
 class ClusterIndex {
 public:
-  /// Builds the index over rows [\p Begin, \p End) of \p Rows with
-  /// \p NumCentroids coarse cells (0 picks ~sqrt(rows), clamped to
+  /// Builds the index over the first \p N rows of \p Rows with
+  /// \p NumCentroids coarse cells (0 picks ~sqrt(N), clamped to
   /// [8, 4096]) seeded from \p Seed. Deterministic across thread counts
   /// (see kMeansMatrix). Replaces any previous contents.
-  void build(const FeatureMatrix &Rows, size_t Begin, size_t End,
-             size_t NumCentroids, uint64_t Seed);
+  void build(const FeatureMatrix &Rows, size_t N, size_t NumCentroids,
+             uint64_t Seed);
 
-  /// Drops the index (valid() becomes false).
+  /// Drops the index (valid() becomes false): it then has no lists and
+  /// covers no row.
   void clear();
 
   /// True when build() ran and the index covers at least one row.
   bool valid() const { return !Centroids.empty(); }
 
-  size_t beginRow() const { return BeginRow; } ///< First covered row.
-  size_t endRow() const { return EndRow; }     ///< One past the last row.
-  /// Covered row count.
-  size_t coveredRows() const { return EndRow - BeginRow; }
+  /// Covered row count: the index covers rows [0, coveredRows()).
+  size_t coveredRows() const { return Covered; }
   /// Number of inverted lists (== built centroid count).
   size_t numLists() const { return Centroids.rows(); }
 
@@ -113,31 +112,30 @@ public:
   /// Reusable buffers of walk(), one per lane: recycled across queries,
   /// so the walk allocates nothing once they have grown.
   struct WalkScratch {
-    /// (keyBits of the query-centroid squared distance, (position of the
-    /// index in the walked array << 32) | list): the walk order.
-    std::vector<std::pair<uint64_t, uint64_t>> Order;
+    /// (keyBits of the query-centroid squared distance, list): the walk
+    /// order.
+    std::vector<std::pair<uint64_t, size_t>> Order;
     /// Kernel output of the centroid block or the list being scanned.
     std::vector<double> Dists;
   };
 
   /// The one cluster-pruned walk. \p Candidates may arrive pre-seeded
-  /// with the (squared-distance bits, row id) keys of rows no index in
-  /// \p Indexes covers; the walk leaves in it exactly the \p K smallest
-  /// keys of the seeded rows and the rows of the \p NumIndexes valid
-  /// indexes, the K-th smallest at position K - 1 (unordered otherwise).
-  /// The lists of all indexes are ranked together by (centroid-distance
-  /// bits, position in \p Indexes, list), scanned in that order under the
+  /// with the (squared-distance bits, row id) keys of rows the index does
+  /// not cover; the walk leaves in it exactly the \p K smallest keys of
+  /// the seeded rows and the covered rows, the K-th smallest at position
+  /// K - 1 (unordered otherwise). The lists are ranked by
+  /// (centroid-distance bits, list), scanned in that order under the
   /// lazily tightened K-th smallest key seen, and a list is skipped only
-  /// when its lower bound strictly exceeds that bound. \p Stats gains the
-  /// lists of every index (ListsTotal) and the lists and rows scanned;
-  /// RowsTotal is the caller's. Requires 0 < K <= seeded rows + indexed
+  /// when its lower bound strictly exceeds that bound. A cleared index has
+  /// no lists, so its walk only trims the seeded keys to K. \p Stats gains
+  /// the index's lists (ListsTotal) and the lists and rows scanned;
+  /// RowsTotal is the caller's. Requires 0 < K <= seeded rows + covered
   /// rows.
-  static void walk(const ClusterIndex *const *Indexes, size_t NumIndexes,
-                   const double *Query, size_t K,
-                   std::vector<kernels::SelectKey> &Candidates,
-                   WalkScratch &Scratch, ClusterScanStats &Stats);
+  void walk(const double *Query, size_t K,
+            std::vector<kernels::SelectKey> &Candidates, WalkScratch &Scratch,
+            ClusterScanStats &Stats) const;
 
-  /// Exact k-nearest rows of the covered range: the \p K smallest
+  /// Exact k-nearest rows of the covered prefix: the \p K smallest
   /// (kernel squared distance, original row id) pairs in ascending
   /// (distance bits, id) order — bit-identical, pair for pair, to a full
   /// l2Sq1xN scan followed by selectNearest(). Fewer than \p K pairs when
@@ -159,8 +157,7 @@ public:
                      std::vector<ClusterScanStats> *Stats = nullptr) const;
 
 private:
-  size_t BeginRow = 0;
-  size_t EndRow = 0;
+  size_t Covered = 0; ///< Rows [0, Covered) are indexed.
   /// K x dim coarse centroids.
   FeatureMatrix Centroids;
   /// Member embeddings grouped by list, copied from the source rows.

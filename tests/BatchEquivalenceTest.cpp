@@ -23,7 +23,7 @@
 //    have to produce bit-identical verdicts, including over the
 //    tree-ensemble and k-NN experts that exercise the canonical
 //    ascending-tree merge and the shared k-NN tie-break rule, and over the
-//    store's cluster-pruned shard index at its shipped threshold.
+//    store's cluster-pruned index at its shipped threshold.
 //
 //===----------------------------------------------------------------------===//
 
@@ -470,7 +470,7 @@ TEST(BatchEquivalenceTest, IndexedKnnPrunedStoreCommitteeBitIdentical) {
   // nearestPrunedBatch (auto-index at MinPoints=1) AND the store's
   // selection routes through the cluster-pruned scan (the
   // calibration set is past support::ClusterIndexMinEntries, so the
-  // shard index is built at the shipped threshold; SelectFraction <=
+  // store's index is built at the shipped threshold; SelectFraction <=
   // MaxSelectFraction so routing actually fires). The oracle's exact scan
   // is the reference.
   support::Rng R(57);
@@ -488,7 +488,7 @@ TEST(BatchEquivalenceTest, IndexedKnnPrunedStoreCommitteeBitIdentical) {
   PromClassifier Prom(Model, Cfg);
   Prom.calibrate(Calib);
   // A fixture under the threshold would silently test the exact scan.
-  ASSERT_GT(Prom.pin()->Store.indexedShards(), 0u);
+  ASSERT_TRUE(Prom.pin()->Store.indexed());
   checkClassifierEquivalence(Prom, mixedTestSet(100, R));
 }
 
@@ -673,7 +673,7 @@ TEST(BatchEquivalenceTest, KnnRegressorWithANaNCalibrationRowMatchesOracle) {
 }
 
 TEST(BatchEquivalenceTest, IndexedRegressorLosslessAgainstUnindexed) {
-  // Regressor check with the store's shard index live at the shipped
+  // Regressor check with the store's index live at the shipped
   // threshold. It serves the k-NN ground truth (knnStats at calibrate and
   // in the batch) at every selection, and the store selection too at
   // 20%; at 50% the selection takes the exact scan. The oracle's exact
@@ -699,7 +699,7 @@ TEST(BatchEquivalenceTest, IndexedRegressorLosslessAgainstUnindexed) {
     PromIdx.calibrate(Calib, RIdx);
     // A fixture under the threshold would silently test the exact scans.
     std::shared_ptr<const PromRegressor::Generation> G = PromIdx.pin();
-    ASSERT_GT(G->Store.indexedShards(), 0u);
+    ASSERT_TRUE(G->Store.indexed());
 
     std::vector<std::vector<double>> Scores =
         oracleCalibrationScores(PromIdx, Calib);

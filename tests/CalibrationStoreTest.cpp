@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The columnar store holds every calibration value once: one embedding
-// row, one label and one score per expert per entry, plus derived
-// per-shard state. These tests pin that shape: the footprint stays within
+// row, one label and one score per expert per entry, plus one derived
+// cluster index. These tests pin that shape: the footprint stays within
 // 1.05x of the raw payload after finalize, after a snapshot load and after
 // a bounded refresh, and the config-derived policy builds cluster indexes
 // only when the configured selection can route to them. A calibration row
@@ -131,12 +131,12 @@ TEST(CalibrationStoreTest, ClusterIndexFollowsTheConfiguredSelection) {
 
   // The default 50% selection can never route to the pruned scan, so no
   // index is built.
-  EXPECT_EQ(Finalized(PromConfig()).indexedShards(), 0u);
+  EXPECT_FALSE(Finalized(PromConfig()).indexed());
 
   PromConfig Narrow;
   Narrow.SelectFraction = 0.2;
   CalibrationStore Indexed = Finalized(Narrow);
-  EXPECT_GT(Indexed.indexedShards(), 0u);
+  EXPECT_TRUE(Indexed.indexed());
   EXPECT_EQ(Indexed.unindexedEntries(), 0u);
 }
 
@@ -150,9 +150,9 @@ TEST(CalibrationStoreTest, MedianNNDistLeavesNonFiniteRowsOut) {
     std::vector<CalibrationEntry> Entries =
         makeEntries(100, Dim, NumLabels, NumExperts, R);
     Entries[Pos].Embed[3] = NaN;
-    CalibrationStore WithNaN = prom::testing::referenceStore(Entries, 1);
+    CalibrationStore WithNaN = prom::testing::referenceStore(Entries);
     Entries.erase(Entries.begin() + static_cast<long>(Pos));
-    CalibrationStore Without = prom::testing::referenceStore(Entries, 1);
+    CalibrationStore Without = prom::testing::referenceStore(Entries);
     EXPECT_TRUE(std::isfinite(WithNaN.medianNNDist()));
     EXPECT_EQ(bits(WithNaN.medianNNDist()), bits(Without.medianNNDist()));
   }
@@ -163,7 +163,7 @@ TEST(CalibrationStoreTest, MedianNNDistLeavesNonFiniteRowsOut) {
       makeEntries(10, Dim, NumLabels, NumExperts, R);
   for (CalibrationEntry &E : Entries)
     E.Embed[0] = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(prom::testing::referenceStore(Entries, 1).medianNNDist(), 1.0);
+  EXPECT_EQ(prom::testing::referenceStore(Entries).medianNNDist(), 1.0);
 }
 
 TEST(CalibrationStoreTest, PrunedSelectionMatchesExactWithANaNRow) {
@@ -174,17 +174,17 @@ TEST(CalibrationStoreTest, PrunedSelectionMatchesExactWithANaNRow) {
   PromConfig Cfg;
   Cfg.SelectFraction = 0.1;
   ClusterIndexPolicy Policy = ClusterIndexPolicy::fromConfig(Cfg);
-  Policy.MinEntries = 1024; // Both 1536-entry shards get an index.
+  Policy.MinEntries = 1024; // The 3000-entry store gets an index.
   CalibrationStore Pruned, Exact;
   for (const CalibrationEntry &E : Entries) {
     Pruned.add(E);
     Exact.add(E);
   }
   Pruned.setIndexPolicy(Policy);
-  Pruned.finalize(2);
-  Exact.finalize(2);
-  ASSERT_EQ(Pruned.indexedShards(), 2u);
-  ASSERT_EQ(Exact.indexedShards(), 0u);
+  Pruned.finalize();
+  Exact.finalize();
+  ASSERT_TRUE(Pruned.indexed());
+  ASSERT_FALSE(Exact.indexed());
 
   std::vector<std::vector<double>> Queries;
   for (size_t Q = 0; Q < 6; ++Q) {

@@ -254,7 +254,7 @@ TEST(ClusterIndexTest, NearestPrunedMatchesFullScanBitForBit) {
     Rng R(Seed);
     FeatureMatrix Rows = randomRows(2500, 8, R);
     ClusterIndex Index;
-    Index.build(Rows, 0, Rows.rows(), /*NumCentroids=*/0, Seed);
+    Index.build(Rows, Rows.rows(), /*NumCentroids=*/0, Seed);
     ASSERT_TRUE(Index.valid());
 
     for (size_t K : {size_t(1), size_t(7), size_t(100), size_t(2500)}) {
@@ -275,7 +275,7 @@ TEST(ClusterIndexTest, TieHeavyAndDuplicateRowsStayExact) {
   Rng R(1234);
   FeatureMatrix Rows = gridRows(1800, 5, R);
   ClusterIndex Index;
-  Index.build(Rows, 0, Rows.rows(), 24, 99);
+  Index.build(Rows, Rows.rows(), 24, 99);
   ASSERT_TRUE(Index.valid());
 
   for (int Q = 0; Q < 10; ++Q) {
@@ -297,7 +297,7 @@ TEST(ClusterIndexTest, FullyDegenerateRowsReturnLowestIds) {
     for (size_t D = 0; D < 6; ++D)
       Rows.rowPtr(I)[D] = 1.5;
   ClusterIndex Index;
-  Index.build(Rows, 0, Rows.rows(), 0, 7);
+  Index.build(Rows, Rows.rows(), 0, 7);
   ASSERT_TRUE(Index.valid());
 
   std::vector<double> Query(6, -2.0);
@@ -309,31 +309,27 @@ TEST(ClusterIndexTest, FullyDegenerateRowsReturnLowestIds) {
   expectSamePairs(Near, fullScanNearest(Rows, Query.data(), 5));
 }
 
-TEST(ClusterIndexTest, CoversSubRangeWithOriginalRowIds) {
+TEST(ClusterIndexTest, CoversPrefixWithOriginalRowIds) {
   Rng R(55);
   FeatureMatrix Rows = randomRows(1000, 4, R);
   ClusterIndex Index;
-  Index.build(Rows, 300, 900, 0, 1);
+  Index.build(Rows, 600, 0, 1);
   ASSERT_TRUE(Index.valid());
-  EXPECT_EQ(Index.beginRow(), 300u);
-  EXPECT_EQ(Index.endRow(), 900u);
   EXPECT_EQ(Index.coveredRows(), 600u);
 
   std::vector<double> Query(Rows.dim(), 0.25);
   std::vector<std::pair<double, uint32_t>> Near =
       Index.nearestPruned(Query.data(), 20);
   ASSERT_EQ(Near.size(), 20u);
-  for (const std::pair<double, uint32_t> &P : Near) {
-    EXPECT_GE(P.second, 300u);
-    EXPECT_LT(P.second, 900u);
-  }
-  // Oracle over the covered range only.
+  for (const std::pair<double, uint32_t> &P : Near)
+    EXPECT_LT(P.second, 600u);
+  // Oracle over the covered prefix only.
   std::vector<double> DistSq(600);
-  kernels::l2Sq1xN(Query.data(), Rows.rowPtr(300), 600, Rows.dim(),
+  kernels::l2Sq1xN(Query.data(), Rows.rowPtr(0), 600, Rows.dim(),
                    Rows.stride(), DistSq.data());
   std::vector<size_t> Sel = selectNearest(DistSq.data(), 600, 20);
   for (size_t I = 0; I < Sel.size(); ++I) {
-    EXPECT_EQ(Near[I].second, static_cast<uint32_t>(Sel[I] + 300));
+    EXPECT_EQ(Near[I].second, static_cast<uint32_t>(Sel[I]));
     EXPECT_EQ(bits(Near[I].first), bits(DistSq[Sel[I]]));
   }
 }
@@ -349,7 +345,7 @@ TEST(ClusterIndexTest, PruningActuallySkipsListsOnClusteredData) {
       Rows.rowPtr(I)[D] = Base + R.gaussian(0.0, 0.5);
   }
   ClusterIndex Index;
-  Index.build(Rows, 0, Rows.rows(), 64, 3);
+  Index.build(Rows, Rows.rows(), 64, 3);
   ASSERT_TRUE(Index.valid());
 
   std::vector<double> Query(6, 100.0); // Near blob 1.
@@ -372,7 +368,7 @@ TEST(ClusterIndexTest, NaNRowAndNaNQueryFollowTheKeyOrder) {
   FeatureMatrix Rows = randomRows(1200, 6, R);
   Rows.rowPtr(0)[0] = std::numeric_limits<double>::quiet_NaN();
   ClusterIndex Index;
-  Index.build(Rows, 0, Rows.rows(), /*NumCentroids=*/0, 13);
+  Index.build(Rows, Rows.rows(), /*NumCentroids=*/0, 13);
   ASSERT_TRUE(Index.valid());
 
   auto KeySorted = [&](const double *Query, size_t K) {
@@ -418,7 +414,7 @@ TEST(ClusterIndexTest, NearestPrunedBatchMatchesSerialBitForBit) {
     Rng R(Seed);
     FeatureMatrix Rows = randomRows(2500, 8, R);
     ClusterIndex Index;
-    Index.build(Rows, 0, Rows.rows(), /*NumCentroids=*/0, Seed);
+    Index.build(Rows, Rows.rows(), /*NumCentroids=*/0, Seed);
     ASSERT_TRUE(Index.valid());
 
     for (size_t NumQ : {size_t(1), size_t(7), size_t(64)}) {
@@ -452,7 +448,7 @@ TEST(ClusterIndexTest, NearestPrunedBatchTieHeavyGridStaysExact) {
   Rng R(4321);
   FeatureMatrix Rows = gridRows(1800, 5, R);
   ClusterIndex Index;
-  Index.build(Rows, 0, Rows.rows(), 24, 99);
+  Index.build(Rows, Rows.rows(), 24, 99);
   ASSERT_TRUE(Index.valid());
 
   // Queries from the same grid maximize exact distance ties; the
@@ -472,7 +468,7 @@ TEST(ClusterIndexTest, NearestPrunedBatchEmptyAndDegenerateBatches) {
   Rng R(17);
   FeatureMatrix Rows = randomRows(600, 4, R);
   ClusterIndex Index;
-  Index.build(Rows, 0, Rows.rows(), 0, 5);
+  Index.build(Rows, Rows.rows(), 0, 5);
   ASSERT_TRUE(Index.valid());
 
   // Empty batch: no queries, no stats, no crash.
@@ -495,7 +491,7 @@ TEST(ClusterIndexTest, NearestPrunedBatchEmptyAndDegenerateBatches) {
     for (size_t D = 0; D < 4; ++D)
       Flat.rowPtr(I)[D] = 2.5;
   ClusterIndex FlatIndex;
-  FlatIndex.build(Flat, 0, Flat.rows(), 0, 11);
+  FlatIndex.build(Flat, Flat.rows(), 0, 11);
   FeatureMatrix FlatQueries(5, 4);
   for (size_t Q = 0; Q < 5; ++Q)
     for (size_t D = 0; D < 4; ++D)
@@ -530,12 +526,12 @@ TEST(ClusterIndexTest, ClearAndRebuild) {
   FeatureMatrix Rows = randomRows(300, 3, R);
   ClusterIndex Index;
   EXPECT_FALSE(Index.valid());
-  Index.build(Rows, 0, Rows.rows(), 0, 1);
+  Index.build(Rows, Rows.rows(), 0, 1);
   EXPECT_TRUE(Index.valid());
   Index.clear();
   EXPECT_FALSE(Index.valid());
   EXPECT_EQ(Index.coveredRows(), 0u);
-  Index.build(Rows, 0, 100, 0, 2);
+  Index.build(Rows, 100, 0, 2);
   EXPECT_TRUE(Index.valid());
   EXPECT_EQ(Index.coveredRows(), 100u);
   std::vector<double> Query(Rows.dim(), 0.0);

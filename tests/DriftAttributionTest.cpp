@@ -637,9 +637,7 @@ TEST(DriftAttributionTest, ServedVerdictsBitIdenticalWithAttributionOnOrOff) {
   auto Split = data::calibrationPartition(Full, R, 0.35);
   ml::LogisticRegression Model;
   Model.fit(Split.first, R);
-  PromConfig Cfg;
-  Cfg.NumShards = 4;
-  PromClassifier Prom(Model, Cfg);
+  PromClassifier Prom(Model);
   Prom.calibrate(Split.second);
 
   // Half in-distribution, half shifted — so the stream actually drifts

@@ -54,9 +54,7 @@ struct EngineFixture {
     Train = std::move(Split.first);
     Calib = std::move(Split.second);
     Model.fit(Train, R);
-    PromConfig Cfg;
-    Cfg.NumShards = 4;
-    Prom = std::make_unique<PromClassifier>(Model, Cfg);
+    Prom = std::make_unique<PromClassifier>(Model);
     Prom->calibrate(Calib);
     Probes = gaussianBlobs(3, 24, 4.0, 0.8, R);
   }

@@ -68,7 +68,6 @@ struct TenantFixture {
     Train = std::move(Split.first);
     Calib = std::move(Split.second);
     Model.fit(Train, R);
-    Cfg.NumShards = 2;
     Test = gaussianBlobs(Classes, 20, 4.0, 0.8, R);
     for (int I = 0; I < 10; ++I) {
       data::Sample Novel; // Off-manifold probes so some verdicts reject.

@@ -7,15 +7,15 @@
 // The online-refresh contract: after appendEntries() + refinalize() —
 // with or without oldest-first eviction — a CalibrationStore behaves
 // bit-identically to a brand-new store finalized on the surviving union
-// of entries, for every shard count, under both weighted partial and
-// unweighted full selections. At the detector level,
-// refreshCalibration(Incremental=true) must produce verdicts bit-equal
-// to the full-rebuild reference path. CMake registers this suite at
-// PROM_THREADS=1 and PROM_THREADS=4, so the contract is enforced across
-// thread counts as well. Every detector writer (calibrate, refresh,
-// reshard) publishes one calibration generation with one atomic swap, so
-// a batch assessed concurrently with any of them reads exactly one
-// generation; the concurrency cases run in the TSan leg as well.
+// of entries, under both weighted partial and unweighted full selections.
+// At the detector level, refreshCalibration(Incremental=true) must
+// produce verdicts bit-equal to the full-rebuild reference path. CMake
+// registers this suite at PROM_THREADS=1 and PROM_THREADS=4, so the
+// contract is enforced across thread counts as well. Every detector
+// writer (calibrate, refresh) publishes one calibration generation with
+// one atomic swap, so a batch assessed concurrently with any of them
+// reads exactly one generation; the concurrency cases run in the TSan leg
+// as well.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,65 +46,59 @@ using prom::testing::referenceStore;
 
 TEST(RefreshTest, AppendOnlyRefreshMatchesFromScratch) {
   // Three staggered refreshes — a single entry, a batch that introduces a
-  // brand-new label (bucket growth on every shard), and a multi-block
-  // batch — each compared against a from-scratch finalize of the union.
-  for (size_t K : {size_t(1), size_t(8)}) {
-    SCOPED_TRACE("K=" + std::to_string(K));
-    support::Rng R(1234);
-    std::vector<CalibrationEntry> All = makeEntries(1500, 7, 3, 2, R);
+  // brand-new label, and a multi-block batch — each compared against a
+  // from-scratch finalize of the union.
+  support::Rng R(1234);
+  std::vector<CalibrationEntry> All = makeEntries(1500, 7, 3, 2, R);
 
-    CalibrationStore Live;
-    for (const CalibrationEntry &E : All)
-      Live.add(E);
-    Live.finalize(K);
+  CalibrationStore Live;
+  for (const CalibrationEntry &E : All)
+    Live.add(E);
+  Live.finalize();
 
-    size_t Step = 0;
-    for (size_t BatchSize : {size_t(1), size_t(200), size_t(300)}) {
-      std::vector<CalibrationEntry> Fresh =
-          makeEntries(BatchSize, 7, Step == 1 ? 4 : 3, 2, R);
-      All.insert(All.end(), Fresh.begin(), Fresh.end());
-      Live.appendEntries(std::move(Fresh));
-      Live.refinalize();
-      CalibrationStore Ref = referenceStore(All, K);
-      expectBothRegimesMatch(Live, Ref, 77 + Step,
-                             ("refresh " + std::to_string(Step)).c_str());
-      ++Step;
-    }
+  size_t Step = 0;
+  for (size_t BatchSize : {size_t(1), size_t(200), size_t(300)}) {
+    std::vector<CalibrationEntry> Fresh =
+        makeEntries(BatchSize, 7, Step == 1 ? 4 : 3, 2, R);
+    All.insert(All.end(), Fresh.begin(), Fresh.end());
+    Live.appendEntries(std::move(Fresh));
+    Live.refinalize();
+    CalibrationStore Ref = referenceStore(All);
+    expectBothRegimesMatch(Live, Ref, 77 + Step,
+                           ("refresh " + std::to_string(Step)).c_str());
+    ++Step;
   }
 }
 
 TEST(RefreshTest, BoundedStoreEvictsOldestAndMatchesFromScratch) {
-  for (size_t K : {size_t(1), size_t(8)}) {
-    SCOPED_TRACE("K=" + std::to_string(K));
-    support::Rng R(555);
-    std::vector<CalibrationEntry> All = makeEntries(1500, 5, 3, 2, R);
+  support::Rng R(555);
+  std::vector<CalibrationEntry> All = makeEntries(1500, 5, 3, 2, R);
 
-    CalibrationStore Live;
-    for (const CalibrationEntry &E : All)
-      Live.add(E);
-    Live.finalize(K);
-    Live.setMaxEntries(1600);
+  CalibrationStore Live;
+  for (const CalibrationEntry &E : All)
+    Live.add(E);
+  Live.finalize();
+  Live.setMaxEntries(1600);
 
-    std::vector<CalibrationEntry> Fresh = makeEntries(400, 5, 3, 2, R);
-    All.insert(All.end(), Fresh.begin(), Fresh.end());
-    Live.appendEntries(std::move(Fresh));
-    Live.refinalize();
-    EXPECT_EQ(Live.size(), 1600u);
+  std::vector<CalibrationEntry> Fresh = makeEntries(400, 5, 3, 2, R);
+  All.insert(All.end(), Fresh.begin(), Fresh.end());
+  Live.appendEntries(std::move(Fresh));
+  Live.refinalize();
+  EXPECT_EQ(Live.size(), 1600u);
 
-    // Oldest-first: the survivors are the union minus its 300-entry prefix.
-    std::vector<CalibrationEntry> Survivors(All.begin() + 300, All.end());
-    CalibrationStore Ref = referenceStore(Survivors, K);
-    expectBothRegimesMatch(Live, Ref, 91, "evicted");
+  // Oldest-first: the survivors are the union minus its 300-entry prefix.
+  std::vector<CalibrationEntry> Survivors(All.begin() + 300, All.end());
+  CalibrationStore Ref = referenceStore(Survivors);
+  expectBothRegimesMatch(Live, Ref, 91, "evicted");
 
-    // A second bounded refresh on the already-evicted store.
-    Fresh = makeEntries(256, 5, 3, 2, R);
-    Survivors.insert(Survivors.end(), Fresh.begin(), Fresh.end());
-    Live.appendEntries(std::move(Fresh));
-    Live.refinalize();
-    Survivors.erase(Survivors.begin(), Survivors.begin() + 256);
-    CalibrationStore Ref2 = referenceStore(Survivors, K);
-    expectBothRegimesMatch(Live, Ref2, 92, "evicted-again");
-  }
+  // A second bounded refresh on the already-evicted store.
+  Fresh = makeEntries(256, 5, 3, 2, R);
+  Survivors.insert(Survivors.end(), Fresh.begin(), Fresh.end());
+  Live.appendEntries(std::move(Fresh));
+  Live.refinalize();
+  Survivors.erase(Survivors.begin(), Survivors.begin() + 256);
+  CalibrationStore Ref2 = referenceStore(Survivors);
+  expectBothRegimesMatch(Live, Ref2, 92, "evicted-again");
 }
 
 TEST(RefreshTest, SmallStoreRefreshRecomputesDistanceScale) {
@@ -115,14 +109,14 @@ TEST(RefreshTest, SmallStoreRefreshRecomputesDistanceScale) {
   CalibrationStore Live;
   for (const CalibrationEntry &E : All)
     Live.add(E);
-  Live.finalize(1);
+  Live.finalize();
 
   std::vector<CalibrationEntry> Fresh = makeEntries(80, 4, 2, 2, R);
   All.insert(All.end(), Fresh.begin(), Fresh.end());
   Live.appendEntries(std::move(Fresh));
   Live.refinalize();
 
-  CalibrationStore Ref = referenceStore(All, 1);
+  CalibrationStore Ref = referenceStore(All);
   expectBothRegimesMatch(Live, Ref, 13, "small-store");
 }
 
@@ -135,7 +129,7 @@ TEST(RefreshTest, RefreshLargerThanBoundFallsBackToRebuild) {
   CalibrationStore Live;
   for (const CalibrationEntry &E : All)
     Live.add(E);
-  Live.finalize(4);
+  Live.finalize();
   Live.setMaxEntries(100);
 
   std::vector<CalibrationEntry> Fresh = makeEntries(200, 4, 3, 2, R);
@@ -145,21 +139,19 @@ TEST(RefreshTest, RefreshLargerThanBoundFallsBackToRebuild) {
   EXPECT_EQ(Live.size(), 100u);
 
   std::vector<CalibrationEntry> Survivors(All.begin() + 250, All.end());
-  CalibrationStore Ref = referenceStore(Survivors, 4);
+  CalibrationStore Ref = referenceStore(Survivors);
   expectBothRegimesMatch(Live, Ref, 29, "degenerate-eviction");
 }
 
 TEST(RefreshTest, ManySmallRefreshesStayExactAcrossRebalances) {
-  // Ten block-sized refreshes against an 8-shard store: the last shard
-  // absorbs new blocks and periodically rebalances; every intermediate
-  // state must match a from-scratch build (layout independence).
+  // Ten block-sized refreshes: every intermediate state must match a
+  // from-scratch build.
   support::Rng R(808);
   std::vector<CalibrationEntry> All = makeEntries(2560, 6, 3, 2, R);
   CalibrationStore Live;
   for (const CalibrationEntry &E : All)
     Live.add(E);
-  Live.finalize(8);
-  ASSERT_GE(Live.numShards(), 2u);
+  Live.finalize();
 
   for (int Round = 0; Round < 10; ++Round) {
     std::vector<CalibrationEntry> Fresh = makeEntries(256, 6, 3, 2, R);
@@ -167,14 +159,11 @@ TEST(RefreshTest, ManySmallRefreshesStayExactAcrossRebalances) {
     Live.appendEntries(std::move(Fresh));
     Live.refinalize();
     if (Round % 3 == 2) { // Full compare every few rounds (cost).
-      CalibrationStore Ref = referenceStore(All, 8);
+      CalibrationStore Ref = referenceStore(All);
       expectBothRegimesMatch(Live, Ref, 300 + Round,
                              ("round " + std::to_string(Round)).c_str());
     }
   }
-  // The partition must have rebalanced rather than degenerating into one
-  // ever-growing tail shard.
-  EXPECT_GE(Live.numShards(), 4u);
 }
 
 TEST(RefreshTest, DetectorRefreshMatchesFullRebuildReference) {
@@ -187,7 +176,6 @@ TEST(RefreshTest, DetectorRefreshMatchesFullRebuildReference) {
   Model.fit(Train, R);
 
   PromConfig Cfg;
-  Cfg.NumShards = 4;
   Cfg.MaxCalibEntries = Calib.size() + 40; // The second refresh evicts.
   PromClassifier Incremental(Model, Cfg);
   PromClassifier Reference(Model, Cfg);
@@ -232,87 +220,73 @@ TEST(RefreshTest, DetectorRefreshMatchesFullRebuildReference) {
 }
 
 TEST(RefreshTest, ClusterIndexSurvivesRefreshLifecycle) {
-  // The per-shard cluster indexes are derived state riding along the
-  // refresh lifecycle: small appends leave a stale (exactly scanned)
-  // tail, a large enough tail triggers a per-shard rebuild, and
-  // eviction / rebalance / reshard invalidate the indexes wholesale.
-  // After every mutation the pruned store must still match a from-scratch
-  // exact-scan reference bit for bit.
-  for (size_t K : {size_t(1), size_t(4)}) {
-    SCOPED_TRACE("K=" + std::to_string(K));
-    support::Rng R(4321);
-    std::vector<CalibrationEntry> All = makeEntries(2000, 6, 3, 2, R);
+  // The store's cluster index is derived state riding along the refresh
+  // lifecycle: small appends leave a stale (exactly scanned) tail, a large
+  // enough tail triggers a rebuild, and eviction invalidates the index
+  // wholesale. After every mutation the pruned store must still match a
+  // from-scratch exact-scan reference bit for bit.
+  support::Rng R(4321);
+  std::vector<CalibrationEntry> All = makeEntries(2000, 6, 3, 2, R);
 
-    CalibrationStore Live;
-    for (const CalibrationEntry &E : All)
-      Live.add(E);
-    ClusterIndexPolicy Policy;
-    Policy.Enabled = true;
-    Policy.MinEntries = 64;
-    Policy.MaxStaleFraction = 0.25;
-    Policy.MaxSelectFraction = 1.0; // Keep the 50% default-config
-                                    // selection on the pruned path.
-    Live.setIndexPolicy(Policy);
-    Live.finalize(K);
-    ASSERT_GT(Live.indexedShards(), 0u);
-    EXPECT_EQ(Live.unindexedEntries(), 0u);
+  CalibrationStore Live;
+  for (const CalibrationEntry &E : All)
+    Live.add(E);
+  ClusterIndexPolicy Policy;
+  Policy.Enabled = true;
+  Policy.MinEntries = 64;
+  Policy.MaxStaleFraction = 0.25;
+  Policy.MaxSelectFraction = 1.0; // Keep the 50% default-config
+                                  // selection on the pruned path.
+  Live.setIndexPolicy(Policy);
+  Live.finalize();
+  ASSERT_TRUE(Live.indexed());
+  EXPECT_EQ(Live.unindexedEntries(), 0u);
 
-    // Small append: the tail stays under the staleness bound, so the
-    // last shard's index is kept and the new rows are scanned exactly.
-    std::vector<CalibrationEntry> Fresh = makeEntries(64, 6, 3, 2, R);
+  // Small append: the tail stays under the staleness bound, so the index
+  // is kept and the new rows are scanned exactly.
+  std::vector<CalibrationEntry> Fresh = makeEntries(64, 6, 3, 2, R);
+  All.insert(All.end(), Fresh.begin(), Fresh.end());
+  Live.appendEntries(std::move(Fresh));
+  Live.refinalize();
+  EXPECT_GT(Live.unindexedEntries(), 0u);
+  expectBothRegimesMatch(Live, referenceStore(All), 301, "stale-tail");
+
+  // Pile on appends until the tail crosses MaxStaleFraction: the index
+  // must rebuild — covered rows catch back up with the store.
+  for (int Step = 0; Step < 6; ++Step) {
+    Fresh = makeEntries(256, 6, 3, 2, R);
     All.insert(All.end(), Fresh.begin(), Fresh.end());
     Live.appendEntries(std::move(Fresh));
     Live.refinalize();
-    EXPECT_GT(Live.unindexedEntries(), 0u);
-    expectBothRegimesMatch(Live, referenceStore(All, K), 301, "stale-tail");
-
-    // Pile on appends until the tail crosses MaxStaleFraction (or the
-    // partition rebalances): the affected index must rebuild — covered
-    // rows catch back up with the shard.
-    for (int Step = 0; Step < 6; ++Step) {
-      Fresh = makeEntries(256, 6, 3, 2, R);
-      All.insert(All.end(), Fresh.begin(), Fresh.end());
-      Live.appendEntries(std::move(Fresh));
-      Live.refinalize();
-    }
-    EXPECT_LE(static_cast<double>(Live.unindexedEntries()),
-              Policy.MaxStaleFraction * static_cast<double>(Live.size()));
-    expectBothRegimesMatch(Live, referenceStore(All, K), 302,
-                           "rebuilt-after-staleness");
-
-    // Eviction re-blocks every entry: indexes rebuild wholesale and the
-    // store still matches the reference on the survivors.
-    Live.setMaxEntries(2048);
-    Fresh = makeEntries(400, 6, 3, 2, R);
-    All.insert(All.end(), Fresh.begin(), Fresh.end());
-    Live.appendEntries(std::move(Fresh));
-    Live.refinalize();
-    All.erase(All.begin(),
-              All.begin() + static_cast<long>(All.size() - 2048));
-    ASSERT_EQ(Live.size(), 2048u);
-    EXPECT_GT(Live.indexedShards(), 0u);
-    expectBothRegimesMatch(Live, referenceStore(All, K), 303, "evicted");
-
-    // Reshard moves every boundary; indexes follow the new partition.
-    Live.reshard(K == 1 ? 4 : 1);
-    EXPECT_GT(Live.indexedShards(), 0u);
-    expectBothRegimesMatch(Live, referenceStore(All, K == 1 ? 4 : 1), 304,
-                           "resharded");
-
-    // Disabling the policy drops every index and falls back to the exact
-    // scan; re-enabling restores pruned serving. Bit-identical both ways.
-    ClusterIndexPolicy Off;
-    Live.setIndexPolicy(Off);
-    EXPECT_EQ(Live.indexedShards(), 0u);
-    EXPECT_EQ(Live.unindexedEntries(), Live.size());
-    expectBothRegimesMatch(Live, referenceStore(All, K == 1 ? 4 : 1), 305,
-                           "policy-off");
-    Live.setIndexPolicy(Policy);
-    EXPECT_GT(Live.indexedShards(), 0u);
-    EXPECT_EQ(Live.unindexedEntries(), 0u);
-    expectBothRegimesMatch(Live, referenceStore(All, K == 1 ? 4 : 1), 306,
-                           "policy-back-on");
   }
+  EXPECT_LE(static_cast<double>(Live.unindexedEntries()),
+            Policy.MaxStaleFraction * static_cast<double>(Live.size()));
+  expectBothRegimesMatch(Live, referenceStore(All), 302,
+                         "rebuilt-after-staleness");
+
+  // Eviction shifts every entry: the index rebuilds wholesale and the
+  // store still matches the reference on the survivors.
+  Live.setMaxEntries(2048);
+  Fresh = makeEntries(400, 6, 3, 2, R);
+  All.insert(All.end(), Fresh.begin(), Fresh.end());
+  Live.appendEntries(std::move(Fresh));
+  Live.refinalize();
+  All.erase(All.begin(), All.begin() + static_cast<long>(All.size() - 2048));
+  ASSERT_EQ(Live.size(), 2048u);
+  EXPECT_TRUE(Live.indexed());
+  expectBothRegimesMatch(Live, referenceStore(All), 303, "evicted");
+
+  // Disabling the policy drops the index and falls back to the exact
+  // scan; re-enabling restores pruned serving. Bit-identical both ways.
+  ClusterIndexPolicy Off;
+  Live.setIndexPolicy(Off);
+  EXPECT_FALSE(Live.indexed());
+  EXPECT_EQ(Live.unindexedEntries(), Live.size());
+  expectBothRegimesMatch(Live, referenceStore(All), 305, "policy-off");
+  Live.setIndexPolicy(Policy);
+  EXPECT_TRUE(Live.indexed());
+  EXPECT_EQ(Live.unindexedEntries(), 0u);
+  expectBothRegimesMatch(Live, referenceStore(All), 306, "policy-back-on");
 }
 
 TEST(RefreshTest, EmptyRefreshIsANoop) {
@@ -348,9 +322,7 @@ TEST(RefreshTest, ConcurrentCalibrateNeverSplitsABatch) {
     CalibB[I].Label = R.intIn(0, 2);
   data::Dataset Probes = gaussianBlobs(3, 20, 4.0, 0.8, R);
 
-  PromConfig Cfg;
-  Cfg.NumShards = 2;
-  PromClassifier Prom(Model, Cfg);
+  PromClassifier Prom(Model);
   Prom.calibrate(CalibB);
   double TempB = Prom.temperature();
   std::vector<Verdict> RefB = Prom.assessBatch(Probes);
@@ -382,10 +354,11 @@ TEST(RefreshTest, ConcurrentCalibrateNeverSplitsABatch) {
   Writer.join();
 }
 
-TEST(RefreshTest, ConcurrentRegressorReshardLeavesVerdictsUnchanged) {
-  // reshard() publishes a re-partitioned copy of the live generation, so
-  // batches assessed while a writer alternates between 1 and 8 shards all
-  // equal the reference bit for bit.
+TEST(RefreshTest, ConcurrentRegressorRecalibrateLeavesVerdictsUnchanged) {
+  // A writer keeps re-running calibrate() on the same set with the same
+  // clustering seed, so every generation it publishes carries the same
+  // bits: batches assessed meanwhile all equal the reference bit for bit,
+  // whichever generation they pinned.
   support::Rng R(77);
   data::Dataset Train = linearRegression(300, 0.1, R);
   data::Dataset Calib = linearRegression(1200, 0.1, R);
@@ -393,19 +366,18 @@ TEST(RefreshTest, ConcurrentRegressorReshardLeavesVerdictsUnchanged) {
   Model.fit(Train, R);
   PromConfig Cfg;
   Cfg.FixedClusters = 4;
-  Cfg.NumShards = 1;
   PromRegressor Prom(Model, Cfg);
   support::Rng CalR(5);
   Prom.calibrate(Calib, CalR);
   data::Dataset Probes = linearRegression(60, 0.1, R);
   std::vector<RegressionVerdict> Ref = Prom.assessBatch(Probes);
-  Prom.reshard(8);
-  ASSERT_GE(Prom.numShards(), 2u) << "the store must span several shards";
 
   std::atomic<bool> Done{false};
   std::thread Writer([&] {
-    for (int Round = 0; !Done.load(); ++Round)
-      Prom.reshard(Round % 2 == 0 ? 1 : 8);
+    while (!Done.load()) {
+      support::Rng WriterR(5);
+      Prom.calibrate(Calib, WriterR);
+    }
   });
   for (size_t Batch = 0; Batch < 100; ++Batch) {
     std::vector<RegressionVerdict> Got = Prom.assessBatch(Probes);

@@ -65,7 +65,7 @@ namespace prom {
 namespace testing {
 
 /// Entries per canonical block of the Eq. (2) sums (fixed by the
-/// determinism contract, independent of shard and thread count).
+/// determinism contract, independent of thread count).
 constexpr size_t OracleAccumBlock = 256;
 
 /// One input's selection: entry ids, closest first by (squared-distance

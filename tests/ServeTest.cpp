@@ -46,9 +46,7 @@ struct EngineFixture {
     Train = std::move(Split.first);
     Calib = std::move(Split.second);
     Model.fit(Train, R);
-    PromConfig Cfg;
-    Cfg.NumShards = 4;
-    Prom = std::make_unique<PromClassifier>(Model, Cfg);
+    Prom = std::make_unique<PromClassifier>(Model);
     Prom->calibrate(Calib);
 
     Test = gaussianBlobs(3, 30, 4.0, 0.8, R);
@@ -442,9 +440,7 @@ TEST(ServeTest, AutomaticRecalibrationSwapServesEveryRequest) {
   auto Split = data::calibrationPartition(Full, R, 0.35);
   ml::LogisticRegression Model;
   Model.fit(Split.first, R);
-  PromConfig Cfg;
-  Cfg.NumShards = 4;
-  PromClassifier Prom(Model, Cfg);
+  PromClassifier Prom(Model);
   Prom.calibrate(Split.second);
   size_t SizeBefore = Prom.calibrationSize();
 

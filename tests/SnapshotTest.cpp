@@ -131,7 +131,7 @@ bool rewritePayload(const std::string &Path,
   return W.writeFile(Path);
 }
 
-/// Offsets of the regressor's fitted state in a v3 payload.
+/// Offsets of the regressor's fitted state in a v4 payload.
 struct RegressorTail {
   size_t Target = 0;          ///< The first target value.
   size_t Centroid = 0;        ///< The first centroid's first value.
@@ -139,11 +139,11 @@ struct RegressorTail {
   size_t Iqr = 0;             ///< The residual IQR.
 };
 
-/// A regressor payload saved without a scaler ends with the shard count
-/// (u64) and the scaler flag (u8).
-constexpr size_t RegressorTrailerBytes = 8 + 1;
+/// A regressor payload saved without a scaler ends with the scaler flag
+/// (u8).
+constexpr size_t RegressorTrailerBytes = 1;
 
-/// Walks a v3 snapshot payload (docs/SNAPSHOT_FORMAT.md) to locate single
+/// Walks a v4 snapshot payload (docs/SNAPSHOT_FORMAT.md) to locate single
 /// values.
 struct PayloadCursor {
   const std::vector<uint8_t> &Bytes;
@@ -160,10 +160,10 @@ struct PayloadCursor {
     Pos += sizeof(V);
     return V;
   }
-  /// Skips the version and kind words and the config block: 15
+  /// Skips the version and kind words and the config block: 14
   /// eight-byte fields, the i32 WeightNormPower and u32 WeightMode, the
   /// u8 AutoTau and SmoothedPValues.
-  void skipHeaderAndConfig() { Pos += 4 + 4 + 15 * 8 + 2 * 4 + 2 * 1; }
+  void skipHeaderAndConfig() { Pos += 4 + 4 + 14 * 8 + 2 * 4 + 2 * 1; }
   void skipScorerNames() {
     uint32_t Count = read<uint32_t>();
     for (uint32_t I = 0; I < Count; ++I)
@@ -190,7 +190,7 @@ struct PayloadCursor {
     }
     return {Embed, Score};
   }
-  /// Skips a regressor payload from its start up to the shard count.
+  /// Skips a regressor payload from its start up to the scaler block.
   RegressorTail skipRegressorPayload() {
     skipHeaderAndConfig();
     skipScorerNames();
@@ -225,7 +225,6 @@ TEST(SnapshotTest, ClassifierRoundTripBitIdentical) {
   PromConfig Cfg;
   Cfg.Epsilon = 0.15;
   Cfg.CredThreshold = 0.3;
-  Cfg.NumShards = 4;
   PromClassifier Saved(F.Model, Cfg);
   Saved.calibrate(F.Calib);
   std::vector<Verdict> Expected = Saved.assessBatch(F.Probes);
@@ -241,7 +240,6 @@ TEST(SnapshotTest, ClassifierRoundTripBitIdentical) {
   EXPECT_EQ(Loaded.config().Epsilon, 0.15);
   EXPECT_EQ(Loaded.config().CredThreshold, 0.3);
   EXPECT_EQ(Loaded.numExperts(), Saved.numExperts());
-  EXPECT_EQ(Loaded.numShards(), Saved.numShards());
 
   std::vector<Verdict> Restored = Loaded.assessBatch(F.Probes);
   ASSERT_EQ(Restored.size(), Expected.size());
@@ -302,7 +300,6 @@ PromConfig nonDefaultConfig() {
   Cfg.MinClusters = 3;
   Cfg.MaxClusters = 10;
   Cfg.FixedClusters = 5;
-  Cfg.NumShards = 2;
   Cfg.MaxCalibEntries = 5000;
   return Cfg;
 }
@@ -326,7 +323,6 @@ void expectSameConfig(const PromConfig &A, const PromConfig &B) {
   EXPECT_EQ(A.MinClusters, B.MinClusters);
   EXPECT_EQ(A.MaxClusters, B.MaxClusters);
   EXPECT_EQ(A.FixedClusters, B.FixedClusters);
-  EXPECT_EQ(A.NumShards, B.NumShards);
   EXPECT_EQ(A.MaxCalibEntries, B.MaxCalibEntries);
 }
 
@@ -622,7 +618,6 @@ TEST(SnapshotTest, RejectsNonFinitePayloadValues) {
   ASSERT_EQ(C.read<double>(), Saved.temperature());
   C.skipScorerNames();
   std::pair<size_t, size_t> Entry = C.skipEntries();
-  C.read<uint64_t>(); // The shard count.
   ASSERT_EQ(C.read<uint8_t>(), 1u) << "fixture layout: no scaler block";
   size_t Mean = C.skipVec();
   size_t Stddev = C.skipVec();

@@ -1,16 +1,15 @@
-//===- tests/ShardedStoreTest.cpp - shard-count invariance --------------------===//
+//===- tests/StoreOracleTest.cpp - the store against the serial oracle --------===//
 //
 // Part of the PROM reproduction. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// The sharded CalibrationStore must be a pure work-partitioning
-// transformation: for any shard count, verdicts are bit-identical to the
-// unsharded (K=1) path and to the serial oracle of tests/SerialOracle.h —
-// exact floating-point equality on every expert score. Covers the
-// block-partial merge under weighted partial and unweighted full
-// selections, the regressor, reshard(), and the selection's order at a
-// tie between rooted distances.
+// The CalibrationStore's selection and canonical block fold must land the
+// verdicts of the serial oracle of tests/SerialOracle.h — exact
+// floating-point equality on every expert score. Covers a store of many
+// accumulation blocks under weighted partial and unweighted full
+// selections, the regressor, the flat-storage scan, and the selection's
+// order at a tie between rooted distances.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +18,6 @@
 #include "ml/Linear.h"
 #include "ml/Mlp.h"
 #include "support/Kernels.h"
-#include "support/ThreadPool.h"
 #include "tests/SerialOracle.h"
 #include "tests/TestHelpers.h"
 
@@ -38,15 +36,8 @@ using prom::testing::oracleAssess;
 
 namespace {
 
-void expectSameVerdicts(const std::vector<Verdict> &A,
-                        const std::vector<Verdict> &B) {
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t I = 0; I < A.size(); ++I)
-    expectSameVerdict(A[I], B[I], I);
-}
-
-/// A calibration set spanning several accumulation blocks (> 2048 entries
-/// would be 8 blocks; this gives at least 8) so K=8 builds real shards.
+/// A calibration set spanning more than 8 accumulation blocks, so the fold
+/// adds many block partials.
 struct BigBlobFixture {
   support::Rng R{321};
   data::Dataset Train, Calib, Test;
@@ -78,90 +69,34 @@ BigBlobFixture &fixture() {
 
 } // namespace
 
-TEST(ShardedStoreTest, WeightedPathShardCountInvariant) {
+TEST(StoreOracleTest, WeightedPathMatchesOracleAcrossBlocks) {
   BigBlobFixture &F = fixture();
-  // > 8 accumulation blocks, so K=8 builds genuinely multi-block shards.
   ASSERT_GT(F.Calib.size(), 8u * 256u);
 
-  PromConfig C1;
-  C1.NumShards = 1;
-  PromClassifier P1(F.Model, C1);
-  P1.calibrate(F.Calib);
-  ASSERT_EQ(P1.numShards(), 1u);
-
-  PromConfig C8 = C1;
-  C8.NumShards = 8;
-  PromClassifier P8(F.Model, C8);
-  P8.calibrate(F.Calib);
-  ASSERT_GE(P8.numShards(), 2u);
-
-  std::vector<Verdict> V1 = P1.assessBatch(F.Test);
-  std::vector<Verdict> V8 = P8.assessBatch(F.Test);
-  expectSameVerdicts(V1, V8);
-
-  // Both must also match the per-sample serial oracle.
+  PromClassifier Prom(F.Model);
+  Prom.calibrate(F.Calib);
+  std::vector<Verdict> V = Prom.assessBatch(F.Test);
   for (size_t I = 0; I < F.Test.size(); I += 7)
-    expectSameVerdict(oracleAssess(P8, F.Test[I]), V8[I], I);
+    expectSameVerdict(oracleAssess(Prom, F.Test[I]), V[I], I);
 }
 
-TEST(ShardedStoreTest, UnweightedFullSelectionShardCountInvariant) {
+TEST(StoreOracleTest, UnweightedFullSelectionMatchesOracleAcrossBlocks) {
   BigBlobFixture &F = fixture();
 
   // Unweighted counting over the full selection: the configuration of the
   // naive-CP baselines.
-  PromConfig Base;
-  Base.WeightMode = CalibrationWeightMode::None;
-  Base.SelectAllBelow = 1u << 20;
+  PromConfig Cfg;
+  Cfg.WeightMode = CalibrationWeightMode::None;
+  Cfg.SelectAllBelow = 1u << 20;
+  PromClassifier Prom(F.Model, Cfg);
+  Prom.calibrate(F.Calib);
 
-  PromConfig C1 = Base;
-  C1.NumShards = 1;
-  PromConfig C8 = Base;
-  C8.NumShards = 8;
-  PromClassifier P1(F.Model, C1), P8(F.Model, C8);
-  P1.calibrate(F.Calib);
-  P8.calibrate(F.Calib);
-  ASSERT_GE(P8.numShards(), 2u);
-
-  expectSameVerdicts(P1.assessBatch(F.Test), P8.assessBatch(F.Test));
   for (size_t I = 0; I < F.Test.size(); I += 9)
-    expectSameVerdict(oracleAssess(P8, F.Test[I]), P8.assess(F.Test[I]), I);
+    expectSameVerdict(oracleAssess(Prom, F.Test[I]), Prom.assess(F.Test[I]),
+                      I);
 }
 
-TEST(ShardedStoreTest, ReshardLeavesVerdictsUnchanged) {
-  BigBlobFixture &F = fixture();
-
-  PromClassifier Prom(F.Model);
-  Prom.calibrate(F.Calib);
-  std::vector<Verdict> Before = Prom.assessBatch(F.Test);
-
-  for (size_t K : {8u, 3u, 1u, 16u}) {
-    Prom.reshard(K);
-    SCOPED_TRACE("K=" + std::to_string(K));
-    expectSameVerdicts(Before, Prom.assessBatch(F.Test));
-  }
-}
-
-TEST(ShardedStoreTest, AutoShardCountUsesPoolLanes) {
-  BigBlobFixture &F = fixture();
-
-  PromConfig Auto;
-  Auto.NumShards = 0; // One shard per ThreadPool lane.
-  PromClassifier Prom(F.Model, Auto);
-  Prom.calibrate(F.Calib);
-  size_t Lanes = support::ThreadPool::global().numThreads();
-  EXPECT_LE(Prom.numShards(), std::max<size_t>(Lanes, 1));
-  EXPECT_GE(Prom.numShards(), 1u);
-
-  PromConfig One;
-  One.NumShards = 1;
-  PromClassifier Ref(F.Model, One);
-  Ref.calibrate(F.Calib);
-  // NumShards differs between the configs, but it is the only difference
-  // and must not affect a single bit of the verdicts.
-  expectSameVerdicts(Ref.assessBatch(F.Test), Prom.assessBatch(F.Test));
-}
-
-TEST(ShardedStoreTest, FeatureMatrixScanMatchesPerRowVectorScan) {
+TEST(StoreOracleTest, FeatureMatrixScanMatchesPerRowVectorScan) {
   // Property check of the flat-storage refactor: the squared distances the
   // FeatureMatrix-backed store streams out of its contiguous block must
   // be bit-identical to scanning the original per-row entry vectors (the
@@ -262,7 +197,7 @@ TEST(ShardedStoreTest, FeatureMatrixScanMatchesPerRowVectorScan) {
         /*TiesAtCut=*/true);
 }
 
-TEST(ShardedStoreTest, SelectionOrdersBySquaredDistanceBits) {
+TEST(StoreOracleTest, SelectionOrdersBySquaredDistanceBits) {
   // Two squared distances one ulp apart can round to the same root: from
   // the origin, ids 1 and 2 sit at squared distances 0x3ff7d70a3d70a3d8
   // and 0x3ff7d70a3d70a3d7 with equal roots. The selection ranks the
@@ -308,25 +243,18 @@ TEST(ShardedStoreTest, SelectionOrdersBySquaredDistanceBits) {
   EXPECT_EQ(bits(Engine), bits(Oracle[0]));
 }
 
-TEST(ShardedStoreTest, RegressorShardCountInvariant) {
+TEST(StoreOracleTest, RegressorMatchesOracle) {
   support::Rng R(77);
   data::Dataset Train = linearRegression(400, 0.1, R);
   data::Dataset Calib = linearRegression(1200, 0.1, R);
   ml::MlpRegressor Model;
   Model.fit(Train, R);
 
-  PromConfig C1;
-  C1.FixedClusters = 4;
-  C1.NumShards = 1;
-  PromConfig C8 = C1;
-  C8.NumShards = 8;
-
-  // Identical RNG streams so clustering matches between the two.
-  support::Rng R1(5), R8(5);
-  PromRegressor P1(Model, C1), P8(Model, C8);
-  P1.calibrate(Calib, R1);
-  P8.calibrate(Calib, R8);
-  ASSERT_GE(P8.numShards(), 2u);
+  PromConfig Cfg;
+  Cfg.FixedClusters = 4;
+  support::Rng CalR(5);
+  PromRegressor Prom(Model, Cfg);
+  Prom.calibrate(Calib, CalR);
 
   data::Dataset Test("reg-mixed", 0);
   for (int I = 0; I < 90; ++I) {
@@ -337,9 +265,8 @@ TEST(ShardedStoreTest, RegressorShardCountInvariant) {
     Test.add(std::move(S));
   }
 
-  std::vector<RegressionVerdict> V1 = P1.assessBatch(Test);
-  std::vector<RegressionVerdict> V8 = P8.assessBatch(Test);
-  ASSERT_EQ(V1.size(), V8.size());
-  for (size_t I = 0; I < V1.size(); ++I)
-    expectSameRegressionVerdict(V1[I], V8[I], I);
+  std::vector<RegressionVerdict> V = Prom.assessBatch(Test);
+  ASSERT_EQ(V.size(), Test.size());
+  for (size_t I = 0; I < V.size(); ++I)
+    expectSameRegressionVerdict(oracleAssess(Prom, Test[I]), V[I], I);
 }

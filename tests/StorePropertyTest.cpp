@@ -6,7 +6,7 @@
 //
 // Randomized property test for the CalibrationStore lifecycle: a random
 // interleaving of appendEntries()+refinalize(), appendEntries()+
-// refinalizeFull(), reshard(), and eviction-bound changes must leave the
+// refinalizeFull(), and eviction-bound changes must leave the
 // store bit-identical — through the exact engine entry points the batched
 // assessment uses — to a brand-new store finalized from scratch on the
 // mirrored surviving entries. This is the generalization of RefreshTest's
@@ -58,20 +58,19 @@ void runRandomProgram(uint64_t Seed) {
                ")");
   support::Rng R(Seed);
 
-  size_t K = 1 + R.bounded(8);
   std::vector<CalibrationEntry> Mirror =
       makeEntries(200 + R.bounded(400), Dim, NumLabels, NumExperts, R);
   CalibrationStore Live;
   Live.reserve(Mirror.size());
   for (const CalibrationEntry &E : Mirror)
     Live.add(E);
-  Live.finalize(K);
+  Live.finalize();
   size_t MaxEntries = 0;
 
   const int NumOps = 12;
   for (int Op = 0; Op < NumOps; ++Op) {
     SCOPED_TRACE("op " + std::to_string(Op));
-    switch (R.bounded(5)) {
+    switch (R.bounded(4)) {
     case 0:   // Incremental refresh, small batch.
     case 1: { // (Twice as likely: the workhorse operation.)
       std::vector<CalibrationEntry> Fresh =
@@ -91,12 +90,7 @@ void runRandomProgram(uint64_t Seed) {
       applyEviction(Mirror, MaxEntries);
       break;
     }
-    case 3: { // Re-partition; verdicts must not depend on the layout.
-      K = 1 + R.bounded(8);
-      Live.reshard(K);
-      break;
-    }
-    case 4: { // Move the eviction bound (applies on the next refinalize).
+    case 3: { // Move the eviction bound (applies on the next refinalize).
       MaxEntries = R.bounded(3) == 0 ? 0 : 128 + R.bounded(512);
       Live.setMaxEntries(MaxEntries);
       break;
@@ -104,7 +98,7 @@ void runRandomProgram(uint64_t Seed) {
     }
 
     if (Op % 3 == 2 || Op == NumOps - 1) {
-      CalibrationStore Ref = referenceStore(Mirror, K);
+      CalibrationStore Ref = referenceStore(Mirror);
       expectBothRegimesMatch(Live, Ref, Seed ^ static_cast<uint64_t>(Op),
                              ("after op " + std::to_string(Op)).c_str());
       if (::testing::Test::HasFailure()) {
@@ -136,19 +130,18 @@ std::vector<CalibrationEntry> makeTieHeavyEntries(size_t N, size_t Dim,
 }
 
 /// Random store program with the cluster-pruned scan forced on: the live
-/// store carries an aggressive index policy (every shard indexed, random
+/// store carries an aggressive index policy (a low MinEntries, random
 /// centroid counts and staleness bounds) through a random lifecycle, while
 /// the reference store keeps the store-default policy (disabled, exact
 /// flat scan). The two must agree bit for bit on every selection and
-/// p-value — the losslessness property, randomized over dims, shard
-/// counts, duplicate/tie-heavy embeddings, and mutation interleavings.
+/// p-value — the losslessness property, randomized over dims,
+/// duplicate/tie-heavy embeddings, and mutation interleavings.
 void runPrunedProgram(uint64_t Seed) {
   SCOPED_TRACE("failure seed " + std::to_string(Seed) +
                " (replay: PROM_STORE_PROP_SEED=" + std::to_string(Seed) +
                ")");
   support::Rng R(Seed);
 
-  size_t K = 1 + R.bounded(6);
   size_t PDim = 3 + R.bounded(9);
   bool TieHeavy = R.bounded(2) == 0;
   auto Make = [&](size_t N) {
@@ -172,14 +165,14 @@ void runPrunedProgram(uint64_t Seed) {
   // correctness one, and this test is about correctness).
   Policy.MaxSelectFraction = 1.0;
   Live.setIndexPolicy(Policy);
-  Live.finalize(K);
-  ASSERT_GT(Live.indexedShards(), 0u) << "policy did not index any shard";
+  Live.finalize();
+  ASSERT_TRUE(Live.indexed()) << "policy did not index the store";
   size_t MaxEntries = 0;
 
   const int NumOps = 10;
   for (int Op = 0; Op < NumOps; ++Op) {
     SCOPED_TRACE("op " + std::to_string(Op));
-    switch (R.bounded(6)) {
+    switch (R.bounded(5)) {
     case 0:   // Incremental refresh: exercises stale-tail exact scans.
     case 1: {
       std::vector<CalibrationEntry> Fresh = Make(1 + R.bounded(300));
@@ -189,7 +182,7 @@ void runPrunedProgram(uint64_t Seed) {
       applyEviction(Mirror, MaxEntries);
       break;
     }
-    case 2: { // Full rebuild (indexes rebuilt wholesale).
+    case 2: { // Full rebuild (the index rebuilt wholesale).
       std::vector<CalibrationEntry> Fresh = Make(1 + R.bounded(128));
       Mirror.insert(Mirror.end(), Fresh.begin(), Fresh.end());
       Live.appendEntries(std::move(Fresh));
@@ -197,17 +190,12 @@ void runPrunedProgram(uint64_t Seed) {
       applyEviction(Mirror, MaxEntries);
       break;
     }
-    case 3: { // Re-partition: every shard index must follow the layout.
-      K = 1 + R.bounded(6);
-      Live.reshard(K);
-      break;
-    }
-    case 4: { // Eviction bound (kept >= 256 so selections stay proper).
+    case 3: { // Eviction bound (kept >= 256 so selections stay proper).
       MaxEntries = R.bounded(3) == 0 ? 0 : 256 + R.bounded(512);
       Live.setMaxEntries(MaxEntries);
       break;
     }
-    case 5: { // Policy change mid-flight: re-index under new knobs.
+    case 4: { // Policy change mid-flight: re-index under new knobs.
       Policy.MinEntries = 1 + R.bounded(256);
       Policy.MaxStaleFraction = 0.05 + 0.2 * R.uniform();
       Live.setIndexPolicy(Policy);
@@ -215,11 +203,10 @@ void runPrunedProgram(uint64_t Seed) {
     }
     }
 
-    // The nearest-rows query in whatever multi-shard or stale-tail state
-    // the step left, for a random K and for a small one (the preselected
-    // seeds); the unindexed reference store answers it at every
-    // comparison. Its own generator leaves the program's sequence as it
-    // was.
+    // The nearest-rows query in whatever stale-tail state the step left,
+    // for a random K and for a small one (the preselected seeds); the
+    // unindexed reference store answers it at every comparison. Its own
+    // generator leaves the program's sequence as it was.
     support::Rng QR(Seed ^ (0x51ED27ull * static_cast<uint64_t>(Op + 1)));
     std::vector<double> Query(Live.embedDim());
     for (double &V : Query)
@@ -230,7 +217,7 @@ void runPrunedProgram(uint64_t Seed) {
     expectNearestRowsMatchExactScan(Live, Query.data(), SmallK);
 
     if (Op % 3 == 2 || Op == NumOps - 1) {
-      CalibrationStore Ref = referenceStore(Mirror, K);
+      CalibrationStore Ref = referenceStore(Mirror);
       expectNearestRowsMatchExactScan(Ref, Query.data(), AnyK);
       expectNearestRowsMatchExactScan(Ref, Query.data(), SmallK);
       expectBothRegimesMatch(Live, Ref, Seed ^ static_cast<uint64_t>(Op),
@@ -246,7 +233,7 @@ void runPrunedProgram(uint64_t Seed) {
 
   // The program must have ended with the pruned path actually serving
   // (guards against silently falling back to the exact scan forever).
-  if (Live.indexedShards() > 0 &&
+  if (Live.indexed() &&
       selectionKeepCount(Live.size(), PromConfig()) < Live.size()) {
     AssessmentScratch S;
     PromConfig Cfg;

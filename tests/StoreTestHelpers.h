@@ -52,14 +52,14 @@ inline std::vector<CalibrationEntry> makeEntries(size_t N, size_t Dim,
 }
 
 /// A fresh store finalized from scratch on \p Entries — the reference a
-/// refreshed/resharded store must match bit for bit.
+/// refreshed store must match bit for bit.
 inline CalibrationStore
-referenceStore(const std::vector<CalibrationEntry> &Entries, size_t K) {
+referenceStore(const std::vector<CalibrationEntry> &Entries) {
   CalibrationStore Ref;
   Ref.reserve(Entries.size());
   for (const CalibrationEntry &E : Entries)
     Ref.add(E);
-  Ref.finalize(K);
+  Ref.finalize();
   return Ref;
 }
 

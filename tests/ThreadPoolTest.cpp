@@ -111,10 +111,11 @@ TEST(NestedParallelForTest, RunsInlineInsteadOfDeadlocking) {
 }
 
 TEST(NestedParallelForTest, SamePoolNestingRunsInline) {
-  // The refinalize() fan-out nests directly on the same pool when a
-  // refresh is driven from inside an assessment region (a service worker
-  // calling back into the store); both the worker lanes and the
-  // participating caller lane must degrade to inline execution.
+  // The k-means fan-out of a refinalize() index rebuild nests directly on
+  // the same pool when a refresh is driven from inside an assessment
+  // region (a service worker calling back into the store); both the worker
+  // lanes and the participating caller lane must degrade to inline
+  // execution.
   ThreadPool Pool(4);
   std::atomic<int> Inner{0};
   Pool.parallelFor(8, [&](size_t Begin, size_t End) {
@@ -129,7 +130,8 @@ TEST(NestedParallelForTest, SamePoolNestingRunsInline) {
 TEST(NestedParallelForTest, ExternalThreadsContendingForThePoolStaySafe) {
   // The self-recalibrating server's steady state: service batcher threads
   // drive assessment fan-outs while the RecalibrationController thread
-  // drives refinalize() fan-outs on the same global pool. Regions must
+  // drives the k-means fan-outs of refinalize() index rebuilds on the same
+  // global pool. Regions must
   // serialize without deadlock and every region must stay exact.
   ThreadPool Pool(4);
   constexpr size_t Callers = 3, Rounds = 40, N = 257;
