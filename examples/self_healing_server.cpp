@@ -103,7 +103,6 @@ int main() {
   serve::RecalibrationConfig RecalCfg;
   RecalCfg.MinRefreshSamples = 32;
   RecalCfg.SnapshotDir = SnapshotDir;
-  RecalCfg.KeepGenerations = 2;
   RecalCfg.MaxSamplesPerRefresh = 40; // Spend the label budget on the
                                       // dimensions that actually moved.
   serve::RecalibrationController Controller(Prom, Monitor, RecalCfg);
@@ -291,20 +290,23 @@ int main() {
                 RStats.LastMaxAbsZ,
                 static_cast<unsigned long long>(RStats.RefreshesPrioritized));
 
-  // The restart path: a fresh process resolves the committed generation
-  // (stale pointers fall back to the newest valid file) and serves the
-  // refreshed calibration without recalibrating.
-  std::string Latest = support::resolveLatestSnapshot(SnapshotDir);
-  if (!Latest.empty()) {
-    PromClassifier Restored(*Model);
-    data::StandardScaler RestoredScaler;
-    if (Restored.loadSnapshot(Latest, &RestoredScaler))
-      std::printf("restart check: %s restores %zu refreshed calibration "
-                  "entries (+ scaler) - no recalibration needed.\n",
-                  Latest.c_str(), Restored.calibrationSize());
-  } else {
+  // The restart path: a fresh process loads the committed generation
+  // (a stale pointer falls back to the newest generation that loads) and
+  // serves the refreshed calibration without recalibrating.
+  PromClassifier Restored(*Model);
+  data::StandardScaler RestoredScaler;
+  uint64_t Restart = support::loadLatestSnapshot(
+      SnapshotDir, [&](const std::string &Path) {
+        return Restored.loadSnapshot(Path, &RestoredScaler);
+      });
+  if (Restart != 0)
+    std::printf("restart check: generation %llu restores %zu refreshed "
+                "calibration entries (+ scaler) - no recalibration "
+                "needed.\n",
+                static_cast<unsigned long long>(Restart),
+                Restored.calibrationSize());
+  else
     std::printf("no snapshot generation was committed (no alert fired).\n");
-  }
 
   // Keep the repo clean: this is a demo, not a deployment.
   for (uint64_t Gen : support::listSnapshotGenerations(SnapshotDir))

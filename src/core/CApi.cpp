@@ -33,10 +33,6 @@ using namespace prom;
 
 namespace {
 
-/// Snapshot generations kept when the single-detector prom_save()
-/// rotates (the fleet uses RegistryConfig::KeepGenerations).
-constexpr size_t CApiKeepGenerations = 3;
-
 /// Validates the shared (num_classes, feature_dim, epsilon) triple and
 /// resolves the effective epsilon. 0 means "use the default"; any other
 /// out-of-range value is an error.
@@ -103,8 +99,9 @@ prom_detector *prom_open(int num_classes, int feature_dim, double epsilon,
   prom_detector *D = prom_create(num_classes, feature_dim, epsilon);
   if (!D)
     return nullptr;
-  std::string Path = support::resolveLatestSnapshot(snapshot_dir);
-  if (Path.empty() || !D->Engine->loadSnapshot(Path)) {
+  if (!support::loadLatestSnapshot(snapshot_dir, [D](const std::string &Path) {
+        return D->Engine->loadSnapshot(Path);
+      })) {
     prom_destroy(D);
     return nullptr;
   }
@@ -139,15 +136,10 @@ int prom_finalize(prom_detector *d) {
 int prom_should_reject(const prom_detector *d, const double *probabilities,
                        const double *features, double *credibility_out,
                        double *confidence_out) {
-  if (!d || !probabilities || !features || !d->Finalized)
-    return -1;
-  Verdict V = d->Engine->assess(ml::HostOutputClassifier::pack(
-      probabilities, features, d->numClasses(), d->featureDim()));
-  if (credibility_out)
-    *credibility_out = V.meanCredibility();
-  if (confidence_out)
-    *confidence_out = V.meanConfidence();
-  return V.Drifted ? 1 : 0;
+  int Reject;
+  int Rc = prom_assess_batch(d, 1, probabilities, features, &Reject,
+                             credibility_out, confidence_out);
+  return Rc != 0 ? Rc : Reject;
 }
 
 int prom_assess_batch(const prom_detector *d, size_t n,
@@ -177,9 +169,8 @@ int prom_assess_batch(const prom_detector *d, size_t n,
 int prom_save(const prom_detector *d, const char *snapshot_dir) {
   if (!d || !snapshot_dir || !d->Finalized)
     return -1;
-  std::string Dir = snapshot_dir;
   bool Rotated = support::rotateSnapshot(
-      Dir, support::nextSnapshotGeneration(Dir), CApiKeepGenerations,
+      snapshot_dir,
       [d](const std::string &Path) { return d->Engine->saveSnapshot(Path); });
   return Rotated ? 0 : -1;
 }
@@ -250,26 +241,10 @@ int prom_fleet_install(prom_fleet *f, const char *tenant, prom_detector *d) {
 int prom_fleet_assess(prom_fleet *f, const char *tenant,
                       const double *probabilities, const double *features,
                       double *credibility_out, double *confidence_out) {
-  if (!f || !tenant || !probabilities || !features)
-    return -1;
-  ml::HostOutputClassifier *Model;
-  {
-    std::lock_guard<std::mutex> Lock(f->Mutex);
-    auto It = f->Models.find(tenant);
-    if (It == f->Models.end())
-      return -1;
-    Model = It->second.get();
-  }
-  serve::DetectorRegistry::Lease Lease = f->Registry.acquire(tenant);
-  if (!Lease)
-    return -1;
-  Verdict V = Lease.engine()->assess(ml::HostOutputClassifier::pack(
-      probabilities, features, Model->numClasses(), Model->featureDim()));
-  if (credibility_out)
-    *credibility_out = V.meanCredibility();
-  if (confidence_out)
-    *confidence_out = V.meanConfidence();
-  return V.Drifted ? 1 : 0;
+  int Reject;
+  int Rc = prom_fleet_assess_batch(f, tenant, 1, probabilities, features,
+                                   &Reject, credibility_out, confidence_out);
+  return Rc != 0 ? Rc : Reject;
 }
 
 int prom_fleet_assess_batch(prom_fleet *f, const char *tenant, size_t n,

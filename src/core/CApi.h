@@ -66,12 +66,15 @@ prom_detector *prom_create(int num_classes, int feature_dim,
                            double epsilon);
 
 /**
- * Opens a detector from the newest valid snapshot generation in
- * directory \p snapshot_dir (as written by prom_save() or a fleet
- * eviction). \p num_classes / \p feature_dim / \p epsilon must match the
- * saved detector's layout; validation rules are prom_create()'s. The
- * restored detector produces verdicts bit-identical to the one that
- * saved. Returns NULL on invalid arguments or when no snapshot loads.
+ * Opens a detector from snapshot directory \p snapshot_dir (as written by
+ * prom_save() or a fleet eviction): the generation the directory's
+ * `latest` pointer commits, or, when that one does not load (corrupt,
+ * torn, or not a classifier snapshot), the newest generation that does.
+ * Each candidate file is read once. \p num_classes / \p feature_dim /
+ * \p epsilon must match the saved detector's layout; validation rules are
+ * prom_create()'s. The restored detector produces verdicts bit-identical
+ * to the one that saved. Returns NULL on invalid arguments or when no
+ * generation loads.
  */
 prom_detector *prom_open(int num_classes, int feature_dim, double epsilon,
                          const char *snapshot_dir);
@@ -120,11 +123,14 @@ int prom_assess_batch(const prom_detector *d, size_t n,
 
 /**
  * Rotates a new snapshot generation of the finalized detector into
- * directory \p snapshot_dir (created if missing; the `latest` pointer is
- * committed atomically and old generations are pruned). Returns 0 on
+ * directory \p snapshot_dir (created if missing): the file is written
+ * under a temp name, published as the next generation number without
+ * ever replacing an existing file, committed as `latest` atomically, and
+ * old generations beyond the newest three are pruned. Returns 0 on
  * success, -1 on error — including calibration state no load could
  * restore (a non-finite probability or feature), in which case the
- * previous generation stays `latest`.
+ * previous generation stays `latest`. The directory must be on a
+ * filesystem with hard links.
  */
 int prom_save(const prom_detector *d, const char *snapshot_dir);
 

@@ -166,10 +166,9 @@ std::future<Verdict> AssessmentService::submit(data::Sample S) {
 
 std::future<Verdict> AssessmentService::submit(const std::string &Tenant,
                                                data::Sample S) {
-  if (Cfg.DefaultDeadline.count() > 0)
-    return submitWithDeadline(Tenant, std::move(S), Cfg.DefaultDeadline);
-  return submitImpl(Tenant, std::move(S), /*HasDeadline=*/false,
-                    Clock::time_point());
+  return submitImpl(Tenant, std::move(S),
+                    /*HasDeadline=*/Cfg.DefaultDeadline.count() > 0,
+                    Cfg.DefaultDeadline);
 }
 
 std::future<Verdict>
@@ -182,20 +181,21 @@ std::future<Verdict>
 AssessmentService::submitWithDeadline(const std::string &Tenant,
                                       data::Sample S,
                                       std::chrono::microseconds Budget) {
-  Clock::time_point Deadline = Clock::now() + Budget;
-  return submitImpl(Tenant, std::move(S), /*HasDeadline=*/true, Deadline);
+  return submitImpl(Tenant, std::move(S), /*HasDeadline=*/true, Budget);
 }
 
-std::future<Verdict> AssessmentService::submitImpl(std::string Tenant,
-                                                   data::Sample S,
-                                                   bool HasDeadline,
-                                                   Clock::time_point Deadline) {
+std::future<Verdict>
+AssessmentService::submitImpl(std::string Tenant, data::Sample S,
+                              bool HasDeadline,
+                              std::chrono::microseconds Budget) {
   Request Req;
   Req.S = std::move(S);
   Req.Tenant = std::move(Tenant);
+  // One clock read: the deadline counts from the admission stamp, so only
+  // a non-positive budget is already expired below.
   Req.SubmittedAt = Clock::now();
   Req.HasDeadline = HasDeadline;
-  Req.Deadline = Deadline;
+  Req.Deadline = Req.SubmittedAt + Budget;
   std::future<Verdict> Fut = Req.P.get_future();
 
   std::vector<Request> Evicted;

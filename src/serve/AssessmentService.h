@@ -308,9 +308,11 @@ private:
     }
   };
 
-  /// Shared admission path of submit()/submitWithDeadline().
+  /// Shared admission path of submit()/submitWithDeadline(); a request
+  /// with a deadline expires \p Budget after its admission stamp.
   std::future<Verdict> submitImpl(std::string Tenant, data::Sample S,
-                                  bool HasDeadline, Clock::time_point Deadline);
+                                  bool HasDeadline,
+                                  std::chrono::microseconds Budget);
 
   /// Shared admission path of the trySubmit() overloads.
   bool trySubmitImpl(std::string Tenant, data::Sample S,

@@ -247,12 +247,12 @@ bool DetectorRegistry::loadLocked(Entry &E) {
   assert(!E.Engine && "tenant already loaded");
   if (E.Spec.SnapshotDir.empty())
     return false;
-  std::string Path = support::resolveLatestSnapshot(E.Spec.SnapshotDir);
-  if (Path.empty())
-    return false;
   auto Engine = std::unique_ptr<PromClassifier>(
       new PromClassifier(*E.Spec.Model, E.Spec.Cfg));
-  if (!Engine->loadSnapshot(Path))
+  if (!support::loadLatestSnapshot(
+          E.Spec.SnapshotDir, [&Engine](const std::string &Path) {
+            return Engine->loadSnapshot(Path);
+          }))
     return false;
   E.Engine = std::move(Engine);
   remeasureLocked(E);
@@ -262,15 +262,8 @@ bool DetectorRegistry::loadLocked(Entry &E) {
 
 bool DetectorRegistry::saveLocked(Entry &E) {
   assert(E.Engine && "saving a cold tenant");
-  const std::string &Dir = E.Spec.SnapshotDir;
-  // Next generation after everything on disk — the tenant's controller
-  // numbers its rotations the same way, so the two writers interleave
-  // into one strictly increasing sequence. (No race: the controller is
-  // only saving between our lock releases, and eviction shuts it down
-  // before the engine goes away.)
-  if (Dir.empty() ||
-      !support::rotateSnapshot(Dir, support::nextSnapshotGeneration(Dir),
-                               Cfg.KeepGenerations,
+  if (E.Spec.SnapshotDir.empty() ||
+      !support::rotateSnapshot(E.Spec.SnapshotDir,
                                [&E](const std::string &Path) {
                                  return E.Engine->saveSnapshot(Path);
                                }))

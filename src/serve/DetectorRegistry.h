@@ -12,13 +12,14 @@
 /// with a PromConfig and a snapshot rotation directory. The tenant's
 /// calibrated PromClassifier is *managed state*: it enters the registry
 /// either via installDetector() (first boot, freshly calibrated) or by
-/// snapshot-backed lazy load on first acquire() — resolveLatestSnapshot()
+/// snapshot-backed lazy load on first acquire() — loadLatestSnapshot()
 /// over the tenant's rotation directory, exactly what a restarting
 /// single-tenant server does. Under a configured memory budget the
 /// registry evicts least-recently-used, unpinned tenants: each eviction
-/// rotates a fresh snapshot generation first, so the evict -> reload
-/// cycle round-trips through the checksummed snapshot format and the
-/// reloaded detector serves bit-identical verdicts (the snapshot
+/// rotates a fresh snapshot generation first (rotateSnapshot(), which
+/// also numbers the tenant controller's generations), so the evict ->
+/// reload cycle round-trips through the checksummed snapshot format and
+/// the reloaded detector serves bit-identical verdicts (the snapshot
 /// contract, fleet-level — test-enforced by FleetTest).
 ///
 /// acquire() hands out RAII leases that pin a tenant in memory; the
@@ -68,8 +69,6 @@ struct RegistryConfig {
   /// it evicts LRU unpinned snapshot-backed tenants until the fleet fits
   /// (or nothing evictable remains). 0 = unbounded.
   size_t MemoryBudgetBytes = 0;
-  /// Snapshot generations kept per tenant after an eviction rotation.
-  size_t KeepGenerations = 3;
 };
 
 /// Monotonic counters of the fleet (consistent snapshot).

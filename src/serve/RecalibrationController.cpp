@@ -25,15 +25,8 @@ RecalibrationController::RecalibrationController(PromClassifier &Engine,
   assert(Engine.isCalibrated() && "controller over an uncalibrated engine");
   if (Cfg.MinRefreshSamples == 0)
     Cfg.MinRefreshSamples = 1;
-  if (Cfg.KeepGenerations == 0)
-    Cfg.KeepGenerations = 1;
   if (Cfg.MaxRefreshAttempts == 0)
     Cfg.MaxRefreshAttempts = 1;
-
-  // Resume the generation sequence of an existing rotation directory so a
-  // restarted server keeps numbering monotonically instead of overwriting
-  // the generations it just restored from.
-  Stats.LastGeneration = support::nextSnapshotGeneration(Cfg.SnapshotDir) - 1;
 
   Worker = std::thread([this] { workerLoop(); });
   // The callback only signals; the refresh itself runs on Worker so the
@@ -146,13 +139,22 @@ void RecalibrationController::workerLoop() {
   }
 }
 
-bool RecalibrationController::backoffWait(std::chrono::milliseconds Backoff) {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  // Alerts may notify WakeWorker during the wait; the predicate only
-  // breaks on shutdown, so a mid-backoff alert simply coalesces into the
-  // retry already scheduled.
-  WakeWorker.wait_for(Lock, Backoff, [&] { return Stopping; });
-  return !Stopping;
+bool RecalibrationController::retryWithBackoff(
+    const std::function<bool()> &Attempt) {
+  std::chrono::milliseconds Backoff = Cfg.RefreshRetryBackoff;
+  for (size_t Tries = 1;; ++Tries) {
+    if (Attempt())
+      return true;
+    if (Tries >= Cfg.MaxRefreshAttempts)
+      return false;
+    std::unique_lock<std::mutex> Lock(Mutex);
+    // Alerts may notify WakeWorker during the wait; the predicate only
+    // breaks on shutdown, so a mid-backoff alert simply coalesces into the
+    // retry already scheduled.
+    if (WakeWorker.wait_for(Lock, Backoff, [&] { return Stopping; }))
+      return false;
+    Backoff *= 2;
+  }
 }
 
 void RecalibrationController::requeueBatch(std::deque<data::Sample> &&Batch) {
@@ -263,34 +265,25 @@ void RecalibrationController::runRefresh(std::deque<data::Sample> Batch) {
     Refresh.add(S);
 
   size_t StoreSize = 0;
-  bool Refreshed = false;
-  std::chrono::milliseconds Backoff = Cfg.RefreshRetryBackoff;
-  for (size_t Attempt = 1; Attempt <= Cfg.MaxRefreshAttempts && !Refreshed;
-       ++Attempt) {
+  bool Refreshed = retryWithBackoff([&] {
     try {
       if (support::faults::shouldFail("refresh_throw"))
         throw std::runtime_error("injected refresh failure");
       if (support::faults::shouldFail("refresh_stall"))
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       StoreSize = Engine.refreshCalibration(Refresh);
-      Refreshed = true;
+      return true;
     } catch (const std::exception &) {
-      {
-        std::lock_guard<std::mutex> Lock(Mutex);
-        ++Stats.RefreshFailures;
-      }
-      if (Attempt < Cfg.MaxRefreshAttempts) {
-        if (!backoffWait(Backoff))
-          return; // Shutting down mid-retry; the buffer is dropped anyway.
-        Backoff *= 2;
-      }
+      std::lock_guard<std::mutex> Lock(Mutex);
+      ++Stats.RefreshFailures;
+      return false;
     }
-  }
+  });
   if (!Refreshed) {
     // Abandon: the batch goes back to the front of the buffer, so the
     // next alert (or triggerRefresh) retries it together with whatever
-    // labels arrived meanwhile. The engine keeps serving the last
-    // known-good store bit-identically the whole time.
+    // labels arrived meanwhile (a shutdown drops it). The engine keeps
+    // serving the last known-good store bit-identically the whole time.
     requeueBatch(std::move(Batch));
     {
       std::lock_guard<std::mutex> Lock(Mutex);
@@ -300,42 +293,31 @@ void RecalibrationController::runRefresh(std::deque<data::Sample> Batch) {
     return;
   }
 
-  // Snapshot rotation (support::rotateSnapshot: write the new generation
-  // fully, commit the `latest` pointer atomically, then prune). A crash
-  // between any two steps leaves a loadable committed state behind.
-  // Rotation failures get the same bounded retry/backoff as the refresh;
-  // a rotation that never commits only costs durability — the refreshed
-  // store is live, and the previous committed generation still loads.
+  // Snapshot rotation (support::rotateSnapshot numbers the generation,
+  // writes it fully, commits the `latest` pointer atomically, then
+  // prunes). A crash between any two steps leaves a loadable committed
+  // state behind. Rotation failures get the same bounded retry/backoff
+  // as the refresh; a rotation that never commits only costs durability
+  // — the refreshed store is live, and the previous committed generation
+  // still loads.
   uint64_t Generation = 0;
-  bool Rotated = false;
-  const data::StandardScaler *SnapScaler = nullptr;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    if (Cfg.SnapshotScaler)
-      SnapScaler = Scaler;
-    Generation = Stats.LastGeneration + 1;
-  }
   if (!Cfg.SnapshotDir.empty()) {
-    Backoff = Cfg.RefreshRetryBackoff;
-    for (size_t Attempt = 1; Attempt <= Cfg.MaxRefreshAttempts && !Rotated;
-         ++Attempt) {
-      Rotated = support::rotateSnapshot(
-          Cfg.SnapshotDir, Generation, Cfg.KeepGenerations,
-          [&](const std::string &Path) {
+    const data::StandardScaler *SnapScaler;
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      SnapScaler = Scaler;
+    }
+    retryWithBackoff([&] {
+      Generation = support::rotateSnapshot(
+          Cfg.SnapshotDir, [&](const std::string &Path) {
             return Engine.saveSnapshot(Path, SnapScaler);
           });
-      if (Rotated)
-        break;
-      {
+      if (Generation == 0) {
         std::lock_guard<std::mutex> Lock(Mutex);
         ++Stats.SnapshotFailures;
       }
-      if (Attempt < Cfg.MaxRefreshAttempts) {
-        if (!backoffWait(Backoff))
-          return;
-        Backoff *= 2;
-      }
-    }
+      return Generation != 0;
+    });
   }
 
   if (Cfg.ResetMonitorAfterRefresh) {
@@ -352,7 +334,7 @@ void RecalibrationController::runRefresh(std::deque<data::Sample> Batch) {
     ++Stats.RefreshesCompleted;
     Stats.SamplesFolded += Refresh.size();
     Stats.StoreSize = StoreSize;
-    if (Rotated) {
+    if (Generation != 0) {
       ++Stats.SnapshotsRotated;
       Stats.LastGeneration = Generation;
     }

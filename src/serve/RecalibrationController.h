@@ -24,10 +24,12 @@
 ///  4. the engine atomically swaps in the refreshed store (RCU-style
 ///     shared_ptr publication — in-flight batches finish on the store
 ///     they pinned, with zero dropped or failed requests);
-///  5. a snapshot generation is rotated to disk (snapshot.N.bin plus the
-///     `latest` pointer, old generations pruned) so a restart resumes
-///     from the refreshed state, and the monitor window is reset so the
-///     alarm re-arms against the new calibration.
+///  5. a snapshot generation is rotated to disk through
+///     support::rotateSnapshot (snapshot.N.bin plus the `latest` pointer,
+///     old generations pruned, numbered in the same sequence as the
+///     registry's saves) so a restart resumes from the refreshed state,
+///     and the monitor window is reset so the alarm re-arms against the
+///     new calibration.
 ///
 /// Everything heavy happens on the controller's own thread; the alert
 /// callback only signals it, so the serving path never blocks on a
@@ -44,8 +46,8 @@
 /// alert retries it together with newer labels. Snapshot rotation gets
 /// the same bounded retry; a rotation that never commits leaves the
 /// previous committed generation in place (SnapshotFailures is the
-/// alarm), and a restart's resolveLatestSnapshot walks back over
-/// checksum-invalid generations to the newest one that still loads.
+/// alarm), and a restart's support::loadLatestSnapshot walks back over
+/// generations that do not load to the newest one that does.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,21 +82,15 @@ struct RecalibrationConfig {
   size_t MaxBufferedSamples = 4096;
 
   /// Directory for rotated snapshot generations; empty disables rotation.
-  /// Created on demand.
+  /// Created on demand, and pruned to support::SnapshotGenerationsKept
+  /// after every rotation. The scaler registered with setScaler(), if
+  /// any, is saved into each generation.
   std::string SnapshotDir;
-
-  /// Snapshot generations kept on disk after pruning (the generation the
-  /// `latest` pointer names always survives).
-  size_t KeepGenerations = 3;
 
   /// Reset the drift monitor's window after a successful refresh so the
   /// alarm measures the refreshed detector, not the drift that triggered
   /// it.
   bool ResetMonitorAfterRefresh = true;
-
-  /// Save the deployment feature scaler into rotated snapshots when the
-  /// server registered one (see RecalibrationController::setScaler()).
-  bool SnapshotScaler = true;
 
   /// Attempts per refresh batch (first try + retries) before the batch
   /// is abandoned back into the relabel buffer. Snapshot rotation gets
@@ -138,7 +134,11 @@ struct RecalibrationStats {
   /// the relabel buffer. A rising count with zero RefreshesCompleted is
   /// the "calibration is going stale" alarm.
   uint64_t RefreshesAbandoned = 0;
-  uint64_t LastGeneration = 0;     ///< Newest committed generation (0 = none).
+  /// Generation this controller last committed (0 before its first
+  /// rotation). The directory's numbering is shared with every other
+  /// writer (a registry save, another process), so the next one this
+  /// controller commits may skip numbers.
+  uint64_t LastGeneration = 0;
   size_t PendingSamples = 0;       ///< Relabeled samples waiting in buffer.
   size_t StoreSize = 0;            ///< Live calibration entries after last swap.
   /// Refreshes whose relabel batch exceeded MaxSamplesPerRefresh and was
@@ -184,8 +184,8 @@ public:
   size_t pendingLabeled() const;
 
   /// Registers the deployment feature scaler to embed in rotated
-  /// snapshots (optional; pass nullptr to clear). The scaler must outlive
-  /// the controller.
+  /// snapshots (optional; pass nullptr to clear, and rotated snapshots
+  /// then carry no scaler). The scaler must outlive the controller.
   void setScaler(const data::StandardScaler *Scaler);
 
   /// Registers the drift-attribution layer (optional; pass nullptr to
@@ -235,9 +235,11 @@ private:
   /// worker thread only.
   void runRefresh(std::deque<data::Sample> Batch);
 
-  /// Sleeps \p Backoff on the worker thread, waking early on shutdown.
-  /// Returns false when the controller is stopping.
-  bool backoffWait(std::chrono::milliseconds Backoff);
+  /// Runs \p Attempt until it returns true, at most MaxRefreshAttempts
+  /// times, waiting RefreshRetryBackoff (doubled after each wait) between
+  /// failures. Returns whether an attempt succeeded; a shutdown during a
+  /// wait ends the retries. Worker thread only.
+  bool retryWithBackoff(const std::function<bool()> &Attempt);
 
   /// Returns \p Batch to the front of the relabel buffer (oldest-first
   /// drop beyond MaxBufferedSamples) so an abandoned refresh is retried

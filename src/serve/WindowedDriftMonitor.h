@@ -81,36 +81,20 @@ public:
   /// Constructs an empty window under \p Cfg.
   explicit WindowedDriftMonitor(DriftWindowConfig Cfg = DriftWindowConfig());
 
-  /// Folds one deployment verdict (no ground truth).
-  void record(const Verdict &V);
-  /// Folds one regression verdict (no ground truth).
-  void record(const RegressionVerdict &V);
+  /// Folds one deployment verdict, classifier or regressor (no ground
+  /// truth). \p Features, when given, points at the \p Dims values of the
+  /// assessed feature/embedding vector: the vector and the rejection flag
+  /// are forwarded to the attribution sink *before* the windowed fold, so
+  /// an alert raised by this verdict snapshots an attribution state that
+  /// already includes it. The window counters never depend on the
+  /// features.
+  void record(const CommitteeVerdict &V, const double *Features = nullptr,
+              size_t Dims = 0);
 
-  /// record() carrying the assessed feature/embedding vector (\p Features
-  /// points at \p Dims values): the vector and the rejection flag are
-  /// forwarded to the attribution sink *before* the windowed fold, so an
-  /// alert raised by this verdict snapshots an attribution state that
-  /// already includes it. Without a sink attached this is exactly
-  /// record() — the window counters never depend on the features.
-  void record(const Verdict &V, const double *Features, size_t Dims);
-  /// Feature-carrying fold of a regression verdict; see the classifier
-  /// overload.
-  void record(const RegressionVerdict &V, const double *Features,
-              size_t Dims);
-
-  /// Folds one verdict with ground truth: \p Mispredicted is the label of
-  /// the DetectionCounts fold ("the underlying model got this one wrong").
-  void recordLabeled(const Verdict &V, bool Mispredicted);
-  /// Labeled fold of a regression verdict; see the classifier overload.
-  void recordLabeled(const RegressionVerdict &V, bool Mispredicted);
-
-  /// Labeled fold carrying the assessed feature vector; see the
-  /// feature-carrying record() overload.
-  void recordLabeled(const Verdict &V, bool Mispredicted,
-                     const double *Features, size_t Dims);
-  /// Labeled feature-carrying fold of a regression verdict.
-  void recordLabeled(const RegressionVerdict &V, bool Mispredicted,
-                     const double *Features, size_t Dims);
+  /// record() with ground truth: \p Mispredicted is the label of the
+  /// DetectionCounts fold ("the underlying model got this one wrong").
+  void recordLabeled(const CommitteeVerdict &V, bool Mispredicted,
+                     const double *Features = nullptr, size_t Dims = 0);
 
   /// Consistent view of every statistic.
   DriftWindowSnapshot snapshot() const;
@@ -143,8 +127,8 @@ public:
   void setAlertCallback(AlertCallback Fn);
 
   /// Attaches the drift-attribution sink (nullptr to detach). Every
-  /// record() then forwards its rejection flag — and, via the
-  /// feature-carrying overloads, the assessed feature vector — to the
+  /// record() then forwards its rejection flag — and, when the call
+  /// carries one, the assessed feature vector — to the
   /// sink, and snapshots/alert callbacks carry its report. The sink is
   /// strictly observe-only: the window counters and alert edges are
   /// bit-identical with or without one. The sink must outlive the

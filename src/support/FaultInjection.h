@@ -43,8 +43,10 @@
 ///   snapshot_rename   commitLatestPointer's atomic rename fails; the
 ///                     previous `latest` pointer survives.
 ///   snapshot_load     ByteReader::loadFile fails as if the file were
-///                     unreadable/corrupt (also fails generation probing,
-///                     so resolveLatestSnapshot walks back).
+///                     unreadable/corrupt, so loadLatestSnapshot moves on
+///                     to the next older generation. Every load reads its
+///                     file once, so armed at probability 0 the point's
+///                     drawCount() counts file reads.
 ///   refresh_throw     RecalibrationController's refresh attempt throws
 ///                     before touching the engine.
 ///   refresh_stall     RecalibrationController's refresh attempt sleeps

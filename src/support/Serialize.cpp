@@ -9,6 +9,7 @@
 #include "support/FaultInjection.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -17,6 +18,7 @@
 #include <dirent.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <unistd.h>
 
 using namespace prom::support;
 
@@ -109,45 +111,45 @@ bool ByteWriter::writeFile(const std::string &Path) const {
 bool ByteReader::loadFile(const std::string &Path) {
   Failed = true;
   Bytes.clear();
-  Cursor = 0;
+  Cursor = End = 0;
 
   // An injected load failure covers unreadable files and corruption the
-  // checksum would reject; it also fails generation *probing*, so
-  // resolveLatestSnapshot's walk-back over older generations is what gets
-  // exercised when this point is armed with a probability < 1.
+  // checksum would reject; with a probability < 1 it is what sends
+  // loadLatestSnapshot on to older generations.
   if (faults::shouldFail("snapshot_load"))
     return false;
 
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
     return false;
-  std::vector<uint8_t> All;
-  uint8_t Buf[4096];
-  size_t Got;
-  while ((Got = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    All.insert(All.end(), Buf, Buf + Got);
-  bool ReadOk = std::ferror(F) == 0;
+  // One sized read into the buffer the payload is parsed from.
+  struct stat St;
+  bool ReadOk = ::fstat(::fileno(F), &St) == 0 && S_ISREG(St.st_mode);
+  if (ReadOk) {
+    Bytes.resize(static_cast<size_t>(St.st_size));
+    ReadOk = std::fread(Bytes.data(), 1, Bytes.size(), F) == Bytes.size();
+  }
   std::fclose(F);
 
   constexpr size_t MagicLen = sizeof(SnapshotMagic);
   constexpr size_t ChecksumLen = sizeof(uint64_t);
-  if (!ReadOk || All.size() < MagicLen + ChecksumLen)
+  if (!ReadOk || Bytes.size() < MagicLen + ChecksumLen ||
+      std::memcmp(Bytes.data(), SnapshotMagic, MagicLen) != 0)
     return false;
-  if (std::memcmp(All.data(), SnapshotMagic, MagicLen) != 0)
-    return false;
-
   uint64_t Stored;
-  std::memcpy(&Stored, All.data() + All.size() - ChecksumLen, ChecksumLen);
-  if (fnv1a(All.data(), All.size() - ChecksumLen) != Stored)
+  std::memcpy(&Stored, Bytes.data() + Bytes.size() - ChecksumLen,
+              ChecksumLen);
+  if (fnv1a(Bytes.data(), Bytes.size() - ChecksumLen) != Stored)
     return false;
 
-  Bytes.assign(All.begin() + MagicLen, All.end() - ChecksumLen);
+  Cursor = MagicLen;
+  End = Bytes.size() - ChecksumLen;
   Failed = false;
   return true;
 }
 
 bool ByteReader::take(size_t N, const uint8_t *&Out) {
-  if (Failed || Bytes.size() - Cursor < N) {
+  if (Failed || End - Cursor < N) {
     Failed = true;
     return false;
   }
@@ -198,7 +200,7 @@ std::vector<double> ByteReader::readDoubleVec() {
   uint64_t Len = readU64();
   // Validate the length against the remaining payload before allocating:
   // a corrupt length field must fail, not OOM.
-  if (Failed || Len > (Bytes.size() - Cursor) / sizeof(double)) {
+  if (Failed || Len > (End - Cursor) / sizeof(double)) {
     Failed = true;
     return {};
   }
@@ -224,6 +226,14 @@ std::string joinPath(const std::string &Dir, const std::string &Name) {
   return Dir + "/" + Name;
 }
 
+/// "<Prefix>.<pid>.<n>": a temp name no other writer uses, in this
+/// process or another.
+std::string uniqueTempName(const char *Prefix) {
+  static std::atomic<uint64_t> Counter{0};
+  return std::string(Prefix) + "." + std::to_string(::getpid()) + "." +
+         std::to_string(Counter.fetch_add(1, std::memory_order_relaxed));
+}
+
 /// Parses "snapshot.<N>.bin" into N; false for anything else.
 bool parseGenerationName(const char *Name, uint64_t &Gen) {
   unsigned long long Parsed = 0;
@@ -236,12 +246,21 @@ bool parseGenerationName(const char *Name, uint64_t &Gen) {
   return true;
 }
 
-/// A generation is loadable when its file passes the full checksummed
-/// load; mid-write or bit-flipped files fail exactly like corrupt
-/// snapshots do.
-bool generationLoads(const std::string &Dir, uint64_t Gen) {
-  prom::support::ByteReader R;
-  return R.loadFile(joinPath(Dir, prom::support::snapshotGenerationFile(Gen)));
+/// Publishes the finished file \p Tmp as the next generation after the
+/// newest in \p Dir. link(2) fails with EEXIST instead of replacing a
+/// file, so a writer that lost the race for a number takes the next one.
+/// Returns the generation, or 0 when the link fails otherwise.
+uint64_t publishGeneration(const std::string &Dir, const std::string &Tmp) {
+  std::vector<uint64_t> Gens = prom::support::listSnapshotGenerations(Dir);
+  for (uint64_t Gen = Gens.empty() ? 1 : Gens.back() + 1; Gen != 0; ++Gen) {
+    std::string Final =
+        joinPath(Dir, prom::support::snapshotGenerationFile(Gen));
+    if (::link(Tmp.c_str(), Final.c_str()) == 0)
+      return Gen;
+    if (errno != EEXIST)
+      return 0;
+  }
+  return 0;
 }
 
 } // namespace
@@ -291,7 +310,7 @@ bool prom::support::commitLatestPointer(const std::string &Dir,
   if (faults::shouldFail("snapshot_rename"))
     return false;
 
-  std::string Tmp = joinPath(Dir, std::string(LatestPointerName) + ".tmp");
+  std::string Tmp = joinPath(Dir, uniqueTempName("latest.tmp"));
   std::string Final = joinPath(Dir, LatestPointerName);
   std::FILE *F = std::fopen(Tmp.c_str(), "wb");
   if (!F)
@@ -329,21 +348,6 @@ uint64_t prom::support::latestPointerGeneration(const std::string &Dir) {
   return parseGenerationName(Buf, Gen) ? Gen : 0;
 }
 
-std::string prom::support::resolveLatestSnapshot(const std::string &Dir) {
-  uint64_t Pointed = latestPointerGeneration(Dir);
-  if (Pointed != 0 && generationLoads(Dir, Pointed))
-    return joinPath(Dir, snapshotGenerationFile(Pointed));
-
-  // Stale or missing pointer: newest generation that actually loads. An
-  // uncommitted newer file is only ever used when the committed one is
-  // gone — the pointer, when valid, always wins above.
-  std::vector<uint64_t> Gens = listSnapshotGenerations(Dir);
-  for (auto It = Gens.rbegin(); It != Gens.rend(); ++It)
-    if (generationLoads(Dir, *It))
-      return joinPath(Dir, snapshotGenerationFile(*It));
-  return std::string();
-}
-
 size_t prom::support::pruneSnapshotGenerations(const std::string &Dir,
                                                size_t KeepCount) {
   std::vector<uint64_t> Gens = listSnapshotGenerations(Dir);
@@ -366,18 +370,33 @@ size_t prom::support::pruneSnapshotGenerations(const std::string &Dir,
   return Removed;
 }
 
-uint64_t prom::support::nextSnapshotGeneration(const std::string &Dir) {
-  std::vector<uint64_t> Gens = listSnapshotGenerations(Dir);
-  return Gens.empty() ? 1 : Gens.back() + 1;
+uint64_t prom::support::rotateSnapshot(
+    const std::string &Dir,
+    const std::function<bool(const std::string &)> &Save) {
+  if (!ensureDirectory(Dir))
+    return 0;
+  // Save creates a file nothing else names, so a crash mid-write leaves
+  // only a temp behind, and the final name appears complete or not at all.
+  std::string Tmp = joinPath(Dir, uniqueTempName("snapshot.tmp"));
+  uint64_t Gen = Save(Tmp) ? publishGeneration(Dir, Tmp) : 0;
+  std::remove(Tmp.c_str());
+  if (Gen == 0 || !commitLatestPointer(Dir, Gen))
+    return 0;
+  pruneSnapshotGenerations(Dir, SnapshotGenerationsKept);
+  return Gen;
 }
 
-bool prom::support::rotateSnapshot(
-    const std::string &Dir, uint64_t Gen, size_t KeepCount,
-    const std::function<bool(const std::string &)> &Save) {
-  if (!ensureDirectory(Dir) ||
-      !Save(joinPath(Dir, snapshotGenerationFile(Gen))) ||
-      !commitLatestPointer(Dir, Gen))
-    return false;
-  pruneSnapshotGenerations(Dir, KeepCount);
-  return true;
+uint64_t prom::support::loadLatestSnapshot(
+    const std::string &Dir,
+    const std::function<bool(const std::string &)> &Load) {
+  // The pointer wins over a newer uncommitted generation; the others
+  // serve only when the committed one does not load.
+  uint64_t Pointed = latestPointerGeneration(Dir);
+  if (Pointed != 0 && Load(joinPath(Dir, snapshotGenerationFile(Pointed))))
+    return Pointed;
+  std::vector<uint64_t> Gens = listSnapshotGenerations(Dir);
+  for (auto It = Gens.rbegin(); It != Gens.rend(); ++It)
+    if (*It != Pointed && Load(joinPath(Dir, snapshotGenerationFile(*It))))
+      return *It;
+  return 0;
 }

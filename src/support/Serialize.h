@@ -25,11 +25,12 @@
 /// the reader fails on one.
 ///
 /// The rotation helpers at the bottom manage a *directory* of snapshots
-/// for the self-recalibrating server: generation-numbered files
-/// (snapshot.N.bin) plus a `latest` pointer committed by atomic rename,
-/// so a crash between writing a generation and committing the pointer
-/// never leaves a reader pointing at a partial file. The byte-level
-/// layout of each generation file is documented in docs/SNAPSHOT_FORMAT.md.
+/// for the serving runtime: generation-numbered files (snapshot.N.bin)
+/// plus a `latest` pointer committed by atomic rename. rotateSnapshot()
+/// and loadLatestSnapshot() are the whole protocol, so a crash between
+/// writing a generation and committing the pointer never leaves a reader
+/// pointing at a partial file. The byte-level layout of each generation
+/// file is documented in docs/SNAPSHOT_FORMAT.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,18 +75,19 @@ private:
   bool NonFinite = false; ///< A vector held a non-finite value.
 };
 
-/// Bounds-checked reader over a loaded snapshot payload. After any failed
+/// Bounds-checked reader over a loaded snapshot file. After any failed
 /// read, failed() is sticky and every subsequent read returns a default.
 class ByteReader {
 public:
-  /// Loads \p Path, verifies the magic and the trailing checksum, and
-  /// exposes the payload between them. Returns false (and leaves the
-  /// reader failed) for missing, short, or corrupt files.
+  /// Reads \p Path with one sized read, verifies the magic and the
+  /// trailing checksum, and exposes the payload between them in place.
+  /// Returns false (and leaves the reader failed) for missing, short, or
+  /// corrupt files.
   bool loadFile(const std::string &Path);
 
   bool failed() const { return Failed; }
   /// True when the payload was consumed exactly.
-  bool atEnd() const { return !Failed && Cursor == Bytes.size(); }
+  bool atEnd() const { return !Failed && Cursor == End; }
 
   uint8_t readU8();
   uint32_t readU32();
@@ -101,9 +103,10 @@ public:
 private:
   bool take(size_t N, const uint8_t *&Out);
 
-  std::vector<uint8_t> Bytes;
-  size_t Cursor = 0;
-  bool Failed = true; ///< Until loadFile succeeds.
+  std::vector<uint8_t> Bytes; ///< The whole file: magic, payload, checksum.
+  size_t Cursor = 0;          ///< Next payload byte.
+  size_t End = 0;             ///< One past the payload (the checksum).
+  bool Failed = true;         ///< Until loadFile succeeds.
 };
 
 //===----------------------------------------------------------------------===//
@@ -111,13 +114,16 @@ private:
 //
 // A rotation directory holds generation-numbered snapshot files
 // ("snapshot.N.bin", N strictly increasing) and a `latest` pointer file
-// whose content is the file name of the committed generation. Writers
-// write the new generation fully, then commit the pointer via temp-file +
-// rename (atomic on POSIX). Readers trust the pointer only if the file it
-// names passes the checksummed load; otherwise they fall back to the
-// newest generation that does — so a crash at any point leaves a loadable
-// state behind.
+// whose content is the file name of the committed generation. Every
+// writer goes through rotateSnapshot() and every reader through
+// loadLatestSnapshot(), so one module numbers, commits, prunes and
+// resolves generations. A crash at any point leaves a loadable state
+// behind, and a published generation is never rewritten.
 //===----------------------------------------------------------------------===//
+
+/// Generations a rotation keeps on disk after it commits; the one the
+/// `latest` pointer names always survives as well.
+constexpr size_t SnapshotGenerationsKept = 3;
 
 /// File name of generation \p Gen ("snapshot.<Gen>.bin").
 std::string snapshotGenerationFile(uint64_t Gen);
@@ -132,37 +138,44 @@ bool ensureDirectory(const std::string &Dir);
 std::vector<uint64_t> listSnapshotGenerations(const std::string &Dir);
 
 /// Atomically points \p Dir/latest at generation \p Gen (temp file +
-/// rename). Call only after the generation file is fully written.
+/// rename). rotateSnapshot() is the only library caller; tests use it to
+/// build crash states.
 bool commitLatestPointer(const std::string &Dir, uint64_t Gen);
 
 /// Generation the `latest` pointer names, or 0 when the pointer is
 /// missing/unparseable (generations start at 1).
 uint64_t latestPointerGeneration(const std::string &Dir);
 
-/// Resolves the snapshot a restarting server should load: the pointed-to
-/// generation when its file passes the checksummed load, else the newest
-/// generation whose file does (a stale pointer — e.g. a crash after a
-/// prune, or a corrupted generation — falls back instead of failing).
-/// Returns the full path, or "" when no valid snapshot exists.
-std::string resolveLatestSnapshot(const std::string &Dir);
-
 /// Deletes old generations, keeping the newest \p KeepCount and — always —
 /// the generation the `latest` pointer names. Returns how many files were
-/// removed.
+/// removed. rotateSnapshot() is the only library caller.
 size_t pruneSnapshotGenerations(const std::string &Dir, size_t KeepCount);
 
-/// One past the newest generation on disk in \p Dir (1 when it holds none
-/// or does not exist), for writers that number generations from disk.
-uint64_t nextSnapshotGeneration(const std::string &Dir);
+/// Writes the next generation into \p Dir in the crash-safe order:
+///  1. \p Save writes the file under a temp name ("snapshot.tmp.*") that
+///     no other writer uses and that no reader ever opens;
+///  2. link(2) publishes it as the generation after the newest on disk,
+///     moving on to the next number when another writer took that one;
+///  3. the `latest` pointer is committed;
+///  4. the directory is pruned to SnapshotGenerationsKept.
+/// link(2) never replaces a file, so concurrent writers get distinct
+/// numbers and a published generation is never rewritten (the directory
+/// must be on a filesystem with hard links). Returns the committed
+/// generation, or 0 when any step before the prune fails; the previously
+/// committed generation then stays the one loadLatestSnapshot() serves.
+/// Retries and backoff are the caller's.
+uint64_t rotateSnapshot(const std::string &Dir,
+                        const std::function<bool(const std::string &)> &Save);
 
-/// Writes generation \p Gen into \p Dir in the crash-safe order: create
-/// the directory, write the generation file through \p Save (given its
-/// full path), commit the `latest` pointer, then prune down to
-/// \p KeepCount generations. Returns false when any step before the prune
-/// fails; the previously committed generation then stays the one
-/// resolveLatestSnapshot() serves. Retries and backoff are the caller's.
-bool rotateSnapshot(const std::string &Dir, uint64_t Gen, size_t KeepCount,
-                    const std::function<bool(const std::string &)> &Save);
+/// Restores the newest usable generation of \p Dir through \p Load,
+/// which reads the file it is given once and returns whether it loaded
+/// (and must leave its target untouched when it did not). The generation
+/// `latest` names goes first; when it does not load (a stale pointer, a
+/// corrupt file, or one of another kind), every other generation follows,
+/// newest first. Returns the generation that loaded, or 0 when none did.
+uint64_t
+loadLatestSnapshot(const std::string &Dir,
+                   const std::function<bool(const std::string &)> &Load);
 
 } // namespace support
 } // namespace prom

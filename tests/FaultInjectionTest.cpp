@@ -9,15 +9,18 @@
 // exactly the degraded-but-safe behavior the serving runtime promises:
 // a failed snapshot write/commit leaves the previous committed generation
 // loadable, torn and corrupted writes are caught by the checksummed load,
-// an abandoned refresh keeps the engine serving bit-identical verdicts
-// and requeues its batch, and a stalled batcher still answers correctly.
+// every open reads its snapshot file once, an abandoned refresh keeps the
+// engine serving bit-identical verdicts and requeues its batch, and a
+// stalled batcher still answers correctly.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/CApi.h"
 #include "core/Detector.h"
 #include "data/Split.h"
 #include "ml/Linear.h"
 #include "serve/AssessmentService.h"
+#include "serve/DetectorRegistry.h"
 #include "serve/RecalibrationController.h"
 #include "serve/WindowedDriftMonitor.h"
 #include "support/FaultInjection.h"
@@ -63,6 +66,13 @@ struct EngineFixture {
 EngineFixture &fixture() {
   static EngineFixture F;
   return F;
+}
+
+/// loadLatestSnapshot() of \p Dir into \p D: the generation that loaded,
+/// or 0.
+uint64_t loadLatest(const std::string &Dir, PromClassifier &D) {
+  return loadLatestSnapshot(
+      Dir, [&D](const std::string &Path) { return D.loadSnapshot(Path); });
 }
 
 /// Every test leaves the process with all faults disarmed, whatever path
@@ -217,11 +227,9 @@ TEST_F(FaultInjectionTest, FailedWriteLeavesPreviousGenerationServing) {
   EXPECT_GE(faults::fireCount("snapshot_write"), 1u);
   faults::disarm("snapshot_write");
 
-  // The resolver still hands out generation 1, and it restores verdicts
-  // bit-identically.
-  EXPECT_EQ(resolveLatestSnapshot(Dir), Gen1);
+  // The directory still restores generation 1, bit-identically.
   PromClassifier Restored(F.Model);
-  ASSERT_TRUE(Restored.loadSnapshot(Gen1));
+  ASSERT_EQ(loadLatest(Dir, Restored), 1u);
   std::vector<Verdict> Got = Restored.assessBatch(F.Probes);
   for (size_t I = 0; I < Expected.size(); ++I)
     expectSameVerdict(Expected[I], Got[I], I);
@@ -229,7 +237,7 @@ TEST_F(FaultInjectionTest, FailedWriteLeavesPreviousGenerationServing) {
   // Disarmed, the very same call succeeds.
   EXPECT_TRUE(F.Prom->saveSnapshot(Gen2));
   ASSERT_TRUE(commitLatestPointer(Dir, 2));
-  EXPECT_EQ(resolveLatestSnapshot(Dir), Gen2);
+  EXPECT_EQ(loadLatest(Dir, Restored), 2u);
 }
 
 TEST_F(FaultInjectionTest, TornWriteIsCaughtAndWalkedBack) {
@@ -251,11 +259,11 @@ TEST_F(FaultInjectionTest, TornWriteIsCaughtAndWalkedBack) {
 
   PromClassifier Victim(F.Model);
   EXPECT_FALSE(Victim.loadSnapshot(Gen2));
-  // The pointer names generation 2, but the resolver walks back to the
+  // The pointer names generation 2, but the load walks back to the
   // newest generation that actually loads.
-  EXPECT_EQ(resolveLatestSnapshot(Dir), Gen1);
   PromClassifier Restored(F.Model);
-  EXPECT_TRUE(Restored.loadSnapshot(resolveLatestSnapshot(Dir)));
+  EXPECT_EQ(loadLatest(Dir, Restored), 1u);
+  EXPECT_EQ(Restored.calibrationSize(), F.Prom->calibrationSize());
 }
 
 TEST_F(FaultInjectionTest, SilentCorruptionFailsTheChecksum) {
@@ -271,7 +279,7 @@ TEST_F(FaultInjectionTest, SilentCorruptionFailsTheChecksum) {
 
   PromClassifier Victim(F.Model);
   EXPECT_FALSE(Victim.loadSnapshot(Path));
-  EXPECT_EQ(resolveLatestSnapshot(Dir), "");
+  EXPECT_EQ(loadLatest(Dir, Victim), 0u);
 }
 
 TEST_F(FaultInjectionTest, RenameFaultKeepsThePreviousPointer) {
@@ -289,10 +297,11 @@ TEST_F(FaultInjectionTest, RenameFaultKeepsThePreviousPointer) {
   faults::disarm("snapshot_rename");
 
   // Generation 1 stays committed; the uncommitted (but valid) 2 is only a
-  // fallback if 1 ever disappears.
-  EXPECT_EQ(resolveLatestSnapshot(Dir), Gen1);
+  // fallback if 1 ever stops loading.
+  PromClassifier Restored(F.Model);
+  EXPECT_EQ(loadLatest(Dir, Restored), 1u);
   EXPECT_TRUE(commitLatestPointer(Dir, 2));
-  EXPECT_EQ(resolveLatestSnapshot(Dir), Gen2);
+  EXPECT_EQ(loadLatest(Dir, Restored), 2u);
 }
 
 TEST_F(FaultInjectionTest, LoadFaultFailsCleanlyAndRecovers) {
@@ -306,12 +315,54 @@ TEST_F(FaultInjectionTest, LoadFaultFailsCleanlyAndRecovers) {
   faults::arm("snapshot_load");
   PromClassifier Victim(F.Model);
   EXPECT_FALSE(Victim.loadSnapshot(Gen1));
-  // Generation probing load-fails too: nothing resolves while armed.
-  EXPECT_EQ(resolveLatestSnapshot(Dir), "");
+  // The directory load fails too: nothing loads while armed.
+  EXPECT_EQ(loadLatest(Dir, Victim), 0u);
   faults::disarm("snapshot_load");
 
-  EXPECT_EQ(resolveLatestSnapshot(Dir), Gen1);
+  EXPECT_EQ(loadLatest(Dir, Victim), 1u);
   EXPECT_TRUE(Victim.loadSnapshot(Gen1));
+}
+
+TEST_F(FaultInjectionTest, EveryOpenReadsItsSnapshotOnce) {
+  // Armed at probability 0, snapshot_load never fires but counts every
+  // ByteReader::loadFile call: one open, one read of the committed file.
+  EngineFixture &F = fixture();
+  int Classes = 3;
+  int Dim = static_cast<int>(F.Probes[0].Features.size());
+
+  std::string CDir = tempDir("reads_capi");
+  prom_detector *D = prom_create(Classes, Dim, 0.0);
+  ASSERT_NE(D, nullptr);
+  for (const data::Sample &S : F.Calib.samples()) {
+    std::vector<double> P = F.Model.predictProba(S);
+    ASSERT_EQ(prom_add_calibration(D, P.data(), S.Features.data(), S.Label),
+              0);
+  }
+  ASSERT_EQ(prom_finalize(D), 0);
+  ASSERT_EQ(prom_save(D, CDir.c_str()), 0);
+  prom_destroy(D);
+
+  faults::arm("snapshot_load", 0.0);
+  prom_detector *Opened = prom_open(Classes, Dim, 0.0, CDir.c_str());
+  EXPECT_NE(Opened, nullptr);
+  EXPECT_EQ(faults::drawCount("snapshot_load"), 1u);
+  prom_destroy(Opened);
+  faults::disarmAll();
+
+  // A cold registry acquire: the lazy load reads the generation the
+  // eviction rotated, once.
+  DetectorRegistry Registry;
+  TenantSpec Spec;
+  Spec.Model = &F.Model;
+  Spec.SnapshotDir = tempDir("reads_registry");
+  ASSERT_TRUE(Registry.registerTenant("t", Spec));
+  auto Engine = std::make_unique<PromClassifier>(F.Model);
+  Engine->calibrate(F.Calib);
+  ASSERT_TRUE(Registry.installDetector("t", std::move(Engine)));
+  ASSERT_TRUE(Registry.evict("t"));
+  faults::arm("snapshot_load", 0.0);
+  EXPECT_TRUE(static_cast<bool>(Registry.acquire("t")));
+  EXPECT_EQ(faults::drawCount("snapshot_load"), 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -28,7 +28,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <vector>
 
 using namespace prom;
 using namespace prom::serve;
@@ -333,4 +336,44 @@ TEST(FleetTest, PerTenantControllersRefreshAndSurviveReload) {
   EXPECT_NE(L.controller(), nullptr);
   EXPECT_EQ(L.controller()->stats().RefreshesCompleted, 0u); // Fresh.
   EXPECT_TRUE(Registry.submitLabeled("alpha", A.Calib[0]));
+}
+
+TEST(FleetTest, RegistrySaveAndControllerRotationShareOneSequence) {
+  // A registry save and a controller rotation write the same directory:
+  // the controller's rotation takes the next number instead of rewriting
+  // the generation the registry committed.
+  TenantFixture &A = alphaFixture();
+  DetectorRegistry Registry;
+  const std::string Dir = freshSnapshotDir("sequence");
+  ASSERT_TRUE(Registry.registerTenant("alpha", A.spec(Dir)));
+  ASSERT_TRUE(Registry.installDetector("alpha", A.makeEngine()));
+  RecalibrationConfig RCfg;
+  RCfg.MinRefreshSamples = 8;
+  ASSERT_TRUE(Registry.enableRecalibration("alpha", DriftWindowConfig(), RCfg));
+
+  ASSERT_TRUE(Registry.save("alpha"));
+  const std::string Gen1 = Dir + "/" + support::snapshotGenerationFile(1);
+  std::ifstream In(Gen1, std::ios::binary);
+  const std::vector<char> Saved((std::istreambuf_iterator<char>(In)),
+                                std::istreambuf_iterator<char>());
+  ASSERT_FALSE(Saved.empty());
+
+  DetectorRegistry::Lease L = Registry.acquire("alpha");
+  ASSERT_TRUE(static_cast<bool>(L));
+  for (size_t I = 0; I < 8; ++I)
+    ASSERT_TRUE(Registry.submitLabeled("alpha", A.Calib[I]));
+  L.controller()->triggerRefresh();
+  ASSERT_TRUE(
+      L.controller()->waitForRefreshes(1, std::chrono::milliseconds(10000)));
+  RecalibrationStats Stats = L.controller()->stats();
+  EXPECT_EQ(Stats.SnapshotsRotated, 1u);
+  EXPECT_EQ(Stats.LastGeneration, 2u);
+  EXPECT_EQ(support::listSnapshotGenerations(Dir),
+            (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(support::latestPointerGeneration(Dir), 2u);
+
+  std::ifstream Again(Gen1, std::ios::binary);
+  const std::vector<char> After((std::istreambuf_iterator<char>(Again)),
+                                std::istreambuf_iterator<char>());
+  EXPECT_EQ(After, Saved);
 }

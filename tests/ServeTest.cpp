@@ -269,10 +269,14 @@ TEST(ServeTest, DeadlineAwareEvictsExpiredToAdmitLiveWork) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
   // ...and the next arrival evicts them instead of being refused: the
-  // queue's capacity goes to work that can still meet its deadline.
+  // queue's capacity goes to work that can still meet its deadline. Each
+  // wait is bounded, so a request left queued fails the test instead of
+  // hanging it.
   std::future<Verdict> C =
       Svc.submitWithDeadline(F.Test[2], std::chrono::seconds(10));
   for (auto *Fut : {&A, &B}) {
+    ASSERT_EQ(Fut->wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
     try {
       Fut->get();
       FAIL() << "expired queued request must be shed";
@@ -282,6 +286,7 @@ TEST(ServeTest, DeadlineAwareEvictsExpiredToAdmitLiveWork) {
   }
 
   Svc.start();
+  ASSERT_EQ(C.wait_for(std::chrono::seconds(10)), std::future_status::ready);
   EXPECT_NO_THROW(C.get());
   Svc.drain();
   ServiceStats Stats = Svc.stats();
@@ -289,6 +294,29 @@ TEST(ServeTest, DeadlineAwareEvictsExpiredToAdmitLiveWork) {
   EXPECT_EQ(Stats.Completed, 1u);
   // meanBatchSize counts only assessed requests: one batch, one verdict.
   EXPECT_DOUBLE_EQ(Stats.meanBatchSize(), 1.0);
+}
+
+TEST(ServeTest, PositiveBudgetIsNeverShedAtAdmission) {
+  // A budget counts from the admission stamp, so however long admission
+  // takes, a positive budget is admitted; only a non-positive one is
+  // already expired.
+  EngineFixture &F = fixture();
+  constexpr size_t N = 20000;
+  ServiceConfig Cfg;
+  Cfg.QueueCapacity = N;
+  Cfg.Shed = ShedPolicy::DeadlineAware;
+  Cfg.StartPaused = true;
+  AssessmentService Svc(*F.Prom, Cfg);
+
+  std::vector<std::future<Verdict>> Futures;
+  Futures.reserve(N);
+  for (size_t I = 0; I < N; ++I)
+    Futures.push_back(Svc.submitWithDeadline(F.Test[I % F.Test.size()],
+                                             std::chrono::microseconds(1)));
+  ServiceStats Stats = Svc.stats();
+  EXPECT_EQ(Stats.ShedExpired, 0u);
+  EXPECT_EQ(Stats.Submitted, N);
+  Svc.shutdown(); // Paused: every queued request sheds.
 }
 
 TEST(ServeTest, ExpiredRequestsAreShedAtBatchPick) {
@@ -455,7 +483,6 @@ TEST(ServeTest, AutomaticRecalibrationSwapServesEveryRequest) {
   RecalibrationConfig RCfg;
   RCfg.MinRefreshSamples = 16;
   RCfg.SnapshotDir = ::testing::TempDir() + "/serve_rotation";
-  RCfg.KeepGenerations = 2;
   RecalibrationController Controller(Prom, Monitor, RCfg);
 
   // The relabeling pipeline has already queued fresh ground truth for the
@@ -492,11 +519,13 @@ TEST(ServeTest, AutomaticRecalibrationSwapServesEveryRequest) {
   EXPECT_GE(Stats.SnapshotsRotated, 1u);
   EXPECT_EQ(Stats.SnapshotFailures, 0u);
 
-  // The rotated snapshot must resolve and load.
-  std::string Latest = support::resolveLatestSnapshot(RCfg.SnapshotDir);
-  ASSERT_FALSE(Latest.empty());
+  // The rotated snapshot is the committed one, and it loads.
   PromClassifier Restored(Model);
-  EXPECT_TRUE(Restored.loadSnapshot(Latest));
+  EXPECT_EQ(support::loadLatestSnapshot(RCfg.SnapshotDir,
+                                        [&](const std::string &Path) {
+                                          return Restored.loadSnapshot(Path);
+                                        }),
+            Stats.LastGeneration);
   EXPECT_EQ(Restored.calibrationSize(), Prom.calibrationSize());
 
   // Post-swap serving must agree with direct calls on the refreshed

@@ -27,9 +27,12 @@
 
 #include <cstdio>
 #include <cstring>
+#include <dirent.h>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace prom;
@@ -685,6 +688,63 @@ void writeGeneration(const std::string &Dir, uint64_t Gen) {
       W.writeFile(Dir + "/" + support::snapshotGenerationFile(Gen)));
 }
 
+/// loadLatestSnapshot() of \p Dir into \p D: the generation that loaded,
+/// or 0.
+template <class Detector>
+uint64_t loadLatest(const std::string &Dir, Detector &D) {
+  return support::loadLatestSnapshot(
+      Dir, [&D](const std::string &Path) { return D.loadSnapshot(Path); });
+}
+
+/// The C-ABI layout of the classifier fixture (3 classes, 2-d features).
+constexpr int CApiClasses = 3, CApiDim = 2;
+
+/// A finalized C-ABI detector over the classifier fixture's model
+/// outputs; with \p PoisonFirstRow, the first calibration row's
+/// probabilities are NaN.
+prom_detector *capiDetector(bool PoisonFirstRow = false) {
+  ClassifierFixture &F = classifierFixture();
+  prom_detector *D = prom_create(CApiClasses, CApiDim, 0.1);
+  for (size_t I = 0; I < F.Calib.size(); ++I) {
+    std::vector<double> P = F.Model.predictProba(F.Calib[I]);
+    if (PoisonFirstRow && I == 0)
+      P.assign(P.size(), std::numeric_limits<double>::quiet_NaN());
+    EXPECT_EQ(prom_add_calibration(D, P.data(), F.Calib[I].Features.data(),
+                                   F.Calib[I].Label),
+              0);
+  }
+  EXPECT_EQ(prom_finalize(D), 0);
+  return D;
+}
+
+/// \p Got answers every fixture probe with \p Want's bits.
+void expectSameCApiVerdicts(const prom_detector *Want,
+                            const prom_detector *Got) {
+  ClassifierFixture &F = classifierFixture();
+  for (const data::Sample &S : F.Probes.samples()) {
+    std::vector<double> P = F.Model.predictProba(S);
+    double CredWant = 0.0, CredGot = 1.0;
+    EXPECT_EQ(prom_should_reject(Want, P.data(), S.Features.data(),
+                                 &CredWant, nullptr),
+              prom_should_reject(Got, P.data(), S.Features.data(), &CredGot,
+                                 nullptr));
+    EXPECT_EQ(bits(CredWant), bits(CredGot));
+  }
+}
+
+/// Names in \p Dir that start with \p Prefix.
+std::vector<std::string> filesStartingWith(const std::string &Dir,
+                                           const std::string &Prefix) {
+  std::vector<std::string> Names;
+  if (DIR *D = ::opendir(Dir.c_str())) {
+    while (struct dirent *E = ::readdir(D))
+      if (std::string(E->d_name).rfind(Prefix, 0) == 0)
+        Names.push_back(E->d_name);
+    ::closedir(D);
+  }
+  return Names;
+}
+
 } // namespace
 
 TEST(SnapshotTest, RotationCrashBeforePointerCommitServesOldGeneration) {
@@ -704,11 +764,12 @@ TEST(SnapshotTest, RotationCrashBeforePointerCommitServesOldGeneration) {
   // update: the committed generation 1 must still be served.
   ASSERT_TRUE(Saved.saveSnapshot(
       Dir + "/" + support::snapshotGenerationFile(2)));
-  EXPECT_EQ(support::resolveLatestSnapshot(Dir),
-            Dir + "/" + support::snapshotGenerationFile(1));
+  PromClassifier Restored(F.Model);
+  EXPECT_EQ(loadLatest(Dir, Restored), 1u);
 
-  // Pointer gone stale (its generation corrupted on disk): resolution
-  // falls back to the newest generation that still loads — generation 2.
+  // Pointer gone stale (its generation corrupted on disk): the load falls
+  // back to the newest generation that still loads — generation 2 — into
+  // a serving detector.
   {
     std::string Gen1 = Dir + "/" + support::snapshotGenerationFile(1);
     std::vector<char> Bytes = slurp(Gen1);
@@ -716,18 +777,13 @@ TEST(SnapshotTest, RotationCrashBeforePointerCommitServesOldGeneration) {
     Bytes[Bytes.size() / 2] ^= 0x5a;
     spit(Gen1, Bytes);
   }
-  std::string Resolved = support::resolveLatestSnapshot(Dir);
-  EXPECT_EQ(Resolved, Dir + "/" + support::snapshotGenerationFile(2));
+  PromClassifier Fallback(F.Model);
+  EXPECT_EQ(loadLatest(Dir, Fallback), 2u);
+  EXPECT_EQ(Fallback.calibrationSize(), Saved.calibrationSize());
 
-  // And the fallback is actually loadable into a serving detector.
-  PromClassifier Restored(F.Model);
-  EXPECT_TRUE(Restored.loadSnapshot(Resolved));
-  EXPECT_EQ(Restored.calibrationSize(), Saved.calibrationSize());
-
-  // Nothing valid left at all: resolution reports none rather than
-  // handing a corrupt path to the loader.
-  std::remove(Resolved.c_str());
-  EXPECT_EQ(support::resolveLatestSnapshot(Dir), "");
+  // Nothing valid left at all: the load reports none.
+  std::remove((Dir + "/" + support::snapshotGenerationFile(2)).c_str());
+  EXPECT_EQ(loadLatest(Dir, Fallback), 0u);
 }
 
 TEST(SnapshotTest, RotationPruneNeverDeletesPointedGeneration) {
@@ -746,8 +802,7 @@ TEST(SnapshotTest, RotationPruneNeverDeletesPointedGeneration) {
   EXPECT_EQ(Left[0], 2u);
   EXPECT_EQ(Left[1], 4u);
   EXPECT_EQ(Left[2], 5u);
-  EXPECT_EQ(support::resolveLatestSnapshot(Dir),
-            Dir + "/" + support::snapshotGenerationFile(2));
+  EXPECT_EQ(support::latestPointerGeneration(Dir), 2u);
 
   // Once a newer generation is committed, the old one becomes prunable.
   ASSERT_TRUE(support::commitLatestPointer(Dir, 5));
@@ -764,47 +819,22 @@ TEST(SnapshotTest, RotationKeepsLatestWhenASaveWouldNotLoad) {
   // detector calibrated with one NaN probability row still finalizes, but
   // prom_save fails: `latest` keeps naming the previous generation, no
   // generation is added or pruned, and prom_open restores that one.
-  ClassifierFixture &F = classifierFixture();
   std::string Dir = rotationDir("rotation_non_finite");
-  int NumClasses = 3;
-  int Dim = static_cast<int>(F.Calib[0].Features.size());
-  auto Calibrated = [&](bool PoisonFirstRow) {
-    prom_detector *D = prom_create(NumClasses, Dim, 0.1);
-    for (size_t I = 0; I < F.Calib.size(); ++I) {
-      std::vector<double> P = F.Model.predictProba(F.Calib[I]);
-      if (PoisonFirstRow && I == 0)
-        P.assign(P.size(), std::numeric_limits<double>::quiet_NaN());
-      EXPECT_EQ(prom_add_calibration(D, P.data(), F.Calib[I].Features.data(),
-                                     F.Calib[I].Label),
-                0);
-    }
-    EXPECT_EQ(prom_finalize(D), 0);
-    return D;
-  };
-
-  prom_detector *Good = Calibrated(false);
+  prom_detector *Good = capiDetector();
   ASSERT_NE(Good, nullptr);
   ASSERT_EQ(prom_save(Good, Dir.c_str()), 0);
   uint64_t Committed = support::latestPointerGeneration(Dir);
   std::vector<uint64_t> Generations = support::listSnapshotGenerations(Dir);
 
-  prom_detector *Poisoned = Calibrated(true);
+  prom_detector *Poisoned = capiDetector(/*PoisonFirstRow=*/true);
   ASSERT_NE(Poisoned, nullptr);
   EXPECT_EQ(prom_save(Poisoned, Dir.c_str()), -1);
   EXPECT_EQ(support::latestPointerGeneration(Dir), Committed);
   EXPECT_EQ(support::listSnapshotGenerations(Dir), Generations);
 
-  prom_detector *Reopened = prom_open(NumClasses, Dim, 0.1, Dir.c_str());
+  prom_detector *Reopened = prom_open(CApiClasses, CApiDim, 0.1, Dir.c_str());
   ASSERT_NE(Reopened, nullptr);
-  for (const data::Sample &S : F.Probes.samples()) {
-    std::vector<double> P = F.Model.predictProba(S);
-    double CredGood = 0.0, CredReopened = 1.0;
-    EXPECT_EQ(prom_should_reject(Good, P.data(), S.Features.data(),
-                                 &CredGood, nullptr),
-              prom_should_reject(Reopened, P.data(), S.Features.data(),
-                                 &CredReopened, nullptr));
-    EXPECT_EQ(bits(CredGood), bits(CredReopened));
-  }
+  expectSameCApiVerdicts(Good, Reopened);
   prom_destroy(Reopened);
   prom_destroy(Poisoned);
   prom_destroy(Good);
@@ -825,4 +855,79 @@ TEST(SnapshotTest, WrongKindRejected) {
   PromRegressor Reg(RModel);
   EXPECT_FALSE(Reg.loadSnapshot(Path));
   std::remove(Path.c_str());
+}
+
+TEST(SnapshotTest, CommittedGenerationOfAnotherKindFallsBack) {
+  // The committed generation passes the checksum but is a regressor
+  // snapshot, which no classifier loads: the open skips it and restores
+  // the newest generation that does load.
+  ClassifierFixture &F = classifierFixture();
+  std::string Dir = rotationDir("rotation_wrong_kind");
+  prom_detector *Good = capiDetector();
+  ASSERT_NE(Good, nullptr);
+  ASSERT_EQ(prom_save(Good, Dir.c_str()), 0);
+  uint64_t GoodGen = support::latestPointerGeneration(Dir);
+  ASSERT_NE(GoodGen, 0u);
+
+  RegressorFixture &RF = regressorFixture();
+  PromRegressor Other(RF.Model, RF.Cfg);
+  RF.calibrate(Other);
+  uint64_t OtherGen = support::rotateSnapshot(
+      Dir, [&Other](const std::string &Path) {
+        return Other.saveSnapshot(Path);
+      });
+  ASSERT_GT(OtherGen, GoodGen);
+  EXPECT_EQ(support::latestPointerGeneration(Dir), OtherGen);
+
+  PromClassifier Restored(F.Model);
+  EXPECT_EQ(loadLatest(Dir, Restored), GoodGen);
+  prom_detector *Reopened = prom_open(CApiClasses, CApiDim, 0.1, Dir.c_str());
+  ASSERT_NE(Reopened, nullptr);
+  expectSameCApiVerdicts(Good, Reopened);
+  prom_destroy(Reopened);
+  prom_destroy(Good);
+}
+
+TEST(SnapshotTest, ConcurrentRotationsGetDistinctGenerations) {
+  // Two writers rotating into one directory never share a number, and
+  // every generation left after their prunes is a complete snapshot.
+  ClassifierFixture &F = classifierFixture();
+  std::string Dir = rotationDir("rotation_concurrent");
+  PromClassifier Saved(F.Model);
+  Saved.calibrate(F.Calib);
+
+  constexpr size_t PerThread = 16;
+  std::vector<uint64_t> Gens[2];
+  auto Writer = [&](std::vector<uint64_t> &Out) {
+    for (size_t I = 0; I < PerThread; ++I)
+      Out.push_back(support::rotateSnapshot(
+          Dir,
+          [&Saved](const std::string &Path) { return Saved.saveSnapshot(Path); }));
+  };
+  std::thread A(Writer, std::ref(Gens[0]));
+  std::thread B(Writer, std::ref(Gens[1]));
+  A.join();
+  B.join();
+
+  std::set<uint64_t> Distinct;
+  for (const std::vector<uint64_t> &G : Gens)
+    for (uint64_t Gen : G) {
+      EXPECT_NE(Gen, 0u);
+      Distinct.insert(Gen);
+    }
+  EXPECT_EQ(Distinct.size(), 2 * PerThread);
+  EXPECT_EQ(Distinct.count(0), 0u);
+
+  std::vector<uint64_t> Left = support::listSnapshotGenerations(Dir);
+  EXPECT_FALSE(Left.empty());
+  for (uint64_t Gen : Left) {
+    SCOPED_TRACE("generation " + std::to_string(Gen));
+    PromClassifier Restored(F.Model);
+    EXPECT_TRUE(Restored.loadSnapshot(
+        Dir + "/" + support::snapshotGenerationFile(Gen)));
+  }
+  EXPECT_TRUE(filesStartingWith(Dir, "snapshot.tmp").empty());
+  EXPECT_TRUE(filesStartingWith(Dir, "latest.tmp").empty());
+  PromClassifier Restored(F.Model);
+  EXPECT_NE(loadLatest(Dir, Restored), 0u);
 }
