@@ -24,7 +24,13 @@
 //    4-expert WeightedCount committee over a 50% selection, and the
 //    1-expert unweighted full selection of the baselines. Each query's
 //    outputs are checked bit for bit before timing, and the whole store
-//    pass (scan, cut, fold) is timed through the CalibrationStore API.
+//    pass (scan, cut, fold) is timed through the CalibrationStore API;
+//  * the Eq. (1) weight e^-x on the engine shape's exponents, in ns per
+//    argument: libm's exp (the fold's weight before support::kernels
+//    owned it), the scalar expNeg and the dispatched four-lane form. The
+//    run stops FATAL when the two forms differ on any argument of the
+//    sweep. The unweighted baseline store rows run no weight and are the
+//    control for a change to it.
 //
 // Emits human-readable rows plus one JSON result line per metric (same
 // schema as the other benches; CI greps '^{' into BENCH_kernel_bench.json).
@@ -458,6 +464,52 @@ struct StoreShape {
   double SelectFraction; ///< 1 selects every entry.
 };
 
+/// The Eq. (1) weight three ways over \p X, the exponents the fold
+/// computes for the engine shape's selected entries: libm's exp behind the
+/// same 746 cut, the scalar expNeg, and the dispatched array form. Before
+/// timing, the two forms must agree bit for bit on X and on a sweep over
+/// [0, 750] with its special values.
+void expBench(const std::vector<double> &X, double MinMillis, Rng &R) {
+  std::vector<double> Sweep = X;
+  for (size_t I = 0; I < 200000; ++I)
+    Sweep.push_back(R.uniform(0.0, 750.0));
+  Sweep.insert(Sweep.end(), {0.0, -0.0, 746.0, HUGE_VAL, NAN});
+  std::vector<double> Want(Sweep.size()), Got(Sweep.size());
+  for (size_t I = 0; I < Sweep.size(); ++I)
+    Want[I] = kernels::expNeg(Sweep[I]);
+  kernels::expNegArray(Sweep.data(), Sweep.size(), Got.data());
+  if (std::memcmp(Got.data(), Want.data(), Got.size() * sizeof(double))) {
+    std::fprintf(stderr, "FATAL: %s expNeg diverges from scalar\n",
+                 kernels::activeIsaName());
+    std::exit(1);
+  }
+
+  size_t N = X.size();
+  std::vector<double> Out(N);
+  double Libm = bestRate(N, MinMillis, [&] {
+    for (size_t I = 0; I < N; ++I)
+      Out[I] = X[I] > 746.0 ? 0.0 : std::exp(-X[I]);
+    return Out[N / 2];
+  });
+  double Scalar = bestRate(N, MinMillis, [&] {
+    for (size_t I = 0; I < N; ++I)
+      Out[I] = kernels::expNeg(X[I]);
+    return Out[N / 2];
+  });
+  double Dispatched = bestRate(N, MinMillis, [&] {
+    kernels::expNegArray(X.data(), N, Out.data());
+    return Out[N / 2];
+  });
+  double MaxArg = *std::max_element(X.begin(), X.end());
+  std::printf("  eq1 weight e^-x over %zu exponents in [0, %.3g]: libm %5.2f "
+              "| scalar %5.2f | %s %5.2f ns/arg\n",
+              N, MaxArg, 1e9 / Libm, 1e9 / Scalar, kernels::activeIsaName(),
+              1e9 / Dispatched);
+  jsonResult("eq1_weight_libm_ns_per_arg", 1e9 / Libm);
+  jsonResult("eq1_weight_scalar_ns_per_arg", 1e9 / Scalar);
+  jsonResult("eq1_weight_dispatched_ns_per_arg", 1e9 / Dispatched);
+}
+
 void storePassBench(const StoreShape &Shape, size_t N, size_t Dim,
                     double MinMillis, Rng &R) {
   const size_t NumQueries = 16;
@@ -626,6 +678,21 @@ void storePassBench(const StoreShape &Shape, size_t N, size_t Dim,
   jsonResult(Tag + "_fold_scalar_us", FoldScalar);
   jsonResult(Tag + "_fold_dispatched_us", FoldDispatched);
   jsonResult(Tag + "_pass_us", StorePass);
+
+  if (!Weighted)
+    return;
+  // The exponents the fold weighs: every query's selected entries.
+  std::vector<double> Exponents;
+  for (const Query &Q : Queries)
+    for (size_t I = 0; I < N; ++I) {
+      const kernels::FoldQuery &F = Q.Fold;
+      if (kernels::SelectKey(kernels::keyBits(F.Dists[I]),
+                             static_cast<uint32_t>(I)) > F.Cut)
+        continue;
+      double D = std::max(0.0, std::sqrt(F.Dists[I]) - F.Offset);
+      Exponents.push_back((F.NormPower == 2 ? D * D : D) / F.Tau);
+    }
+  expBench(Exponents, MinMillis, R);
 }
 
 } // namespace

@@ -449,5 +449,5 @@ void CalibrationStore::pValuesAllExperts(AssessmentScratch &S,
 double prom::confidenceFromSetSize(size_t Size, double C) {
   assert(C > 0.0 && "Gaussian scale must be positive");
   double D = static_cast<double>(Size) - 1.0;
-  return std::exp(-(D * D) / (2.0 * C * C));
+  return support::kernels::expNeg((D * D) / (2.0 * C * C));
 }

@@ -13,6 +13,7 @@
 #include "support/KernelsIsa.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -169,7 +170,7 @@ void kernels::scalar::foldBlock(const FoldQuery &Q, size_t Begin, size_t End,
     double W = 1.0;
     if (Q.Weighted) {
       double D = std::max(0.0, std::sqrt(Q.Dists[I]) - Q.Offset);
-      W = expWeight((Q.NormPower == 2 ? D * D : D) / Q.Tau);
+      W = expNeg((Q.NormPower == 2 ? D * D : D) / Q.Tau);
     }
     for (size_t E = 0; E < Q.NumExperts; ++E) {
       double Score = Q.Columns[E][I];
@@ -179,6 +180,31 @@ void kernels::scalar::foldBlock(const FoldQuery &Q, size_t Begin, size_t End,
       GreaterEq[Row + E] += Compared >= Q.TestScores[Row + E] ? Add : 0.0;
     }
   }
+}
+
+double kernels::expNeg(double X) {
+  if (!(X <= ExpNegCut))
+    return X > ExpNegCut ? 0.0 : X;
+  // Reduction, polynomial and table as in KernelsIsa.h; the AVX2 form runs
+  // these steps in this order, four lanes at a time.
+  double KD = X * ExpInvStep + ExpRoundShift;
+  uint64_t K = keyBits(KD) - keyBits(ExpRoundShift);
+  KD = KD - ExpRoundShift;
+  double R = (X - KD * ExpStepHi) - KD * ExpStepLo;
+  double P =
+      R * (-1.0 +
+           R * (ExpC2 + R * (ExpC3 + R * (ExpC4 + R * (ExpC5 + R * ExpC6)))));
+  const double *T = ExpTable[K & 63];
+  double Y = T[0] + (T[1] + T[0] * P);
+  uint64_t M = K >> 6;
+  // 2^-E for E in [0, 1022]: the exponent field 1023 - E.
+  auto Scale = [](uint64_t E) { return fromKeyBits((1023 - E) << 52); };
+  return Y * Scale(M >> 1) * Scale(M - (M >> 1));
+}
+
+void kernels::scalar::expNegArray(const double *X, size_t N, double *Out) {
+  for (size_t I = 0; I < N; ++I)
+    Out[I] = expNeg(X[I]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -203,6 +229,8 @@ struct DispatchTable {
       kernels::scalar::selectionCut;
   void (*Fold)(const kernels::FoldQuery &, size_t, size_t, double *,
                double *, double *) = kernels::scalar::foldBlock;
+  void (*ExpNeg)(const double *, size_t, double *) =
+      kernels::scalar::expNegArray;
   bool Avx2 = false;
 
   DispatchTable() {
@@ -219,6 +247,7 @@ struct DispatchTable {
       Matmul = kernels::avx2::matmul;
       Cut = kernels::avx2::selectionCut;
       Fold = kernels::avx2::foldBlock;
+      ExpNeg = kernels::avx2::expNegArray;
       Avx2 = true;
     }
 #endif
@@ -279,4 +308,8 @@ kernels::SelectionCut kernels::selectionCut(const double *Dists, size_t N,
 void kernels::foldBlock(const FoldQuery &Q, size_t Begin, size_t End,
                         double *GreaterEq, double *Total, double *Counts) {
   table().Fold(Q, Begin, End, GreaterEq, Total, Counts);
+}
+
+void kernels::expNegArray(const double *X, size_t N, double *Out) {
+  table().ExpNeg(X, N, Out);
 }

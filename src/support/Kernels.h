@@ -8,11 +8,12 @@
 /// The single source of truth for the dense numeric inner loops of the
 /// assessment hot path: batched one-query-vs-many-rows squared Euclidean
 /// distance, dot/axpy, the blocked row-major matmul behind the batched
-/// model forwards, and the two calibration-store passes that follow the
+/// model forwards, the two calibration-store passes that follow the
 /// distance scan — the selection cut (selectionCut) and the per-block
-/// Eq. (2) fold (foldBlock). Every entry point has a scalar reference
-/// implementation and (when the build enables it) a runtime-dispatched
-/// AVX2 variant.
+/// Eq. (2) fold (foldBlock) — and the guard's own e^-x (expNeg), which
+/// gives the Eq. (1) weights and the vote's confidence. Every entry point
+/// has a scalar reference implementation and (when the build enables it) a
+/// runtime-dispatched AVX2 variant.
 ///
 /// Determinism contract
 /// --------------------
@@ -31,9 +32,12 @@
 ///    histogram and bucket passes are exact in any order.
 ///  * The fold gives each SIMD lane one (expert, label) cell and never sums
 ///    across lanes: every step (sqrt, subtract, max, multiply, divide,
-///    compare, masked add) is a per-lane IEEE operation, the Eq. (1) exp
-///    is the same libm call per entry on both paths, and each cell adds
+///    compare, masked add) is a per-lane IEEE operation, and each cell adds
 ///    its entries in ascending entry order. No lane-fold rule is needed.
+///  * expNeg is mul, add and integer bit steps only, with its table and
+///    constants committed as literals: the scalar form and the AVX2
+///    four-lane form run the same operations in the same order, so the
+///    Eq. (1) weight depends on neither the ISA nor the host's libm.
 ///  * The kernel translation units are built with FP contraction disabled,
 ///    so no mul+add pair fuses into an FMA on one ISA but not the other.
 ///
@@ -194,9 +198,10 @@ SelectionCut selectionCut(const double *Dists, size_t N, size_t Keep,
 /// foldStride(NumExperts)) and to \p Counts (NumLabels).
 ///
 /// Each selected entry with a label L in range adds 1 to Counts[L] and
-/// has the Eq. (1) weight W = exp(-max(sqrt(d) - Offset, 0)^p / Tau)
-/// (0 once the exponent passes 746, where exp rounds to +0; W = 1 when
-/// not Weighted). Then every expert lane E follows one rule: a Scaling
+/// has the Eq. (1) weight W = expNeg(max(sqrt(d) - Offset, 0)^p / Tau)
+/// (W = 1 when not Weighted). The AVX2 variant computes a block's weights
+/// in one four-lane pass over its compacted exponents; every variant gives
+/// expNeg's bits. Then every expert lane E follows one rule: a Scaling
 /// lane adds 1 to Total and compares W * score, every other lane adds W
 /// and compares the score; GreaterEq gains the same addend when the
 /// compared value is >= TestScores[L][E], and +0.0 otherwise. Padding
@@ -204,6 +209,19 @@ SelectionCut selectionCut(const double *Dists, size_t N, size_t Keep,
 /// read, never used). Each cell adds its entries in ascending id order.
 void foldBlock(const FoldQuery &Q, size_t Begin, size_t End,
                double *GreaterEq, double *Total, double *Counts);
+
+/// e^-X for X >= 0: the Eq. (1) weight and the vote's confidence. One
+/// form for every ISA, built from a table reduction by ln2/64 and a fixed
+/// polynomial (see KernelsIsa.h); KernelTest holds it within 1 ulp of
+/// glibc's exp(-X). +0 and -0 give exactly 1, every X past 746 (+inf
+/// included) gives +0, as exp rounds there, and a NaN is returned as is. A
+/// negative X is outside the domain: its result is unspecified, but every
+/// form gives the same bits for it.
+double expNeg(double X);
+
+/// Out[I] = expNeg(X[I]) for I in [0, N), bit for bit: the AVX2 variant
+/// runs the four-lane form foldBlock() uses.
+void expNegArray(const double *X, size_t N, double *Out);
 
 //===----------------------------------------------------------------------===//
 // Scalar reference implementations
@@ -228,6 +246,7 @@ SelectionCut selectionCut(const double *Dists, size_t N, size_t Keep,
                           std::vector<SelectKey> &Bucket);
 void foldBlock(const FoldQuery &Q, size_t Begin, size_t End,
                double *GreaterEq, double *Total, double *Counts);
+void expNegArray(const double *X, size_t N, double *Out);
 
 } // namespace scalar
 

@@ -18,7 +18,10 @@
 //    the scalar passes count;
 //  * the Eq. (2) fold gives each register lane one (expert, label) cell
 //    and never reduces across lanes; a failed compare adds a masked +0.0,
-//    exactly like the scalar reference's `Hit ? Add : 0.0`.
+//    exactly like the scalar reference's `Hit ? Add : 0.0`;
+//  * expNeg4 runs the scalar expNeg's float and integer steps in the same
+//    order, one argument per lane, and blends in the scalar form's early
+//    returns (+0 past the cut, NaN as is).
 //
 // Hence the bit-identity contract of Kernels.h holds by construction, and
 // KernelTest checks it on every run.
@@ -223,6 +226,41 @@ constexpr PackTable makePackTable() {
 
 constexpr PackTable Pack = makePackTable();
 
+/// e^-X in each lane: kernels::expNeg's steps on four arguments at once.
+inline __m256d expNeg4(__m256d X) {
+  const __m256d Shift = _mm256_set1_pd(kernels::ExpRoundShift);
+  __m256d KD = _mm256_add_pd(
+      _mm256_mul_pd(X, _mm256_set1_pd(kernels::ExpInvStep)), Shift);
+  __m256i K =
+      _mm256_sub_epi64(_mm256_castpd_si256(KD), _mm256_castpd_si256(Shift));
+  KD = _mm256_sub_pd(KD, Shift);
+  __m256d R = _mm256_sub_pd(
+      _mm256_sub_pd(X, _mm256_mul_pd(KD, _mm256_set1_pd(kernels::ExpStepHi))),
+      _mm256_mul_pd(KD, _mm256_set1_pd(kernels::ExpStepLo)));
+  // Horner from the inside out: C + R * P per coefficient, then R * P.
+  __m256d P = _mm256_set1_pd(kernels::ExpC6);
+  for (double C : {kernels::ExpC5, kernels::ExpC4, kernels::ExpC3,
+                   kernels::ExpC2, -1.0})
+    P = _mm256_add_pd(_mm256_set1_pd(C), _mm256_mul_pd(R, P));
+  P = _mm256_mul_pd(R, P);
+  __m256i Row = _mm256_slli_epi64(_mm256_and_si256(K, _mm256_set1_epi64x(63)),
+                                  1);
+  __m256d Hi = _mm256_i64gather_pd(&kernels::ExpTable[0][0], Row, 8);
+  __m256d Lo = _mm256_i64gather_pd(&kernels::ExpTable[0][1], Row, 8);
+  __m256d Y = _mm256_add_pd(Hi, _mm256_add_pd(Lo, _mm256_mul_pd(Hi, P)));
+  __m256i M = _mm256_srli_epi64(K, 6);
+  __m256i M1 = _mm256_srli_epi64(M, 1);
+  const __m256i Bias = _mm256_set1_epi64x(1023);
+  auto Scale = [&](__m256i E) {
+    return _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_sub_epi64(Bias, E), 52));
+  };
+  Y = _mm256_mul_pd(_mm256_mul_pd(Y, Scale(M1)),
+                    Scale(_mm256_sub_epi64(M, M1)));
+  const __m256d Cut = _mm256_set1_pd(kernels::ExpNegCut);
+  Y = _mm256_andnot_pd(_mm256_cmp_pd(X, Cut, _CMP_GT_OQ), Y);
+  return _mm256_blendv_pd(Y, X, _mm256_cmp_pd(X, X, _CMP_UNORD_Q));
+}
+
 /// Entries foldBlock() compacts at a time (one canonical accumulation
 /// block of the calibration store). Chunking never reorders a cell's sum.
 constexpr size_t FoldChunk = 256;
@@ -386,7 +424,7 @@ void kernels::avx2::foldBlock(const FoldQuery &Q, size_t Begin, size_t End,
     for (size_t K = 0; K < N; ++K)
       Counts[Labels[K]] += 1.0;
 
-    // Eq. (1) exponents as one vector pass over the compacted distances;
+    // Eq. (1) weights as one vector pass over the compacted distances;
     // the (x, zero) operand order makes max return +0.0 for NaN and -0.0,
     // as std::max(0.0, x) does.
     if (Q.Weighted) {
@@ -398,10 +436,8 @@ void kernels::avx2::foldBlock(const FoldQuery &Q, size_t Begin, size_t End,
             _mm256_setzero_pd());
         if (Q.NormPower == 2)
           D = _mm256_mul_pd(D, D);
-        _mm256_store_pd(W + K, _mm256_div_pd(D, Tau));
+        _mm256_store_pd(W + K, expNeg4(_mm256_div_pd(D, Tau)));
       }
-      for (size_t K = 0; K < N; ++K)
-        W[K] = expWeight(W[K]);
     } else {
       for (size_t K = 0; K < N; K += KernelLanes)
         _mm256_store_pd(W + K, One);
@@ -442,6 +478,16 @@ void kernels::avx2::foldBlock(const FoldQuery &Q, size_t Begin, size_t End,
       }
     }
   }
+}
+
+void kernels::avx2::expNegArray(const double *X, size_t N, double *Out) {
+  size_t Full = N & ~(KernelLanes - 1);
+  for (size_t I = 0; I < Full; I += KernelLanes)
+    _mm256_storeu_pd(Out + I, expNeg4(_mm256_loadu_pd(X + I)));
+  alignas(32) double Tail[KernelLanes] = {};
+  std::copy(X + Full, X + N, Tail);
+  _mm256_store_pd(Tail, expNeg4(_mm256_load_pd(Tail)));
+  std::copy(Tail, Tail + (N - Full), Out + Full);
 }
 
 #endif // PROM_HAVE_AVX2

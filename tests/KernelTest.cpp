@@ -502,3 +502,119 @@ TEST(KernelTest, FoldBlockWeighsANaNDistanceOneUnderFullSelection) {
     EXPECT_EQ(GE[L * Stride], 1.0);
   }
 }
+
+namespace {
+
+/// Distance in ulps between two non-negative doubles: adjacent
+/// non-negative doubles differ by 1 in their bit patterns.
+uint64_t ulpDistance(double A, double B) {
+  uint64_t BitsA = kernels::keyBits(A), BitsB = kernels::keyBits(B);
+  return BitsA > BitsB ? BitsA - BitsB : BitsB - BitsA;
+}
+
+/// The arguments of the expNeg sweep, all in [0, 746.5].
+std::vector<double> expNegSweep() {
+  Rng R(23);
+  std::vector<double> X;
+  auto Uniform = [&](double Lo, double Hi, size_t N) {
+    for (size_t I = 0; I < N; ++I)
+      X.push_back(R.uniform(Lo, Hi));
+  };
+  Uniform(0.0, 0.03, 400000);     // Where the engine's exponents lie.
+  Uniform(0.0, 746.0, 300000);    // The whole domain.
+  Uniform(708.4, 745.14, 200000); // Subnormal results.
+  Uniform(745.5, 746.5, 100000);  // Both sides of the cut.
+  // Both sides of every rounding boundary (K + 1/2) ln2/64 of the
+  // reduction up to the cut, where |R| is largest.
+  const double Step = 0.6931471805599453 / 64.0;
+  for (size_t K = 0; (static_cast<double>(K) + 0.5) * Step <= 746.0; ++K) {
+    double B = (static_cast<double>(K) + 0.5) * Step;
+    X.insert(X.end(), {B, std::nextafter(B, 0.0), std::nextafter(B, Inf)});
+  }
+  // Every power of two below 1: e^-X rounds to 1 or to its predecessor.
+  for (int E = -1074; E < 0; ++E)
+    X.push_back(std::ldexp(1.0, E));
+  return X;
+}
+
+} // namespace
+
+TEST(KernelTest, ExpNegIsWithinOneUlpOfLibmOnAMillionArguments) {
+  std::vector<double> X = expNegSweep();
+  ASSERT_GE(X.size(), 1000000u);
+  uint64_t Worst = 0;
+  double WorstArg = 0.0;
+  size_t Differ = 0;
+  for (double Arg : X) {
+    uint64_t Ulps = ulpDistance(kernels::expNeg(Arg), std::exp(-Arg));
+    Differ += Ulps != 0;
+    if (Ulps > Worst) {
+      Worst = Ulps;
+      WorstArg = Arg;
+    }
+  }
+  EXPECT_LE(Worst, 1u) << "at X = " << WorstArg;
+  // Most results are glibc's bits exactly; the table rounds once at the
+  // end, so a differing result sits at a rounding tie of the two.
+  EXPECT_LT(Differ, X.size() / 50) << Differ << " of " << X.size();
+}
+
+TEST(KernelTest, ExpNegFormsAgreeBitForBitOnEveryArgument) {
+  // The sweep plus negative arguments, which lie outside the domain but
+  // must still give one result on every form, and arrays of every tail
+  // length.
+  std::vector<double> X = expNegSweep();
+  Rng R(24);
+  for (size_t I = 0; I < 20000; ++I)
+    X.push_back(R.uniform(-800.0, 0.0));
+  X.insert(X.end(), {-Inf, -std::numeric_limits<double>::max(), -1e-300});
+  std::vector<double> Out(X.size());
+  kernels::expNegArray(X.data(), X.size(), Out.data());
+  size_t Mismatches = 0;
+  for (size_t I = 0; I < X.size(); ++I)
+    if (kernels::keyBits(Out[I]) != kernels::keyBits(kernels::expNeg(X[I])) &&
+        ++Mismatches <= 5)
+      ADD_FAILURE() << "X = " << X[I] << ": " << Out[I] << " vs "
+                    << kernels::expNeg(X[I]);
+  EXPECT_EQ(Mismatches, 0u);
+
+  const size_t SubnormalBand = 700000; // The sweep's third block.
+  for (size_t N = 0; N <= 9; ++N) {
+    std::vector<double> Part(X.begin() + SubnormalBand,
+                             X.begin() + SubnormalBand + N);
+    std::vector<double> Got(N + 1, -1.0), Want(N + 1, -1.0);
+    kernels::expNegArray(Part.data(), N, Got.data());
+    kernels::scalar::expNegArray(Part.data(), N, Want.data());
+    for (size_t I = 0; I <= N; ++I) // Out[N] stays untouched.
+      expectSameBits(Got[I], Want[I], "expNegArray tail");
+  }
+}
+
+TEST(KernelTest, ExpNegSpecialValues) {
+  const double Max = std::numeric_limits<double>::max();
+  struct Case {
+    double X;
+    double Want;
+  };
+  const Case Cases[] = {{0.0, 1.0},
+                        {-0.0, 1.0},
+                        {746.0, 0.0},
+                        {std::nextafter(746.0, Inf), 0.0},
+                        {1000.0, 0.0},
+                        {Max, 0.0},
+                        {Inf, 0.0}};
+  std::vector<double> X;
+  for (const Case &C : Cases)
+    X.push_back(C.X);
+  X.insert(X.end(), {NaN, -NaN});
+  std::vector<double> Out(X.size());
+  kernels::expNegArray(X.data(), X.size(), Out.data());
+  for (size_t I = 0; I < std::size(Cases); ++I) {
+    expectSameBits(kernels::expNeg(Cases[I].X), Cases[I].Want, "expNeg");
+    expectSameBits(Out[I], Cases[I].Want, "expNegArray");
+  }
+  for (size_t I = std::size(Cases); I < X.size(); ++I) {
+    EXPECT_TRUE(std::isnan(kernels::expNeg(X[I])));
+    expectSameBits(Out[I], kernels::expNeg(X[I]), "expNegArray NaN");
+  }
+}

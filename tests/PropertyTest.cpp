@@ -170,8 +170,9 @@ TEST(CommitteeProperty, FlagsMonotoneInVoteThreshold) {
     size_t Flags = 0;
     for (const data::Sample &Smp : S.Test.samples())
       Flags += Prom.assess(Smp).Drifted ? 1 : 0;
-    if (Prev != static_cast<size_t>(-1))
+    if (Prev != static_cast<size_t>(-1)) {
       EXPECT_LE(Flags, Prev) << "votes=" << Votes;
+    }
     Prev = Flags;
   }
 }

@@ -9,9 +9,10 @@
 /// the assessment engine against. It re-derives every verdict from the
 /// paper, one input at a time, on the values one pinned calibration
 /// generation holds. From the library it reads only the store's columns
-/// and distance scale, the committee's scorers, the model's forwards and
-/// the support:: distance and statistics primitives; no line of the
-/// engine's selection, weighting, p-value or vote code runs here.
+/// and distance scale, the committee's scorers, the model's forwards, the
+/// support:: distance and statistics primitives and the scalar e^-x
+/// (support::kernels::expNeg); no line of the engine's selection,
+/// weighting, p-value or vote code runs here.
 ///
 ///  * Selection (Sec. 5.1.2): every entry is ranked by (bit pattern of its
 ///    squared distance, id). The keys are integers, so the order is total:
@@ -21,8 +22,10 @@
 ///  * Eq. (1): w = exp(-max(d - d0, 0)^p / tau), where d is the rooted
 ///    distance, d0 the closest selected distance under WeightedCount and 0
 ///    under ScoreScaling, and tau = TauScale * medianNNDist() under
-///    AutoTau; w = 1 under None. exp rounds to +0 once the exponent passes
-///    746, and the oracle returns that +0 directly.
+///    AutoTau; w = 1 under None. exp is the library's scalar e^-x
+///    (kernels::expNeg), the one every kernel variant reproduces bit for
+///    bit; KernelTest holds it within 1 ulp of libm's exp, so the oracle
+///    checks the engine's arithmetic, not the host's libm.
 ///  * Eq. (2): per label, over the selected entries of that label, a
 ///    ScoreScaling expert adds 1 to the total and compares w * a against
 ///    the test score; every other expert (and a discrete one under
@@ -34,7 +37,8 @@
 ///    smoothed or not: its selected weights are all +0.
 ///  * The vote (Sec. 5.3): credibility is the p-value of the predicted
 ///    label, confidence exp(-(s - 1)^2 / (2 c^2)) of the prediction-set
-///    size s, and an expert flags when both fall below their thresholds;
+///    size s (the same scalar e^-x), and an expert flags when both fall
+///    below their thresholds;
 ///    the committee flags at MinVotesToFlag votes (default majority).
 ///  * Regression (Sec. 5.1.1): the predicted label is the nearest
 ///    pseudo-label centroid (lowest index on a tie), and the k-NN ground
@@ -51,6 +55,7 @@
 
 #include "core/Detector.h"
 #include "support/Distance.h"
+#include "support/Kernels.h"
 #include "support/Matrix.h"
 #include "support/Stats.h"
 
@@ -132,7 +137,7 @@ inline OracleSelection oracleSelect(const CalibrationStore &Store,
     if (Cfg.WeightMode != CalibrationWeightMode::None) {
       double D = std::max(0.0, oracleDistance(Keys[Pos].first) - Nearest);
       double Exponent = (Cfg.WeightNormPower == 2 ? D * D : D) / Tau;
-      W = Exponent > 746.0 ? 0.0 : std::exp(-Exponent);
+      W = support::kernels::expNeg(Exponent);
     }
     Sel.Indices.push_back(Keys[Pos].second);
     Sel.Weights.push_back(W);
@@ -206,8 +211,8 @@ inline void oracleVote(const std::vector<std::vector<double>> &PVals,
     for (double P : Row)
       Op.PredictionSetSize += P > Cfg.Epsilon ? 1 : 0;
     double D = static_cast<double>(Op.PredictionSetSize) - 1.0;
-    Op.Confidence =
-        std::exp(-(D * D) / (2.0 * Cfg.ConfidenceC * Cfg.ConfidenceC));
+    Op.Confidence = support::kernels::expNeg(
+        (D * D) / (2.0 * Cfg.ConfidenceC * Cfg.ConfidenceC));
     Op.FlagDrift = Op.Credibility < CredThreshold &&
                    Op.Confidence < Cfg.ConfThreshold;
     V.VotesToFlag += Op.FlagDrift ? 1 : 0;

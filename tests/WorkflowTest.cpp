@@ -220,8 +220,9 @@ TEST(IncrementalLearningTest, NoFlagsMeansNoUpdate) {
   IncrementalOutcome Out =
       runIncrementalLearning(Model, Train, Calib, Test, PromConfig(),
                              IncrementalConfig(), labelMispredicate(), R);
-  if (Out.NumFlagged == 0)
+  if (Out.NumFlagged == 0) {
     EXPECT_EQ(Out.NumRelabeled, 0u);
+  }
   EXPECT_NEAR(Out.UpdatedAccuracy, Out.NativeAccuracy, 0.1);
 }
 
