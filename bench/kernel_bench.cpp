@@ -18,6 +18,9 @@
 //    exact flat scan at 10^5 and 10^6 rows, plus a sweep over smaller row
 //    counts that records the crossover point where pruning starts to win.
 //    Both paths are verified bit-identical before any timing;
+//  * the same comparison at the regressor's k-NN shape, 10^4 16-d rows
+//    with K = 4 self-queries (calibration) and K = 3 outside queries
+//    (assessment), in us per query and the fraction of rows scanned;
 //  * the calibration store's two passes after the distance scan, the
 //    selection cut and the Eq. (2) block fold, scalar reference against
 //    the dispatched kernel at 10^4 entries in two shapes: the default
@@ -194,13 +197,15 @@ void matmulBench(size_t N, size_t K, size_t M, double MinMillis, Rng &R) {
 //===----------------------------------------------------------------------===//
 
 /// Blob-structured rows: \p NumBlobs Gaussian clusters with unit spread
-/// around centers drawn at scale 8 — the shape calibration embeddings take
-/// in practice (per-class clusters), and the regime the coarse quantizer
-/// is built for. Queries are drawn near the same centers.
-FeatureMatrix makeBlobRows(size_t N, size_t Dim, size_t NumBlobs, Rng &R) {
+/// around centers drawn at scale \p CenterScale. At the default 8 the
+/// blobs stand apart — the shape calibration embeddings take in practice
+/// (per-class clusters), and the regime the coarse quantizer is built for.
+/// Queries are drawn near the same centers.
+FeatureMatrix makeBlobRows(size_t N, size_t Dim, size_t NumBlobs, Rng &R,
+                           double CenterScale = 8.0) {
   std::vector<double> Centers(NumBlobs * Dim);
   for (double &V : Centers)
-    V = R.gaussian(0.0, 8.0);
+    V = R.gaussian(0.0, CenterScale);
   FeatureMatrix Rows;
   Rows.reset(N, Dim);
   std::vector<double> Row(Dim);
@@ -222,13 +227,15 @@ struct ClusterBenchResult {
 };
 
 /// Times the exact flat scan (l2Sq1xN + selectNearest) against
-/// ClusterIndex::nearestPruned on the same blob-structured rows, after
-/// verifying the two return bit-identical (distSq, id) pairs per query.
-ClusterBenchResult clusterKnnBench(size_t N, size_t Dim, size_t Centroids,
-                                   size_t K, double MinMillis, Rng &R) {
-  const size_t NumBlobs = 64;
+/// ClusterIndex::nearestPruned on \p Rows, after verifying the two return
+/// bit-identical (distSq, id) pairs per query. The queries lie near random
+/// rows, or with \p SelfQueries are copies of them.
+ClusterBenchResult clusterKnnBench(const FeatureMatrix &Rows,
+                                   size_t Centroids, size_t K,
+                                   double MinMillis, Rng &R,
+                                   bool SelfQueries = false) {
   const size_t NumQueries = 8;
-  FeatureMatrix Rows = makeBlobRows(N, Dim, NumBlobs, R);
+  const size_t N = Rows.rows(), Dim = Rows.dim();
 
   using Clock = std::chrono::steady_clock;
   Clock::time_point B0 = Clock::now();
@@ -243,7 +250,7 @@ ClusterBenchResult clusterKnnBench(size_t N, size_t Dim, size_t Centroids,
   for (auto &Q : Queries) {
     const double *Base = Rows.rowPtr(R.bounded(N));
     for (size_t D = 0; D < Dim; ++D)
-      Q[D] = Base[D] + R.gaussian(0.0, 0.5);
+      Q[D] = SelfQueries ? Base[D] : Base[D] + R.gaussian(0.0, 0.5);
   }
 
   // Losslessness gate: timing a wrong answer would be meaningless.
@@ -407,8 +414,8 @@ void clusterScanStudy(double MinMillis, Rng &R) {
     // Auto centroid count (~sqrt N) except at 10^6, where 512 caps the
     // one-time build cost while keeping lists far below the scan budget.
     size_t Centroids = N >= 500000 ? 512 : 0;
-    ClusterBenchResult Res = clusterKnnBench(N, Dim, Centroids, K,
-                                             MinMillis, R);
+    ClusterBenchResult Res = clusterKnnBench(
+        makeBlobRows(N, Dim, /*NumBlobs=*/64, R), Centroids, K, MinMillis, R);
     std::printf("  N=%-8zu: exact %9.1f us/query | pruned %8.1f us/query | "
                 "speedup %5.2fx | lists scanned %4.1f%% | rows scanned "
                 "%4.1f%% | build %.2fs\n",
@@ -438,8 +445,8 @@ void clusterScanStudy(double MinMillis, Rng &R) {
   size_t Crossover = 0;
   for (size_t N : {1000u, 2000u, 4000u, 8000u, 16000u, 32000u, 64000u}) {
     ClusterBenchResult Res =
-        clusterKnnBench(N, Dim, /*Centroids=*/0, K,
-                        std::min(MinMillis, 40.0), R);
+        clusterKnnBench(makeBlobRows(N, Dim, /*NumBlobs=*/64, R),
+                        /*Centroids=*/0, K, std::min(MinMillis, 40.0), R);
     std::printf("  N=%-8zu: exact %9.1f us/query | pruned %8.1f us/query | "
                 "speedup %5.2fx\n",
                 N, Res.ExactUs, Res.PrunedUs, Res.ExactUs / Res.PrunedUs);
@@ -448,6 +455,42 @@ void clusterScanStudy(double MinMillis, Rng &R) {
   }
   std::printf("  crossover (first pruned win): N=%zu\n", Crossover);
   jsonResult("cluster_knn_crossover_n", static_cast<double>(Crossover));
+}
+
+/// The regressor's k-NN ground truth at regress_10k's shape: 10^4 16-d
+/// rows under the auto centroid count. Calibration asks for K + 1 = 4
+/// rows around each calibration row and drops the row itself (copies of
+/// rows as queries); assessment asks for K = 3 around an input (queries
+/// off the rows). The blob centers are drawn at scale 2, where the blobs
+/// overlap, so the walk scans 15% (assess) and 27% (calibrate) of the
+/// rows, against 16% and 21% on regress_10k's embeddings. Its own
+/// generator keeps the rows and queries, and so the rows-scanned
+/// fractions, independent of what the benches before it draw.
+void regressorKnnBench(double MinMillis) {
+  struct Shape {
+    const char *Name;
+    size_t K;
+    bool SelfQueries;
+  };
+  std::printf("\nregressor k-NN ground truth (10^4 rows, dim=16, "
+              "blob-structured rows)\n");
+  Rng R(20250324);
+  FeatureMatrix Rows =
+      makeBlobRows(10000, 16, /*NumBlobs=*/64, R, /*CenterScale=*/2.0);
+  for (const Shape &S : {Shape{"calibrate", 4, true},
+                         Shape{"assess", 3, false}}) {
+    ClusterBenchResult Res = clusterKnnBench(Rows, /*Centroids=*/0, S.K,
+                                             MinMillis, R, S.SelfQueries);
+    std::printf("  %-9s k=%zu: exact %7.1f us/query | pruned %6.1f "
+                "us/query | rows scanned %4.1f%%\n",
+                S.Name, S.K, Res.ExactUs, Res.PrunedUs,
+                100.0 * Res.RowsFraction);
+    std::string Tag = std::string("regressor_knn_") + S.Name + "_k" +
+                      std::to_string(S.K);
+    jsonResult(Tag + "_exact_us_per_query", Res.ExactUs);
+    jsonResult(Tag + "_pruned_us_per_query", Res.PrunedUs);
+    jsonResult(Tag + "_rows_scanned_fraction", Res.RowsFraction);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -728,6 +771,8 @@ int main(int argc, char **argv) {
       {"baseline", 1, 6, CalibrationWeightMode::None, 1.0}};
   for (const StoreShape &Shape : Shapes)
     storePassBench(Shape, 10000, 16, MinMillis, R);
+
+  regressorKnnBench(MinMillis);
 
   if (SinkAccum == 12345.6789) // Never true; keeps the sink observable.
     std::printf("sink %f\n", SinkAccum);

@@ -16,17 +16,12 @@
 
 using namespace prom;
 using support::kernels::fromKeyBits;
-using support::kernels::keyBits;
 
 namespace {
 
 /// Entries the median-NN-distance measurement samples (the first
 /// MedianNNSample entries; bounded so finalize stays O(min(n,256)^2)).
 constexpr size_t MedianNNSample = 256;
-
-/// Largest K for which nearestRows() seeds the walk with only the K
-/// nearest of each exactly scanned range instead of every key.
-constexpr size_t MaxPreselectK = 64;
 
 } // namespace
 
@@ -260,8 +255,7 @@ void CalibrationStore::selectForAssessment(const double *TestEmbed,
     // (all-ones, id) anyway.
     nearestRows(TestEmbed, Scratch.Keep, Scratch);
     Scratch.Cut = Scratch.Candidates[Scratch.Keep - 1];
-    std::fill(Scratch.Dists.begin(), Scratch.Dists.end(),
-              fromKeyBits(~uint64_t(0)));
+    Scratch.Dists.assign(N, fromKeyBits(~uint64_t(0)));
     uint64_t MinBits = ~uint64_t(0);
     for (const support::kernels::SelectKey &Key : Scratch.Candidates) {
       Scratch.Dists[Key.second] = fromKeyBits(Key.first);
@@ -302,37 +296,13 @@ void CalibrationStore::nearestRows(const double *Query, size_t K,
   S.Pruned = support::ClusterScanStats();
   S.Pruned.RowsTotal = N;
   S.Candidates.clear();
-  S.Dists.resize(N);
   if (K == 0)
     return;
-
-  // The rows the index does not cover (all of them without an index, else
-  // the stale tail appended after the build) are scanned exactly, straight
-  // out of the embedding block into their own Dists slots, so the kernel
-  // fold is the very one the exact path runs. Their keys seed the walk's
-  // candidates, which gives it a bound before it visits any list. A small
-  // K seeds only the tail's K nearest, which support::selectNearest finds
-  // in one pass under the same key order; keys past them can never return
-  // to the K smallest. Without an index the walk visits no list and only
-  // trims the seeded keys to K.
-  size_t Begin = Index.coveredRows();
-  if (Begin < N) {
-    support::kernels::l2Sq1xN(Query, Embeds.rowPtr(Begin), N - Begin,
-                              Embeds.dim(), Embeds.stride(),
-                              S.Dists.data() + Begin);
-    auto Seed = [&](size_t I) {
-      S.Candidates.push_back({keyBits(S.Dists[I]), static_cast<uint32_t>(I)});
-    };
-    if (K <= MaxPreselectK)
-      for (size_t Off :
-           support::selectNearest(S.Dists.data() + Begin, N - Begin, K))
-        Seed(Begin + Off);
-    else
-      for (size_t I = Begin; I < N; ++I)
-        Seed(I);
-    S.Pruned.RowsScanned += N - Begin;
-  }
-  Index.walk(Query, K, S.Candidates, S.Walk, S.Pruned);
+  // The walk scans the rows the index does not cover (all of them
+  // without an index, else the stale tail appended after the build)
+  // exactly, straight out of the embedding block, through the same
+  // bound filter as its lists. Without an index it visits no list.
+  Index.walk(Query, K, Embeds, N, S.Candidates, S.Walk, S.Pruned);
 }
 
 //===----------------------------------------------------------------------===//

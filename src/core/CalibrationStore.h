@@ -21,13 +21,13 @@
 /// Everything else is derived. Once the store holds
 /// ClusterIndexPolicy::MinEntries rows (and the policy enables it), one
 /// lossless support::ClusterIndex covers its leading rows. nearestRows()
-/// is the store's one nearest-rows query: it scans the rows the index does
-/// not cover exactly and hands their keys to support::ClusterIndex::walk(),
-/// the one pruned walk. A small selection runs its pruned scan through it,
-/// and so does the regressor's k-NN ground truth. Every other selection
-/// runs one exact kernel scan over the embedding block, and the Eq. (2)
-/// p-values fold the canonical accumulation blocks (see
-/// CalibrationAccumBlock) in ascending order. Verdicts are identical for
+/// is the store's one nearest-rows query: support::ClusterIndex::walk(),
+/// the one pruned walk, over the embedding block, which also scans the
+/// rows the index does not cover exactly. A small selection runs its
+/// pruned scan through it, and so does the regressor's k-NN ground truth.
+/// Every other selection runs one exact kernel scan over the embedding
+/// block, and the Eq. (2) p-values fold the canonical accumulation blocks
+/// (see CalibrationAccumBlock) in ascending order. Verdicts are identical for
 /// every thread count; the bit-identity suites check the engine against a
 /// serial oracle that re-derives selection, weights and p-values from the
 /// paper (tests/SerialOracle.h), and the library ships only the engine.
@@ -302,9 +302,10 @@ public:
   /// The nearest-rows query: leaves in Scratch.Candidates the
   /// (squared-distance bits, entry id) keys of the \p K live entries
   /// nearest to \p Query (K clamped to the entry count), the K-th smallest
-  /// at position K - 1, and the scan counters in Scratch.Pruned. The rows
-  /// the index does not cover are scanned exactly and seed
-  /// support::ClusterIndex::walk(), so the keys are the exact scan's.
+  /// at position K - 1, and the scan counters in Scratch.Pruned. One
+  /// support::ClusterIndex::walk() over the embedding block answers it and
+  /// scans the rows the index does not cover exactly, so the keys are the
+  /// exact scan's.
   void nearestRows(const double *Query, size_t K,
                    AssessmentScratch &Scratch) const;
 

@@ -19,15 +19,20 @@ using kernels::fromKeyBits;
 using kernels::keyBits;
 
 // Losslessness of the pruned walk, in full:
+//  * The bound is the K-th smallest key among the rows scanned up to the
+//    last cut, which is itself >= the K-th smallest key of all rows walked
+//    (those rows are a subset).
 //  * A list is pruned only when its *safe* lower bound strictly exceeds
-//    the K-th smallest key among the rows scanned so far, which is itself
-//    >= the K-th smallest key of all rows walked (those rows are a
-//    subset). Every
-//    pruned member therefore has a squared distance strictly greater than
-//    that key's, so it cannot displace any of the K smallest keys — not
-//    even on ties, which compare equal on the distance and are never
-//    pruned (strict inequality). A NaN bound or NaN lower bound compares
-//    false, so it never prunes either.
+//    the bound. Every pruned member therefore has a squared distance
+//    strictly greater than the bound's, so it cannot displace any of the
+//    K smallest keys — not even on ties, which compare equal on the
+//    distance and are never pruned (strict inequality). A NaN bound or
+//    NaN lower bound compares false, so it never prunes either.
+//  * A scanned key is dropped only when its distance bits exceed the
+//    bound's. The K keys kept at the last cut are all at most the bound,
+//    so a key with larger bits sorts after K keys already kept and can
+//    never be among the K smallest. A key with equal bits is kept: its id
+//    may still be lower than the bound key's.
 //  * The scanned distances are computed by the same kernels on copies of
 //    the same rows: a kernel fold depends only on the row values and
 //    dim(), both preserved by the copy, so every surviving candidate
@@ -124,9 +129,54 @@ double ClusterIndex::listLowerBoundSq(double CentroidDistSq,
 }
 
 void ClusterIndex::walk(const double *Query, size_t K,
+                        const FeatureMatrix &Source, size_t End,
                         std::vector<kernels::SelectKey> &Cand, WalkScratch &W,
                         ClusterScanStats &Stats) const {
-  assert(K > 0 && "walking for an empty selection");
+  assert(K > 0 && K <= End && "walking for an empty or oversized selection");
+  assert(Covered <= End && End <= Source.rows() && "tail past the source");
+  assert((!valid() || Source.dim() == Centroids.dim()) &&
+         "query/index dim mismatch");
+  // The candidate buffer. A key enters only when its distance bits are at
+  // most the bound's, the K-th smallest key kept: a key past it sorts
+  // after K kept keys and can never return, while equal bits may carry a
+  // lower id. The bound starts as all ones, which admits every key and, as
+  // a NaN, prunes no list. It is first taken once K keys exist, then
+  // re-taken whenever the buffer reaches 2K keys, each time by one
+  // nth_element that cuts the buffer back to K: amortized O(1) per key.
+  uint64_t BoundBits = ~uint64_t(0);
+  size_t CutAt = K;
+  Cand.clear();
+  Cand.reserve(2 * K);
+  auto Cut = [&] {
+    std::nth_element(Cand.begin(), Cand.begin() + static_cast<long>(K - 1),
+                     Cand.end());
+    Cand.resize(K);
+    BoundBits = Cand[K - 1].first;
+    CutAt = 2 * K;
+  };
+  // Scans rows [B, E) of \p M through the filter, row I carrying id
+  // IdOf(I).
+  auto Scan = [&](const FeatureMatrix &M, size_t B, size_t E, auto IdOf) {
+    Stats.RowsScanned += E - B;
+    W.Dists.resize(E - B);
+    kernels::l2Sq1xN(Query, M.rowPtr(B), E - B, M.dim(), M.stride(),
+                     W.Dists.data());
+    for (size_t I = B; I < E; ++I) {
+      uint64_t Bits = keyBits(W.Dists[I - B]);
+      if (Bits > BoundBits)
+        continue;
+      Cand.push_back({Bits, IdOf(I)});
+      if (Cand.size() == CutAt)
+        Cut();
+    }
+  };
+
+  // The uncovered rows, read straight out of the source block, so the
+  // kernel fold is the very one an exact scan of the source runs.
+  if (Covered < End)
+    Scan(Source, Covered, End,
+         [](size_t I) { return static_cast<uint32_t>(I); });
+
   // Rank the lists by query-centroid distance; the order only affects how
   // fast the bound tightens, never the result.
   size_t NumLists = numLists();
@@ -139,24 +189,6 @@ void ClusterIndex::walk(const double *Query, size_t K,
   Stats.ListsTotal += NumLists;
   std::sort(W.Order.begin(), W.Order.end());
 
-  // The bound is the K-th smallest key seen, re-taken whenever the rows
-  // seen have doubled since the last nth_element. Keys past the K-th can
-  // never return to the K smallest, so each nth_element drops them.
-  bool HaveBound = false;
-  double Bound = 0.0;
-  size_t Seen = Cand.size(), LastTighten = 0;
-  auto Tighten = [&] {
-    if (Cand.size() < K)
-      return;
-    std::nth_element(Cand.begin(), Cand.begin() + static_cast<long>(K - 1),
-                     Cand.end());
-    Cand.resize(K);
-    Bound = fromKeyBits(Cand[K - 1].first);
-    HaveBound = true;
-    LastTighten = Seen;
-  };
-  Tighten();
-
   for (const std::pair<uint64_t, size_t> &Ranked : W.Order) {
     size_t L = Ranked.second;
     size_t LB = ListOffsets[L], LE = ListOffsets[L + 1];
@@ -164,26 +196,19 @@ void ClusterIndex::walk(const double *Query, size_t K,
       continue;
     // Strict >: a member at exactly the bound could still carry a lower
     // id than the current K-th key, so ties are always scanned.
-    if (HaveBound && listLowerBoundSq(fromKeyBits(Ranked.first), L) > Bound)
+    if (listLowerBoundSq(fromKeyBits(Ranked.first), L) >
+        fromKeyBits(BoundBits))
       continue;
     ++Stats.ListsScanned;
-    Stats.RowsScanned += LE - LB;
-    W.Dists.resize(LE - LB);
-    kernels::l2Sq1xN(Query, Rows.rowPtr(LB), LE - LB, Rows.dim(),
-                     Rows.stride(), W.Dists.data());
-    for (size_t I = LB; I < LE; ++I)
-      Cand.push_back({keyBits(W.Dists[I - LB]), RowIds[I]});
-    Seen += LE - LB;
-    if (!HaveBound || Seen >= 2 * LastTighten)
-      Tighten();
+    Scan(Rows, LB, LE, [&](size_t I) { return RowIds[I]; });
   }
 
   // Every row walked was a candidate or is provably past the bound, so
-  // the K smallest candidates are the K smallest keys; the last
-  // nth_element at K - 1 keeps exactly them.
+  // the K smallest candidates are the K smallest keys; a last cut at
+  // K - 1 keeps exactly them.
   assert(Cand.size() >= K && "the walk covers fewer than K rows");
-  if (Seen != LastTighten)
-    Tighten();
+  if (Cand.size() > K)
+    Cut();
 }
 
 std::vector<std::pair<double, uint32_t>>
@@ -197,7 +222,9 @@ ClusterIndex::nearestPruned(const double *Query, size_t K,
   S.RowsTotal = coveredRows();
   std::vector<kernels::SelectKey> Cand;
   WalkScratch W;
-  walk(Query, K, Cand, W, S);
+  // End = Covered: every row is covered, so the walk reads none of Rows
+  // as a source.
+  walk(Query, K, Rows, Covered, Cand, W, S);
   std::sort(Cand.begin(), Cand.end());
   std::vector<std::pair<double, uint32_t>> Near(K);
   for (size_t I = 0; I < K; ++I)

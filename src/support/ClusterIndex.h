@@ -26,9 +26,10 @@
 ///     |q - c| - r_max(c)   <=   |q - x|   for every member x   (triangle)
 ///
 /// provably exceeds the bound. Only surviving lists are scanned — with the
-/// exact kernels — so the candidates always contain the K smallest
-/// (squared-distance bits, row id) keys of the rows walked, and the result
-/// is bit-identical to the full scan under that order (for the
+/// exact kernels — and a scanned key is kept only when its distance bits
+/// are at most the bound's, so the candidates always contain the K
+/// smallest (squared-distance bits, row id) keys of the rows walked, and
+/// the result is bit-identical to the full scan under that order (for the
 /// non-negative distances the kernels return, the (distance, id) order).
 /// ClusterIndex.cpp states the losslessness argument in full, next to the
 /// walk and its rounding slack.
@@ -52,8 +53,10 @@ namespace support {
 /// Rows below which no cluster index is built: the calibration store's
 /// index (which also serves the regressor's k-NN ground truth) and the
 /// k-NN models' auto index keep the exact scan there, which is already
-/// cheap and cheaper than the build. Sits past the measured ~2k-row
-/// crossover.
+/// cheap and cheaper than the build. Sits well past the crossover that
+/// kernel_bench records (cluster_knn_crossover_n, dim 32, K = 16, blob
+/// rows): the pruned walk already wins at the sweep's smallest size,
+/// 1000 rows, by 1.6-2.4x.
 constexpr size_t ClusterIndexMinEntries = 8192;
 
 /// Counters of one pruned query, for benches and tests. A calibration
@@ -119,21 +122,28 @@ public:
     std::vector<double> Dists;
   };
 
-  /// The one cluster-pruned walk. \p Candidates may arrive pre-seeded
-  /// with the (squared-distance bits, row id) keys of rows the index does
-  /// not cover; the walk leaves in it exactly the \p K smallest keys of
-  /// the seeded rows and the covered rows, the K-th smallest at position
-  /// K - 1 (unordered otherwise). The lists are ranked by
-  /// (centroid-distance bits, list), scanned in that order under the
-  /// lazily tightened K-th smallest key seen, and a list is skipped only
-  /// when its lower bound strictly exceeds that bound. A cleared index has
-  /// no lists, so its walk only trims the seeded keys to K. \p Stats gains
-  /// the index's lists (ListsTotal) and the lists and rows scanned;
-  /// RowsTotal is the caller's. Requires 0 < K <= seeded rows + covered
-  /// rows.
-  void walk(const double *Query, size_t K,
-            std::vector<kernels::SelectKey> &Candidates, WalkScratch &Scratch,
-            ClusterScanStats &Stats) const;
+  /// The one cluster-pruned walk over the covered rows plus rows
+  /// [coveredRows(), \p End) of \p Source, which the index does not cover
+  /// (a calibration store's stale tail, appended to the rows the index
+  /// was built over; every row for a cleared index). It leaves in
+  /// \p Candidates exactly the \p K smallest (squared-distance bits, row
+  /// id) keys of those rows, the K-th smallest at position K - 1
+  /// (unordered otherwise). The uncovered rows are scanned exactly first,
+  /// so their keys give the walk a bound before it visits any list; no
+  /// row of Source below coveredRows() is read. The lists are ranked by
+  /// (centroid-distance bits, list) and scanned in that order, and a list
+  /// is skipped only when its lower bound strictly exceeds the bound, the
+  /// K-th smallest key kept. A scanned key enters the candidates only when
+  /// its distance bits are at most the bound's: one past it sorts after K
+  /// kept keys, while equal bits may still carry a lower id. The bound is
+  /// first taken once K keys exist and re-taken whenever the candidates
+  /// reach 2K keys, which one nth_element cuts back to K. \p Stats gains
+  /// the index's lists (ListsTotal) and the lists and rows scanned, the
+  /// tail's included; RowsTotal is the caller's. Requires
+  /// coveredRows() <= End <= Source.rows() and 0 < K <= End.
+  void walk(const double *Query, size_t K, const FeatureMatrix &Source,
+            size_t End, std::vector<kernels::SelectKey> &Candidates,
+            WalkScratch &Scratch, ClusterScanStats &Stats) const;
 
   /// Exact k-nearest rows of the covered prefix: the \p K smallest
   /// (kernel squared distance, original row id) pairs in ascending

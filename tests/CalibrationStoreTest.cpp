@@ -12,7 +12,8 @@
 // only when the configured selection can route to them. A calibration row
 // with a NaN feature stays out of the distance scale and leaves the pruned
 // selection and the nearest-rows query equal to the exact ones, for
-// ordinary queries and a NaN query.
+// ordinary queries and a NaN query, and the nearest-rows query keeps a
+// stale-tail bound's tie with a lower id.
 //
 //===----------------------------------------------------------------------===//
 
@@ -224,5 +225,50 @@ TEST(CalibrationStoreTest, PrunedSelectionMatchesExactWithANaNRow) {
       prom::testing::expectNearestRowsMatchExactScan(Pruned, Query.data(), K);
       prom::testing::expectNearestRowsMatchExactScan(Exact, Query.data(), K);
     }
+  }
+}
+
+TEST(CalibrationStoreTest, NearestRowsKeepsTailKeysThatTieTheBound) {
+  // ClusterIndexTest.FilterKeepsKeysThatTieTheBound with its near group in
+  // the stale tail, which the walk scans before any list. Around a query
+  // at the origin, the tail's 2K + 8 rows (x_r, 0), x_r = 5 + r/8, arrive
+  // in the rank order K..2K-1, 0..K-1, then the rest, so the tail's scan
+  // leaves the bound at rank K - 1. Indexed row 0 at (0, x_{K-1}) ties it
+  // exactly with a lower id, so it is the K-th neighbour; the other
+  // indexed rows lie further up the y axis than any tail row.
+  auto X = [](size_t Rank) { return 5.0 + static_cast<double>(Rank) / 8.0; };
+  auto Entry = [](double A, double B) {
+    CalibrationEntry E;
+    E.Embed = {A, B};
+    E.Scores = {0.5};
+    return E;
+  };
+  for (size_t K : {size_t(1), size_t(3), size_t(8)}) {
+    SCOPED_TRACE("K " + std::to_string(K));
+    CalibrationStore Store;
+    Store.add(Entry(0.0, X(K - 1)));
+    for (size_t I = 1; I < 64; ++I)
+      Store.add(Entry(0.0, 9.0 + static_cast<double>(I) / 4.0));
+    ClusterIndexPolicy Policy;
+    Policy.Enabled = true;
+    Policy.MinEntries = 1;
+    Policy.NumCentroids = 2;
+    Policy.MaxStaleFraction = 0.5;
+    Store.setIndexPolicy(Policy);
+    Store.finalize();
+    std::vector<CalibrationEntry> Tail;
+    for (size_t I = 0; I < 2 * K + 8; ++I)
+      Tail.push_back(Entry(X(I < K ? K + I : I < 2 * K ? I - K : I), 0.0));
+    Store.appendEntries(std::move(Tail));
+    Store.refinalize();
+    ASSERT_TRUE(Store.indexed());
+    ASSERT_EQ(Store.unindexedEntries(), 2 * K + 8);
+
+    std::vector<double> Query(2, 0.0);
+    AssessmentScratch S;
+    Store.nearestRows(Query.data(), K, S);
+    ASSERT_EQ(S.Candidates.size(), K);
+    EXPECT_EQ(S.Candidates[K - 1].second, 0u);
+    prom::testing::expectNearestRowsMatchExactScan(Store, Query.data(), K);
   }
 }

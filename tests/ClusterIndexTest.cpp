@@ -400,6 +400,41 @@ TEST(ClusterIndexTest, NaNRowAndNaNQueryFollowTheKeyOrder) {
   }
 }
 
+TEST(ClusterIndexTest, FilterKeepsKeysThatTieTheBound) {
+  // Two lists around a query at the origin. The near list holds 2K + 8
+  // points (x_r, 0), x_r = 5 + r/8, with ids past the far list's, in the
+  // rank order K..2K-1, 0..K-1, then the rest: the first cut, at K keys,
+  // takes the bound at rank 2K - 1, and the 2K cut, halfway through the
+  // list, moves it to rank K - 1. The far list, walked after, holds row 0
+  // at (0, x_{K-1}), whose squared distance has the bound's bits exactly,
+  // and rows further up the y axis than any near row. Row 0 has the lower
+  // id, so it is the K-th neighbour; a filter that dropped keys equal to
+  // the bound would return the near row of rank K - 1 instead.
+  auto X = [](size_t Rank) { return 5.0 + static_cast<double>(Rank) / 8.0; };
+  for (size_t K : {size_t(1), size_t(3), size_t(8)}) {
+    SCOPED_TRACE("K " + std::to_string(K));
+    const size_t Far = 8, Near = 2 * K + 8;
+    FeatureMatrix Rows(Far + Near, 2);
+    Rows.rowPtr(0)[1] = X(K - 1);
+    for (size_t I = 1; I < Far; ++I)
+      Rows.rowPtr(I)[1] = 9.0 + static_cast<double>(I) / 4.0;
+    for (size_t I = 0; I < Near; ++I)
+      Rows.rowPtr(Far + I)[0] = X(I < K ? K + I : I < 2 * K ? I - K : I);
+    ClusterIndex Index;
+    Index.build(Rows, Rows.rows(), /*NumCentroids=*/2, /*Seed=*/5);
+    ASSERT_EQ(Index.numLists(), 2u);
+
+    std::vector<double> Query(2, 0.0);
+    ClusterScanStats Stats;
+    std::vector<std::pair<double, uint32_t>> Got =
+        Index.nearestPruned(Query.data(), K, &Stats);
+    EXPECT_EQ(Stats.ListsScanned, 2u) << "the far list must be walked";
+    ASSERT_EQ(Got.size(), K);
+    EXPECT_EQ(Got[K - 1].second, 0u);
+    expectSamePairs(Got, fullScanNearest(Rows, Query.data(), K));
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // nearestPrunedBatch: batch-native pruned k-NN
 //===----------------------------------------------------------------------===//

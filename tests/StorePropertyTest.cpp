@@ -204,7 +204,7 @@ void runPrunedProgram(uint64_t Seed) {
     }
 
     // The nearest-rows query in whatever stale-tail state the step left,
-    // for a random K and for a small one (the preselected seeds); the
+    // for a random K and for a small one (K <= 64); the
     // unindexed reference store answers it at every comparison. Its own
     // generator leaves the program's sequence as it was.
     support::Rng QR(Seed ^ (0x51ED27ull * static_cast<uint64_t>(Op + 1)));
